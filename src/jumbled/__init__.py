@@ -6,7 +6,7 @@ size i. Because the feasible 1-counts per size form a contiguous interval,
 the profile answers every occurrence query (i, j) in constant time.
 """
 
-from .bitvec import RankBitvector, build_rank, rank1
+from .bitvec import RankBitvector
 from .inputs import ParseError
 from .minplus import (
     FINITE_BOUND,
@@ -32,8 +32,6 @@ from .strings import (
     BinaryString,
     BlockPartition,
     CrossBlockTables,
-    anchored_max_profile,
-    anchored_min_profile,
     blocked_profile,
     build_cross_tables,
     make_block_partition,

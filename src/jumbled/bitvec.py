@@ -12,17 +12,24 @@ import numpy as np
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
+def as_bits(bits) -> np.ndarray:
+    """``bits`` as a contiguous uint8 array. Values are checked before the
+    narrowing cast, so 256 or -1 is refused rather than wrapped."""
+    arr = np.asarray(bits)
+    if arr.size and not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("bits must contain only 0 and 1")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
+
+
 class RankBitvector:
     """Immutable {0,1} sequence of length ``m`` answering rank1 in O(1)."""
 
     __slots__ = ("m", "_words", "_cum", "_packed")
 
     def __init__(self, bits):
-        arr = np.ascontiguousarray(bits, dtype=np.uint8)
+        arr = as_bits(bits)
         if arr.ndim != 1:
             raise ValueError("bits must be a one-dimensional sequence")
-        if arr.size and arr.max() > 1:
-            raise ValueError("bits must contain only 0 and 1")
         self.m = int(arr.size)
         pad = (-self.m) % 64
         if pad:
@@ -50,13 +57,3 @@ class RankBitvector:
     def to_array(self) -> np.ndarray:
         """The stored bits as a uint8 array (fresh copy)."""
         return np.unpackbits(self._packed, count=self.m, bitorder="little")
-
-
-def build_rank(bits) -> RankBitvector:
-    return RankBitvector(bits)
-
-
-def rank1(bv, i: int) -> int:
-    if not isinstance(bv, RankBitvector):
-        bv = RankBitvector(bv)
-    return bv.rank1(i)

@@ -254,19 +254,19 @@ def cmd_bench(args) -> int:
                 continue
             for n in sizes:
                 value = _parse_input(kind, _gen_text(kind, n, args.seed, 0.5))
-                if algo == "blocked":
-                    param = _sqrt_ceil(n)
-                elif algo == "micro-macro":
-                    param = _sqrt_ceil(n)
-                else:
-                    param = None
+                param = _sqrt_ceil(n) if algo in ("blocked", "micro-macro") else None
                 fn = _BACKEND_MAPS[kind][algo]
-                tracemalloc.start()
                 t0 = time.perf_counter()
                 fn(value, param)
                 elapsed = time.perf_counter() - t0
-                _, peak = tracemalloc.get_traced_memory()
-                tracemalloc.stop()
+                # tracemalloc slows a build several times over, so the peak
+                # comes from a second, untimed pass
+                tracemalloc.start()
+                try:
+                    fn(value, param)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
                 rows.append((kind, algo, n, "" if param is None else param,
                              f"{elapsed:.6f}", peak))
     if not rows:

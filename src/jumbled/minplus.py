@@ -14,6 +14,7 @@ operands was a sentinel, because finite + finite <= 2^53 < INF - FINITE_BOUND.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +43,35 @@ def snap_max(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@dataclass(frozen=True)
+class Ring:
+    """One side of the tropical semiring: the sentinel that marks an
+    infeasible cell, the pointwise fold (np.minimum / np.maximum), and the
+    snap that re-saturates sums. Products and convolutions are looked up by
+    name in this module at call time, so a function installed under that
+    name (a tracer, another kernel) is reached by every sweep; MIN and MAX
+    are the one place a different kernel would be plugged in."""
+
+    sentinel: int
+    fold: np.ufunc
+    snap: object
+    product_name: str
+    conv_name: str
+
+    def reduce(self, a: np.ndarray, axis=None):
+        return self.fold.reduce(a, axis=axis)
+
+    def product(self, a, b) -> np.ndarray:
+        return globals()[self.product_name](a, b)
+
+    def conv(self, u, v) -> np.ndarray:
+        return globals()[self.conv_name](u, v)
+
+
+MIN = Ring(INF, np.minimum, snap_min, "min_plus_product", "min_plus_convolution_auto")
+MAX = Ring(NEG_INF, np.maximum, snap_max, "max_plus_product", "max_plus_convolution_auto")
+
+
 def _as_operand(x, ndim: int, what: str) -> np.ndarray:
     a = np.asarray(x, dtype=np.int64)
     if a.ndim != ndim:
@@ -53,47 +83,40 @@ def _as_operand(x, ndim: int, what: str) -> np.ndarray:
     return a
 
 
-def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
+def _as_matrices(a, b):
+    a = _as_operand(a, 2, "left matrix")
+    b = _as_operand(b, 2, "right matrix")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    return a, b
 
 
-def _product(a: np.ndarray, b: np.ndarray, maximize: bool) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
     p, q = a.shape
     r = b.shape[1]
-    sentinel = NEG_INF if maximize else INF
-    out = np.full((p, r), sentinel, dtype=np.int64)
+    out = np.full((p, r), ring.sentinel, dtype=np.int64)
     if q == 0 or p == 0 or r == 0:
         return out
-    reduce_ = np.max if maximize else np.min
     step = max(1, _CHUNK_ELEMS // max(1, q * r))
     for lo in range(0, p, step):
         hi = min(p, lo + step)
         sums = a[lo:hi, :, None] + b[None, :, :]
-        out[lo:hi] = reduce_(sums, axis=1)
-    return snap_max(out) if maximize else snap_min(out)
+        out[lo:hi] = ring.reduce(sums, axis=1)
+    return ring.snap(out)
 
 
 def min_plus_product(a, b) -> np.ndarray:
     """C[i,j] = min_k A[i,k] + B[k,j], saturating at INF."""
-    a = _as_operand(a, 2, "left matrix")
-    b = _as_operand(b, 2, "right matrix")
-    _check_dims(a, b)
-    return _product(a, b, maximize=False)
+    return _product(*_as_matrices(a, b), MIN)
 
 
 def max_plus_product(a, b) -> np.ndarray:
-    a = _as_operand(a, 2, "left matrix")
-    b = _as_operand(b, 2, "right matrix")
-    _check_dims(a, b)
-    return _product(a, b, maximize=True)
+    return _product(*_as_matrices(a, b), MAX)
 
 
 def min_plus_product_tiled(a, b, tile: int = 64) -> np.ndarray:
     """Cache-tiled variant; bitwise identical to min_plus_product."""
-    a = _as_operand(a, 2, "left matrix")
-    b = _as_operand(b, 2, "right matrix")
-    _check_dims(a, b)
+    a, b = _as_matrices(a, b)
     if tile < 1:
         raise ValueError("tile must be >= 1")
     p, q = a.shape
@@ -119,38 +142,33 @@ def _as_vectors(u, v):
     return u, v
 
 
-def _conv_direct(u: np.ndarray, v: np.ndarray, maximize: bool) -> np.ndarray:
+def _conv_direct(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
     if u.size > v.size:
         u, v = v, u
-    sentinel = NEG_INF if maximize else INF
-    fold = np.maximum if maximize else np.minimum
-    out = np.full(u.size + v.size - 1, sentinel, dtype=np.int64)
+    out = np.full(u.size + v.size - 1, ring.sentinel, dtype=np.int64)
     for k in range(u.size):
-        fold(out[k:k + v.size], u[k] + v, out=out[k:k + v.size])
-    return snap_max(out) if maximize else snap_min(out)
+        ring.fold(out[k:k + v.size], u[k] + v, out=out[k:k + v.size])
+    return ring.snap(out)
 
 
 def min_plus_convolution(u, v) -> np.ndarray:
     """w[i] = min over k of u[k] + v[i-k] (0-based, len |u|+|v|-1)."""
-    u, v = _as_vectors(u, v)
-    return _conv_direct(u, v, maximize=False)
+    return _conv_direct(*_as_vectors(u, v), MIN)
 
 
 def max_plus_convolution(u, v) -> np.ndarray:
-    u, v = _as_vectors(u, v)
-    return _conv_direct(u, v, maximize=True)
+    return _conv_direct(*_as_vectors(u, v), MAX)
 
 
-def _conv_blocked(u: np.ndarray, v: np.ndarray, maximize: bool, kernel) -> np.ndarray:
+def _conv_blocked(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
     # Segment both vectors into t = ceil(sqrt(|v|)) pieces; each residue class
     # q of the output is one (P x t) by (t x C) product, whose anti-diagonals
     # are the output cells i = (p + c) * t + q.
     if u.size > v.size:
         u, v = v, u
     lu, lv = u.size, v.size
-    sentinel = NEG_INF if maximize else INF
+    sentinel = ring.sentinel
     t = math.isqrt(lv - 1) + 1 if lv > 1 else 1
-    np_reduce = np.max if maximize else np.min
 
     num_p = -(-lu // t)
     num_c = -(-lv // t) + 1
@@ -168,37 +186,35 @@ def _conv_blocked(u: np.ndarray, v: np.ndarray, maximize: bool, kernel) -> np.nd
         j = base_j + q
         valid = (j >= 0) & (j < lv)
         z = np.where(valid, v[np.clip(j, 0, lv - 1)], sentinel)
-        m = kernel(x, z)
+        m = ring.product(x, z)
         stage.fill(sentinel)
         stage.flat[flat_idx] = m
-        diag = np_reduce(stage, axis=0)
+        diag = ring.reduce(stage, axis=0)
         pos = positions + q
         keep = pos < out.size
         out[pos[keep]] = diag[keep]
     return out
 
 
-def min_plus_convolution_blocked(u, v, kernel=None) -> np.ndarray:
-    """Same output as min_plus_convolution, evaluated through an MPM kernel."""
-    u, v = _as_vectors(u, v)
-    return _conv_blocked(u, v, maximize=False, kernel=kernel or min_plus_product)
+def min_plus_convolution_blocked(u, v) -> np.ndarray:
+    """Same output as min_plus_convolution, evaluated through min_plus_product."""
+    return _conv_blocked(*_as_vectors(u, v), MIN)
 
 
-def max_plus_convolution_blocked(u, v, kernel=None) -> np.ndarray:
-    u, v = _as_vectors(u, v)
-    return _conv_blocked(u, v, maximize=True, kernel=kernel or max_plus_product)
+def max_plus_convolution_blocked(u, v) -> np.ndarray:
+    return _conv_blocked(*_as_vectors(u, v), MAX)
 
 
-def min_plus_convolution_auto(u, v, kernel=None) -> np.ndarray:
+def _conv_auto(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
+    if min(u.size, v.size) <= NAIVE_CONV_CUTOFF:
+        return _conv_direct(u, v, ring)
+    return _conv_blocked(u, v, ring)
+
+
+def min_plus_convolution_auto(u, v) -> np.ndarray:
     """Direct convolution for short operands, blocked otherwise."""
-    u, v = _as_vectors(u, v)
-    if min(u.size, v.size) <= NAIVE_CONV_CUTOFF:
-        return _conv_direct(u, v, maximize=False)
-    return _conv_blocked(u, v, maximize=False, kernel=kernel or min_plus_product)
+    return _conv_auto(*_as_vectors(u, v), MIN)
 
 
-def max_plus_convolution_auto(u, v, kernel=None) -> np.ndarray:
-    u, v = _as_vectors(u, v)
-    if min(u.size, v.size) <= NAIVE_CONV_CUTOFF:
-        return _conv_direct(u, v, maximize=True)
-    return _conv_blocked(u, v, maximize=True, kernel=kernel or max_plus_product)
+def max_plus_convolution_auto(u, v) -> np.ndarray:
+    return _conv_auto(*_as_vectors(u, v), MAX)

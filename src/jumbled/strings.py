@@ -6,8 +6,9 @@ Three interchangeable backends compute the same profile:
 * blocked_profile    block decomposition with cross-block min/max tables
 * recursive_profile  midpoint halving; boundary windows via convolutions
 
-plus the anchored variant (windows through one fixed position) and the
-weighted maximum-sum generalization.
+The weighted maximum-sum routines are the max side of the same sweeps,
+run over prefix sums of the weights instead of prefix 1-counts. Every sweep
+is written once over a tropical ring (minplus.MIN / minplus.MAX).
 """
 
 from __future__ import annotations
@@ -17,17 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .minplus import (
-    FINITE_BOUND,
-    INF,
-    NEG_INF,
-    max_plus_convolution_auto,
-    max_plus_product,
-    min_plus_convolution_auto,
-    min_plus_product,
-    snap_max,
-    snap_min,
-)
+from .bitvec import as_bits
+from .minplus import FINITE_BOUND, MAX, MIN, Ring
 from .profiles import Profile
 
 RECURSION_CUTOFF = 64
@@ -44,11 +36,9 @@ class BinaryString:
                 raise ValueError("string form must be non-empty and contain only '0'/'1'")
             arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
         else:
-            arr = np.ascontiguousarray(bits, dtype=np.uint8)
+            arr = as_bits(bits)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("need a non-empty one-dimensional bit sequence")
-        if arr.max() > 1:
-            raise ValueError("bits must be 0 or 1")
         self.bits = arr
         self.prefix_ones = np.concatenate([np.zeros(1, dtype=np.int64),
                                            np.cumsum(arr, dtype=np.int64)])
@@ -65,17 +55,24 @@ def _as_string(s) -> BinaryString:
     return s if isinstance(s, BinaryString) else BinaryString(s)
 
 
+def _window_sweep(rows: np.ndarray, ring: Ring, out: np.ndarray) -> np.ndarray:
+    """Fold into out[w-1] the ring's extreme sum over every width-w window of
+    every row of prefix sums in ``rows`` (2-d, one segment per row)."""
+    for w in range(1, rows.shape[1]):
+        best = ring.reduce(rows[:, w:] - rows[:, :-w])
+        out[w - 1] = ring.fold(out[w - 1], best)
+    return out
+
+
+def _blank(n: int, ring: Ring) -> np.ndarray:
+    return np.full(n, ring.sentinel, dtype=np.int64)
+
+
 def naive_profile(s: BinaryString) -> Profile:
-    s = _as_string(s)
-    n = len(s)
-    pref = s.prefix_ones
-    mins = np.empty(n, dtype=np.int64)
-    maxs = np.empty(n, dtype=np.int64)
-    for w in range(1, n + 1):
-        sums = pref[w:] - pref[:n + 1 - w]
-        mins[w - 1] = sums.min()
-        maxs[w - 1] = sums.max()
-    return Profile(mins, maxs)
+    rows = _as_string(s).prefix_ones[None, :]
+    n = rows.shape[1] - 1
+    return Profile(_window_sweep(rows, MIN, _blank(n, MIN)),
+                   _window_sweep(rows, MAX, _blank(n, MAX)))
 
 
 @dataclass(frozen=True)
@@ -110,15 +107,16 @@ def make_block_partition(s, b: int) -> BlockPartition:
     return BlockPartition(_as_string(s), b)
 
 
-def _edge_tables(p: BlockPartition, length: int):
-    """The A/B operand pair for one suffix+prefix length, both semirings.
+def _cross_table(p: BlockPartition, length: int, ring: Ring) -> np.ndarray:
+    """C_l for one ring: spanning-substring 1-counts for suffix+prefix = length.
 
     A[i,k] counts 1s in a suffix of block i, B[k,j] in a prefix of block j;
     row/column k fixes the split so that suffix+prefix = length. Splits
-    exceeding a donor block's true length are sentinels.
+    exceeding a donor block's true length are sentinels, as is every entry
+    with i >= j.
     """
     pref = p.string.prefix_ones
-    b, m = p.b, p.m
+    b = p.b
     lens = p.bounds[1:] - p.bounds[:-1]
     if length <= b:
         k = np.arange(length + 1, dtype=np.int64)
@@ -134,26 +132,13 @@ def _edge_tables(p: BlockPartition, length: int):
     pre_ok = prefix_len <= lens[None, :]
     suf = pref[ends] - pref[ends - np.where(suf_ok, suffix_len, 0)]
     pre = pref[starts + np.where(pre_ok, prefix_len, 0)] - pref[starts]
-    a_min = np.where(suf_ok, suf, INF)
-    b_min = np.where(pre_ok, pre, INF)
-    a_max = np.where(suf_ok, suf, NEG_INF)
-    b_max = np.where(pre_ok, pre, NEG_INF)
-    return a_min, b_min, a_max, b_max
-
-
-def _cross_tables_for_length(p: BlockPartition, length: int, kernel=None, max_kernel=None):
-    """(min table, max table) of spanning-substring 1-counts for one length."""
-    a_min, b_min, a_max, b_max = _edge_tables(p, length)
-    kmin = kernel or min_plus_product
-    kmax = max_kernel or max_plus_product
-    pref = p.string.prefix_ones
     i_idx = np.arange(p.m)
-    spanning = i_idx[:, None] < i_idx[None, :]
     # interior[i, j] = 1s in the full blocks strictly between i and j
     interior = pref[p.bounds[i_idx]][None, :] - pref[p.bounds[i_idx + 1]][:, None]
-    cmin = snap_min(kmin(a_min, b_min) + np.where(spanning, interior, INF))
-    cmax = snap_max(kmax(a_max, b_max) + np.where(spanning, interior, NEG_INF))
-    return cmin, cmax
+    spanning = i_idx[:, None] < i_idx[None, :]
+    core = ring.product(np.where(suf_ok, suf, ring.sentinel),
+                        np.where(pre_ok, pre, ring.sentinel))
+    return ring.snap(core + np.where(spanning, interior, ring.sentinel))
 
 
 @dataclass(frozen=True)
@@ -172,30 +157,50 @@ class CrossBlockTables:
         return self.max_tables[length]
 
 
-def build_cross_tables(p: BlockPartition, kernel=None, max_kernel=None) -> CrossBlockTables:
-    min_tables, max_tables = {}, {}
-    for length in range(1, 2 * p.b + 1):
-        cmin, cmax = _cross_tables_for_length(p, length, kernel, max_kernel)
-        min_tables[length] = cmin
-        max_tables[length] = cmax
-    return CrossBlockTables(p, min_tables, max_tables)
+def build_cross_tables(p: BlockPartition) -> CrossBlockTables:
+    def tables(ring):
+        return {length: _cross_table(p, length, ring) for length in range(1, 2 * p.b + 1)}
+
+    return CrossBlockTables(p, tables(MIN), tables(MAX))
 
 
-def _intra_block_extrema(p: BlockPartition, mins: np.ndarray, maxs: np.ndarray) -> None:
-    n = len(p.string)
+def _block_rows(p: BlockPartition) -> list:
+    """Prefix sums of each block as rows of equal length: the full blocks in
+    one 2-d array, the short last block (if any) in another."""
     pref = p.string.prefix_ones
-    pos = np.arange(n, dtype=np.int64)
-    offset = pos % p.b
-    for w in range(1, min(p.b, n) + 1):
-        inside = (offset[:n + 1 - w] + w <= p.b)
-        if not inside.any():
-            continue
-        sums = (pref[w:] - pref[:n + 1 - w])[inside]
-        mins[w - 1] = min(mins[w - 1], int(sums.min()))
-        maxs[w - 1] = max(maxs[w - 1], int(sums.max()))
+    n, b = len(p.string), p.b
+    full = n // b
+    rows = [pref[np.arange(full)[:, None] * b + np.arange(b + 1)]]
+    if n % b:
+        rows.append(pref[None, full * b:])
+    return rows
 
 
-def blocked_profile(s: BinaryString, b=None, kernel=None, max_kernel=None) -> Profile:
+def _diagonal_order(m: int):
+    """Flat indices of the strictly upper diagonals of an m x m table,
+    diagonal 1 first, and the position where each diagonal starts."""
+    order = np.concatenate([np.arange(m - d) * (m + 1) + d for d in range(1, m)])
+    starts = np.concatenate([[0], np.cumsum(np.arange(m - 1, 1, -1))])
+    return order, starts
+
+
+def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
+    n, b = len(p.string), p.b
+    out = _blank(n, ring)
+    for rows in _block_rows(p):
+        _window_sweep(rows, ring, out)
+    order, starts = _diagonal_order(p.m)
+    gaps = np.arange(p.m - 1) * b   # diagonal d holds windows with d-1 interior blocks
+    for length in range(1, min(2 * b, n) + 1):
+        best = ring.fold.reduceat(_cross_table(p, length, ring).ravel()[order], starts)
+        sizes = length + gaps
+        keep = sizes <= n
+        idx = sizes[keep] - 1
+        out[idx] = ring.fold(out[idx], best[keep])
+    return out
+
+
+def blocked_profile(s: BinaryString, b=None) -> Profile:
     s = _as_string(s)
     n = len(s)
     if b is None:
@@ -203,113 +208,52 @@ def blocked_profile(s: BinaryString, b=None, kernel=None, max_kernel=None) -> Pr
     p = make_block_partition(s, b)
     if p.m == 1:
         return naive_profile(s)
-    mins = np.full(n, INF, dtype=np.int64)
-    maxs = np.full(n, NEG_INF, dtype=np.int64)
-    _intra_block_extrema(p, mins, maxs)
-    for length in range(1, 2 * b + 1):
-        if length > n:
-            break
-        cmin, cmax = _cross_tables_for_length(p, length, kernel, max_kernel)
-        max_gap = (n - length) // b
-        for gap in range(0, min(max_gap, p.m - 2) + 1):
-            size = length + gap * b
-            lo = np.diagonal(cmin, offset=gap + 1).min()
-            hi = np.diagonal(cmax, offset=gap + 1).max()
-            if lo < INF:
-                mins[size - 1] = min(mins[size - 1], int(lo))
-            if hi > NEG_INF:
-                maxs[size - 1] = max(maxs[size - 1], int(hi))
-    return Profile(mins, maxs)
+    return Profile(_blocked_sweep(p, MIN), _blocked_sweep(p, MAX))
 
 
-def _fold_range_naive(pref: np.ndarray, lo: int, hi: int, mins: np.ndarray, maxs: np.ndarray) -> None:
-    for w in range(1, hi - lo + 1):
-        sums = pref[lo + w:hi + 1] - pref[lo:hi + 1 - w]
-        mins[w - 1] = min(mins[w - 1], int(sums.min()))
-        maxs[w - 1] = max(maxs[w - 1], int(sums.max()))
-
-
-def recursive_profile(s: BinaryString, kernel=None, max_kernel=None,
-                      cutoff: int = RECURSION_CUTOFF) -> Profile:
-    s = _as_string(s)
-    n = len(s)
-    pref = s.prefix_ones
-    mins = np.full(n, INF, dtype=np.int64)
-    maxs = np.full(n, NEG_INF, dtype=np.int64)
+def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
+    """Extreme window sums for every width: split at the midpoint, fold the
+    windows that cross it with one ring convolution, recurse on the halves."""
+    n = pref.size - 1
+    out = _blank(n, ring)
     # explicit stack; deep inputs must not hit the interpreter limit
     stack = [(0, n)]
     while stack:
         lo, hi = stack.pop()
         if hi - lo <= cutoff:
-            _fold_range_naive(pref, lo, hi, mins, maxs)
+            _window_sweep(pref[None, lo:hi + 1], ring, out)
             continue
         mid = (lo + hi) // 2
         stack.append((lo, mid))
         stack.append((mid, hi))
         # windows crossing mid: a characters to the left, c to the right
-        u = (pref[mid] - pref[mid - np.arange(mid - lo + 1)]).astype(np.int64)
-        v = (pref[mid + np.arange(hi - mid + 1)] - pref[mid]).astype(np.int64)
-        conv_lo = min_plus_convolution_auto(u, v, kernel=kernel)
-        conv_hi = max_plus_convolution_auto(u, v, kernel=max_kernel)
-        span = conv_lo.size - 1
-        np.minimum(mins[:span], conv_lo[1:], out=mins[:span])
-        np.maximum(maxs[:span], conv_hi[1:], out=maxs[:span])
-    return Profile(mins, maxs)
+        u = pref[mid] - pref[mid - np.arange(mid - lo + 1)]
+        v = pref[mid + np.arange(hi - mid + 1)] - pref[mid]
+        conv = ring.conv(u, v)
+        span = conv.size - 1
+        ring.fold(out[:span], conv[1:], out=out[:span])
+    return out
 
 
-def anchored_min_profile(u, v, anchor_weight: int, kernel=None) -> np.ndarray:
-    """result[t] = extremum over windows of size t+1 made of a left part
-    costed by u, the anchor itself, and a right part costed by v."""
-    conv = min_plus_convolution_auto(u, v, kernel=kernel)
-    return snap_min(conv + int(anchor_weight))
+def recursive_profile(s: BinaryString, cutoff: int = RECURSION_CUTOFF) -> Profile:
+    pref = _as_string(s).prefix_ones
+    return Profile(_halving_sweep(pref, MIN, cutoff), _halving_sweep(pref, MAX, cutoff))
 
 
-def anchored_max_profile(u, v, anchor_weight: int, kernel=None) -> np.ndarray:
-    conv = max_plus_convolution_auto(u, v, kernel=kernel)
-    return snap_max(conv + int(anchor_weight))
-
-
-def _check_weight_scale(weights: np.ndarray) -> None:
-    if weights.size and int(np.abs(weights).max()) * weights.size > FINITE_BOUND:
+def _weight_prefix(weights) -> np.ndarray:
+    weights = np.asarray(weights, dtype=np.int64)
+    if weights.ndim != 1 or weights.size < 1:
+        raise ValueError("need a non-empty weight sequence")
+    if int(np.abs(weights).max()) * weights.size > FINITE_BOUND:
         raise ValueError("weight magnitudes too large for exact arithmetic")
+    return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(weights, dtype=np.int64)])
 
 
 def naive_weighted_max_sums(weights) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.int64)
-    if weights.ndim != 1 or weights.size < 1:
-        raise ValueError("need a non-empty weight sequence")
-    _check_weight_scale(weights)
-    pref = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(weights, dtype=np.int64)])
-    n = weights.size
-    out = np.empty(n, dtype=np.int64)
-    for w in range(1, n + 1):
-        out[w - 1] = (pref[w:] - pref[:n + 1 - w]).max()
-    return out
+    pref = _weight_prefix(weights)
+    return _window_sweep(pref[None, :], MAX, _blank(pref.size - 1, MAX))
 
 
-def weighted_max_sums(weights, kernel=None, cutoff: int = RECURSION_CUTOFF) -> np.ndarray:
+def weighted_max_sums(weights, cutoff: int = RECURSION_CUTOFF) -> np.ndarray:
     """Maximum total weight over length-i windows, i = 1..n."""
-    weights = np.asarray(weights, dtype=np.int64)
-    if weights.ndim != 1 or weights.size < 1:
-        raise ValueError("need a non-empty weight sequence")
-    _check_weight_scale(weights)
-    n = weights.size
-    pref = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(weights, dtype=np.int64)])
-    out = np.full(n, NEG_INF, dtype=np.int64)
-    stack = [(0, n)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo <= cutoff:
-            for w in range(1, hi - lo + 1):
-                best = (pref[lo + w:hi + 1] - pref[lo:hi + 1 - w]).max()
-                out[w - 1] = max(out[w - 1], int(best))
-            continue
-        mid = (lo + hi) // 2
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-        u = (pref[mid] - pref[mid - np.arange(mid - lo + 1)]).astype(np.int64)
-        v = (pref[mid + np.arange(hi - mid + 1)] - pref[mid]).astype(np.int64)
-        conv = max_plus_convolution_auto(u, v, kernel=kernel)
-        span = conv.size - 1
-        np.maximum(out[:span], conv[1:], out=out[:span])
-    return out
+    return _halving_sweep(_weight_prefix(weights), MAX, cutoff)

@@ -23,16 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvec import RankBitvector
-from .minplus import (
-    FINITE_BOUND,
-    INF,
-    NAIVE_CONV_CUTOFF,
-    NEG_INF,
-    max_plus_convolution_auto,
-    min_plus_convolution_auto,
-    snap_max,
-    snap_min,
-)
+from .minplus import FINITE_BOUND, MAX, MIN, NAIVE_CONV_CUTOFF, Ring
 from .profiles import Profile
 
 _TRIVIAL = np.zeros(1, dtype=np.int64)
@@ -207,29 +198,7 @@ def encode_delta(a_v) -> DeltaBits:
     return DeltaBits(RankBitvector(bits))
 
 
-@dataclass(frozen=True)
-class _Ring:
-    sentinel: int
-    conv: object
-    fold: object
-    snap: object
-
-
-_MIN_RING = _Ring(INF, min_plus_convolution_auto, np.minimum, snap_min)
-_MAX_RING = _Ring(NEG_INF, max_plus_convolution_auto, np.maximum, snap_max)
-
-
-def _rings(kernel=None, max_kernel=None):
-    if kernel is None and max_kernel is None:
-        return _MIN_RING, _MAX_RING
-    rmin = _Ring(INF, lambda u, v: min_plus_convolution_auto(u, v, kernel=kernel),
-                 np.minimum, snap_min)
-    rmax = _Ring(NEG_INF, lambda u, v: max_plus_convolution_auto(u, v, kernel=max_kernel),
-                 np.maximum, snap_max)
-    return rmin, rmax
-
-
-def _combine(ring: _Ring, a_u, a_w, lab: int, size_w: int, forced: bool = False):
+def _combine(ring: Ring, a_u, a_w, lab: int, size_w: int, forced: bool = False):
     """One DP step: join two child arrays below a node.
 
     A real node consumes one unit of size and contributes its label; a dummy
@@ -248,7 +217,7 @@ def combine_children(a_u, a_w, lab: int, size_w: int = 1) -> np.ndarray:
     """Minimum-1s combine; a missing child is the trivial array [0]."""
     a_u = np.asarray(a_u, dtype=np.int64)
     a_w = np.asarray(a_w, dtype=np.int64)
-    return _combine(_MIN_RING, a_u, a_w, int(lab), int(size_w))
+    return _combine(MIN, a_u, a_w, int(lab), int(size_w))
 
 
 def _check_binary_labels(values: np.ndarray) -> None:
@@ -256,28 +225,26 @@ def _check_binary_labels(values: np.ndarray) -> None:
         raise ValueError("profile computation requires {0,1} labels")
 
 
-def _simple_sweep(bt: BinarizedTree, ring: _Ring, sink=None) -> np.ndarray:
+def _simple_sweep(bt: BinarizedTree, ring: Ring, sink=None) -> np.ndarray:
     best = np.full(bt.n_real, ring.sentinel, dtype=np.int64)
-    store = {}
+    store = {}  # a child's array, kept only until its parent consumes it
     for v in bt.post_order:
         kids = bt.children[v]
-        a_u = store.pop(kids[0]).decode() if kids else _TRIVIAL
-        a_w = store.pop(kids[1]).decode() if len(kids) == 2 else _TRIVIAL
+        a_u = store.pop(kids[0]) if kids else _TRIVIAL
+        a_w = store.pop(kids[1]) if len(kids) == 2 else _TRIVIAL
         a_v = _combine(ring, a_u, a_w, int(bt.ones_w[v]), int(bt.size_w[v]))
         if bt.size_w[v]:
             span = a_v.size - 1
             ring.fold(best[:span], a_v[1:], out=best[:span])
         if sink is not None:
             sink(a_v)
-        # retained only until the parent consumes it, in delta form
-        store[v] = encode_delta(a_v)
+        store[v] = a_v
     return best
 
 
 def simple_tree_profile(bt: BinarizedTree, sink=None) -> Profile:
     _check_binary_labels(bt.ones_w)
-    return Profile(_simple_sweep(bt, _MIN_RING, sink),
-                   _simple_sweep(bt, _MAX_RING, sink))
+    return Profile(_simple_sweep(bt, MIN, sink), _simple_sweep(bt, MAX, sink))
 
 
 MICRO_COUNT_CONSTANT = 8
@@ -376,7 +343,7 @@ def micro_macro(bt: BinarizedTree, r: int) -> MicroMacroDecomposition:
                                    boundaries, macro_parent)
 
 
-def _chunked_conv(ring: _Ring, u: np.ndarray, v: np.ndarray, floor: int) -> np.ndarray:
+def _chunked_conv(ring: Ring, u: np.ndarray, v: np.ndarray, floor: int) -> np.ndarray:
     """Convolution with the long side cut into chunks of the short side's
     span (at least `floor`), so every piece is a balanced product."""
     if u.size > v.size:
@@ -398,7 +365,7 @@ def _chunked_conv(ring: _Ring, u: np.ndarray, v: np.ndarray, floor: int) -> np.n
     return out
 
 
-def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, ring: _Ring,
+def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, ring: Ring,
                  sink=None) -> np.ndarray:
     best = np.full(bt.n_real, ring.sentinel, dtype=np.int64)
     post_index = {v: i for i, v in enumerate(bt.post_order)}
@@ -478,35 +445,20 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, ring: _Ring,
     return best
 
 
-def tree_profile(t: LabeledTree, r=None, kernel=None, max_kernel=None,
-                 sink=None) -> Profile:
+def tree_profile(t: LabeledTree, r=None, sink=None) -> Profile:
     _check_binary_labels(t.labels)
     bt = binarize(t)
     if r is None:
         r = math.isqrt(bt.n_real - 1) + 1 if bt.n_real > 1 else 1
     dec = micro_macro(bt, int(r))
-    rmin, rmax = _rings(kernel, max_kernel)
-    return Profile(_macro_sweep(bt, dec, rmin, sink),
-                   _macro_sweep(bt, dec, rmax, sink))
+    return Profile(_macro_sweep(bt, dec, MIN, sink), _macro_sweep(bt, dec, MAX, sink))
 
 
-def weighted_tree_max_sums(t: LabeledTree, kernel=None) -> np.ndarray:
+def weighted_tree_max_sums(t: LabeledTree) -> np.ndarray:
     """result[i-1] = maximum weight sum over connected subgraphs of size i."""
     if int(np.abs(t.labels).max()) * t.n > FINITE_BOUND:
         raise ValueError("weight magnitudes too large for exact arithmetic")
-    bt = binarize(t)
-    ring = _rings(max_kernel=kernel)[1]
-    best = np.full(bt.n_real, ring.sentinel, dtype=np.int64)
-    store = {}
-    for v in bt.post_order:
-        kids = bt.children[v]
-        a_u = store.pop(kids[0]) if kids else _TRIVIAL
-        a_w = store.pop(kids[1]) if len(kids) == 2 else _TRIVIAL
-        a_v = _combine(ring, a_u, a_w, int(bt.ones_w[v]), int(bt.size_w[v]))
-        if bt.size_w[v]:
-            ring.fold(best[:a_v.size - 1], a_v[1:], out=best[:a_v.size - 1])
-        store[v] = a_v  # steps are unbounded here, so no delta form
-    return best
+    return _simple_sweep(binarize(t), MAX)
 
 
 def feasible_size_sets(t: LabeledTree, max_n: int = 18) -> dict:

@@ -51,18 +51,6 @@ def window_max_sums(weights):
     return best[1:]
 
 
-def anchored_oracle(u, v, anchor_weight, maximize=False):
-    """Fold u[a] + anchor + v[b] over all a+b = k, by double loop."""
-    pick = max if maximize else min
-    out = []
-    for k in range(len(u) + len(v) - 1):
-        cands = [u[a] + anchor_weight + v[k - a]
-                 for a in range(len(u))
-                 if 0 <= k - a < len(v)]
-        out.append(pick(cands))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tropical oracles (treat None as the absorbing infinity)
 

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from jumbled.bitvec import RankBitvector, build_rank, rank1
+from jumbled.bitvec import RankBitvector
 
 
 def test_empty():
@@ -35,6 +35,9 @@ def test_out_of_range():
 def test_rejects_non_bits():
     with pytest.raises(ValueError):
         RankBitvector([0, 2, 1])
+    # out-of-range values are refused before the uint8 cast could wrap them
+    with pytest.raises(ValueError):
+        RankBitvector([0, 256, 1])
 
 
 def test_round_trip():
@@ -51,7 +54,7 @@ def test_rank_matches_prefix_sums():
         [rng.randint(1, 300) for _ in range(30)]
     for n in lengths:
         bits = [rng.randint(0, 1) for _ in range(n)]
-        bv = build_rank(np.asarray(bits))
+        bv = RankBitvector(np.asarray(bits))
         acc = 0
         assert bv.rank1(0) == 0
         for i, b in enumerate(bits, start=1):
@@ -60,4 +63,4 @@ def test_rank_matches_prefix_sums():
 
 
 def test_module_level_helper():
-    assert rank1([1, 0, 1, 1, 0], 3) == 2
+    assert RankBitvector([1, 0, 1, 1, 0]).rank1(3) == 2

@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line surface, driven through main()."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,25 @@ def test_bench_repeat_same_schema(tmp_path):
     assert run(*args, "--out", str(a)) == 0
     assert run(*args, "--out", str(b)) == 0
     assert [r[:4] for r in _bench_rows(a)] == [r[:4] for r in _bench_rows(b)]
+
+
+def test_bench_times_untraced_builds(tmp_path, monkeypatch):
+    # tracemalloc slows builds several times over; each row needs one
+    # build that runs without it, the one whose time is reported
+    tracing = []
+
+    def recording(s, param=None):
+        tracing.append(tracemalloc.is_tracing())
+        return naive_profile(s)
+
+    monkeypatch.setitem(cli.STRING_BACKENDS, "naive", recording)
+    out = tmp_path / "b.csv"
+    assert run("bench", "--kinds", "string", "--algos", "naive",
+               "--sizes", "16,32", "--out", str(out)) == 0
+    rows = _bench_rows(out)
+    assert len(rows) == 2
+    assert tracing.count(False) == len(rows)
+    assert all(int(r[5]) > 0 for r in rows)
 
 
 def test_bench_rejects_junk(tmp_path):

@@ -13,11 +13,10 @@ import pytest
 
 from jumbled.minplus import INF, NEG_INF
 from jumbled.strings import (
-    BinaryString, anchored_max_profile, anchored_min_profile, blocked_profile,
-    build_cross_tables, make_block_partition, naive_profile,
-    naive_weighted_max_sums, recursive_profile, weighted_max_sums,
+    BinaryString, blocked_profile, build_cross_tables, make_block_partition,
+    naive_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
 )
-from _support import anchored_oracle, random_bits, window_max_sums, window_profile
+from _support import random_bits, window_max_sums, window_profile
 
 
 def test_binary_string_basics():
@@ -35,6 +34,11 @@ def test_binary_string_rejects_garbage():
         BinaryString("")
     with pytest.raises(ValueError):
         BinaryString([0, 2])
+    # out-of-range values are refused before the uint8 cast could wrap them
+    with pytest.raises(ValueError):
+        BinaryString(np.array([256, 1, 257]))
+    with pytest.raises(ValueError):
+        BinaryString([-1])
 
 
 # ---------------------------------------------------------------------------
@@ -215,35 +219,6 @@ def test_recursive_small_cutoff_forces_splits():
 def test_recursive_deep_input_no_recursion_error():
     bits = random_bits(random.Random(29), 3000)
     assert recursive_profile(bits, cutoff=2) == naive_profile(bits)
-
-
-# ---------------------------------------------------------------------------
-# anchored folds
-
-def test_anchored_frozen():
-    u = np.array([0, 1, 1], dtype=np.int64)   # suffix 1-counts of "01"
-    v = np.array([0, 1, 1], dtype=np.int64)   # prefix 1-counts of "10"
-    assert anchored_min_profile(u, v, 1).tolist() == [1, 2, 2, 3, 3]
-
-
-def test_anchored_singleton():
-    u = np.array([0], dtype=np.int64)
-    for w in (-3, 0, 5):
-        assert anchored_min_profile(u, u, w).tolist() == [w]
-        assert anchored_max_profile(u, u, w).tolist() == [w]
-
-
-def test_anchored_matches_double_loop():
-    rng = random.Random(31)
-    for _ in range(40):
-        u = [rng.randint(0, 9) for _ in range(rng.randint(1, 15))]
-        v = [rng.randint(0, 9) for _ in range(rng.randint(1, 15))]
-        w = rng.randint(-5, 5)
-        ua = np.array(u, dtype=np.int64)
-        va = np.array(v, dtype=np.int64)
-        assert anchored_min_profile(ua, va, w).tolist() == anchored_oracle(u, v, w)
-        assert anchored_max_profile(ua, va, w).tolist() == \
-            anchored_oracle(u, v, w, maximize=True)
 
 
 # ---------------------------------------------------------------------------
