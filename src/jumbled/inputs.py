@@ -32,6 +32,9 @@ class ParseError(ValueError):
         super().__init__(where + message)
 
 
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
 def parse_binary_string_text(text: str) -> np.ndarray:
     bits = []
     for ln, line in enumerate(text.split("\n"), start=1):
@@ -50,9 +53,13 @@ def parse_weights_text(text: str) -> np.ndarray:
     for ln, line in enumerate(text.split("\n"), start=1):
         for m in re.finditer(r"\S+", line):
             try:
-                weights.append(int(m.group()))
+                value = int(m.group())
             except ValueError:
                 raise ParseError(f"invalid integer {m.group()!r}", ln, m.start() + 1) from None
+            if value not in _INT64:
+                raise ParseError(f"integer {m.group()!r} does not fit in 64 bits",
+                                 ln, m.start() + 1)
+            weights.append(value)
     if not weights:
         raise ParseError("empty input, expected at least one weight", 1, 1)
     return np.array(weights, dtype=np.int64)
@@ -92,6 +99,9 @@ def parse_tree_text(text: str, weighted: bool = False):
             raise ParseError(f"node {i + 1} cannot be its own parent", ln)
         if not weighted and label not in (0, 1):
             raise ParseError(f"label must be 0 or 1, got {label}", ln)
+        if label not in _INT64:
+            raise ParseError(f"integer {fields[1]!r} does not fit in 64 bits",
+                             ln, lines[ln - 1].rindex(fields[1]) + 1)
         parents[i] = parent - 1
         labels[i] = label
     if int((parents == -1).sum()) != 1:

@@ -47,16 +47,17 @@ def snap_max(a: np.ndarray) -> np.ndarray:
 class Ring:
     """One side of the tropical semiring: the sentinel that marks an
     infeasible cell, the pointwise fold (np.minimum / np.maximum), and the
-    snap that re-saturates sums. Products and convolutions are looked up by
-    name in this module at call time, so a function installed under that
-    name (a tracer, another kernel) is reached by every sweep; MIN and MAX
-    are the one place a different kernel would be plugged in."""
+    snap that re-saturates sums. Sweeps call its product and convolution on
+    operands already checked at the public boundary, so the convolution
+    runs without re-validating. The product is looked up by name in this
+    module at call time, so a function installed under that name (a tracer,
+    another kernel) is reached by every sweep; MIN and MAX are the one place
+    a different kernel would be plugged in."""
 
     sentinel: int
     fold: np.ufunc
     snap: object
     product_name: str
-    conv_name: str
 
     def reduce(self, a: np.ndarray, axis=None):
         return self.fold.reduce(a, axis=axis)
@@ -65,11 +66,11 @@ class Ring:
         return globals()[self.product_name](a, b)
 
     def conv(self, u, v) -> np.ndarray:
-        return globals()[self.conv_name](u, v)
+        return _conv_auto(u, v, self)
 
 
-MIN = Ring(INF, np.minimum, snap_min, "min_plus_product", "min_plus_convolution_auto")
-MAX = Ring(NEG_INF, np.maximum, snap_max, "max_plus_product", "max_plus_convolution_auto")
+MIN = Ring(INF, np.minimum, snap_min, "min_plus_product")
+MAX = Ring(NEG_INF, np.maximum, snap_max, "max_plus_product")
 
 
 def _as_operand(x, ndim: int, what: str) -> np.ndarray:

@@ -244,7 +244,8 @@ def _weight_prefix(weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.int64)
     if weights.ndim != 1 or weights.size < 1:
         raise ValueError("need a non-empty weight sequence")
-    if int(np.abs(weights).max()) * weights.size > FINITE_BOUND:
+    # Python ints: np.abs wraps -2**63 to itself
+    if max(-int(weights.min()), int(weights.max())) * weights.size > FINITE_BOUND:
         raise ValueError("weight magnitudes too large for exact arithmetic")
     return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(weights, dtype=np.int64)])
 

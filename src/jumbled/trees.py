@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvec import RankBitvector
-from .minplus import FINITE_BOUND, MAX, MIN, NAIVE_CONV_CUTOFF, Ring
+from .minplus import FINITE_BOUND, MAX, MIN, NAIVE_CONV_CUTOFF, Ring, _as_vectors
 from .profiles import Profile
 
 _TRIVIAL = np.zeros(1, dtype=np.int64)
@@ -106,7 +106,7 @@ class BinarizedTree:
     and 1-counts are preserved. Original ids are kept, dummies appended."""
 
     __slots__ = ("parent", "children", "size_w", "ones_w", "orig",
-                 "root", "post_order", "realsize", "n_real")
+                 "root", "post_order", "n_real")
 
     def __init__(self, parent, children, size_w, ones_w, orig, root, n_real):
         self.parent = parent
@@ -117,10 +117,6 @@ class BinarizedTree:
         self.root = root
         self.n_real = n_real
         self.post_order = _post_order(children, root)
-        realsize = np.zeros(len(children), dtype=np.int64)
-        for v in self.post_order:
-            realsize[v] = size_w[v] + sum(realsize[c] for c in children[v])
-        self.realsize = realsize
 
     @property
     def n_total(self) -> int:
@@ -215,8 +211,7 @@ def _combine(ring: Ring, a_u, a_w, lab: int, size_w: int, forced: bool = False):
 
 def combine_children(a_u, a_w, lab: int, size_w: int = 1) -> np.ndarray:
     """Minimum-1s combine; a missing child is the trivial array [0]."""
-    a_u = np.asarray(a_u, dtype=np.int64)
-    a_w = np.asarray(a_w, dtype=np.int64)
+    a_u, a_w = _as_vectors(a_u, a_w)
     return _combine(MIN, a_u, a_w, int(lab), int(size_w))
 
 
@@ -264,7 +259,6 @@ class MicroMacroDecomposition:
     tops: list
     attaches: list
     boundaries: list
-    macro_parent: list
 
 
 class _Comp:
@@ -335,12 +329,7 @@ def micro_macro(bt: BinarizedTree, r: int) -> MicroMacroDecomposition:
         if len(bset) > 2:
             raise RuntimeError(f"micro tree {mid} has {len(bset)} boundary nodes")
         boundaries.append(tuple(sorted(bset)))
-    macro_parent = []
-    for mid in range(len(emitted)):
-        p = int(bt.parent[tops[mid]])
-        macro_parent.append(-1 if p < 0 else int(micro_of[p]))
-    return MicroMacroDecomposition(r, micro_of, micros, tops, attaches,
-                                   boundaries, macro_parent)
+    return MicroMacroDecomposition(r, micro_of, micros, tops, attaches, boundaries)
 
 
 def _chunked_conv(ring: Ring, u: np.ndarray, v: np.ndarray, floor: int) -> np.ndarray:
@@ -456,7 +445,7 @@ def tree_profile(t: LabeledTree, r=None, sink=None) -> Profile:
 
 def weighted_tree_max_sums(t: LabeledTree) -> np.ndarray:
     """result[i-1] = maximum weight sum over connected subgraphs of size i."""
-    if int(np.abs(t.labels).max()) * t.n > FINITE_BOUND:
+    if max(-int(t.labels.min()), int(t.labels.max())) * t.n > FINITE_BOUND:
         raise ValueError("weight magnitudes too large for exact arithmetic")
     return _simple_sweep(binarize(t), MAX)
 

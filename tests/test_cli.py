@@ -170,6 +170,49 @@ def test_build_weighted_tree_sums(tmp_path):
     assert out.read_text().splitlines() == ["size,max_sum", "1,3", "2,2", "3,4"]
 
 
+@pytest.mark.parametrize("kind, text, where", [
+    ("weighted-string", "1 99999999999999999999999\n", "line 1, char 3"),
+    ("weighted-tree", "2\n0 1\n1 99999999999999999999999\n", "line 3, char 3"),
+], ids=["weighted-string", "weighted-tree"])
+def test_build_rejects_weights_beyond_int64(tmp_path, capsys, kind, text, where):
+    src = tmp_path / "w.txt"
+    src.write_text(text)
+    assert run("build", "--input", str(src), "--kind", kind,
+               "--out", str(tmp_path / "w.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert where in err
+
+
+# the default of each kind is the backend measured fastest; the paper's
+# reductions stay reachable through --algo
+@pytest.mark.parametrize("kind, table, default, text, rows", [
+    ("string", "STRING_BACKENDS", "naive", "0110\n",
+     ["size,min_ones,max_ones", "1,0,1", "2,1,2", "3,2,2", "4,2,2"]),
+    ("weighted-string", "WEIGHTED_STRING_BACKENDS", "naive", "2 -1 3\n",
+     ["size,max_sum", "1,3", "2,2", "3,4"]),
+    ("tree", "TREE_BACKENDS", "simple-tree", "3\n0 1\n1 0\n2 1\n",
+     ["size,min_ones,max_ones", "1,0,1", "2,1,1", "3,2,2"]),
+    ("weighted-tree", "WEIGHTED_TREE_BACKENDS", "simple-tree", "3\n0 2\n1 -1\n2 3\n",
+     ["size,max_sum", "1,3", "2,2", "3,4"]),
+], ids=["string", "weighted-string", "tree", "weighted-tree"])
+def test_build_default_backend(tmp_path, monkeypatch, kind, table, default, text, rows):
+    backends = getattr(cli, table)
+    backend = backends[default]
+    calls = []
+
+    def recording(value, param=None):
+        calls.append(param)
+        return backend(value, param)
+
+    monkeypatch.setitem(backends, default, recording)
+    src, out = tmp_path / "in.txt", tmp_path / "out.csv"
+    src.write_text(text)
+    assert run("build", "--input", str(src), "--kind", kind, "--out", str(out)) == 0
+    assert calls == [None]
+    assert out.read_text().splitlines() == rows
+
+
 # ---------------------------------------------------------------------------
 # query
 

@@ -257,3 +257,5 @@ def test_weighted_zero_one_reproduces_max_ones():
 def test_weighted_rejects_huge_weights():
     with pytest.raises(ValueError):
         weighted_max_sums([2 ** 60])
+    with pytest.raises(ValueError):   # np.abs(-2**63) wraps to itself
+        naive_weighted_max_sums([-2 ** 63, 5])

@@ -100,6 +100,11 @@ def test_combine_single_child_shift():
     assert out.tolist() == [0, 0, 1, 1]    # A_v[i] = lab + A_u[i-1]
 
 
+def test_combine_rejects_out_of_bound_operands():
+    with pytest.raises(ValueError):
+        combine_children([0, 2 ** 55], [0], 1)
+
+
 def test_leaf_base_case():
     t = LabeledTree([-1], [1])
     p = simple_tree_profile(binarize(t))
@@ -329,6 +334,8 @@ def test_weighted_tree_zero_one_matches_max_ones():
 def test_weighted_tree_rejects_huge_weights():
     with pytest.raises(ValueError):
         weighted_tree_max_sums(LabeledTree([-1, 0], [2 ** 60, 1]))
+    with pytest.raises(ValueError):   # np.abs(-2**63) wraps to itself
+        weighted_tree_max_sums(LabeledTree([-1, 0], [-2 ** 63, 5]))
 
 
 # ---------------------------------------------------------------------------
