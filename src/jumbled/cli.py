@@ -4,6 +4,7 @@ backends against each other, generate inputs, and benchmark."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -112,6 +113,8 @@ def cmd_build(args) -> int:
         text = Path(args.input).read_text()
     except OSError as exc:
         return _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        return _fail(f"{args.input}: {exc}")
     try:
         value = _parse_input(args.kind, text)
         param = args.block if args.kind == "string" else args.micro
@@ -132,6 +135,8 @@ def cmd_query(args) -> int:
         profile = read_profile_csv(args.profile)
     except (ParseError, OSError) as exc:
         return _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        return _fail(f"{args.profile}: {exc}")
     print("yes" if occurs(profile, args.i, args.j) else "no")
     return 0
 
@@ -327,8 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls, and
+    # building takes about a millisecond, a share of a query's cost
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

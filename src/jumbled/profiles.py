@@ -81,14 +81,43 @@ def write_profile_csv(p: Profile, path) -> None:
 
 
 def read_profile_csv(path) -> Profile:
+    """Parse and check a profile CSV in one vectorised O(n) pass.
+
+    A fault raises ParseError naming its 1-based line."""
     with open(path, "r") as fh:
         lines = fh.read().split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}", 1)
-    mins, maxs = [], []
-    for ln, line in enumerate(lines[1:], start=2):
+    body = lines[1:]
+    if not body:
+        raise ParseError("profile has no rows", 2)
+    try:
+        rows = np.loadtxt(body, delimiter=",", comments=None, dtype=np.int64, ndmin=2)
+    except ValueError:
+        rows = None
+    # loadtxt skips blank lines and accepts fewer integer spellings than
+    # int(), so anything short of a clean parse goes to the line-by-line
+    # check, which names the first bad line or, if there is none, parses
+    if rows is None or not _rows_valid(rows, len(body)):
+        rows = _check_lines(body)
+    return Profile(np.ascontiguousarray(rows[:, 1]), np.ascontiguousarray(rows[:, 2]))
+
+
+def _rows_valid(rows: np.ndarray, count: int) -> bool:
+    if rows.shape != (count, 3):
+        return False
+    size, lo, hi = rows.T
+    return bool(np.array_equal(size, np.arange(1, count + 1))
+                and (lo >= 0).all() and (lo <= hi).all() and (hi <= size).all())
+
+
+def _check_lines(body) -> np.ndarray:
+    """The rows of body (file lines 2, 3, ...) as an (n, 3) int64 array;
+    raises ParseError at the first line that breaks a rule."""
+    rows = []
+    for ln, line in enumerate(body, start=2):
         fields = line.split(",")
         if len(fields) != 3:
             raise ParseError(f"expected 3 comma-separated fields, got {line!r}", ln)
@@ -100,11 +129,8 @@ def read_profile_csv(path) -> Profile:
             raise ParseError(f"expected size {ln - 1}, got {size}", ln)
         if not 0 <= lo <= hi <= size:
             raise ParseError(f"requires 0 <= min <= max <= size, got {lo}, {hi}", ln)
-        mins.append(lo)
-        maxs.append(hi)
-    if not mins:
-        raise ParseError("profile has no rows", 2)
-    return Profile(np.array(mins, dtype=np.int64), np.array(maxs, dtype=np.int64))
+        rows.append((size, lo, hi))
+    return np.array(rows, dtype=np.int64)
 
 
 def write_sums_csv(values, path) -> None:

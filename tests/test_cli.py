@@ -247,6 +247,20 @@ def test_query_missing_profile(tmp_path):
                "-i", "1", "-j", "0") == 2
 
 
+def test_build_non_utf8_input_fails(tmp_path, capsys):
+    src = tmp_path / "s.txt"
+    src.write_bytes(b"01\xff0\n")
+    assert run("build", "--input", str(src), "--out", str(tmp_path / "p.csv")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_query_non_utf8_profile_fails(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"size,min_ones,max_ones\n1,0,\xff\n")
+    assert run("query", "--profile", str(bad), "-i", "1", "-j", "0") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_query_corrupt_profile(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("size,min_ones,max_ones\n1,1,0\n")
@@ -383,6 +397,34 @@ def test_bench_rejects_junk(tmp_path):
 
 # ---------------------------------------------------------------------------
 # top level
+
+def test_successive_calls_share_no_options(tmp_path, monkeypatch, capsys):
+    calls = {"naive": [], "blocked": []}
+    for name in calls:
+        def recording(value, param=None, name=name, backend=cli.STRING_BACKENDS[name]):
+            calls[name].append(param)
+            return backend(value, param)
+        monkeypatch.setitem(cli.STRING_BACKENDS, name, recording)
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    src, out = tmp_path / "s.txt", tmp_path / "p.csv"
+    src.write_text("0110\n")
+    assert run("build", "--input", str(src), "--algo", "blocked", "--block", "3",
+               "--out", str(out)) == 0
+    assert run("build", "--input", str(src), "--out", str(out)) == 0
+    assert calls == {"blocked": [3], "naive": [None]}
+    assert out.read_text().splitlines()[1:] == ["1,0,1", "2,1,2", "3,2,2", "4,2,2"]
+    capsys.readouterr()
+    assert run("query", "--profile", str(out), "-i", "2", "-j", "1") == 0
+    assert capsys.readouterr().out == "yes\n"
+    assert run("verify", "--algo", "naive", "--oracle", "recursive",
+               "--seeds", "2", "--max-n", "8") == 0
+    assert capsys.readouterr().out == (
+        "verify: 2 cases, 0 mismatches (string: naive vs recursive, n <= 8)\n")
+    assert calls == {"blocked": [3], "naive": [None, None, None]}
+    assert len(builds) <= 1  # the parser is built at most once per process
+
 
 def test_no_subcommand_is_usage_error():
     assert run() == 2

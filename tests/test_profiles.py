@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from jumbled.profiles import (
     CSV_HEADER, SUMS_CSV_HEADER, Profile, merge_profiles, occurs,
     read_profile_csv, write_profile_csv, write_sums_csv,
 )
+from jumbled.inputs import random_parents
 from jumbled.strings import naive_profile
+from jumbled.trees import LabeledTree, binarize, simple_tree_profile
 
 
 def _p(mins, maxs):
@@ -73,6 +77,52 @@ def test_csv_golden_rows(tmp_path):
         "3,2,2",
         "4,2,2",
     ]
+
+
+# every class of row the reader refuses, each after the good rows "1,0,1"
+# and "2,1,1" unless it needs to come first; line N is the file's 1-based line
+@pytest.mark.parametrize("body, line", [
+    ("1,0,1\n\n2,1,1\n", 3),
+    ("1,0,1\n2,1\n", 3),
+    ("1,0,1\n2,1,1,1\n", 3),
+    ("1,0,1\n2,1,1\n3,a,2\n", 4),
+    ("1,0,1\n2,1.0,1\n", 3),
+    ("1,0,1\n2,1,99999999999999999999\n", 3),
+    ("1,0,1\n2,1,1\n4,1,2\n", 4),
+    ("1,0,1\n2,-1,1\n", 3),
+    ("1,0,1\n2,2,1\n", 3),
+    ("1,0,1\n2,1,3\n", 3),
+    ("", 2),
+], ids=["blank-line", "two-fields", "four-fields", "non-integer", "float",
+        "beyond-int64", "size-gap", "negative-min", "min-above-max",
+        "max-above-size", "header-only"])
+def test_csv_rejection_names_the_line(tmp_path, body, line):
+    path = tmp_path / "p.csv"
+    path.write_text(CSV_HEADER + "\n" + body)
+    with pytest.raises(ParseError) as err:
+        read_profile_csv(path)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+def _random_tree(n):
+    rng = random.Random(n)
+    return LabeledTree(random_parents(n, rng), [rng.randint(0, 1) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 257, 16384])
+@pytest.mark.parametrize("build", [
+    lambda n: naive_profile("".join(random.Random(n).choice("01") for _ in range(n))),
+    lambda n: simple_tree_profile(binarize(_random_tree(n))),
+], ids=["naive", "simple-tree"])
+def test_csv_round_trip_sizes(tmp_path, build, n):
+    p = build(n)
+    path = tmp_path / "p.csv"
+    write_profile_csv(p, path)
+    got = read_profile_csv(path)
+    assert got == p and got.n == n
+    for arr in (got.min_ones, got.max_ones):
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous
 
 
 def test_csv_rejects_bad_header(tmp_path):
