@@ -117,8 +117,10 @@ def cmd_build(args) -> int:
         return _fail(f"{args.input}: {exc}")
     try:
         value = _parse_input(args.kind, text)
+        del text   # drop each input once used: less is live during the build and write
         param = args.block if args.kind == "string" else args.micro
         result = _BACKEND_MAPS[args.kind][algo](value, param)
+        del value
         if isinstance(result, Profile):
             write_profile_csv(result, args.out)
         else:

@@ -9,6 +9,12 @@ Three interchangeable backends compute the same profile:
 The weighted maximum-sum routines are the max side of the same sweeps,
 run over prefix sums of the weights instead of prefix 1-counts. Every sweep
 is written once over a tropical ring (minplus.MIN / minplus.MAX).
+
+All window extremes within a row of prefix sums (naive_profile, the
+windows inside each block, the halving base cases) come from _window_sweep.
+It copies the prefix sums once into the narrowest signed dtype that holds
+their span and covers tiles of widths x starts, each filled by one
+subtraction from a Hankel view and reduced once per ring.
 """
 
 from __future__ import annotations
@@ -55,13 +61,82 @@ def _as_string(s) -> BinaryString:
     return s if isinstance(s, BinaryString) else BinaryString(s)
 
 
-def _window_sweep(rows: np.ndarray, ring: Ring, out: np.ndarray) -> np.ndarray:
-    """Fold into out[w-1] the ring's extreme sum over every width-w window of
-    every row of prefix sums in ``rows`` (2-d, one segment per row)."""
-    for w in range(1, rows.shape[1]):
-        best = ring.reduce(rows[:, w:] - rows[:, :-w])
-        out[w - 1] = ring.fold(out[w - 1], best)
-    return out
+# A window sweep covers tiles of _TILE_WIDTHS widths by up to _TILE_CELLS
+# (width, start) cells; the buffer (128 KiB of int16) is reused per tile.
+# At n=16384 on a 2-core x86 VM, 16 widths ran naive_profile in 0.080 s, 8 in
+# 0.096 s and 32 in 0.091 s; a larger buffer would be faster but lift its memory
+# peak past 0.36 MiB.
+_TILE_WIDTHS = 16
+_TILE_CELLS = 1 << 16
+
+# _TRIANGLE[k, j] is true iff the window of width w0+k that starts at
+# n - K + j runs past the end of its row, where n counts the starts of width
+# w0; it masks the last K starts of a tile of widths w0..w0+K-1
+_TRIANGLE = np.arange(_TILE_WIDTHS)[None, :] >= _TILE_WIDTHS - np.arange(_TILE_WIDTHS)[:, None]
+
+
+def _narrow_dtype(lo: int, hi: int):
+    """The smallest signed dtype holding every value in [lo, hi] and every
+    difference of two of them."""
+    for dtype in (np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max and hi - lo <= info.max:
+            return dtype
+    return np.int64
+
+
+def _window_sweep(rows: np.ndarray, rings) -> list:
+    """For each ring, the extreme sum over every width-w window of every row
+    of prefix sums in ``rows`` (2-d, one segment per row), w = 1..L, as one
+    array in the narrow dtype of the rows' range.
+
+    One subtraction per tile fills cells [k, t] = p[w0+k+t] - p[t] from a
+    Hankel view of the rows; every ring reduces the same tile. Cells past
+    the end of a row are set to the ring's sentinel clipped to the dtype.
+    """
+    n_rows, length = rows.shape[0], rows.shape[1] - 1
+    k_w = _TILE_WIDTHS
+    dtype = _narrow_dtype(int(rows.min()), int(rows.max()))
+    info = np.iinfo(dtype)
+    # a short input gets a buffer no larger than its rows held as int64
+    cells = min(_TILE_CELLS, rows.size * 8 // np.dtype(dtype).itemsize)
+    # at least K starts (or all), so the last tile holds every cell that
+    # runs past the end
+    starts_per_tile = min(length, max(k_w, cells // k_w))
+    rows_per_tile = max(1, cells // (k_w * starts_per_tile))
+    # zero padding keeps every view in bounds; the cells it reaches are masked
+    pref = np.zeros((n_rows, length + k_w + starts_per_tile), dtype=dtype)
+    pref[:, :length + 1] = rows
+    hankel = np.lib.stride_tricks.sliding_window_view(pref, starts_per_tile, axis=-1)
+    buf = np.empty((min(n_rows, rows_per_tile), k_w, starts_per_tile), dtype=dtype)
+    sentinels = [min(max(ring.sentinel, int(info.min)), int(info.max)) for ring in rings]
+    best = [np.full(length + k_w, s, dtype=dtype) for s in sentinels]
+    for w0 in range(1, length + 1, k_w):
+        widths = slice(w0 - 1, w0 - 1 + k_w)
+        n_starts = length - w0 + 1   # starts of the narrowest width in the tile
+        # tiles are cut from the end, so the last holds the last
+        # min(K, n_starts) starts, where cells run past the end
+        for t1 in range(n_starts, 0, -starts_per_tile):
+            t0 = max(0, t1 - starts_per_tile)
+            cols = t1 - t0
+            tail = min(cols, k_w) if t1 == n_starts else 0
+            for r0 in range(0, n_rows, rows_per_tile):
+                r1 = min(n_rows, r0 + rows_per_tile)
+                tile = buf[:r1 - r0, :, :cols]
+                np.subtract(hankel[r0:r1, w0 + t0:w0 + t0 + k_w, :cols],
+                            pref[r0:r1, None, t0:t0 + cols], out=tile)
+                for ring, sentinel, acc in zip(rings, sentinels, best):
+                    if tail:
+                        np.copyto(tile[:, :, cols - tail:], sentinel,
+                                  where=_TRIANGLE[:, k_w - tail:])
+                    ring.fold(acc[widths], ring.reduce(tile, axis=(0, 2)),
+                              out=acc[widths])
+    return [acc[:length] for acc in best]
+
+
+def _fold_into(out: np.ndarray, ring: Ring, extremes: np.ndarray) -> None:
+    head = out[:extremes.size]
+    ring.fold(head, extremes, out=head)
 
 
 def _blank(n: int, ring: Ring) -> np.ndarray:
@@ -69,10 +144,9 @@ def _blank(n: int, ring: Ring) -> np.ndarray:
 
 
 def naive_profile(s: BinaryString) -> Profile:
-    rows = _as_string(s).prefix_ones[None, :]
-    n = rows.shape[1] - 1
-    return Profile(_window_sweep(rows, MIN, _blank(n, MIN)),
-                   _window_sweep(rows, MAX, _blank(n, MAX)))
+    # the int64 profile arrays are made only after the sweep's buffer is freed
+    mins, maxs = _window_sweep(_as_string(s).prefix_ones[None, :], (MIN, MAX))
+    return Profile(mins, maxs)
 
 
 @dataclass(frozen=True)
@@ -188,7 +262,7 @@ def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
     n, b = len(p.string), p.b
     out = _blank(n, ring)
     for rows in _block_rows(p):
-        _window_sweep(rows, ring, out)
+        _fold_into(out, ring, _window_sweep(rows, (ring,))[0])
     order, starts = _diagonal_order(p.m)
     gaps = np.arange(p.m - 1) * b   # diagonal d holds windows with d-1 interior blocks
     for length in range(1, min(2 * b, n) + 1):
@@ -216,12 +290,13 @@ def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
     windows that cross it with one ring convolution, recurse on the halves."""
     n = pref.size - 1
     out = _blank(n, ring)
+    leaves = {}   # base-case length -> start of each segment of that length
     # explicit stack; deep inputs must not hit the interpreter limit
     stack = [(0, n)]
     while stack:
         lo, hi = stack.pop()
         if hi - lo <= cutoff:
-            _window_sweep(pref[None, lo:hi + 1], ring, out)
+            leaves.setdefault(hi - lo, []).append(lo)
             continue
         mid = (lo + hi) // 2
         stack.append((lo, mid))
@@ -229,9 +304,11 @@ def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
         # windows crossing mid: a characters to the left, c to the right
         u = pref[mid] - pref[mid - np.arange(mid - lo + 1)]
         v = pref[mid + np.arange(hi - mid + 1)] - pref[mid]
-        conv = ring.conv(u, v)
-        span = conv.size - 1
-        ring.fold(out[:span], conv[1:], out=out[:span])
+        _fold_into(out, ring, ring.conv(u, v)[1:])
+    # the base cases of one length are the rows of one window sweep
+    for length, starts in leaves.items():
+        rows = pref[np.add.outer(starts, np.arange(length + 1))]
+        _fold_into(out, ring, _window_sweep(rows, (ring,))[0])
     return out
 
 
@@ -251,8 +328,7 @@ def _weight_prefix(weights) -> np.ndarray:
 
 
 def naive_weighted_max_sums(weights) -> np.ndarray:
-    pref = _weight_prefix(weights)
-    return _window_sweep(pref[None, :], MAX, _blank(pref.size - 1, MAX))
+    return _window_sweep(_weight_prefix(weights)[None, :], (MAX,))[0].astype(np.int64)
 
 
 def weighted_max_sums(weights, cutoff: int = RECURSION_CUTOFF) -> np.ndarray:

@@ -171,3 +171,24 @@ def test_sums_csv(tmp_path):
     path = tmp_path / "s.csv"
     write_sums_csv(np.asarray([3, 2, 4], dtype=np.int64), path)
     assert path.read_text().splitlines() == [SUMS_CSV_HEADER, "1,3", "2,2", "3,4"]
+
+
+def _rows_one_at_a_time(header, *columns):
+    """The CSV bytes of a writer that formats one row per call."""
+    lines = [header + "\n"]
+    for i in range(columns[0].size):
+        lines.append(",".join([str(i + 1)] + [str(int(c[i])) for c in columns]) + "\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 2049])
+def test_chunked_writers_are_byte_identical(tmp_path, n):
+    rng = np.random.default_rng(n)
+    mins = rng.integers(0, n + 1, n)
+    p = _p(mins, np.minimum(mins + rng.integers(0, 3, n), n))
+    write_profile_csv(p, tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_bytes() == \
+        _rows_one_at_a_time(CSV_HEADER, p.min_ones, p.max_ones)
+    sums = rng.integers(-(2 ** 62), 2 ** 62, n)
+    write_sums_csv(sums, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == _rows_one_at_a_time(SUMS_CSV_HEADER, sums)
