@@ -43,6 +43,7 @@ from .trees import (
     LabeledTree,
     binarize,
     enumerate_connected_oracle,
+    enumerate_max_sums,
     simple_tree_profile,
     tree_profile,
     weighted_tree_max_sums,
@@ -69,6 +70,7 @@ WEIGHTED_STRING_BACKENDS = {
 }
 WEIGHTED_TREE_BACKENDS = {
     "simple-tree": lambda t, param=None: weighted_tree_max_sums(t),
+    "enumerate": lambda t, param=None: enumerate_max_sums(t),
 }
 _BACKEND_MAPS = {
     "string": STRING_BACKENDS,

@@ -34,8 +34,63 @@ class ParseError(ValueError):
 
 _INT64 = range(-(1 << 63), 1 << 63)
 
+# the ASCII characters a binary string may hold: '0', '1' and those
+# str.isspace() accepts
+_BIT_TEXT = np.zeros(128, dtype=bool)
+_BIT_TEXT[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 48, 49]] = True
+# the ASCII characters of the integer texts a vectorised pass reads
+_SPACE = np.zeros(128, dtype=bool)
+_SPACE[[9, 10, 13, 32]] = True
+_INT_TEXT = _SPACE.copy()
+_INT_TEXT[45] = True       # '-'
+_INT_TEXT[48:58] = True    # the digits
+# a token of at most 18 digits fits in int64 whatever its sign
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _ascii_codes(text: str):
+    try:
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+
+
+def _int_tokens(text: str):
+    """(values, 0-based line of each) of the whitespace-separated integers of
+    ``text``; None unless every token is -?[0-9]{1,18} and the text holds
+    nothing else but spaces, tabs and line breaks. Whatever this leaves
+    out, the per-line parsers accept or reject with a position."""
+    data = _ascii_codes(text)
+    if data is None or not _INT_TEXT[data].all():
+        return None
+    space = _SPACE[data].view(np.int8)
+    edge = np.diff(space, prepend=1, append=1)   # -1 opens a token, +1 follows it
+    starts, stops = np.flatnonzero(edge == -1), np.flatnonzero(edge == 1)
+    del edge
+    negative = data[starts] == 45
+    count = stops - starts - negative   # digits, if each '-' opens a token
+    if (np.count_nonzero(data == 45) != np.count_nonzero(negative)
+            or (count < 1).any() or (count > _POW10.size).any()):
+        return None
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(count.max(initial=0))):   # k-th digit from the right
+        digit = data[np.maximum(stops - 1 - k, 0)].astype(np.int64) - 48
+        values += np.where(count > k, digit, 0) * _POW10[k]
+    values[negative] *= -1
+    return values, np.searchsorted(np.flatnonzero(data == 10), starts)
+
 
 def parse_binary_string_text(text: str) -> np.ndarray:
+    data = _ascii_codes(text)
+    if data is not None and _BIT_TEXT[data].all():
+        bits = data[(data == 48) | (data == 49)] - 48
+        if not bits.size:
+            raise ParseError("empty input, expected at least one bit", 1, 1)
+        return bits
+    return _parse_bits_per_char(text)
+
+
+def _parse_bits_per_char(text: str) -> np.ndarray:
     bits = []
     for ln, line in enumerate(text.split("\n"), start=1):
         for col, ch in enumerate(line, start=1):
@@ -49,6 +104,15 @@ def parse_binary_string_text(text: str) -> np.ndarray:
 
 
 def parse_weights_text(text: str) -> np.ndarray:
+    tokens = _int_tokens(text)
+    if tokens is None:
+        return _parse_weights_per_token(text)
+    if not tokens[0].size:
+        raise ParseError("empty input, expected at least one weight", 1, 1)
+    return tokens[0]
+
+
+def _parse_weights_per_token(text: str) -> np.ndarray:
     weights = []
     for ln, line in enumerate(text.split("\n"), start=1):
         for m in re.finditer(r"\S+", line):
@@ -74,6 +138,23 @@ def _int_field(tok: str, ln: int, what: str) -> int:
 
 def parse_tree_text(text: str, weighted: bool = False):
     """Returns (parents, labels): 0-based parents with -1 for the root."""
+    tokens = _int_tokens(text)
+    # n, then n lines of two fields: 2n + 1 tokens, token 0 on line 0
+    if tokens is not None and tokens[0].size % 2 and tokens[0][0] == tokens[0].size // 2:
+        values, lines = tokens
+        n = values.size // 2
+        node = np.arange(1, n + 1)
+        parents, labels = values[1::2], values[2::2]
+        if (n >= 1 and (lines == np.append(0, node.repeat(2))).all()
+                and ((parents >= 0) & (parents <= n) & (parents != node)).all()
+                and (weighted or ((labels == 0) | (labels == 1)).all())
+                and np.count_nonzero(parents == 0) == 1):
+            return parents - 1, labels.copy()
+    # line by line, to name the line of whatever the pass above refused
+    return _parse_tree_lines(text, weighted)
+
+
+def _parse_tree_lines(text: str, weighted: bool):
     lines = text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()

@@ -86,9 +86,9 @@ def _narrow_dtype(lo: int, hi: int):
 
 
 def _window_sweep(rows: np.ndarray, rings) -> list:
-    """For each ring, the extreme sum over every width-w window of every row
-    of prefix sums in ``rows`` (2-d, one segment per row), w = 1..L, as one
-    array in the narrow dtype of the rows' range.
+    """For each ring, the extreme sum over the width-w windows of each row of
+    prefix sums in ``rows`` (2-d, one segment per row), w = 1..L, as one
+    (rows, L) array in the narrow dtype of the rows' range.
 
     One subtraction per tile fills cells [k, t] = p[w0+k+t] - p[t] from a
     Hankel view of the rows; every ring reduces the same tile. Cells past
@@ -110,7 +110,7 @@ def _window_sweep(rows: np.ndarray, rings) -> list:
     hankel = np.lib.stride_tricks.sliding_window_view(pref, starts_per_tile, axis=-1)
     buf = np.empty((min(n_rows, rows_per_tile), k_w, starts_per_tile), dtype=dtype)
     sentinels = [min(max(ring.sentinel, int(info.min)), int(info.max)) for ring in rings]
-    best = [np.full(length + k_w, s, dtype=dtype) for s in sentinels]
+    best = [np.full((n_rows, length + k_w), s, dtype=dtype) for s in sentinels]
     for w0 in range(1, length + 1, k_w):
         widths = slice(w0 - 1, w0 - 1 + k_w)
         n_starts = length - w0 + 1   # starts of the narrowest width in the tile
@@ -129,9 +129,9 @@ def _window_sweep(rows: np.ndarray, rings) -> list:
                     if tail:
                         np.copyto(tile[:, :, cols - tail:], sentinel,
                                   where=_TRIANGLE[:, k_w - tail:])
-                    ring.fold(acc[widths], ring.reduce(tile, axis=(0, 2)),
-                              out=acc[widths])
-    return [acc[:length] for acc in best]
+                    ring.fold(acc[r0:r1, widths], ring.reduce(tile, axis=2),
+                              out=acc[r0:r1, widths])
+    return [acc[:, :length] for acc in best]
 
 
 def _fold_into(out: np.ndarray, ring: Ring, extremes: np.ndarray) -> None:
@@ -146,7 +146,7 @@ def _blank(n: int, ring: Ring) -> np.ndarray:
 def naive_profile(s: BinaryString) -> Profile:
     # the int64 profile arrays are made only after the sweep's buffer is freed
     mins, maxs = _window_sweep(_as_string(s).prefix_ones[None, :], (MIN, MAX))
-    return Profile(mins, maxs)
+    return Profile(mins[0], maxs[0])
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
     n, b = len(p.string), p.b
     out = _blank(n, ring)
     for rows in _block_rows(p):
-        _fold_into(out, ring, _window_sweep(rows, (ring,))[0])
+        _fold_into(out, ring, ring.reduce(_window_sweep(rows, (ring,))[0], axis=0))
     order, starts = _diagonal_order(p.m)
     gaps = np.arange(p.m - 1) * b   # diagonal d holds windows with d-1 interior blocks
     for length in range(1, min(2 * b, n) + 1):
@@ -308,7 +308,7 @@ def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
     # the base cases of one length are the rows of one window sweep
     for length, starts in leaves.items():
         rows = pref[np.add.outer(starts, np.arange(length + 1))]
-        _fold_into(out, ring, _window_sweep(rows, (ring,))[0])
+        _fold_into(out, ring, ring.reduce(_window_sweep(rows, (ring,))[0], axis=0))
     return out
 
 
@@ -328,7 +328,7 @@ def _weight_prefix(weights) -> np.ndarray:
 
 
 def naive_weighted_max_sums(weights) -> np.ndarray:
-    return _window_sweep(_weight_prefix(weights)[None, :], (MAX,))[0].astype(np.int64)
+    return _window_sweep(_weight_prefix(weights)[None, :], (MAX,))[0][0].astype(np.int64)
 
 
 def weighted_max_sums(weights, cutoff: int = RECURSION_CUTOFF) -> np.ndarray:

@@ -5,10 +5,22 @@ bottom-up DP whose per-node arrays A_v give, for every subgraph size, the
 extreme 1-count over connected sets anchored at v. Two backends fold those
 arrays into a global profile:
 
-* simple_tree_profile   one combine per node, O(n^2) total
+* simple_tree_profile   the default: one batched sweep, O(n^2) cells total
 * tree_profile          micro-macro decomposition; inside each micro tree
-                        the simple DP, across micro trees chunked
-                        convolutions through the boundary nodes
+                        the per-node DP step _combine, across micro trees
+                        chunked convolutions through the boundary nodes
+
+The batched sweep (_tree_sweep) runs one ring over a matrix of label rows.
+For 0/1 labels the rows are (ones, zeros) under MIN: the most 1s in a set
+of size i is i minus its fewest 0s. weighted_tree_max_sums runs the same
+sweep over one row of weights under MAX. A chain of real nodes of at most
+one child is a string: under a large top it takes one strings._window_sweep
+plus one convolution with the array below it (the tree-to-string reduction
+in heavy-path form, as in Gagie, Hermelin, Landau and Weimann, ESA 2013).
+The other subtrees of at most SMALL real nodes are computed a size at a
+time, one padded convolution per size over a compact store, and every
+other large node takes one convolution. All of it runs in the narrowest
+dtype that holds the label sums.
 
 Global folds only take arrays of *real* (non-dummy) topmost nodes: a set
 whose topmost node is a dummy joins two sibling branches without their
@@ -18,6 +30,7 @@ shared original parent, which is disconnected in the original tree.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +38,7 @@ import numpy as np
 from .bitvec import RankBitvector
 from .minplus import FINITE_BOUND, MAX, MIN, NAIVE_CONV_CUTOFF, Ring, _as_vectors
 from .profiles import Profile
+from .strings import _window_sweep
 
 _TRIVIAL = np.zeros(1, dtype=np.int64)
 
@@ -45,7 +59,7 @@ class LabeledTree:
     """Rooted tree; parents[v] = -1 marks the root. Labels are {0,1} for
     profile queries, arbitrary integers in weighted mode."""
 
-    __slots__ = ("parents", "labels", "children", "root")
+    __slots__ = ("parents", "labels", "root", "_children")
 
     def __init__(self, parents, labels):
         parents = np.asarray(parents, dtype=np.int64)
@@ -63,18 +77,30 @@ class LabeledTree:
         self.parents = parents
         self.labels = labels
         self.root = int(roots[0])
-        children = [[] for _ in range(n)]
-        for v in range(n):
-            p = int(parents[v])
-            if p >= 0:
-                children[p].append(v)
-        self.children = children
-        if len(_post_order(children, self.root)) != n:
+        self._children = None
+        # pointer doubling: after k rounds every node has jumped 2^k steps
+        # up, so only a node on a cycle misses the root
+        up = parents.copy()
+        up[self.root] = self.root
+        for _ in range(n.bit_length()):
+            up = up[up]
+        if (up != self.root).any():
             raise ValueError("nodes unreachable from the root (cycle or forest)")
 
     @property
     def n(self) -> int:
         return int(self.parents.size)
+
+    @property
+    def children(self) -> list:
+        """Child lists in increasing id order, made on first use."""
+        if self._children is None:
+            children = [[] for _ in range(self.n)]
+            for v, p in enumerate(self.parents.tolist()):
+                if p >= 0:
+                    children[p].append(v)
+            self._children = children
+        return self._children
 
     def post_order(self) -> list:
         return _post_order(self.children, self.root)
@@ -103,61 +129,93 @@ class LabeledTree:
 class BinarizedTree:
     """Every node has <= 2 children; original high-degree nodes are expanded
     into chains of dummy nodes with size_w = ones_w = 0, so subgraph sizes
-    and 1-counts are preserved. Original ids are kept, dummies appended."""
+    and 1-counts are preserved. Original ids are kept, dummies appended.
 
-    __slots__ = ("parent", "children", "size_w", "ones_w", "orig",
-                 "root", "post_order", "n_real")
+    The shape is held in int arrays: left[v] and right[v] (-1 for none; a
+    single child is the left one), parent[v] (-1 at the root) and
+    post_order, which lists every node after all of its descendants."""
 
-    def __init__(self, parent, children, size_w, ones_w, orig, root, n_real):
+    __slots__ = ("parent", "left", "right", "size_w", "ones_w", "root",
+                 "post_order", "n_real", "_children")
+
+    def __init__(self, parent, left, right, ones_w, root, n_real):
         self.parent = parent
-        self.children = children
-        self.size_w = size_w
+        self.left = left
+        self.right = right
+        self.size_w = (np.arange(left.size) < n_real).astype(np.int64)
         self.ones_w = ones_w
-        self.orig = orig
         self.root = root
         self.n_real = n_real
-        self.post_order = _post_order(children, root)
+        self.post_order = _binary_post_order(left, right, root)
+        self._children = None
 
     @property
     def n_total(self) -> int:
-        return len(self.children)
+        return int(self.left.size)
+
+    @property
+    def children(self) -> list:
+        """Child lists, made on first use."""
+        if self._children is None:
+            self._children = [[c for c in pair if c >= 0] for pair in
+                              zip(_machine_ints(self.left), _machine_ints(self.right))]
+        return self._children
 
     def dummy_count(self) -> int:
         return self.n_total - self.n_real
 
 
+def _machine_ints(a: np.ndarray) -> array:
+    """An int64 array as a stdlib array: 8 bytes a node where a list holds
+    an int object per node, for the loops that walk the tree in Python."""
+    return array("q", a.tobytes())
+
+
+def _binary_post_order(left: np.ndarray, right: np.ndarray, root: int) -> np.ndarray:
+    # reversed preorder, as _post_order gives for child lists [left, right]
+    left, right = _machine_ints(left), _machine_ints(right)
+    order = array("q")
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        if left[v] >= 0:
+            stack.append(left[v])
+            if right[v] >= 0:
+                stack.append(right[v])
+    return np.frombuffer(order[::-1], dtype=np.int64)
+
+
 def binarize(t: LabeledTree) -> BinarizedTree:
+    """Node v with children k_0 < ... < k_{d-1}, d > 2, keeps k_0 on the left
+    and gets dummies D_1..D_{d-2} down its right spine: D_i holds k_i on the
+    left and D_{i+1} on the right, and D_{d-2} holds k_{d-2} and k_{d-1}."""
     n = t.n
-    extra = sum(max(0, len(c) - 2) for c in t.children)
-    total = n + extra
+    kids = np.argsort(t.parents, kind="stable")[1:]   # grouped by parent, the root first
+    par = t.parents[kids]
+    deg = np.bincount(par, minlength=n)
+    extra = np.maximum(deg - 2, 0)
+    first_dummy = n + np.cumsum(extra) - extra
+    total = n + int(extra.sum())
+    rank = np.arange(n - 1) - (np.cumsum(deg) - deg)[par]   # position among siblings
+    d = deg[par]
+    step = np.minimum(rank, d - 2)
+    holder = np.where(step <= 0, par, first_dummy[par] + step - 1)
+    on_right = (rank == d - 1) & (d >= 2)
+    left = np.full(total, -1, dtype=np.int64)
+    right = np.full(total, -1, dtype=np.int64)
     parent = np.full(total, -1, dtype=np.int64)
-    size_w = np.zeros(total, dtype=np.int64)
+    left[holder[~on_right]] = kids[~on_right]
+    right[holder[on_right]] = kids[on_right]
+    parent[kids] = holder
+    dummies = np.arange(n, total)
+    owner = np.repeat(np.arange(n), extra)
+    above = np.where(dummies == first_dummy[owner], owner, dummies - 1)
+    right[above] = dummies
+    parent[dummies] = above
     ones_w = np.zeros(total, dtype=np.int64)
-    orig = np.full(total, -1, dtype=np.int64)
-    children = [[] for _ in range(total)]
-    size_w[:n] = 1
     ones_w[:n] = t.labels
-    orig[:n] = np.arange(n)
-    nxt = n
-    for v in range(n):
-        kids = t.children[v]
-        if len(kids) <= 2:
-            children[v] = list(kids)
-            for c in kids:
-                parent[c] = v
-            continue
-        holder = v
-        for i, c in enumerate(kids[:-2]):
-            d = nxt
-            nxt += 1
-            children[holder] = [c, d]
-            parent[c] = holder
-            parent[d] = holder
-            holder = d
-        children[holder] = list(kids[-2:])
-        for c in kids[-2:]:
-            parent[c] = holder
-    return BinarizedTree(parent, children, size_w, ones_w, orig, t.root, n)
+    return BinarizedTree(parent, left, right, ones_w, t.root, n)
 
 
 class CorruptedProfileError(ValueError):
@@ -220,26 +278,212 @@ def _check_binary_labels(values: np.ndarray) -> None:
         raise ValueError("profile computation requires {0,1} labels")
 
 
-def _simple_sweep(bt: BinarizedTree, ring: Ring, sink=None) -> np.ndarray:
-    best = np.full(bt.n_real, ring.sentinel, dtype=np.int64)
-    store = {}  # a child's array, kept only until its parent consumes it
-    for v in bt.post_order:
-        kids = bt.children[v]
-        a_u = store.pop(kids[0]) if kids else _TRIVIAL
-        a_w = store.pop(kids[1]) if len(kids) == 2 else _TRIVIAL
-        a_v = _combine(ring, a_u, a_w, int(bt.ones_w[v]), int(bt.size_w[v]))
-        if bt.size_w[v]:
-            span = a_v.size - 1
-            ring.fold(best[:span], a_v[1:], out=best[:span])
-        if sink is not None:
-            sink(a_v)
-        store[v] = a_v
+# Subtrees of at most SMALL real nodes are batched by size; larger nodes are
+# taken one at a time. On a random tree (n=4096), 95% of the 5108 binarized
+# nodes are small at SMALL=32; 16 and 24 built it slower, 48 and 64 no faster.
+SMALL = 32
+# a convolution takes _CONV_SHIFTS entries of its shorter operand at a time
+# and fills a reused buffer of at most _CONV_CELLS cells per tile
+_CONV_SHIFTS = 32
+_CONV_CELLS = 1 << 16
+
+
+def _tree_dtype(rows: np.ndarray, ring: Ring):
+    """The narrowest signed dtype for a DP over ``rows`` of labels, and the
+    ring's sentinel in it. A connected set's label sum lies in [lo, hi], the
+    sums of the row's negative and positive labels. A sentinel of +-half the
+    dtype's range, with hi - lo < half, stays beyond every finite value
+    after one finite addend, and two sentinels still add without overflow."""
+    lo = int(np.minimum(rows, 0).sum(axis=1).min())
+    hi = int(np.maximum(rows, 0).sum(axis=1).max())
+    for dtype in (np.int16, np.int32):
+        half = int(np.iinfo(dtype).max) // 2
+        if hi - lo < half:
+            return dtype, min(max(ring.sentinel, -half), half)
+    return np.int64, ring.sentinel
+
+
+def _conv(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np.ndarray) -> None:
+    """out[..., i] = ext_k x[..., k] + y[..., i - k] along the last axis, for
+    every i below out's width; cells of x or y may hold the sentinel.
+
+    The same trick as strings._window_sweep: a block of K entries of the
+    shorter operand meets the longer one in tiles of K x C cells, each filled
+    by one add from a Hankel view of the longer operand (K - 1 sentinels on
+    each side) and emptied by one reduce over its K rows. A block wastes
+    K(K-1) cells past the operands' ends."""
+    if x.shape[-1] > y.shape[-1]:
+        x, y = y, x
+    q, ly = x.shape[-1], y.shape[-1]
+    width = out.shape[-1]
+    k_s = min(_CONV_SHIFTS, q)
+    padded = np.full(out.shape[:-1] + (ly + 2 * (k_s - 1),), sentinel, dtype=out.dtype)
+    padded[..., k_s - 1:k_s - 1 + ly] = y
+    span = ly + k_s - 1   # the output positions one block reaches
+    # hankel[..., m, t] = padded[..., t + m]
+    hankel = np.lib.stride_tricks.as_strided(
+        padded, padded.shape[:-1] + (k_s, span), padded.strides + padded.strides[-1:],
+        writeable=False)
+    step = max(1, min(_CONV_CELLS // (out.size // width * k_s), span))
+    buf = np.empty(out.shape[:-1] + (k_s, step), dtype=out.dtype)
+    out.fill(sentinel)
+    for k0 in range(0, min(q, width), k_s):
+        kb = min(k_s, q - k0)
+        block = x[..., k0:k0 + kb][..., ::-1, None]   # row m: x[k0 + kb - 1 - m]
+        rows = hankel[..., k_s - kb:, :]              # row m: y[t - (kb - 1 - m)]
+        end = min(span, width - k0)
+        for t0 in range(0, end, step):
+            t1 = min(end, t0 + step)
+            tile = buf[..., :kb, :t1 - t0]
+            np.add(rows[..., t0:t1], block, out=tile)
+            dst = out[..., k0 + t0:k0 + t1]
+            ring.fold(dst, ring.reduce(tile, axis=-2), out=dst)
+
+
+def _subtree_sizes(bt: BinarizedTree) -> np.ndarray:
+    """Real nodes in each subtree; entry n_total (a missing child) is 0."""
+    left, right = _machine_ints(bt.left), _machine_ints(bt.right)
+    n_real = bt.n_real
+    size = array("q", bytes(8 * (bt.n_total + 1)))
+    for v in _machine_ints(bt.post_order):
+        size[v] = (v < n_real) + size[left[v]] + size[right[v]]
+    return np.frombuffer(size, dtype=np.int64)
+
+
+def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> np.ndarray:
+    """best[k, i-1] = the ring's extreme sum of row k's labels over connected
+    sets of i real nodes, for every row of ``rows`` (r x n_total labels).
+
+    A_v[k, i] is the extreme over sets of i real nodes anchored at v. Three
+    steps build every A_v, in a dtype fitted to the label sums:
+
+    * chains under a large top: a run of real nodes of at most one child is
+      a string, so its sets are windows of its label prefix sums (one
+      strings._window_sweep), or a suffix of it joined to a set anchored
+      below it (one convolution).
+    * other small nodes (subtree size <= SMALL), a size at a time: children
+      are smaller than their parent, so every node of size s has its
+      children ready; one padded convolution covers them all. Their arrays
+      sit in one flat store, each exactly size + 1 cells wide.
+    * other large nodes: one convolution of their children's arrays.
+
+    ``sink``, when given, receives A_v of every real node as an (r, .) array.
+    """
+    n_total, n_real = bt.n_total, bt.n_real
+    r = rows.shape[0]
+    dtype, sentinel = _tree_dtype(rows, ring)
+    labels = rows.astype(dtype)
+    del rows   # the int64 rows are dropped once narrowed, if the caller made them
+    best = np.full((r, n_real), sentinel, dtype=dtype)
+    size = _subtree_sizes(bt)
+    left, right = bt.left, bt.right
+    real = np.arange(n_total) < n_real
+
+    # A chain is a run of real nodes of at most one child, each the child of
+    # the next; in post order its nodes are consecutive, bottom first. A
+    # chain whose top is large goes whole through the chain step, its small
+    # nodes included, so a path makes no small step at all.
+    post = bt.post_order
+    member = real[post] & (right[post] < 0)
+    linked = np.zeros(n_total, dtype=bool)   # post[i + 1] is post[i]'s chain parent
+    linked[:-1] = member[:-1] & member[1:] & (bt.parent[post[:-1]] == post[1:])
+    ends = np.flatnonzero(~linked)   # chain tops and every node outside a chain
+    firsts = np.append(0, ends[:-1] + 1)
+    large_end = size[post[ends]] > SMALL
+    in_large_chain = np.repeat(member[ends] & large_end, ends - firsts + 1)
+
+    # the other small nodes sorted by size, real before dummy within a size
+    small = post[(size[post] <= SMALL) & ~in_large_chain]
+    small = small[np.argsort(2 * size[small] + ~real[small], kind="stable")]
+    width = size[small] + 1
+    off = np.zeros(n_total + 1, dtype=np.int64)   # off[-1] -> the trivial [0] at 0
+    off[small] = 1 + np.cumsum(width) - width
+    store = np.empty((r, 2 + int(width.sum())), dtype=dtype)
+    store[:, 0] = 0
+    store[:, -1] = sentinel
+    pad = store.shape[1] - 1
+    counts = np.bincount(size[small], minlength=SMALL + 1)
+    lo = 0
+    for s in np.flatnonzero(counts).tolist():
+        nodes = small[lo:lo + counts[s]]
+        lo += counts[s]
+        n_lev = nodes.size
+        n_rl = int(real[nodes].sum())
+        lc, rc = left[nodes], right[nodes]
+        q = int(max(size[lc].max(), size[rc].max())) + 1
+        j = np.arange(q)
+        core = np.empty((r, n_lev, s + 1), dtype=dtype)
+        _conv(store[:, np.where(j <= size[lc][:, None], off[lc][:, None] + j, pad)],
+              store[:, np.where(j <= size[rc][:, None], off[rc][:, None] + j, pad)],
+              ring, sentinel, core)
+        base = int(off[nodes[0]])
+        block = store[:, base:base + n_lev * (s + 1)].reshape(r, n_lev, s + 1)
+        block[:, n_rl:] = core[:, n_rl:]
+        if n_rl:
+            block[:, :n_rl, 0] = 0
+            np.add(core[:, :n_rl, :s], labels[:, nodes[:n_rl], None], out=block[:, :n_rl, 1:])
+            ring.fold(best[:, :s], ring.reduce(block[:, :n_rl, 1:], axis=1), out=best[:, :s])
+            if sink is not None:
+                for k in range(n_rl):
+                    sink(block[:, k])
+
+    arrays = {}   # a large node's array, kept until its parent consumes it
+
+    def array_of(v):
+        if size[v] > SMALL:
+            return arrays.pop(v)
+        return store[:, off[v]:off[v] + size[v] + 1]
+
+    for first, i in zip(firsts[large_end].tolist(), ends[large_end].tolist()):
+        v = int(post[i])
+        if member[i]:
+            chain = post[first:i + 1][::-1]   # top first
+            below = array_of(int(left[chain[-1]]))
+            n_ch = chain.size
+            prefix = np.zeros((r, n_ch + 1), dtype=dtype)
+            np.cumsum(labels[:, chain], axis=1, out=prefix[:, 1:])
+            windows = _window_sweep(prefix, (ring,))[0]
+            ring.fold(best[:, :n_ch], windows, out=best[:, :n_ch])
+            # a suffix of the chain joined to a set anchored below it
+            joined = np.empty((r, n_ch + below.shape[1] - 1), dtype=dtype)
+            suffixes = prefix[:, n_ch:] - prefix[:, n_ch - 1::-1]
+            _conv(suffixes, below, ring, sentinel, joined)
+            ring.fold(best[:, :joined.shape[1]], joined, out=best[:, :joined.shape[1]])
+            a_v = np.concatenate([prefix, prefix[:, n_ch:] + below[:, 1:]], axis=1)
+            if sink is not None:
+                for t in range(n_ch):
+                    sink(a_v[:, t:] - prefix[:, t:t + 1])
+        else:
+            x, y = array_of(int(left[v])), array_of(int(right[v]))
+            span = x.shape[1] + y.shape[1] - 1
+            if real[v]:
+                a_v = np.empty((r, span + 1), dtype=dtype)
+                a_v[:, 0] = 0
+                _conv(x, y, ring, sentinel, a_v[:, 1:])
+                a_v[:, 1:] += labels[:, v, None]
+                ring.fold(best[:, :span], a_v[:, 1:], out=best[:, :span])
+                if sink is not None:
+                    sink(a_v)
+            else:
+                a_v = np.empty((r, span), dtype=dtype)
+                _conv(x, y, ring, sentinel, a_v)
+        arrays[v] = a_v
     return best
 
 
 def simple_tree_profile(bt: BinarizedTree, sink=None) -> Profile:
+    """One MIN sweep over the rows (ones, zeros): the most 1s in a set of
+    size i is i minus its fewest 0s. ``sink``, when given, receives the
+    min-ones and max-ones arrays of every real node."""
     _check_binary_labels(bt.ones_w)
-    return Profile(_simple_sweep(bt, MIN, sink), _simple_sweep(bt, MAX, sink))
+    row_sink = None
+    if sink is not None:
+        def row_sink(a_v):
+            sink(a_v[0].astype(np.int64))
+            sink(np.arange(a_v.shape[1], dtype=np.int64) - a_v[1])
+    best = _tree_sweep(bt, np.stack([bt.ones_w, bt.size_w - bt.ones_w]), MIN, row_sink)
+    sizes = np.arange(1, bt.n_real + 1, dtype=np.int64)
+    return Profile(best[0], sizes - best[1])
 
 
 MICRO_COUNT_CONSTANT = 8
@@ -275,8 +519,9 @@ def micro_macro(bt: BinarizedTree, r: int) -> MicroMacroDecomposition:
         raise ValueError("micro size bound must be >= 1")
     emitted = []
     pending = {}
-    for v in bt.post_order:
-        kids = [pending.pop(c) for c in bt.children[v]]
+    left, right = _machine_ints(bt.left), _machine_ints(bt.right)
+    for v in _machine_ints(bt.post_order):
+        kids = [pending.pop(c) for c in (left[v], right[v]) if c >= 0]
         if not kids:
             comp = _Comp(v, [v], None)
         elif len(kids) == 1:
@@ -324,7 +569,8 @@ def micro_macro(bt: BinarizedTree, r: int) -> MicroMacroDecomposition:
         bset = set()
         for v in comp.nodes:
             p = int(bt.parent[v])
-            if (p >= 0 and micro_of[p] != mid) or any(micro_of[c] != mid for c in bt.children[v]):
+            if (p >= 0 and micro_of[p] != mid) or any(
+                    c >= 0 and micro_of[c] != mid for c in (left[v], right[v])):
                 bset.add(v)
         if len(bset) > 2:
             raise RuntimeError(f"micro tree {mid} has {len(bset)} boundary nodes")
@@ -357,7 +603,8 @@ def _chunked_conv(ring: Ring, u: np.ndarray, v: np.ndarray, floor: int) -> np.nd
 def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, ring: Ring,
                  sink=None) -> np.ndarray:
     best = np.full(bt.n_real, ring.sentinel, dtype=np.int64)
-    post_index = {v: i for i, v in enumerate(bt.post_order)}
+    post_index = {v: i for i, v in enumerate(_machine_ints(bt.post_order))}
+    left, right = _machine_ints(bt.left), _machine_ints(bt.right)
     f_store = {}
     for mid, nodes in enumerate(dec.micros):
         top = dec.tops[mid]
@@ -365,7 +612,7 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, ring: Ring,
 
         cut_kids = []
         if x is not None:
-            cut_kids = [c for c in bt.children[x] if dec.micro_of[c] != mid]
+            cut_kids = [c for c in (left[x], right[x]) if c >= 0 and dec.micro_of[c] != mid]
         if cut_kids:
             fs = [f_store.pop(int(dec.micro_of[c])).decode() for c in cut_kids]
             below = fs[0] if len(fs) == 1 else _chunked_conv(ring, fs[0], fs[1], dec.r)
@@ -385,7 +632,7 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, ring: Ring,
 
         a0, a1 = {}, {}
         for v in sorted(nodes, key=post_index.__getitem__):
-            kids = [c for c in bt.children[v] if dec.micro_of[c] == mid]
+            kids = [c for c in (left[v], right[v]) if c >= 0 and dec.micro_of[c] == mid]
             u0 = a0[kids[0]] if kids else _TRIVIAL
             w0 = a0[kids[1]] if len(kids) == 2 else _TRIVIAL
             lab, sw = int(bt.ones_w[v]), int(bt.size_w[v])
@@ -447,18 +694,24 @@ def weighted_tree_max_sums(t: LabeledTree) -> np.ndarray:
     """result[i-1] = maximum weight sum over connected subgraphs of size i."""
     if max(-int(t.labels.min()), int(t.labels.max())) * t.n > FINITE_BOUND:
         raise ValueError("weight magnitudes too large for exact arithmetic")
-    return _simple_sweep(binarize(t), MAX)
+    bt = binarize(t)
+    return _tree_sweep(bt, bt.ones_w[None, :], MAX)[0].astype(np.int64)
 
 
 def feasible_size_sets(t: LabeledTree, max_n: int = 18) -> dict:
-    """Exact {1-counts} per subgraph size by rooted enumeration.
+    """Exact {label sums} per subgraph size by rooted enumeration; labels
+    may be signed. A set of s nodes with label sum x has the code s*k + x,
+    with k one more than the span of possible sums, so codes add like sets
+    join and decode after an offset by the least possible sum.
 
-    Exponential in spirit but bounded: per node at most (n+1)^2 distinct
-    (size, ones) pairs survive deduplication."""
+    Exponential in spirit but bounded: per node at most (n+1) * k distinct
+    (size, sum) pairs survive deduplication."""
     if t.n > max_n:
         raise ValueError(f"enumeration refused for n={t.n} > {max_n}")
-    _check_binary_labels(t.labels)
-    k = t.n + 1
+    lo = int(np.minimum(t.labels, 0).sum())
+    k = int(np.maximum(t.labels, 0).sum()) - lo + 1
+    if (t.n + 1) * k > FINITE_BOUND:
+        raise ValueError("label sums too large for exact enumeration")
     zero = np.zeros(1, dtype=np.int64)
     codes = [None] * t.n
     collected = []
@@ -470,14 +723,21 @@ def feasible_size_sets(t: LabeledTree, max_n: int = 18) -> dict:
             codes[c] = None
         codes[v] = cur
         collected.append(cur)
-    allcodes = np.unique(np.concatenate(collected))
+    allcodes = np.unique(np.concatenate(collected)) - lo
     sizes = allcodes // k
-    ones = allcodes % k
-    return {int(s): np.unique(ones[sizes == s]) for s in range(1, t.n + 1)}
+    sums = allcodes % k + lo
+    return {int(s): np.unique(sums[sizes == s]) for s in range(1, t.n + 1)}
 
 
 def enumerate_connected_oracle(t: LabeledTree, max_n: int = 18) -> Profile:
+    _check_binary_labels(t.labels)
     sets = feasible_size_sets(t, max_n)
     mins = np.array([sets[s].min() for s in range(1, t.n + 1)], dtype=np.int64)
     maxs = np.array([sets[s].max() for s in range(1, t.n + 1)], dtype=np.int64)
     return Profile(mins, maxs)
+
+
+def enumerate_max_sums(t: LabeledTree, max_n: int = 18) -> np.ndarray:
+    """The weighted oracle: result[i-1] = the largest sum in size i's set."""
+    sets = feasible_size_sets(t, max_n)
+    return np.array([sets[s].max() for s in range(1, t.n + 1)], dtype=np.int64)

@@ -146,6 +146,46 @@ def subtree_max_sums(parents, weights):
 
 
 # ---------------------------------------------------------------------------
+# tree oracle by the plain DP over the original tree (pure Python, O(n^2))
+
+def anchored_arrays(parents, weights, pick):
+    """{v: A_v}: A_v[i] is pick (min or max) of the weight sums of the
+    connected sets of i nodes that contain v and lie in v's subtree, and
+    A_v[0] = 0 stands for the empty set."""
+    children = [[] for _ in parents]
+    for v, p in enumerate(parents):
+        if p >= 0:
+            children[p].append(v)
+    order, stack = [], [parents.index(-1)]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(children[v])
+    arrays = {}
+    for v in reversed(order):
+        cur = [weights[v]]   # cur[i]: sets of i + 1 nodes that contain v
+        for c in children[v]:
+            below = arrays[c]
+            new = [None] * (len(cur) + len(below) - 1)
+            for i, x in enumerate(cur):
+                for j, y in enumerate(below):
+                    k = i + j
+                    new[k] = x + y if new[k] is None else pick(new[k], x + y)
+            cur = new
+        arrays[v] = [0] + cur
+    return arrays
+
+
+def tree_extremes(parents, weights, pick):
+    """pick of the weight sums over connected sets of each size 1..n."""
+    out = [None] * len(parents)
+    for a in anchored_arrays(parents, weights, pick).values():
+        for i in range(1, len(a)):
+            out[i - 1] = a[i] if out[i - 1] is None else pick(out[i - 1], a[i])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # tree shapes (parents are 0-based, root parent is -1)
 
 def path_parents(n):
@@ -166,6 +206,12 @@ def caterpillar_parents(n):
     for i in range(1, n):
         par.append(i - 1 if i % 2 else max(0, i - 2))
     return par
+
+
+def broom_parents(n):
+    # a handle of about n/2 nodes, the rest leaves on its last node
+    handle = max(1, n // 2)
+    return [-1] + list(range(handle - 1)) + [handle - 1] * (n - handle)
 
 
 def random_parents(rng: random.Random, n: int):

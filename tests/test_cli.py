@@ -297,6 +297,17 @@ def test_verify_weighted_string(capsys):
     capsys.readouterr()
 
 
+def test_verify_weighted_tree_against_enumeration(tmp_path, capsys):
+    assert run("verify", "--algo", "simple-tree", "--oracle", "enumerate",
+               "--max-n", "14", "--seeds", "40", "--kind", "weighted-tree") == 0
+    assert "0 mismatches (weighted-tree: simple-tree vs enumerate" in capsys.readouterr().out
+    # enumerate is verify-only: build refuses it
+    src = tmp_path / "w.txt"
+    src.write_text("2\n0 3\n1 -4\n")
+    assert run("build", "--input", str(src), "--kind", "weighted-tree", "--algo", "enumerate",
+               "--out", str(tmp_path / "o.csv")) == 2
+
+
 def test_verify_enumerate_size_cap():
     assert run("verify", "--algo", "simple-tree", "--oracle", "enumerate",
                "--max-n", "25", "--seeds", "2", "--kind", "tree") == 2

@@ -1,13 +1,23 @@
-"""Property tests of the string profile on adversarial bit strings: long
-runs, all-0, all-1, alternating and a single 1, drawn by hypothesis."""
+"""Property tests, drawn by hypothesis: the string profile on adversarial bit
+strings (long runs, all-0, all-1, alternating and a single 1), the tree
+sweep on adversarial shapes, and the vectorised parsers against their
+line-by-line readings."""
+
+import random
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from jumbled.strings import naive_profile
-from _support import window_profile
+from jumbled import inputs
+from jumbled.strings import naive_profile, naive_weighted_max_sums
+from jumbled.trees import LabeledTree, binarize, simple_tree_profile, tree_profile, \
+    weighted_tree_max_sums
+from _support import (
+    broom_parents, caterpillar_parents, complete_binary_parents, path_parents, star_parents,
+    tree_extremes, window_profile,
+)
 
 MAX_N = 160
 
@@ -53,3 +63,86 @@ def test_interval_property(bits):
         steps = set((extremes[1:] - extremes[:-1]).tolist())
         assert steps <= {0, 1}
         assert 0 <= extremes[0] <= 1
+
+
+# ---------------------------------------------------------------------------
+# the tree sweep; n reaches past trees.SMALL, so every seam of the sweep runs
+
+TREE_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+SHAPES = {"path": path_parents, "star": star_parents, "caterpillar": caterpillar_parents,
+          "broom": broom_parents, "complete-binary": complete_binary_parents}
+
+
+@st.composite
+def labeled_trees(draw):
+    n = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from(sorted(SHAPES) + ["random"]))
+    if shape == "random":
+        parents = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    else:
+        parents = SHAPES[shape](n)
+    density = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = random.Random(seed)
+    labels = [int(rng.random() < density) for _ in range(n)]
+    weights = [rng.randint(-9, 9) for _ in range(n)]
+    return shape, parents, labels, weights
+
+
+@TREE_SETTINGS
+@given(labeled_trees())
+def test_tree_sweep_matches_references(case):
+    shape, parents, labels, weights = case
+    t = LabeledTree(parents, labels)
+    assert simple_tree_profile(binarize(t)) == tree_profile(t)
+    got = weighted_tree_max_sums(LabeledTree(parents, weights)).tolist()
+    if shape == "path":
+        assert got == naive_weighted_max_sums(weights).tolist()
+    else:
+        assert got == tree_extremes(parents, weights, max)
+
+
+# ---------------------------------------------------------------------------
+# parsers: the vectorised pass and the line-by-line reading agree, errors
+# and their positions included
+
+def _outcome(parse, text, *args):
+    try:
+        result = parse(text, *args)
+    except inputs.ParseError as exc:
+        return "error", str(exc)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return "ok", [(a.dtype.str, a.tolist()) for a in arrays]
+
+
+fields = st.sampled_from(["0", "1", "7", "-3", "12", "-", "+4", "x", "1_0", "\xa0",
+                          "99999999999999999999", "\x0b"])
+gaps = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\n\n"])
+texts = st.lists(st.tuples(fields, gaps), max_size=14).map(
+    lambda parts: "".join(f + g for f, g in parts))
+
+
+@st.composite
+def tree_texts(draw):
+    n = draw(st.integers(0, 6))
+    lines = [str(n)] + [f"{draw(st.integers(-1, n + 1))} {draw(st.integers(-2, 2))}"
+                        for _ in range(n)]
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", " \n"]))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(["", "", "", " 1", "\n", "x"])) + text[at:]
+
+
+@SETTINGS
+@given(st.one_of(texts, st.text(alphabet="01 \n\tx\x0b\xa0", max_size=40)))
+def test_string_and_weight_parsers_match_line_readings(text):
+    assert _outcome(inputs.parse_binary_string_text, text) == \
+        _outcome(inputs._parse_bits_per_char, text)
+    assert _outcome(inputs.parse_weights_text, text) == \
+        _outcome(inputs._parse_weights_per_token, text)
+
+
+@SETTINGS
+@given(tree_texts(), st.booleans())
+def test_tree_parser_matches_line_reading(text, weighted):
+    assert _outcome(inputs.parse_tree_text, text, weighted) == \
+        _outcome(inputs._parse_tree_lines, text, weighted)

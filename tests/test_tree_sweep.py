@@ -1,0 +1,259 @@
+"""The batched tree sweep at its seams.
+
+simple_tree_profile and weighted_tree_max_sums run one sweep
+(trees._tree_sweep): subtrees of at most SMALL real nodes batched by size,
+unary chains of larger real nodes through the string window sweep, every
+other large node one convolution, all in a dtype fitted to the label sums.
+The benchmark takes its tree references from these same two functions, so
+only these tests can catch a wrong sweep. Each seam gets exact cases,
+checked against the micro-macro backend, the plain DP and enumeration of
+_support, and the string sweeps on paths.
+"""
+
+import os
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from jumbled.minplus import FINITE_BOUND, MAX, MIN
+from jumbled.inputs import gen_tree, parse_tree_text
+from jumbled.profiles import write_profile_csv
+from jumbled.strings import naive_profile, naive_weighted_max_sums
+from jumbled.trees import (
+    SMALL, LabeledTree, _tree_dtype, binarize, enumerate_max_sums, simple_tree_profile,
+    tree_profile, weighted_tree_max_sums,
+)
+from _support import (
+    anchored_arrays, caterpillar_parents, complete_binary_parents, path_parents,
+    random_bits, random_parents, star_parents, subtree_max_sums, subtree_profile,
+    tree_extremes,
+)
+
+
+def _stack(top, below, attach):
+    """Parents of ``below`` hung under node ``attach`` of ``top``."""
+    k = len(top)
+    return list(top) + [attach if p < 0 else p + k for p in below]
+
+
+def _check(parents, labels=None, weights=None, seed=0):
+    """The sweep against micro-macro and the plain DP, on 0/1 labels and on
+    signed weights."""
+    rng = random.Random(seed)
+    n = len(parents)
+    labels = labels if labels is not None else random_bits(rng, n)
+    weights = weights if weights is not None else [rng.randint(-9, 9) for _ in range(n)]
+    t = LabeledTree(parents, labels)
+    got = simple_tree_profile(binarize(t))
+    assert got == tree_profile(t)
+    assert got.min_ones.tolist() == tree_extremes(parents, labels, min)
+    assert got.max_ones.tolist() == tree_extremes(parents, labels, max)
+    assert weighted_tree_max_sums(LabeledTree(parents, weights)).tolist() == \
+        tree_extremes(parents, weights, max)
+
+
+# ---------------------------------------------------------------------------
+# the small / large boundary
+
+@pytest.mark.parametrize("n", [SMALL - 1, SMALL, SMALL + 1])
+@pytest.mark.parametrize("shape", [path_parents, star_parents, caterpillar_parents,
+                                   complete_binary_parents])
+def test_whole_tree_at_the_small_bound(shape, n):
+    _check(shape(n), seed=n)
+
+
+@pytest.mark.parametrize("n", [SMALL - 1, SMALL, SMALL + 1])
+def test_subtrees_at_the_small_bound(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        # a root over subtrees of sizes n, SMALL and a few random ones
+        parents = [-1]
+        for size in (n, SMALL, rng.randint(1, 3 * SMALL)):
+            parents = _stack(parents, random_parents(rng, size), 0)
+        _check(parents, seed=rng.random())
+
+
+def test_small_dummies_and_stars():
+    # a star's dummy spine crosses the small bound; leaves are small
+    for n in (2 * SMALL, 5 * SMALL + 3):
+        _check(star_parents(n), seed=n)
+        _check(_stack(path_parents(SMALL + 2), star_parents(n), SMALL + 1), seed=n)
+
+
+# ---------------------------------------------------------------------------
+# unary chains
+
+def test_chain_at_the_root():
+    rng = random.Random(3)
+    for length in (1, 2, 5, 40):
+        _check(_stack(path_parents(length), random_parents(rng, 3 * SMALL), length - 1),
+               seed=length)
+
+
+def test_chain_of_length_one():
+    # root -> (a, b); a's only child heads a large binary subtree
+    big = complete_binary_parents(2 * SMALL)
+    parents = _stack(_stack([-1, 0], big, 1), big, 0)
+    assert parents.count(1) == 1
+    _check(parents, seed=1)
+
+
+def test_chain_above_a_small_child():
+    # the chain's bottom child has exactly SMALL nodes; on a path the chain
+    # runs down to the leaf, and over a short path it takes in small nodes
+    for below in (complete_binary_parents(SMALL), path_parents(SMALL),
+                  star_parents(SMALL),
+                  _stack(path_parents(10), complete_binary_parents(10), 9)):
+        _check(_stack(path_parents(25), below, 24), seed=25)
+
+
+def test_chain_above_a_large_child():
+    rng = random.Random(5)
+    for below in (complete_binary_parents(3 * SMALL), random_parents(rng, 4 * SMALL)):
+        _check(_stack(path_parents(30), below, 29), seed=30)
+
+
+def test_chains_between_binary_nodes():
+    # a binary node, a chain, a binary node, a chain, a leaf's path
+    mid = _stack(path_parents(20), complete_binary_parents(SMALL + 5), 19)
+    parents = _stack(_stack([-1], mid, 0), path_parents(SMALL + 10), 0)
+    _check(parents, seed=7)
+    _check(_stack(path_parents(15), parents, 14), seed=8)
+
+
+def test_paths_against_the_string_sweep():
+    rng = random.Random(11)
+    for n in (1, 2, SMALL, SMALL + 1, 3 * SMALL, 700):
+        bits = random_bits(rng, n)
+        weights = [rng.randint(-9, 9) for _ in range(n)]
+        assert simple_tree_profile(binarize(LabeledTree(path_parents(n), bits))) == \
+            naive_profile(bits)
+        assert weighted_tree_max_sums(LabeledTree(path_parents(n), weights)).tolist() == \
+            naive_weighted_max_sums(weights).tolist()
+
+
+# ---------------------------------------------------------------------------
+# small trees against enumeration
+
+def test_small_trees_against_enumeration():
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        parents = random_parents(rng, n)
+        labels = random_bits(rng, n, rng.choice((0.1, 0.5, 0.9)))
+        weights = [rng.randint(-9, 9) for _ in range(n)]
+        mins, maxs = subtree_profile(parents, labels)
+        p = simple_tree_profile(binarize(LabeledTree(parents, labels)))
+        assert (p.min_ones.tolist(), p.max_ones.tolist()) == (mins, maxs)
+        t = LabeledTree(parents, weights)
+        want = subtree_max_sums(parents, weights)
+        assert weighted_tree_max_sums(t).tolist() == want
+        assert enumerate_max_sums(t).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# dtypes
+
+def test_dtype_switch_points():
+    def dtype_of(lo, hi):
+        return _tree_dtype(np.array([[lo, hi]]), MIN)[0]
+    # the sweep keeps sums inside half of the dtype's range
+    assert dtype_of(0, 2 ** 14 - 2) == np.int16
+    assert dtype_of(0, 2 ** 14 - 1) == np.int32
+    assert dtype_of(-(2 ** 13), 2 ** 13 - 2) == np.int16
+    assert dtype_of(-(2 ** 13), 2 ** 13 - 1) == np.int32
+    assert dtype_of(0, 2 ** 30 - 2) == np.int32
+    assert dtype_of(0, 2 ** 30 - 1) == np.int64
+    assert _tree_dtype(np.array([[0, 5]]), MAX) == (np.int16, -(2 ** 14 - 1))
+    assert _tree_dtype(np.array([[0, 2 ** 31]]), MIN) == (np.int64, MIN.sentinel)
+
+
+@pytest.mark.parametrize("ones", [2 ** 14 - 2, 2 ** 14 - 1])
+def test_zero_one_paths_at_the_int16_switch(ones):
+    # rows (ones, zeros) span max(#ones, #zeros); 3 zeros spread along
+    n = ones + 3
+    bits = [1] * n
+    for at in (0, n // 3, n - 5):
+        bits[at] = 0
+    rows = np.array([bits, [1 - b for b in bits]])
+    assert _tree_dtype(rows, MIN)[0] == (np.int16 if ones < 2 ** 14 - 1 else np.int32)
+    t = LabeledTree(path_parents(n), bits)
+    assert simple_tree_profile(binarize(t)) == naive_profile(bits)
+
+
+@pytest.mark.parametrize("span", [2 ** 14 - 2, 2 ** 14 - 1, 2 ** 15 - 1, 2 ** 15,
+                                  2 ** 30 - 2, 2 ** 30 - 1, 2 ** 31 - 1, 2 ** 31])
+def test_weighted_spans_at_the_switches(span):
+    rng = random.Random(span)
+    n = 64
+    # positive weights sum to hi, negative ones to lo, hi - lo = span
+    weights = [rng.randint(-9, 9) for _ in range(n)]
+    weights[3] = weights[40] = 0
+    hi = span // 2
+    weights[3] = hi - sum(w for w in weights if w > 0)
+    weights[40] = hi - span - sum(w for w in weights if w < 0)
+    assert sum(w for w in weights if w > 0) - sum(w for w in weights if w < 0) == span
+    for parents in (path_parents(n), random_parents(rng, n)):
+        got = weighted_tree_max_sums(LabeledTree(parents, weights)).tolist()
+        assert got == tree_extremes(parents, weights, max)
+    assert weighted_tree_max_sums(LabeledTree(path_parents(n), weights)).tolist() == \
+        naive_weighted_max_sums(weights).tolist()
+
+
+def test_weighted_at_the_finite_bound_guard():
+    n = 8
+    edge = FINITE_BOUND // n
+    for weights in ([edge] + [-3] * (n - 1), [-edge, 5] + [edge] * (n - 2)):
+        for parents in (path_parents(n), star_parents(n), random_parents(random.Random(1), n)):
+            got = weighted_tree_max_sums(LabeledTree(parents, weights)).tolist()
+            assert got == tree_extremes(parents, weights, max)
+    with pytest.raises(ValueError):
+        weighted_tree_max_sums(LabeledTree(path_parents(n), [edge + 1] + [0] * (n - 1)))
+
+
+# ---------------------------------------------------------------------------
+# the sink
+
+def test_sink_receives_every_real_node():
+    rng = random.Random(17)
+    shapes = (random_parents(rng, 5 * SMALL),
+              _stack(path_parents(40), complete_binary_parents(3 * SMALL), 39),
+              star_parents(2 * SMALL))
+    for parents in shapes:
+        labels = random_bits(rng, len(parents))
+        got = []
+        simple_tree_profile(binarize(LabeledTree(parents, labels)), sink=got.append)
+        lows = anchored_arrays(parents, labels, min)
+        highs = anchored_arrays(parents, labels, max)
+        want = sorted([lows[v] for v in lows] + [highs[v] for v in highs])
+        assert all(a.dtype == np.int64 for a in got)
+        assert sorted(a.tolist() for a in got) == want
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+def _path_text(n, seed):
+    rng = random.Random(seed)
+    return "\n".join([str(n)] + [f"{i} {rng.randint(0, 1)}" for i in range(n)]) + "\n"
+
+
+# tracemalloc peaks (bytes) of the pipeline below, measured on the per-node
+# sweep this one replaced (CPython 3.11, numpy 2.4)
+PARENT_PEAK = {"random": 1_520_364, "path": 1_079_824}
+
+
+@pytest.mark.parametrize("shape", ["random", "path"])
+def test_build_pipeline_memory(shape, tmp_path):
+    text = gen_tree(4096, 1) if shape == "random" else _path_text(4096, 1)
+    out = os.path.join(tmp_path, "profile.csv")
+    tracemalloc.start()
+    try:
+        parents, labels = parse_tree_text(text)
+        write_profile_csv(simple_tree_profile(binarize(LabeledTree(parents, labels))), out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PARENT_PEAK[shape]
