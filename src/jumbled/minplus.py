@@ -14,6 +14,7 @@ operands was a sentinel, because finite + finite <= 2^53 < INF - FINITE_BOUND.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,39 +49,55 @@ class Ring:
     """One side of the tropical semiring: the sentinel that marks an
     infeasible cell, the pointwise fold (np.minimum / np.maximum), and the
     snap that re-saturates sums. Sweeps call its product and convolution on
-    operands already checked at the public boundary, so the convolution
-    runs without re-validating. The product is looked up by name in this
-    module at call time, so a function installed under that name (a tracer,
-    another kernel) is reached by every sweep; MIN and MAX are the one place
-    a different kernel would be plugged in."""
+    operands already checked at the public boundary, so neither validates
+    again."""
 
     sentinel: int
     fold: np.ufunc
     snap: object
-    product_name: str
 
     def reduce(self, a: np.ndarray, axis=None):
         return self.fold.reduce(a, axis=axis)
 
     def product(self, a, b) -> np.ndarray:
-        return globals()[self.product_name](a, b)
+        return _product(a, b, self)
 
     def conv(self, u, v) -> np.ndarray:
         return _conv_auto(u, v, self)
 
 
-MIN = Ring(INF, np.minimum, snap_min, "min_plus_product")
-MAX = Ring(NEG_INF, np.maximum, snap_max, "max_plus_product")
+MIN = Ring(INF, np.minimum, snap_min)
+MAX = Ring(NEG_INF, np.maximum, snap_max)
+
+
+def as_int64(x, what: str) -> np.ndarray:
+    """``x`` as an int64 array; ValueError if a value is not an integer or
+    lies outside int64. A dtype that int64 holds without loss (bool, and
+    every integer dtype but uint64) is only cast, with no pass over the
+    values."""
+    a = np.asarray(x)
+    if np.can_cast(a.dtype, np.int64):
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind == "u":
+        ok = (a <= np.iinfo(np.int64).max).all()
+    elif a.dtype.kind == "f":
+        ok = ((a == np.trunc(a)) & (a >= -2.0 ** 63) & (a < 2.0 ** 63)).all()
+    elif a.dtype.kind == "O":
+        ok = all(isinstance(v, numbers.Integral) and -2 ** 63 <= v < 2 ** 63 for v in a.flat)
+    else:
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must hold integers within int64")
+    return a.astype(np.int64)
 
 
 def _as_operand(x, ndim: int, what: str) -> np.ndarray:
-    a = np.asarray(x, dtype=np.int64)
+    a = as_int64(x, what)
     if a.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-dimensional, got shape {a.shape}")
-    if a.size:
-        ok = (np.abs(a) <= FINITE_BOUND) | (a == INF) | (a == NEG_INF)
-        if not ok.all():
-            raise ValueError(f"{what} has entries outside the finite bound that are not sentinels")
+    ok = (np.abs(a) <= FINITE_BOUND) | (a == INF) | (a == NEG_INF)
+    if not ok.all():
+        raise ValueError(f"{what} has entries outside the finite bound that are not sentinels")
     return a
 
 
@@ -210,12 +227,3 @@ def _conv_auto(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
     if min(u.size, v.size) <= NAIVE_CONV_CUTOFF:
         return _conv_direct(u, v, ring)
     return _conv_blocked(u, v, ring)
-
-
-def min_plus_convolution_auto(u, v) -> np.ndarray:
-    """Direct convolution for short operands, blocked otherwise."""
-    return _conv_auto(*_as_vectors(u, v), MIN)
-
-
-def max_plus_convolution_auto(u, v) -> np.ndarray:
-    return _conv_auto(*_as_vectors(u, v), MAX)

@@ -1,5 +1,5 @@
 """The index surface: per-size min/max 1-count profiles, occurrence
-queries, profile merging, and the profile CSV format."""
+queries, and the profile CSV format."""
 
 from __future__ import annotations
 
@@ -36,11 +36,6 @@ class Profile:
     def n(self) -> int:
         return int(self.min_ones.size)
 
-    @staticmethod
-    def infeasible(n: int) -> "Profile":
-        """Neutral element of merge_profiles: no size is realizable."""
-        return Profile(np.full(n, INF, dtype=np.int64), np.full(n, NEG_INF, dtype=np.int64))
-
     def occurs(self, i: int, j: int) -> bool:
         return occurs(self, i, j)
 
@@ -59,18 +54,6 @@ def occurs(p: Profile, i: int, j: int) -> bool:
     if i < 1 or i > p.n:
         return False
     return bool(p.min_ones[i - 1] <= j <= p.max_ones[i - 1])
-
-
-def merge_profiles(a: Profile, b: Profile) -> Profile:
-    """Pointwise fold; the shorter operand counts as infeasible beyond its end."""
-    n = max(a.n, b.n)
-    mins = np.full(n, INF, dtype=np.int64)
-    maxs = np.full(n, NEG_INF, dtype=np.int64)
-    np.minimum(mins[:a.n], a.min_ones, out=mins[:a.n])
-    np.minimum(mins[:b.n], b.min_ones, out=mins[:b.n])
-    np.maximum(maxs[:a.n], a.max_ones, out=maxs[:a.n])
-    np.maximum(maxs[:b.n], b.max_ones, out=maxs[:b.n])
-    return Profile(mins, maxs)
 
 
 def write_profile_csv(p: Profile, path) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitvec import as_bits
-from .minplus import FINITE_BOUND, MAX, MIN, Ring
+from .minplus import FINITE_BOUND, MAX, MIN, Ring, as_int64
 from .profiles import Profile
 
 RECURSION_CUTOFF = 64
@@ -51,10 +51,6 @@ class BinaryString:
 
     def __len__(self) -> int:
         return int(self.bits.size)
-
-    def ones(self, lo: int, hi: int) -> int:
-        """1s in positions [lo, hi)."""
-        return int(self.prefix_ones[hi] - self.prefix_ones[lo])
 
 
 def _as_string(s) -> BinaryString:
@@ -168,13 +164,6 @@ class BlockPartition:
     @property
     def m(self) -> int:
         return int(self.bounds.size - 1)
-
-    def block_len(self, k: int) -> int:
-        return int(self.bounds[k + 1] - self.bounds[k])
-
-    def interior_ones(self, i: int, j: int) -> int:
-        """1s in the full blocks strictly between block i and block j (i < j)."""
-        return self.string.ones(int(self.bounds[i + 1]), int(self.bounds[j]))
 
 
 def make_block_partition(s, b: int) -> BlockPartition:
@@ -318,7 +307,7 @@ def recursive_profile(s: BinaryString, cutoff: int = RECURSION_CUTOFF) -> Profil
 
 
 def _weight_prefix(weights) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.int64)
+    weights = as_int64(weights, "weights")
     if weights.ndim != 1 or weights.size < 1:
         raise ValueError("need a non-empty weight sequence")
     # Python ints: np.abs wraps -2**63 to itself

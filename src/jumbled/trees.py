@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvec import RankBitvector
-from .minplus import FINITE_BOUND, MAX, MIN, NAIVE_CONV_CUTOFF, Ring, _as_vectors
+from .minplus import FINITE_BOUND, MAX, MIN, NAIVE_CONV_CUTOFF, Ring, as_int64
 from .profiles import Profile
 from .strings import _window_sweep
 
@@ -62,8 +62,8 @@ class LabeledTree:
     __slots__ = ("parents", "labels", "root", "_children")
 
     def __init__(self, parents, labels):
-        parents = np.asarray(parents, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
+        parents = as_int64(parents, "parents")
+        labels = as_int64(labels, "labels")
         n = int(parents.size)
         if n < 1 or parents.ndim != 1:
             raise ValueError("need at least one node")
@@ -136,7 +136,7 @@ class BinarizedTree:
     post_order, which lists every node after all of its descendants."""
 
     __slots__ = ("parent", "left", "right", "size_w", "ones_w", "root",
-                 "post_order", "n_real", "_children")
+                 "post_order", "n_real")
 
     def __init__(self, parent, left, right, ones_w, root, n_real):
         self.parent = parent
@@ -147,22 +147,10 @@ class BinarizedTree:
         self.root = root
         self.n_real = n_real
         self.post_order = _binary_post_order(left, right, root)
-        self._children = None
 
     @property
     def n_total(self) -> int:
         return int(self.left.size)
-
-    @property
-    def children(self) -> list:
-        """Child lists, made on first use."""
-        if self._children is None:
-            self._children = [[c for c in pair if c >= 0] for pair in
-                              zip(_machine_ints(self.left), _machine_ints(self.right))]
-        return self._children
-
-    def dummy_count(self) -> int:
-        return self.n_total - self.n_real
 
 
 def _machine_ints(a: np.ndarray) -> array:
@@ -265,12 +253,6 @@ def _combine(ring: Ring, a_u, a_w, lab: int, size_w: int, forced: bool = False):
         out[1:] = core + lab
         return ring.snap(out)
     return core
-
-
-def combine_children(a_u, a_w, lab: int, size_w: int = 1) -> np.ndarray:
-    """Minimum-1s combine; a missing child is the trivial array [0]."""
-    a_u, a_w = _as_vectors(a_u, a_w)
-    return _combine(MIN, a_u, a_w, int(lab), int(size_w))
 
 
 def _check_binary_labels(values: np.ndarray) -> None:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from jumbled.minplus import (
-    FINITE_BOUND, INF, NEG_INF,
+    FINITE_BOUND, INF, MIN, NEG_INF,
     max_plus_convolution, max_plus_convolution_blocked, max_plus_product,
     min_plus_convolution, min_plus_convolution_blocked,
-    min_plus_convolution_auto, min_plus_product, min_plus_product_tiled,
+    min_plus_product, min_plus_product_tiled,
     snap_max, snap_min,
 )
 from _support import conv_oracle, product_oracle
@@ -241,7 +241,7 @@ def test_auto_dispatch_agrees():
     rng = np.random.default_rng(9)
     u = rng.integers(-40, 40, size=300).astype(np.int64)
     v = rng.integers(-40, 40, size=17).astype(np.int64)
-    assert np.array_equal(min_plus_convolution_auto(u, v),
+    assert np.array_equal(MIN.conv(u, v),
                           min_plus_convolution(u, v))
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from jumbled.inputs import ParseError
+from jumbled.minplus import INF, NEG_INF
 from jumbled.profiles import (
-    CSV_HEADER, SUMS_CSV_HEADER, Profile, merge_profiles, occurs,
+    CSV_HEADER, SUMS_CSV_HEADER, Profile, occurs,
     read_profile_csv, write_profile_csv, write_sums_csv,
 )
 from jumbled.inputs import random_parents
@@ -31,24 +32,6 @@ def test_occurs_method_delegates():
     p = naive_profile("0110")
     assert p.occurs(4, 2) is True
     assert p.occurs(4, 1) is False
-
-
-def test_merge_idempotent():
-    p = _p([0, 1], [1, 1])
-    assert merge_profiles(p, p) == p
-
-
-def test_merge_with_infeasible_is_neutral():
-    p = _p([0, 1], [1, 1])
-    empty = Profile.infeasible(2)
-    assert merge_profiles(p, empty) == p
-    assert merge_profiles(empty, p) == p
-
-
-def test_merge_pointwise():
-    a = _p([0, 1], [1, 1])
-    b = _p([1, 1], [1, 2])
-    assert merge_profiles(a, b) == _p([0, 1], [1, 2])
 
 
 def test_profile_equality_and_n():
@@ -164,7 +147,7 @@ def test_csv_rejects_empty_body(tmp_path):
 
 def test_write_refuses_infeasible_rows(tmp_path):
     with pytest.raises(ValueError):
-        write_profile_csv(Profile.infeasible(3), tmp_path / "p.csv")
+        write_profile_csv(_p([INF] * 3, [NEG_INF] * 3), tmp_path / "p.csv")
 
 
 def test_sums_csv(tmp_path):

@@ -1,9 +1,12 @@
-"""Property tests, drawn by hypothesis: the string profile on adversarial bit
-strings (long runs, all-0, all-1, alternating and a single 1), the tree
-sweep on adversarial shapes, and the vectorised parsers against their
-line-by-line readings."""
+"""Property tests, drawn by hypothesis: the string profile and the paper's
+string reductions on adversarial bit strings (long runs, all-0, all-1,
+alternating and a single 1), the profile CSV round trip, the tree sweep on
+adversarial shapes, and the vectorised parsers against their line-by-line
+readings."""
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from jumbled import inputs
-from jumbled.strings import naive_profile, naive_weighted_max_sums
+from jumbled.profiles import read_profile_csv, write_profile_csv
+from jumbled.strings import (
+    blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile,
+    weighted_max_sums,
+)
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile, tree_profile, \
     weighted_tree_max_sums
 from _support import (
@@ -63,6 +70,37 @@ def test_interval_property(bits):
         steps = set((extremes[1:] - extremes[:-1]).tolist())
         assert steps <= {0, 1}
         assert 0 <= extremes[0] <= 1
+
+
+# the reductions run on a drawn parameter: b and cutoff from 1 (every block
+# or leaf a single bit) to past n (one block, no halving)
+@SETTINGS
+@given(adversarial, st.data())
+def test_reductions_match_naive(bits, data):
+    want = naive_profile(bits)
+    b = data.draw(st.integers(1, len(bits) + 1), label="b")
+    assert blocked_profile(bits, b=b) == want
+    cutoff = data.draw(st.integers(1, len(bits) + 1), label="cutoff")
+    assert recursive_profile(bits, cutoff=cutoff) == want
+
+
+@SETTINGS
+@given(st.one_of(adversarial, st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1,
+                                       max_size=MAX_N)),
+       st.integers(1, MAX_N + 1))
+def test_weighted_reduction_matches_naive(weights, cutoff):
+    assert weighted_max_sums(weights, cutoff=cutoff).tolist() == \
+        naive_weighted_max_sums(weights).tolist()
+
+
+@SETTINGS
+@given(adversarial)
+def test_profile_csv_round_trip(bits):
+    p = naive_profile(bits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_profile_csv(p, path)
+        assert read_profile_csv(path) == p
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from _support import random_bits, window_max_sums, window_profile
 def test_binary_string_basics():
     s = BinaryString("0110")
     assert len(s) == 4
-    assert s.ones(0, 4) == 2
-    assert s.ones(1, 3) == 2
+    assert s.prefix_ones.tolist() == [0, 0, 1, 2, 2]
     assert BinaryString([0, 1, 1, 0]).bits.tolist() == s.bits.tolist()
 
 
@@ -79,13 +78,6 @@ def test_partition_bounds():
     p = make_block_partition("011010", 4)
     assert p.m == 2
     assert p.bounds.tolist() == [0, 4, 6]
-    assert p.block_len(0) == 4 and p.block_len(1) == 2
-
-
-def test_interior_ones():
-    p = make_block_partition("01" "11" "00" "10", 2)
-    assert p.interior_ones(0, 3) == 2   # blocks 1 and 2
-    assert p.interior_ones(0, 1) == 0   # adjacent, empty interior
 
 
 def _brute_cross_entry(bits, bounds, i, j, length, maximize=False):

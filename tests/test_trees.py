@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from jumbled.minplus import MIN
 from jumbled.trees import (
     CorruptedProfileError, DeltaBits, LabeledTree, MICRO_COUNT_CONSTANT,
-    binarize, combine_children, encode_delta, enumerate_connected_oracle,
+    _combine, binarize, encode_delta, enumerate_connected_oracle,
     feasible_size_sets, micro_macro, simple_tree_profile, tree_profile,
     weighted_tree_max_sums,
 )
@@ -43,20 +44,35 @@ def test_post_order_parents_last():
 # ---------------------------------------------------------------------------
 # binarization
 
+def _kids(bt, v):
+    return [int(c) for c in (bt.left[v], bt.right[v]) if c >= 0]
+
+
+def _assert_binary_shape(bt):
+    # every node but the root hangs from exactly one side of its parent, no
+    # other child slot is filled, and a single child sits on the left
+    child = np.flatnonzero(bt.parent >= 0)
+    assert child.size == bt.n_total - 1
+    above = bt.parent[child]
+    assert ((bt.left[above] == child) ^ (bt.right[above] == child)).all()
+    assert int((bt.left >= 0).sum() + (bt.right >= 0).sum()) == child.size
+    assert ((bt.right < 0) | (bt.left >= 0)).all()
+
+
 def test_binarize_keeps_binary_trees():
     t = LabeledTree(complete_binary_parents(7), [1, 0, 1, 0, 1, 0, 1])
     bt = binarize(t)
-    assert bt.dummy_count() == 0
+    assert bt.n_total - bt.n_real == 0
     assert bt.n_total == 7
 
 
 def test_binarize_star_adds_one_dummy():
     t = LabeledTree(star_parents(4), [1, 0, 0, 0])
     bt = binarize(t)
-    assert bt.dummy_count() == 1
+    assert bt.n_total - bt.n_real == 1
     assert int(bt.size_w.sum()) == 4       # dummies weigh nothing
     assert int(bt.ones_w.sum()) == 1
-    assert all(len(c) <= 2 for c in bt.children)
+    _assert_binary_shape(bt)
 
 
 def test_binarize_degree_bound_and_weights():
@@ -66,7 +82,7 @@ def test_binarize_degree_bound_and_weights():
         labels = [rng.randint(0, 1) for _ in range(n)]
         t = LabeledTree(random_parents(rng, n), labels)
         bt = binarize(t)
-        assert all(len(c) <= 2 for c in bt.children)
+        _assert_binary_shape(bt)
         assert int(bt.size_w.sum()) == n
         assert int(bt.ones_w.sum()) == sum(labels)
 
@@ -89,20 +105,15 @@ def test_binarized_profile_equals_enumeration():
 def test_combine_hand_example():
     a_u = np.array([0, 0, 1], dtype=np.int64)
     a_w = np.array([0, 1], dtype=np.int64)
-    out = combine_children(a_u, a_w, lab=1)
+    out = _combine(MIN, a_u, a_w, 1, 1)
     # sizes 0..4; the size-4 set takes everything: 1 + 1 + 1
     assert out.tolist() == [0, 1, 1, 2, 3]
 
 
 def test_combine_single_child_shift():
     a_u = np.array([0, 1, 1], dtype=np.int64)
-    out = combine_children(a_u, np.array([0], dtype=np.int64), lab=0, size_w=1)
+    out = _combine(MIN, a_u, np.array([0], dtype=np.int64), 0, 1)
     assert out.tolist() == [0, 0, 1, 1]    # A_v[i] = lab + A_u[i-1]
-
-
-def test_combine_rejects_out_of_bound_operands():
-    with pytest.raises(ValueError):
-        combine_children([0, 2 ** 55], [0], 1)
 
 
 def test_leaf_base_case():
@@ -211,7 +222,7 @@ def _assert_decomposition_invariants(bt, dec, r):
         for v in nodes:
             if v != top:
                 assert bt.parent[v] in members
-            for c in bt.children[v]:
+            for c in _kids(bt, v):
                 if c not in members:
                     assert v == dec.attaches[idx]
     assert len(dec.micros) <= max(1, MICRO_COUNT_CONSTANT * total // max(r, 1))
