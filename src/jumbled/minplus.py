@@ -1,6 +1,8 @@
 """Tropical-semiring kernels: min-plus / max-plus matrix products and
-vector convolutions, plus the blocked convolution that evaluates a
-convolution through small matrix products.
+convolutions. Every sweep convolves through one kernel, _conv_tiled (a
+direct loop when the shorter operand is tiny); the blocked convolution,
+which evaluates a convolution through small matrix products as the paper
+does, is kept as the reference reduction.
 
 Cost model
 ----------
@@ -29,8 +31,17 @@ _SNAP_LO = NEG_INF + FINITE_BOUND
 # element budget for broadcast temporaries (~32 MiB of int64)
 _CHUNK_ELEMS = 1 << 22
 
-# operands at or below this length use the direct convolution
-NAIVE_CONV_CUTOFF = 64
+# Ring.conv takes the direct loop while the shorter operand has at most this
+# many entries, and the tiled kernel otherwise. On a 2-core x86 VM the loop
+# took 8-20 us a call up to 4 entries, where the tiled kernel took 20-35 us;
+# from about 8 entries the tiled kernel won (64 x 64: 210 against 45 us).
+# Micro-macro, which makes tens of thousands of 1-2 entry convolutions, ran
+# as fast at a cutoff of 4, 6 or 8.
+NAIVE_CONV_CUTOFF = 4
+# the tiled kernel takes _CONV_SHIFTS entries of its shorter operand at a
+# time and fills a reused buffer of at most _CONV_CELLS cells per tile
+_CONV_SHIFTS = 32
+_CONV_CELLS = 1 << 16
 
 
 def snap_min(a: np.ndarray) -> np.ndarray:
@@ -63,7 +74,11 @@ class Ring:
         return _product(a, b, self)
 
     def conv(self, u, v) -> np.ndarray:
-        return _conv_auto(u, v, self)
+        if min(u.size, v.size) <= NAIVE_CONV_CUTOFF:
+            return _conv_direct(u, v, self)
+        out = np.empty(u.size + v.size - 1, dtype=np.int64)
+        _conv_tiled(u, v, self, self.sentinel, out)
+        return self.snap(out)
 
 
 MIN = Ring(INF, np.minimum, snap_min)
@@ -169,6 +184,43 @@ def _conv_direct(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
     return ring.snap(out)
 
 
+def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np.ndarray) -> None:
+    """out[..., i] = ext_k x[..., k] + y[..., i - k] along the last axis, for
+    every i below out's width; cells of x or y may hold the sentinel.
+
+    The same trick as strings._window_sweep: a block of K entries of the
+    shorter operand meets the longer one in tiles of K x C cells, each filled
+    by one add from a Hankel view of the longer operand (K - 1 sentinels on
+    each side) and emptied by one reduce over its K rows. A block wastes
+    K(K-1) cells past the operands' ends."""
+    if x.shape[-1] > y.shape[-1]:
+        x, y = y, x
+    q, ly = x.shape[-1], y.shape[-1]
+    width = out.shape[-1]
+    k_s = min(_CONV_SHIFTS, q)
+    padded = np.full(out.shape[:-1] + (ly + 2 * (k_s - 1),), sentinel, dtype=out.dtype)
+    padded[..., k_s - 1:k_s - 1 + ly] = y
+    span = ly + k_s - 1   # the output positions one block reaches
+    # hankel[..., m, t] = padded[..., t + m]
+    hankel = np.lib.stride_tricks.as_strided(
+        padded, padded.shape[:-1] + (k_s, span), padded.strides + padded.strides[-1:],
+        writeable=False)
+    step = max(1, min(_CONV_CELLS // (out.size // width * k_s), span))
+    buf = np.empty(out.shape[:-1] + (k_s, step), dtype=out.dtype)
+    out.fill(sentinel)
+    for k0 in range(0, min(q, width), k_s):
+        kb = min(k_s, q - k0)
+        block = x[..., k0:k0 + kb][..., ::-1, None]   # row m: x[k0 + kb - 1 - m]
+        rows = hankel[..., k_s - kb:, :]              # row m: y[t - (kb - 1 - m)]
+        end = min(span, width - k0)
+        for t0 in range(0, end, step):
+            t1 = min(end, t0 + step)
+            tile = buf[..., :kb, :t1 - t0]
+            np.add(rows[..., t0:t1], block, out=tile)
+            dst = out[..., k0 + t0:k0 + t1]
+            ring.fold(dst, ring.reduce(tile, axis=-2), out=dst)
+
+
 def min_plus_convolution(u, v) -> np.ndarray:
     """w[i] = min over k of u[k] + v[i-k] (0-based, len |u|+|v|-1)."""
     return _conv_direct(*_as_vectors(u, v), MIN)
@@ -221,9 +273,3 @@ def min_plus_convolution_blocked(u, v) -> np.ndarray:
 
 def max_plus_convolution_blocked(u, v) -> np.ndarray:
     return _conv_blocked(*_as_vectors(u, v), MAX)
-
-
-def _conv_auto(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
-    if min(u.size, v.size) <= NAIVE_CONV_CUTOFF:
-        return _conv_direct(u, v, ring)
-    return _conv_blocked(u, v, ring)

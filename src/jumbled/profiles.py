@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inputs import ParseError
-from .minplus import INF, NEG_INF
+from .minplus import INF, NEG_INF, as_int64
 
 CSV_HEADER = "size,min_ones,max_ones"
 SUMS_CSV_HEADER = "size,max_sum"
@@ -27,8 +27,8 @@ class Profile:
     max_ones: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "min_ones", np.asarray(self.min_ones, dtype=np.int64))
-        object.__setattr__(self, "max_ones", np.asarray(self.max_ones, dtype=np.int64))
+        object.__setattr__(self, "min_ones", as_int64(self.min_ones, "min_ones"))
+        object.__setattr__(self, "max_ones", as_int64(self.max_ones, "max_ones"))
         if self.min_ones.shape != self.max_ones.shape or self.min_ones.ndim != 1:
             raise ValueError("profile arrays must be 1-d and of equal length")
 
@@ -119,7 +119,7 @@ def _check_lines(body) -> np.ndarray:
 
 def write_sums_csv(values, path) -> None:
     """Weighted results: values[i-1] = maximum weight sum at size i."""
-    arr = np.asarray(values, dtype=np.int64)
+    arr = as_int64(values, "values")
     if arr.size < 1:
         raise ValueError("cannot serialize an empty result")
     _write_csv(path, SUMS_CSV_HEADER, arr)

@@ -277,6 +277,9 @@ def blocked_profile(s: BinaryString, b=None) -> Profile:
 def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
     """Extreme window sums for every width: split at the midpoint, fold the
     windows that cross it with one ring convolution, recurse on the halves."""
+    if cutoff < 1:
+        # a segment of length 1 would split into itself forever
+        raise ValueError("recursion cutoff must be >= 1")
     n = pref.size - 1
     out = _blank(n, ring)
     leaves = {}   # base-case length -> start of each segment of that length

@@ -8,7 +8,7 @@ arrays into a global profile:
 * simple_tree_profile   the default: one batched sweep, O(n^2) cells total
 * tree_profile          micro-macro decomposition; inside each micro tree
                         the per-node DP step _combine, across micro trees
-                        chunked convolutions through the boundary nodes
+                        ring convolutions through the boundary nodes
 
 The batched sweep (_tree_sweep) runs one ring over a matrix of label rows.
 For 0/1 labels the rows are (ones, zeros) under MIN: the most 1s in a set
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvec import RankBitvector
-from .minplus import FINITE_BOUND, MAX, MIN, NAIVE_CONV_CUTOFF, Ring, as_int64
+from .minplus import FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64
 from .profiles import Profile
 from .strings import _window_sweep
 
@@ -264,10 +264,6 @@ def _check_binary_labels(values: np.ndarray) -> None:
 # taken one at a time. On a random tree (n=4096), 95% of the 5108 binarized
 # nodes are small at SMALL=32; 16 and 24 built it slower, 48 and 64 no faster.
 SMALL = 32
-# a convolution takes _CONV_SHIFTS entries of its shorter operand at a time
-# and fills a reused buffer of at most _CONV_CELLS cells per tile
-_CONV_SHIFTS = 32
-_CONV_CELLS = 1 << 16
 
 
 def _tree_dtype(rows: np.ndarray, ring: Ring):
@@ -283,43 +279,6 @@ def _tree_dtype(rows: np.ndarray, ring: Ring):
         if hi - lo < half:
             return dtype, min(max(ring.sentinel, -half), half)
     return np.int64, ring.sentinel
-
-
-def _conv(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np.ndarray) -> None:
-    """out[..., i] = ext_k x[..., k] + y[..., i - k] along the last axis, for
-    every i below out's width; cells of x or y may hold the sentinel.
-
-    The same trick as strings._window_sweep: a block of K entries of the
-    shorter operand meets the longer one in tiles of K x C cells, each filled
-    by one add from a Hankel view of the longer operand (K - 1 sentinels on
-    each side) and emptied by one reduce over its K rows. A block wastes
-    K(K-1) cells past the operands' ends."""
-    if x.shape[-1] > y.shape[-1]:
-        x, y = y, x
-    q, ly = x.shape[-1], y.shape[-1]
-    width = out.shape[-1]
-    k_s = min(_CONV_SHIFTS, q)
-    padded = np.full(out.shape[:-1] + (ly + 2 * (k_s - 1),), sentinel, dtype=out.dtype)
-    padded[..., k_s - 1:k_s - 1 + ly] = y
-    span = ly + k_s - 1   # the output positions one block reaches
-    # hankel[..., m, t] = padded[..., t + m]
-    hankel = np.lib.stride_tricks.as_strided(
-        padded, padded.shape[:-1] + (k_s, span), padded.strides + padded.strides[-1:],
-        writeable=False)
-    step = max(1, min(_CONV_CELLS // (out.size // width * k_s), span))
-    buf = np.empty(out.shape[:-1] + (k_s, step), dtype=out.dtype)
-    out.fill(sentinel)
-    for k0 in range(0, min(q, width), k_s):
-        kb = min(k_s, q - k0)
-        block = x[..., k0:k0 + kb][..., ::-1, None]   # row m: x[k0 + kb - 1 - m]
-        rows = hankel[..., k_s - kb:, :]              # row m: y[t - (kb - 1 - m)]
-        end = min(span, width - k0)
-        for t0 in range(0, end, step):
-            t1 = min(end, t0 + step)
-            tile = buf[..., :kb, :t1 - t0]
-            np.add(rows[..., t0:t1], block, out=tile)
-            dst = out[..., k0 + t0:k0 + t1]
-            ring.fold(dst, ring.reduce(tile, axis=-2), out=dst)
 
 
 def _subtree_sizes(bt: BinarizedTree) -> np.ndarray:
@@ -395,9 +354,9 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
         q = int(max(size[lc].max(), size[rc].max())) + 1
         j = np.arange(q)
         core = np.empty((r, n_lev, s + 1), dtype=dtype)
-        _conv(store[:, np.where(j <= size[lc][:, None], off[lc][:, None] + j, pad)],
-              store[:, np.where(j <= size[rc][:, None], off[rc][:, None] + j, pad)],
-              ring, sentinel, core)
+        _conv_tiled(store[:, np.where(j <= size[lc][:, None], off[lc][:, None] + j, pad)],
+                    store[:, np.where(j <= size[rc][:, None], off[rc][:, None] + j, pad)],
+                    ring, sentinel, core)
         base = int(off[nodes[0]])
         block = store[:, base:base + n_lev * (s + 1)].reshape(r, n_lev, s + 1)
         block[:, n_rl:] = core[:, n_rl:]
@@ -429,7 +388,7 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
             # a suffix of the chain joined to a set anchored below it
             joined = np.empty((r, n_ch + below.shape[1] - 1), dtype=dtype)
             suffixes = prefix[:, n_ch:] - prefix[:, n_ch - 1::-1]
-            _conv(suffixes, below, ring, sentinel, joined)
+            _conv_tiled(suffixes, below, ring, sentinel, joined)
             ring.fold(best[:, :joined.shape[1]], joined, out=best[:, :joined.shape[1]])
             a_v = np.concatenate([prefix, prefix[:, n_ch:] + below[:, 1:]], axis=1)
             if sink is not None:
@@ -441,14 +400,14 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
             if real[v]:
                 a_v = np.empty((r, span + 1), dtype=dtype)
                 a_v[:, 0] = 0
-                _conv(x, y, ring, sentinel, a_v[:, 1:])
+                _conv_tiled(x, y, ring, sentinel, a_v[:, 1:])
                 a_v[:, 1:] += labels[:, v, None]
                 ring.fold(best[:, :span], a_v[:, 1:], out=best[:, :span])
                 if sink is not None:
                     sink(a_v)
             else:
                 a_v = np.empty((r, span), dtype=dtype)
-                _conv(x, y, ring, sentinel, a_v)
+                _conv_tiled(x, y, ring, sentinel, a_v)
         arrays[v] = a_v
     return best
 
@@ -560,28 +519,6 @@ def micro_macro(bt: BinarizedTree, r: int) -> MicroMacroDecomposition:
     return MicroMacroDecomposition(r, micro_of, micros, tops, attaches, boundaries)
 
 
-def _chunked_conv(ring: Ring, u: np.ndarray, v: np.ndarray, floor: int) -> np.ndarray:
-    """Convolution with the long side cut into chunks of the short side's
-    span (at least `floor`), so every piece is a balanced product."""
-    if u.size > v.size:
-        u, v = v, u
-    if u.size <= NAIVE_CONV_CUTOFF:
-        return ring.conv(u, v)
-    span = max(u.size - 1, floor, 1)
-    if v.size <= span + 1:
-        return ring.conv(u, v)
-    out = np.full(u.size + v.size - 1, ring.sentinel, dtype=np.int64)
-    for idx, base in enumerate(range(0, int(v.size), span)):
-        seg = v[base:base + span + 1]
-        if idx:
-            # a split landing exactly on the seam belongs to the previous chunk
-            seg = seg.copy()
-            seg[0] = ring.sentinel
-        w = ring.conv(u, seg)
-        ring.fold(out[base:base + w.size], w, out=out[base:base + w.size])
-    return out
-
-
 def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, ring: Ring,
                  sink=None) -> np.ndarray:
     best = np.full(bt.n_real, ring.sentinel, dtype=np.int64)
@@ -597,7 +534,7 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, ring: Ring,
             cut_kids = [c for c in (left[x], right[x]) if c >= 0 and dec.micro_of[c] != mid]
         if cut_kids:
             fs = [f_store.pop(int(dec.micro_of[c])).decode() for c in cut_kids]
-            below = fs[0] if len(fs) == 1 else _chunked_conv(ring, fs[0], fs[1], dec.r)
+            below = fs[0] if len(fs) == 1 else ring.conv(fs[0], fs[1])
         else:
             below = None
 
@@ -647,12 +584,12 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, ring: Ring,
                 ehat = np.full(width, ring.sentinel, dtype=np.int64)
                 for a in forced_arrays:
                     ring.fold(ehat[:a.size], a, out=ehat[:a.size])
-                g = _chunked_conv(ring, ehat, below, dec.r)
+                g = ring.conv(ehat, below)
                 ring.fold(best[:g.size - 1], g[1:], out=best[:g.size - 1])
 
         ft = a0[top]
         if below is not None:
-            gt = _chunked_conv(ring, a1[top], below, dec.r)
+            gt = ring.conv(a1[top], below)
             merged = np.full(gt.size, ring.sentinel, dtype=np.int64)
             merged[:ft.size] = ft
             ring.fold(merged, gt, out=merged)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jumbled.minplus import (
-    FINITE_BOUND, INF, MIN, NEG_INF,
+    FINITE_BOUND, INF, MAX, MIN, NAIVE_CONV_CUTOFF, NEG_INF,
     max_plus_convolution, max_plus_convolution_blocked, max_plus_product,
     min_plus_convolution, min_plus_convolution_blocked,
     min_plus_product, min_plus_product_tiled,
@@ -237,12 +237,32 @@ def test_blocked_convolution_fuzz():
                               max_plus_convolution(_max_vec(u), _max_vec(v)))
 
 
-def test_auto_dispatch_agrees():
-    rng = np.random.default_rng(9)
-    u = rng.integers(-40, 40, size=300).astype(np.int64)
-    v = rng.integers(-40, 40, size=17).astype(np.int64)
-    assert np.array_equal(MIN.conv(u, v),
-                          min_plus_convolution(u, v))
+def _sentinel_vector(rng, size, sentinel):
+    """Values over the whole finite range, a sentinel first and in about a
+    third of the other cells, so that output cell 0 has no finite split."""
+    x = rng.integers(-FINITE_BOUND, FINITE_BOUND + 1, size=size)
+    x[rng.random(size) < 0.3] = sentinel
+    x[0] = sentinel
+    return x
+
+
+# shorter-operand lengths around the direct loop's cutoff and the tiled
+# kernel's block of 32 shifts; a longer operand of 2100 entries makes the
+# tile's column step (2048 at 32 shifts) smaller than its span
+@pytest.mark.parametrize("short", [1, NAIVE_CONV_CUTOFF, NAIVE_CONV_CUTOFF + 1, 31, 32, 33, 65])
+@pytest.mark.parametrize("long", ["equal", 97, 2100])
+def test_ring_conv_matches_direct_kernel(short, long):
+    size = short if long == "equal" else long
+    rng = np.random.default_rng([short, size])
+    for ring, reference in ((MIN, min_plus_convolution), (MAX, max_plus_convolution)):
+        u = _sentinel_vector(rng, short, ring.sentinel)
+        v = _sentinel_vector(rng, size, ring.sentinel)
+        want = reference(u, v)
+        assert want[0] == ring.sentinel
+        for a, b in ((u, v), (v, u)):
+            got = ring.conv(a, b)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,22 @@ def test_profile_equality_and_n():
     assert p != _p([1], [1])
 
 
+@pytest.mark.parametrize("mins, maxs", [
+    ([0.5, 1.7], [1, 2.9]),
+    ([2 ** 70], [1]),
+    ([0], [2.0 ** 63]),
+])
+def test_profile_refuses_values_outside_int64(mins, maxs):
+    with pytest.raises(ValueError):
+        Profile(mins, maxs)
+
+
+def test_profile_takes_integral_values_of_any_dtype():
+    p = Profile([0.0, 1.0], np.array([1, 2], dtype=np.int16))
+    assert p.min_ones.dtype == p.max_ones.dtype == np.int64
+    assert p == _p([0, 1], [1, 2])
+
+
 def test_csv_round_trip(tmp_path):
     p = naive_profile("0110100111")
     path = tmp_path / "p.csv"
@@ -154,6 +170,14 @@ def test_sums_csv(tmp_path):
     path = tmp_path / "s.csv"
     write_sums_csv(np.asarray([3, 2, 4], dtype=np.int64), path)
     assert path.read_text().splitlines() == [SUMS_CSV_HEADER, "1,3", "2,2", "3,4"]
+
+
+@pytest.mark.parametrize("values", [[1.7, 2], [1, 2 ** 40 + 0.5], [2 ** 64]])
+def test_sums_csv_refuses_values_outside_int64(tmp_path, values):
+    path = tmp_path / "s.csv"
+    with pytest.raises(ValueError):
+        write_sums_csv(values, path)
+    assert not path.exists()
 
 
 def _rows_one_at_a_time(header, *columns):

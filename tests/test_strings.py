@@ -208,6 +208,14 @@ def test_recursive_small_cutoff_forces_splits():
     assert recursive_profile(bits, cutoff=2) == naive_profile(bits)
 
 
+@pytest.mark.parametrize("cutoff", [0, -1])
+def test_halving_refuses_a_cutoff_below_one(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        recursive_profile("0110", cutoff=cutoff)
+    with pytest.raises(ValueError, match="cutoff"):
+        weighted_max_sums([1, -2, 3], cutoff=cutoff)
+
+
 def test_recursive_deep_input_no_recursion_error():
     bits = random_bits(random.Random(29), 3000)
     assert recursive_profile(bits, cutoff=2) == naive_profile(bits)
