@@ -108,7 +108,10 @@ def cmd_build(args) -> int:
     algo = args.algo or algos[0]
     if algo not in algos:
         return _fail(f"backend {algo!r} is not applicable to kind {args.kind!r}")
-    for name, value in (("--block", args.block), ("--micro", args.micro)):
+    for name, value, taker in (("--block", args.block, "blocked"),
+                               ("--micro", args.micro, "micro-macro")):
+        if value is not None and algo != taker:
+            return _fail(f"{name} applies only to --algo {taker}")
         if value is not None and value < 1:
             return _fail(f"{name} must be >= 1")
     try:
@@ -120,7 +123,7 @@ def cmd_build(args) -> int:
     try:
         value = _parse_input(args.kind, text)
         del text   # drop each input once used: less is live during the build and write
-        param = args.block if args.kind == "string" else args.micro
+        param = args.block if algo == "blocked" else args.micro
         result = _BACKEND_MAPS[args.kind][algo](value, param)
         del value
         if isinstance(result, Profile):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +75,10 @@ class Ring:
         return _product(a, b, self)
 
     def conv(self, u, v) -> np.ndarray:
-        if min(u.size, v.size) <= NAIVE_CONV_CUTOFF:
+        """Convolution along the last axis; leading axes (rows) must match."""
+        if min(u.shape[-1], v.shape[-1]) <= NAIVE_CONV_CUTOFF:
             return _conv_direct(u, v, self)
-        out = np.empty(u.size + v.size - 1, dtype=np.int64)
+        out = np.empty(u.shape[:-1] + (u.shape[-1] + v.shape[-1] - 1,), dtype=np.int64)
         _conv_tiled(u, v, self, self.sentinel, out)
         return self.snap(out)
 
@@ -104,6 +106,14 @@ def as_int64(x, what: str) -> np.ndarray:
     if not ok:
         raise ValueError(f"{what} must hold integers within int64")
     return a.astype(np.int64)
+
+
+def positive_int(x, what: str) -> int:
+    """``x`` as an int >= 1; ValueError for anything else, 2.5 and "3" included."""
+    value = operator.index(x) if hasattr(type(x), "__index__") else 0
+    if value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {x!r}")
+    return value
 
 
 def _as_operand(x, ndim: int, what: str) -> np.ndarray:
@@ -176,11 +186,12 @@ def _as_vectors(u, v):
 
 
 def _conv_direct(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
-    if u.size > v.size:
+    if u.shape[-1] > v.shape[-1]:
         u, v = v, u
-    out = np.full(u.size + v.size - 1, ring.sentinel, dtype=np.int64)
-    for k in range(u.size):
-        ring.fold(out[k:k + v.size], u[k] + v, out=out[k:k + v.size])
+    out = np.full(u.shape[:-1] + (u.shape[-1] + v.shape[-1] - 1,), ring.sentinel, dtype=np.int64)
+    for k in range(u.shape[-1]):
+        dst = out[..., k:k + v.shape[-1]]
+        ring.fold(dst, u[..., k, None] + v, out=dst)
     return ring.snap(out)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inputs import ParseError
-from .minplus import INF, NEG_INF, as_int64
+from .minplus import as_int64
 
 CSV_HEADER = "size,min_ones,max_ones"
 SUMS_CSV_HEADER = "size,max_sum"
@@ -59,8 +59,10 @@ def occurs(p: Profile, i: int, j: int) -> bool:
 def write_profile_csv(p: Profile, path) -> None:
     if p.n < 1:
         raise ValueError("cannot serialize an empty profile")
-    if p.min_ones.max() >= INF or p.max_ones.min() <= NEG_INF:
-        raise ValueError("cannot serialize a profile with infeasible sizes")
+    # the reader's rule, so that every file written reads back
+    if not _in_range(p.min_ones, p.max_ones):
+        raise ValueError("cannot serialize a profile outside 0 <= min <= max <= size "
+                         "(infeasible sizes included)")
     _write_csv(path, CSV_HEADER, p.min_ones, p.max_ones)
 
 
@@ -92,9 +94,14 @@ def read_profile_csv(path) -> Profile:
 def _rows_valid(rows: np.ndarray, count: int) -> bool:
     if rows.shape != (count, 3):
         return False
-    size, lo, hi = rows.T
-    return bool(np.array_equal(size, np.arange(1, count + 1))
-                and (lo >= 0).all() and (lo <= hi).all() and (hi <= size).all())
+    return bool(np.array_equal(rows[:, 0], np.arange(1, count + 1))
+                and _in_range(rows[:, 1], rows[:, 2]))
+
+
+def _in_range(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """0 <= lo <= hi <= size at every size 1..n."""
+    return bool((lo >= 0).all() and (lo <= hi).all()
+                and (hi <= np.arange(1, hi.size + 1)).all())
 
 
 def _check_lines(body) -> np.ndarray:

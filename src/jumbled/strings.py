@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitvec import as_bits
-from .minplus import FINITE_BOUND, MAX, MIN, Ring, as_int64
+from .minplus import FINITE_BOUND, MAX, MIN, Ring, as_int64, positive_int
 from .profiles import Profile
 
 RECURSION_CUTOFF = 64
@@ -131,7 +131,7 @@ def _window_sweep(rows: np.ndarray, rings) -> list:
 
 
 def _fold_into(out: np.ndarray, ring: Ring, extremes: np.ndarray) -> None:
-    head = out[:extremes.size]
+    head = out[..., :extremes.shape[-1]]
     ring.fold(head, extremes, out=head)
 
 
@@ -154,8 +154,7 @@ class BlockPartition:
     bounds: np.ndarray = field(init=False)  # block k spans [bounds[k], bounds[k+1])
 
     def __post_init__(self):
-        if self.b < 1:
-            raise ValueError("block length must be >= 1")
+        object.__setattr__(self, "b", positive_int(self.b, "block length"))
         n = len(self.string)
         m = -(-n // self.b)
         object.__setattr__(self, "bounds",
@@ -277,9 +276,8 @@ def blocked_profile(s: BinaryString, b=None) -> Profile:
 def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
     """Extreme window sums for every width: split at the midpoint, fold the
     windows that cross it with one ring convolution, recurse on the halves."""
-    if cutoff < 1:
-        # a segment of length 1 would split into itself forever
-        raise ValueError("recursion cutoff must be >= 1")
+    # below 1, a segment of length 1 would split into itself forever
+    cutoff = positive_int(cutoff, "recursion cutoff")
     n = pref.size - 1
     out = _blank(n, ring)
     leaves = {}   # base-case length -> start of each segment of that length

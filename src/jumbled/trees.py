@@ -10,17 +10,18 @@ arrays into a global profile:
                         the per-node DP step _combine, across micro trees
                         ring convolutions through the boundary nodes
 
-The batched sweep (_tree_sweep) runs one ring over a matrix of label rows.
-For 0/1 labels the rows are (ones, zeros) under MIN: the most 1s in a set
-of size i is i minus its fewest 0s. weighted_tree_max_sums runs the same
-sweep over one row of weights under MAX. A chain of real nodes of at most
-one child is a string: under a large top it takes one strings._window_sweep
-plus one convolution with the array below it (the tree-to-string reduction
-in heavy-path form, as in Gagie, Hermelin, Landau and Weimann, ESA 2013).
-The other subtrees of at most SMALL real nodes are computed a size at a
-time, one padded convolution per size over a compact store, and every
-other large node takes one convolution. All of it runs in the narrowest
-dtype that holds the label sums.
+Both sweeps (_tree_sweep, _macro_sweep) run one ring over a matrix of label
+rows. For 0/1 labels the rows are (ones, zeros) under MIN: the most 1s in a
+set of size i is i minus its fewest 0s (_binary_profile, the front end of
+both backends). weighted_tree_max_sums runs the batched sweep over one row
+of weights under MAX. In the batched sweep, a chain of real nodes of at
+most one child is a string: under a large top it takes one
+strings._window_sweep plus one convolution with the array below it (the
+tree-to-string reduction in heavy-path form, as in Gagie, Hermelin, Landau
+and Weimann, ESA 2013). The other subtrees of at most SMALL real nodes are
+computed a size at a time, one padded convolution per size over a compact
+store, and every other large node takes one convolution. All of it runs in
+the narrowest dtype that holds the label sums.
 
 Global folds only take arrays of *real* (non-dummy) topmost nodes: a set
 whose topmost node is a dummy joins two sibling branches without their
@@ -36,11 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvec import RankBitvector
-from .minplus import FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64
+from .minplus import FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, positive_int
 from .profiles import Profile
-from .strings import _window_sweep
-
-_TRIVIAL = np.zeros(1, dtype=np.int64)
+from .strings import _fold_into, _window_sweep
 
 
 def _post_order(children, root: int) -> list:
@@ -216,7 +215,7 @@ class DeltaBits:
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        self.bits = bits if isinstance(bits, RankBitvector) else RankBitvector(bits)
+        self.bits = RankBitvector(bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -229,28 +228,31 @@ class DeltaBits:
         return np.cumsum(self.bits.to_array(), dtype=np.int64)
 
 
-def encode_delta(a_v) -> DeltaBits:
-    arr = np.asarray(a_v, dtype=np.int64)
-    if arr.size < 1 or arr[0] != 0:
+def _check_steps(a: np.ndarray) -> None:
+    """Every row of ``a`` must start at 0 and step by 0 or 1."""
+    if a.shape[-1] < 1 or (a[..., 0] != 0).any():
         raise CorruptedProfileError("profile array must start at 0")
-    steps = np.diff(arr)
+    steps = a[..., 1:] - a[..., :-1]
     if steps.size and (steps.min() < 0 or steps.max() > 1):
         raise CorruptedProfileError("profile array has steps outside {0,1}")
-    bits = np.concatenate([np.zeros(1, dtype=np.uint8), steps.astype(np.uint8)])
-    return DeltaBits(RankBitvector(bits))
 
 
-def _combine(ring: Ring, a_u, a_w, lab: int, size_w: int, forced: bool = False):
-    """One DP step: join two child arrays below a node.
+def encode_delta(a_v) -> DeltaBits:
+    arr = np.asarray(a_v, dtype=np.int64)
+    _check_steps(arr)
+    return DeltaBits(np.concatenate([[0], np.diff(arr)]).astype(np.uint8))
 
-    A real node consumes one unit of size and contributes its label; a dummy
-    node consumes nothing. With forced=True the node cannot stand for the
-    empty selection (used for arrays required to contain the cut node)."""
+
+def _combine(ring: Ring, a_u, a_w, lab, size_w: int):
+    """One DP step: join two child arrays below a node, along the last axis.
+
+    A real node consumes one unit of size and contributes its label ``lab``
+    (a scalar, or a column for stacked rows); a dummy node consumes nothing."""
     core = ring.conv(a_u, a_w)
     if size_w:
-        out = np.empty(core.size + 1, dtype=np.int64)
-        out[0] = ring.sentinel if forced else 0
-        out[1:] = core + lab
+        out = np.empty(core.shape[:-1] + (core.shape[-1] + 1,), dtype=np.int64)
+        out[..., 0] = 0
+        np.add(core, lab, out=out[..., 1:])
         return ring.snap(out)
     return core
 
@@ -412,19 +414,28 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
     return best
 
 
-def simple_tree_profile(bt: BinarizedTree, sink=None) -> Profile:
-    """One MIN sweep over the rows (ones, zeros): the most 1s in a set of
-    size i is i minus its fewest 0s. ``sink``, when given, receives the
-    min-ones and max-ones arrays of every real node."""
+def _binary_profile(bt: BinarizedTree, sink=None, dec=None) -> Profile:
+    """The 0/1 front end of both tree backends: one MIN pass over the rows
+    (ones, zeros) of the batched sweep, or of the micro-macro sweep over
+    ``dec``. ``sink`` receives a min-ones and a max-ones array for every
+    real node (batched) or every micro tree's f array (micro-macro)."""
     _check_binary_labels(bt.ones_w)
     row_sink = None
     if sink is not None:
         def row_sink(a_v):
             sink(a_v[0].astype(np.int64))
             sink(np.arange(a_v.shape[1], dtype=np.int64) - a_v[1])
-    best = _tree_sweep(bt, np.stack([bt.ones_w, bt.size_w - bt.ones_w]), MIN, row_sink)
-    sizes = np.arange(1, bt.n_real + 1, dtype=np.int64)
-    return Profile(best[0], sizes - best[1])
+    # the rows are made in the call, so that the batched sweep frees them
+    # once it has narrowed them
+    if dec is None:
+        best = _tree_sweep(bt, np.stack([bt.ones_w, bt.size_w - bt.ones_w]), MIN, row_sink)
+    else:
+        best = _macro_sweep(bt, dec, np.stack([bt.ones_w, bt.size_w - bt.ones_w]), MIN, row_sink)
+    return Profile(best[0], np.arange(1, bt.n_real + 1, dtype=np.int64) - best[1])
+
+
+def simple_tree_profile(bt: BinarizedTree, sink=None) -> Profile:
+    return _binary_profile(bt, sink)
 
 
 MICRO_COUNT_CONSTANT = 8
@@ -436,7 +447,8 @@ class MicroMacroDecomposition:
     a micro tree go through its top node (to the parent) or through a single
     attach node (to the tops of child micro trees), so each micro tree has
     at most two boundary nodes. Micro ids are in bottom-up order: children
-    precede parents; micro tree count <= max(1, 8 n / r)."""
+    precede parents, as do the nodes listed in each micro tree; micro tree
+    count <= max(1, 8 n / r)."""
 
     r: int
     micro_of: np.ndarray
@@ -456,8 +468,7 @@ class _Comp:
 
 
 def micro_macro(bt: BinarizedTree, r: int) -> MicroMacroDecomposition:
-    if r < 1:
-        raise ValueError("micro size bound must be >= 1")
+    r = positive_int(r, "micro size bound")
     emitted = []
     pending = {}
     left, right = _machine_ints(bt.left), _machine_ints(bt.right)
@@ -519,94 +530,71 @@ def micro_macro(bt: BinarizedTree, r: int) -> MicroMacroDecomposition:
     return MicroMacroDecomposition(r, micro_of, micros, tops, attaches, boundaries)
 
 
-def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, ring: Ring,
-                 sink=None) -> np.ndarray:
-    best = np.full(bt.n_real, ring.sentinel, dtype=np.int64)
-    post_index = {v: i for i, v in enumerate(_machine_ints(bt.post_order))}
+def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarray,
+                 ring: Ring, sink=None) -> np.ndarray:
+    """best as _tree_sweep gives it, micro tree by micro tree. In a micro
+    tree, a0[v] holds the sets anchored at v that stay inside it, and a1[v]
+    those that contain the path from v down to the attach node x, so they
+    can go on below the cut; the f array, which ``sink`` receives, holds
+    every set anchored at the top."""
+    n_rows, n_real = rows.shape[0], bt.n_real
+    best = np.full((n_rows, n_real), ring.sentinel, dtype=np.int64)
+    trivial = np.zeros((n_rows, 1), dtype=np.int64)
     left, right = _machine_ints(bt.left), _machine_ints(bt.right)
+    micro_of = _machine_ints(dec.micro_of)
     f_store = {}
     for mid, nodes in enumerate(dec.micros):
-        top = dec.tops[mid]
-        x = dec.attaches[mid]
-
-        cut_kids = []
-        if x is not None:
-            cut_kids = [c for c in (left[x], right[x]) if c >= 0 and dec.micro_of[c] != mid]
-        if cut_kids:
-            fs = [f_store.pop(int(dec.micro_of[c])).decode() for c in cut_kids]
-            below = fs[0] if len(fs) == 1 else ring.conv(fs[0], fs[1])
-        else:
-            below = None
-
-        onpath = []
-        if x is not None:
-            w = x
-            while True:
-                onpath.append(w)
-                if w == top:
-                    break
-                w = int(bt.parent[w])
-        onset = set(onpath)
-        path_child = {onpath[i + 1]: onpath[i] for i in range(len(onpath) - 1)}
-
+        x, below = dec.attaches[mid], None
+        if x is not None:   # an attach node always has a child cut below it
+            fs = [f_store.pop(micro_of[c]) for c in (left[x], right[x])
+                  if c >= 0 and micro_of[c] != mid]
+            below = fs[0] if len(fs) == 1 else ring.conv(*fs)
         a0, a1 = {}, {}
-        for v in sorted(nodes, key=post_index.__getitem__):
-            kids = [c for c in (left[v], right[v]) if c >= 0 and dec.micro_of[c] == mid]
-            u0 = a0[kids[0]] if kids else _TRIVIAL
-            w0 = a0[kids[1]] if len(kids) == 2 else _TRIVIAL
-            lab, sw = int(bt.ones_w[v]), int(bt.size_w[v])
-            a0[v] = _combine(ring, u0, w0, lab, sw)
-            if v in onset:
-                if v == x:
-                    if sw:
-                        forced = a0[v].copy()
-                        forced[0] = ring.sentinel
-                    else:
-                        forced = a0[v]  # a dummy cut holder adds no size
-                else:
-                    pc = path_child[v]
-                    others = [c for c in kids if c != pc]
-                    o0 = a0[others[0]] if others else _TRIVIAL
-                    forced = _combine(ring, a1[pc], o0, lab, sw, forced=True)
-                a1[v] = forced
-
-        # sets that stay inside this micro tree, anchored at a real node
+        # children come before parents, so the path from x up to the top is
+        # x and every node with a child in a1
         for v in nodes:
-            if bt.size_w[v]:
-                av = a0[v]
-                ring.fold(best[:av.size - 1], av[1:], out=best[:av.size - 1])
+            kids = [c for c in (left[v], right[v]) if c >= 0 and micro_of[c] == mid]
+            pair = [a0[c] for c in kids] + [trivial] * (2 - len(kids))
+            lab, real = rows[:, v, None], v < n_real
+            a0[v] = av = _combine(ring, *pair, lab, real)
+            if real:
+                _fold_into(best, ring, av[:, 1:])
+            on = [i for i, c in enumerate(kids) if c in a1]
+            if v == x:
+                f = av.copy()
+            elif on:
+                f = _combine(ring, a1[kids[on[0]]], pair[1 - on[0]], lab, real)
+            else:
+                continue
+            if real:   # a real node on the path is in every set through it
+                f[:, 0] = ring.sentinel
+            a1[v] = f
 
+        ft = a0[dec.tops[mid]]
         if below is not None:
-            # sets anchored at a real node here that continue below the cut
-            forced_arrays = [a1[v] for v in onpath if bt.size_w[v]]
-            if forced_arrays:
-                width = max(a.size for a in forced_arrays)
-                ehat = np.full(width, ring.sentinel, dtype=np.int64)
-                for a in forced_arrays:
-                    ring.fold(ehat[:a.size], a, out=ehat[:a.size])
-                g = ring.conv(ehat, below)
-                ring.fold(best[:g.size - 1], g[1:], out=best[:g.size - 1])
-
-        ft = a0[top]
-        if below is not None:
-            gt = ring.conv(a1[top], below)
-            merged = np.full(gt.size, ring.sentinel, dtype=np.int64)
-            merged[:ft.size] = ft
-            ring.fold(merged, gt, out=merged)
-            ft = merged
+            # sets anchored at a real node on the path that continue below the
+            # cut; the path's arrays widen upward, so the last is the widest
+            forced = [a for v, a in a1.items() if v < n_real]
+            if forced:
+                ehat = forced[-1].copy()
+                for a in forced[:-1]:
+                    _fold_into(ehat, ring, a)
+                _fold_into(best, ring, ring.conv(ehat, below)[:, 1:])
+            gt = ring.conv(a1[dec.tops[mid]], below)
+            _fold_into(gt, ring, ft)
+            ft = gt
+        _check_steps(ft)
         if sink is not None:
             sink(ft)
-        f_store[mid] = encode_delta(ft)
+        f_store[mid] = ft
     return best
 
 
 def tree_profile(t: LabeledTree, r=None, sink=None) -> Profile:
-    _check_binary_labels(t.labels)
     bt = binarize(t)
     if r is None:
         r = math.isqrt(bt.n_real - 1) + 1 if bt.n_real > 1 else 1
-    dec = micro_macro(bt, int(r))
-    return Profile(_macro_sweep(bt, dec, MIN, sink), _macro_sweep(bt, dec, MAX, sink))
+    return _binary_profile(bt, sink, micro_macro(bt, r))
 
 
 def weighted_tree_max_sums(t: LabeledTree) -> np.ndarray:

@@ -5,8 +5,10 @@ import pytest
 
 import jumbled
 from jumbled.minplus import min_plus_product
-from jumbled.strings import naive_weighted_max_sums, weighted_max_sums
-from jumbled.trees import LabeledTree
+from jumbled.strings import (
+    blocked_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
+)
+from jumbled.trees import LabeledTree, tree_profile
 
 USER_API = [
     "Profile", "occurs", "read_profile_csv", "write_profile_csv", "write_sums_csv",
@@ -41,6 +43,30 @@ BOUNDARIES = {
 def test_boundaries_refuse_non_int64_values(boundary, bad):
     with pytest.raises(ValueError):
         BOUNDARIES[boundary](bad)
+
+
+# the reductions' size parameters: an integer >= 1 (anything operator.index
+# takes), and ValueError for everything else instead of an IndexError, a
+# silent round down or a string taken as a number
+PARAMETERS = {
+    "blocked-b": lambda value: blocked_profile("0110101", b=value),
+    "tree-r": lambda value: tree_profile(LabeledTree([-1, 0, 0, 1], [1, 0, 1, 1]), r=value),
+    "recursive-cutoff": lambda value: recursive_profile("0110101", cutoff=value),
+    "weighted-cutoff": lambda value: weighted_max_sums([1, -2, 3], cutoff=value),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", 0, -1, np.float64(3.0)])
+@pytest.mark.parametrize("parameter", sorted(PARAMETERS))
+def test_reduction_parameters_refuse_non_positive_integers(parameter, bad):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        PARAMETERS[parameter](bad)
+
+
+@pytest.mark.parametrize("good", [1, 3, np.int64(2), np.uint8(5)])
+@pytest.mark.parametrize("parameter", sorted(PARAMETERS))
+def test_reduction_parameters_take_integers(parameter, good):
+    PARAMETERS[parameter](good)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint32, np.int64, bool])

@@ -131,6 +131,33 @@ def test_build_blocked_identical_csv(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("kind, text, argv, flag, taker", [
+    ("string", "0110\n", ["--block", "22"], "--block", "blocked"),
+    ("string", "0110\n", ["--algo", "recursive", "--block", "2"], "--block", "blocked"),
+    ("string", "0110\n", ["--algo", "blocked", "--micro", "2"], "--micro", "micro-macro"),
+    ("tree", "2\n0 1\n1 0\n", ["--micro", "2"], "--micro", "micro-macro"),
+    ("tree", "2\n0 1\n1 0\n", ["--algo", "micro-macro", "--block", "2"], "--block", "blocked"),
+    ("weighted-tree", "2\n0 4\n1 -3\n", ["--micro", "2"], "--micro", "micro-macro"),
+])
+def test_build_refuses_a_parameter_its_backend_ignores(tmp_path, capsys, kind, text, argv,
+                                                       flag, taker):
+    src, out = tmp_path / "in.txt", tmp_path / "p.csv"
+    src.write_text(text)
+    assert run("build", "--input", str(src), "--kind", kind, *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert flag in err and taker in err
+    assert not out.exists()
+
+
+def test_build_micro_macro_takes_micro(tmp_path):
+    src, a, b = tmp_path / "t.txt", tmp_path / "a.csv", tmp_path / "b.csv"
+    src.write_text("4\n0 1\n1 0\n1 1\n2 1\n")
+    assert run("build", "--input", str(src), "--kind", "tree", "--out", str(a)) == 0
+    assert run("build", "--input", str(src), "--kind", "tree", "--algo", "micro-macro",
+               "--micro", "1", "--out", str(b)) == 0
+    assert a.read_text() == b.read_text()
+
+
 def test_build_empty_input_fails(tmp_path, capsys):
     src = tmp_path / "empty.txt"
     src.write_text("")

@@ -263,6 +263,14 @@ def test_ring_conv_matches_direct_kernel(short, long):
             got = ring.conv(a, b)
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
+        # stacked operands: each row is convolved with the same row of the other
+        us = np.stack([u, _sentinel_vector(rng, short, ring.sentinel)])
+        vs = np.stack([_sentinel_vector(rng, size, ring.sentinel), v])
+        for a, b in ((us, vs), (vs, us)):
+            got = ring.conv(a, b)
+            assert got.dtype == np.int64 and got.shape == (2, short + size - 1)
+            for k in range(2):
+                assert np.array_equal(got[k], reference(us[k], vs[k]))
 
 
 # ---------------------------------------------------------------------------

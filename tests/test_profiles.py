@@ -166,6 +166,16 @@ def test_write_refuses_infeasible_rows(tmp_path):
         write_profile_csv(_p([INF] * 3, [NEG_INF] * 3), tmp_path / "p.csv")
 
 
+@pytest.mark.parametrize("mins, maxs", [([2], [1]), ([1], [0]), ([-1], [0]),
+                                        ([0, 1], [1, 3]), ([0, 2], [1, 1])])
+def test_write_refuses_rows_the_reader_refuses(tmp_path, mins, maxs):
+    # each of these files would fail read_profile_csv's 0 <= min <= max <= size
+    path = tmp_path / "p.csv"
+    with pytest.raises(ValueError, match="min <= max <= size"):
+        write_profile_csv(_p(mins, maxs), path)
+    assert not path.exists()
+
+
 def test_sums_csv(tmp_path):
     path = tmp_path / "s.csv"
     write_sums_csv(np.asarray([3, 2, 4], dtype=np.int64), path)
@@ -191,8 +201,9 @@ def _rows_one_at_a_time(header, *columns):
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 2049])
 def test_chunked_writers_are_byte_identical(tmp_path, n):
     rng = np.random.default_rng(n)
-    mins = rng.integers(0, n + 1, n)
-    p = _p(mins, np.minimum(mins + rng.integers(0, 3, n), n))
+    sizes = np.arange(1, n + 1)
+    mins = rng.integers(0, sizes + 1)   # a valid row: 0 <= min <= max <= size
+    p = _p(mins, np.minimum(mins + rng.integers(0, 3, n), sizes))
     write_profile_csv(p, tmp_path / "p.csv")
     assert (tmp_path / "p.csv").read_bytes() == \
         _rows_one_at_a_time(CSV_HEADER, p.min_ones, p.max_ones)

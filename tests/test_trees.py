@@ -7,7 +7,7 @@ import pytest
 from jumbled.minplus import MIN
 from jumbled.trees import (
     CorruptedProfileError, DeltaBits, LabeledTree, MICRO_COUNT_CONSTANT,
-    _combine, binarize, encode_delta, enumerate_connected_oracle,
+    _combine, _macro_sweep, binarize, encode_delta, enumerate_connected_oracle,
     feasible_size_sets, micro_macro, simple_tree_profile, tree_profile,
     weighted_tree_max_sums,
 )
@@ -195,6 +195,15 @@ def test_delta_rejects_bad_steps():
         encode_delta([1, 2])      # must start at zero
 
 
+def test_macro_sweep_rejects_bad_steps():
+    # a label row of 2s gives the bottom micro tree of a path the f array
+    # [0, 2, 4], which no 0/1 labelling can produce
+    bt = binarize(LabeledTree(path_parents(6), [0] * 6))
+    rows = np.full((1, bt.n_total), 2, dtype=np.int64)
+    with pytest.raises(CorruptedProfileError, match="steps"):
+        _macro_sweep(bt, micro_macro(bt, 2), rows, MIN)
+
+
 def test_delta_bits_direct():
     db = DeltaBits([0, 1, 0, 1])
     assert db.decode().tolist() == [0, 1, 1, 2]
@@ -217,6 +226,14 @@ def _assert_decomposition_invariants(bt, dec, r):
         assert len(dec.boundaries[idx]) <= 2
         for v in nodes:
             assert dec.micro_of[v] == idx
+        # children before parents: _macro_sweep walks each micro tree in
+        # this order and reads its children's arrays
+        position = {v: i for i, v in enumerate(nodes)}
+        for v in nodes:
+            assert all(position[c] < position[v] for c in _kids(bt, v) if c in members)
+        # an attach node has a child in another micro tree
+        if dec.attaches[idx] is not None:
+            assert any(c not in members for c in _kids(bt, dec.attaches[idx]))
         # edges leaving the micro tree only via top (up) or attach (down)
         top = dec.tops[idx]
         for v in nodes:
