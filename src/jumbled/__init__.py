@@ -14,6 +14,8 @@ from .strings import (
     naive_profile,
     naive_weighted_max_sums,
     recursive_profile,
+    rle_profile,
+    rle_weighted_max_sums,
     weighted_max_sums,
 )
 from .trees import (
@@ -30,7 +32,7 @@ __all__ = [
     "Profile", "occurs", "read_profile_csv", "write_profile_csv", "write_sums_csv",
     "ParseError",
     "BinaryString", "naive_profile", "naive_weighted_max_sums", "blocked_profile",
-    "recursive_profile", "weighted_max_sums",
+    "recursive_profile", "weighted_max_sums", "rle_profile", "rle_weighted_max_sums",
     "LabeledTree", "binarize", "simple_tree_profile", "weighted_tree_max_sums",
     "tree_profile", "enumerate_connected_oracle", "enumerate_max_sums",
 ]

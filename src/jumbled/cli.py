@@ -37,6 +37,8 @@ from .strings import (
     naive_profile,
     naive_weighted_max_sums,
     recursive_profile,
+    rle_profile,
+    rle_weighted_max_sums,
     weighted_max_sums,
 )
 from .trees import (
@@ -52,9 +54,11 @@ from .trees import (
 KINDS = ("string", "tree", "weighted-string", "weighted-tree")
 
 # name -> callable(value, param); param is --block / --micro or None. Each
-# table lists first its kind's default, the backend measured fastest; the
-# others are the paper's reductions, kept as references and verify oracles.
+# table lists first its kind's default, the backend measured fastest; naive
+# is the O(n^2) reference, and the others are the paper's reductions, kept as
+# references and verify oracles.
 STRING_BACKENDS = {
+    "rle": lambda s, param=None: rle_profile(s),
     "naive": lambda s, param=None: naive_profile(s),
     "blocked": lambda s, param=None: blocked_profile(s, b=param),
     "recursive": lambda s, param=None: recursive_profile(s),
@@ -65,6 +69,7 @@ TREE_BACKENDS = {
     "enumerate": lambda t, param=None: enumerate_connected_oracle(t),
 }
 WEIGHTED_STRING_BACKENDS = {
+    "rle": lambda w, param=None: rle_weighted_max_sums(w),
     "naive": lambda w, param=None: naive_weighted_max_sums(w),
     "recursive": lambda w, param=None: weighted_max_sums(w),
 }
@@ -148,16 +153,33 @@ def cmd_query(args) -> int:
     return 0
 
 
+def _in_runs(n: int, rng: random.Random, draw) -> list:
+    """n values in runs of random length, one value drawn per run."""
+    mean = rng.choice((6, 20, 80))
+    values = []
+    while len(values) < n:
+        values += [draw()] * rng.randint(1, 2 * mean - 1)
+    return values[:n]
+
+
 def _verify_case(kind: str, case: int, max_n: int):
     rng = random.Random(1_000_003 * case + 17)
     n = rng.randint(1, max_n)
     density = rng.choice((0.05, 0.25, 0.5, 0.75, 0.95))
+    # every third string case comes in long runs, where rle takes its run
+    # sweep; the others draw each value on its own
+    in_runs = case % 3 == 2
     if kind == "string":
-        bits = np.array([1 if rng.random() < density else 0 for _ in range(n)],
+        def draw():
+            return 1 if rng.random() < density else 0
+        bits = np.array(_in_runs(n, rng, draw) if in_runs else [draw() for _ in range(n)],
                         dtype=np.uint8)
         return BinaryString(bits), "".join(map(str, bits)), n, rng
     if kind == "weighted-string":
-        w = np.array([rng.randint(-9, 9) for _ in range(n)], dtype=np.int64)
+        def draw():
+            return rng.randint(-9, 9)
+        w = np.array(_in_runs(n, rng, draw) if in_runs else [draw() for _ in range(n)],
+                     dtype=np.int64)
         return w, " ".join(map(str, w)), n, rng
     parents = random_parents(n, rng)
     if kind == "tree":

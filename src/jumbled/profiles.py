@@ -127,6 +127,8 @@ def _check_lines(body) -> np.ndarray:
 def write_sums_csv(values, path) -> None:
     """Weighted results: values[i-1] = maximum weight sum at size i."""
     arr = as_int64(values, "values")
+    if arr.ndim != 1:
+        raise ValueError(f"need a one-dimensional array of sums, got {arr.ndim} dimensions")
     if arr.size < 1:
         raise ValueError("cannot serialize an empty result")
     _write_csv(path, SUMS_CSV_HEADER, arr)

@@ -1,7 +1,9 @@
 """Profiles of binary strings.
 
-Three interchangeable backends compute the same profile:
+Four interchangeable backends compute the same profile:
 
+* rle_profile        the default: only windows that start or end at a run
+                     boundary, O(n rho) for rho runs, while runs are long
 * naive_profile      sliding-window extrema per length, the O(n^2) reference
 * blocked_profile    block decomposition with cross-block min/max tables
 * recursive_profile  midpoint halving; boundary windows via convolutions
@@ -11,10 +13,12 @@ run over prefix sums of the weights instead of prefix 1-counts. Every sweep
 is written once over a tropical ring (minplus.MIN / minplus.MAX).
 
 All window extremes within a row of prefix sums (naive_profile, the
-windows inside each block, the halving base cases) come from _window_sweep.
-It copies the prefix sums once into the narrowest signed dtype that holds
-their span and covers tiles of widths x starts, each filled by one
-subtraction from a Hankel view and reduced once per ring.
+windows inside each block, the halving base cases, rle_profile on short
+runs) come from _window_sweep. It copies the prefix sums once into the
+narrowest signed dtype that holds their span and covers tiles of widths x
+starts, each filled by one subtraction from a Hankel view and reduced once
+per ring. _run_sweep, behind rle_profile on long runs, takes one slice of
+the same narrow prefix sums per run boundary instead.
 """
 
 from __future__ import annotations
@@ -143,6 +147,67 @@ def naive_profile(s: BinaryString) -> Profile:
     # the int64 profile arrays are made only after the sweep's buffer is freed
     mins, maxs = _window_sweep(_as_string(s).prefix_ones[None, :], (MIN, MAX))
     return Profile(mins[0], maxs[0])
+
+
+def _run_bounds(labels: np.ndarray) -> np.ndarray:
+    """0, every t where labels[t-1] != labels[t], and n: the run boundaries."""
+    inner = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    return np.concatenate([[0], inner, [labels.size]])
+
+
+def _run_sweep(pref: np.ndarray, bounds: np.ndarray, rings) -> list:
+    """For each ring, the extreme sum over the width-w windows of the prefix
+    sums ``pref`` (1-d), w = 1..n, in the narrow dtype of their range, taken
+    over the windows that start or end at a run boundary in ``bounds``.
+
+    The sum of the width-w window at t changes by label[t+w] - label[t] from
+    t to t+1, so it is linear in t between two starts of the set bounds U
+    (bounds - w), and its extremes lie on that set.
+    """
+    n = pref.size - 1
+    dtype = _narrow_dtype(int(pref.min()), int(pref.max()))
+    info = np.iinfo(dtype)
+    p = pref.astype(dtype)
+    rev = p[::-1].copy()   # rev[n-b+w] = p[b-w], so windows ending at b are contiguous
+    buf = np.empty(n, dtype=dtype)
+    best = [np.full(n, min(max(ring.sentinel, int(info.min)), int(info.max)), dtype=dtype)
+            for ring in rings]
+
+    def fold(sums):
+        for ring, acc in zip(rings, best):
+            head = acc[:sums.size]
+            ring.fold(head, sums, out=head)
+
+    for b in bounds.tolist():
+        if b < n:   # widths 1..n-b starting at b
+            fold(np.subtract(p[b + 1:], p[b], out=buf[:n - b]))
+        if b > 0:   # widths 1..b ending at b
+            fold(np.subtract(p[b], rev[n - b + 1:], out=buf[:b]))
+    return best
+
+
+# rle_profile and rle_weighted_max_sums take the run sweep while a string has
+# fewer than RLE_CUTOFF runs per position, and the window sweep otherwise. On
+# a 2-core x86 VM (best of 9, n = 4096, 16384 and 32768, 0/1 and weighted) the
+# run sweep won below rho/n = 0.3 and lost above 0.35 (n = 16384, 0/1: 2.8
+# against 58 ms at rho/n = 1/64, 36 against 47 ms at 0.25, 63 against 52 ms
+# at 0.4); the cutoff stays below that crossover, where the run sweep still
+# wins by a quarter at every n measured.
+RLE_CUTOFF = 0.25
+
+
+def _rle_sweep(pref: np.ndarray, labels: np.ndarray, rings) -> list:
+    runs = 1 + np.count_nonzero(labels[1:] != labels[:-1])
+    if runs < RLE_CUTOFF * labels.size:
+        return _run_sweep(pref, _run_bounds(labels), rings)
+    return [best[0] for best in _window_sweep(pref[None, :], rings)]
+
+
+def rle_profile(s: BinaryString) -> Profile:
+    """naive_profile's result in O(n rho) for a string of rho runs."""
+    s = _as_string(s)
+    mins, maxs = _rle_sweep(s.prefix_ones, s.bits, (MIN, MAX))
+    return Profile(mins, maxs)
 
 
 @dataclass(frozen=True)
@@ -319,6 +384,13 @@ def _weight_prefix(weights) -> np.ndarray:
 
 def naive_weighted_max_sums(weights) -> np.ndarray:
     return _window_sweep(_weight_prefix(weights)[None, :], (MAX,))[0][0].astype(np.int64)
+
+
+def rle_weighted_max_sums(weights) -> np.ndarray:
+    """naive_weighted_max_sums's result in O(n rho) for rho runs of equal
+    weight."""
+    weights = as_int64(weights, "weights")
+    return _rle_sweep(_weight_prefix(weights), weights, (MAX,))[0].astype(np.int64)
 
 
 def weighted_max_sums(weights, cutoff: int = RECURSION_CUTOFF) -> np.ndarray:

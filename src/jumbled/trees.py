@@ -516,17 +516,18 @@ def micro_macro(bt: BinarizedTree, r: int) -> MicroMacroDecomposition:
         micros.append(comp.nodes)
         tops.append(comp.root)
         attaches.append(comp.attach)
-    boundaries = []
-    for mid, comp in enumerate(emitted):
-        bset = set()
-        for v in comp.nodes:
-            p = int(bt.parent[v])
-            if (p >= 0 and micro_of[p] != mid) or any(
-                    c >= 0 and micro_of[c] != mid for c in (left[v], right[v])):
-                bset.add(v)
-        if len(bset) > 2:
-            raise RuntimeError(f"micro tree {mid} has {len(bset)} boundary nodes")
-        boundaries.append(tuple(sorted(bset)))
+    # a boundary node is an end of an edge between two micro trees
+    child = np.flatnonzero(bt.parent >= 0)
+    cut = child[micro_of[child] != micro_of[bt.parent[child]]]
+    ends = np.unique(np.concatenate([cut, bt.parent[cut]]))
+    counts = np.bincount(micro_of[ends], minlength=len(emitted))
+    if counts.max(initial=0) > 2:
+        mid = int(np.argmax(counts > 2))
+        raise RuntimeError(f"micro tree {mid} has {int(counts[mid])} boundary nodes")
+    # ends is sorted, so a stable sort by micro tree keeps each tree's sorted
+    by_micro = ends[np.argsort(micro_of[ends], kind="stable")].tolist()
+    cuts = np.cumsum(counts).tolist()
+    boundaries = [tuple(by_micro[lo:hi]) for lo, hi in zip([0] + cuts, cuts)]
     return MicroMacroDecomposition(r, micro_of, micros, tops, attaches, boundaries)
 
 

@@ -14,7 +14,7 @@ USER_API = [
     "Profile", "occurs", "read_profile_csv", "write_profile_csv", "write_sums_csv",
     "ParseError",
     "BinaryString", "naive_profile", "naive_weighted_max_sums", "blocked_profile",
-    "recursive_profile", "weighted_max_sums",
+    "recursive_profile", "weighted_max_sums", "rle_profile", "rle_weighted_max_sums",
     "LabeledTree", "binarize", "simple_tree_profile", "weighted_tree_max_sums",
     "tree_profile", "enumerate_connected_oracle", "enumerate_max_sums",
 ]

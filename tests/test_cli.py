@@ -214,9 +214,9 @@ def test_build_rejects_weights_beyond_int64(tmp_path, capsys, kind, text, where)
 # the default of each kind is the backend measured fastest; the paper's
 # reductions stay reachable through --algo
 @pytest.mark.parametrize("kind, table, default, text, rows", [
-    ("string", "STRING_BACKENDS", "naive", "0110\n",
+    ("string", "STRING_BACKENDS", "rle", "0110\n",
      ["size,min_ones,max_ones", "1,0,1", "2,1,2", "3,2,2", "4,2,2"]),
-    ("weighted-string", "WEIGHTED_STRING_BACKENDS", "naive", "2 -1 3\n",
+    ("weighted-string", "WEIGHTED_STRING_BACKENDS", "rle", "2 -1 3\n",
      ["size,max_sum", "1,3", "2,2", "3,4"]),
     ("tree", "TREE_BACKENDS", "simple-tree", "3\n0 1\n1 0\n2 1\n",
      ["size,min_ones,max_ones", "1,0,1", "2,1,1", "3,2,2"]),
@@ -437,7 +437,7 @@ def test_bench_rejects_junk(tmp_path):
 # top level
 
 def test_successive_calls_share_no_options(tmp_path, monkeypatch, capsys):
-    calls = {"naive": [], "blocked": []}
+    calls = {"rle": [], "naive": [], "blocked": []}
     for name in calls:
         def recording(value, param=None, name=name, backend=cli.STRING_BACKENDS[name]):
             calls[name].append(param)
@@ -451,7 +451,7 @@ def test_successive_calls_share_no_options(tmp_path, monkeypatch, capsys):
     assert run("build", "--input", str(src), "--algo", "blocked", "--block", "3",
                "--out", str(out)) == 0
     assert run("build", "--input", str(src), "--out", str(out)) == 0
-    assert calls == {"blocked": [3], "naive": [None]}
+    assert calls == {"blocked": [3], "rle": [None], "naive": []}
     assert out.read_text().splitlines()[1:] == ["1,0,1", "2,1,2", "3,2,2", "4,2,2"]
     capsys.readouterr()
     assert run("query", "--profile", str(out), "-i", "2", "-j", "1") == 0
@@ -460,7 +460,7 @@ def test_successive_calls_share_no_options(tmp_path, monkeypatch, capsys):
                "--seeds", "2", "--max-n", "8") == 0
     assert capsys.readouterr().out == (
         "verify: 2 cases, 0 mismatches (string: naive vs recursive, n <= 8)\n")
-    assert calls == {"blocked": [3], "naive": [None, None, None]}
+    assert calls == {"blocked": [3], "rle": [None], "naive": [None, None]}
     assert len(builds) <= 1  # the parser is built at most once per process
 
 

@@ -190,6 +190,16 @@ def test_sums_csv_refuses_values_outside_int64(tmp_path, values):
     assert not path.exists()
 
 
+# a 2-d array is refused by the writer itself, not by numpy's column_stack
+@pytest.mark.parametrize("values", [np.zeros((2, 3), dtype=np.int64), [[1, 2], [3, 4]], 5],
+                         ids=["2x3", "nested", "scalar"])
+def test_sums_csv_refuses_arrays_not_one_dimensional(tmp_path, values):
+    path = tmp_path / "s.csv"
+    with pytest.raises(ValueError, match="one-dimensional"):
+        write_sums_csv(values, path)
+    assert not path.exists()
+
+
 def _rows_one_at_a_time(header, *columns):
     """The CSV bytes of a writer that formats one row per call."""
     lines = [header + "\n"]

@@ -1,6 +1,7 @@
 """Property tests, drawn by hypothesis: the string profile and the paper's
 string reductions on adversarial bit strings (long runs, all-0, all-1,
-alternating and a single 1), the profile CSV round trip, the tree sweep on
+alternating and a single 1), the run-boundary sweep on run-length strings and
+piecewise-constant weights, the profile CSV round trip, the tree sweep on
 adversarial shapes, and the vectorised parsers against their line-by-line
 readings."""
 
@@ -8,6 +9,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -15,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from jumbled import inputs
 from jumbled.profiles import read_profile_csv, write_profile_csv
+from jumbled.minplus import MAX, MIN
 from jumbled.strings import (
-    blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile,
-    weighted_max_sums,
+    _run_bounds, _run_sweep, _weight_prefix, BinaryString, blocked_profile, naive_profile,
+    naive_weighted_max_sums, recursive_profile, weighted_max_sums,
 )
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile, tree_profile, \
     weighted_tree_max_sums
@@ -91,6 +94,30 @@ def test_reductions_match_naive(bits, data):
 def test_weighted_reduction_matches_naive(weights, cutoff):
     assert weighted_max_sums(weights, cutoff=cutoff).tolist() == \
         naive_weighted_max_sums(weights).tolist()
+
+
+# runs drawn by length and value; two adjacent runs may draw the same value,
+# so the sweep must find the runs itself
+run_lengths = st.lists(st.integers(1, 40), min_size=1, max_size=12)
+
+
+@SETTINGS
+@given(run_lengths, st.data())
+def test_run_sweep_matches_naive(lengths, data):
+    # the run sweep is called directly, so rle's fallback to the window sweep
+    # cannot hide it
+    bits = [bit for length in lengths
+            for bit in [data.draw(st.integers(0, 1), label="bit")] * length]
+    s = BinaryString(bits)
+    mins, maxs = _run_sweep(s.prefix_ones, _run_bounds(s.bits), (MIN, MAX))
+    want = naive_profile(s)
+    assert mins.tolist() == want.min_ones.tolist()
+    assert maxs.tolist() == want.max_ones.tolist()
+    weights = [w for length in lengths
+               for w in [data.draw(st.integers(-10 ** 6, 10 ** 6), label="weight")] * length]
+    pref = _weight_prefix(weights)
+    (got,) = _run_sweep(pref, _run_bounds(np.array(weights)), (MAX,))
+    assert got.tolist() == naive_weighted_max_sums(weights).tolist()
 
 
 @SETTINGS

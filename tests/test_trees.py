@@ -224,6 +224,10 @@ def _assert_decomposition_invariants(bt, dec, r):
         inside_edges = sum(1 for v in nodes if bt.parent[v] in members)
         assert inside_edges == len(nodes) - 1
         assert len(dec.boundaries[idx]) <= 2
+        # the boundary nodes are the ends of the edges leaving the micro tree
+        leaving = [v for v in nodes if (bt.parent[v] >= 0 and bt.parent[v] not in members)
+                   or any(c not in members for c in _kids(bt, v))]
+        assert dec.boundaries[idx] == tuple(sorted(leaving))
         for v in nodes:
             assert dec.micro_of[v] == idx
         # children before parents: _macro_sweep walks each micro tree in
