@@ -42,6 +42,7 @@ from .strings import (
     weighted_max_sums,
 )
 from .trees import (
+    SMALL,
     LabeledTree,
     binarize,
     enumerate_connected_oracle,
@@ -176,12 +177,22 @@ def _verify_case(kind: str, case: int, max_n: int):
                         dtype=np.uint8)
         return BinaryString(bits), "".join(map(str, bits)), n, rng
     if kind == "weighted-string":
+        # every other case draws from two values, where rle's run sweep
+        # takes its two-valued rule
+        values = rng.sample(range(-9, 10), 2) if case % 2 else range(-9, 10)
+
         def draw():
-            return rng.randint(-9, 9)
+            return rng.choice(values)
         w = np.array(_in_runs(n, rng, draw) if in_runs else [draw() for _ in range(n)],
                      dtype=np.int64)
         return w, " ".join(map(str, w)), n, rng
-    parents = random_parents(n, rng)
+    if case % 3 == 2 and n > SMALL + 1:
+        # every third tree case: a path of more than SMALL nodes with a
+        # random tree hung below it, which the batched sweep takes as a chain
+        top = rng.randint(SMALL + 1, n - 1)
+        parents = [-1] + list(range(top - 1)) + [rng.randrange(top - 1, v) for v in range(top, n)]
+    else:
+        parents = random_parents(n, rng)
     if kind == "tree":
         labels = [1 if rng.random() < density else 0 for _ in range(n)]
     else:

@@ -2,8 +2,8 @@
 
 Four interchangeable backends compute the same profile:
 
-* rle_profile        the default: only windows that start or end at a run
-                     boundary, O(n rho) for rho runs, while runs are long
+* rle_profile        the default: only windows that start or end where the
+                     label steps toward the ring's side, O(n rho) for rho runs
 * naive_profile      sliding-window extrema per length, the O(n^2) reference
 * blocked_profile    block decomposition with cross-block min/max tables
 * recursive_profile  midpoint halving; boundary windows via convolutions
@@ -13,12 +13,14 @@ run over prefix sums of the weights instead of prefix 1-counts. Every sweep
 is written once over a tropical ring (minplus.MIN / minplus.MAX).
 
 All window extremes within a row of prefix sums (naive_profile, the
-windows inside each block, the halving base cases, rle_profile on short
-runs) come from _window_sweep. It copies the prefix sums once into the
-narrowest signed dtype that holds their span and covers tiles of widths x
-starts, each filled by one subtraction from a Hankel view and reduced once
-per ring. _run_sweep, behind rle_profile on long runs, takes one slice of
-the same narrow prefix sums per run boundary instead.
+windows inside each block, the halving base cases) come from _window_sweep.
+It copies the prefix sums once into the narrowest signed dtype that holds
+their span and covers tiles of widths x starts, each filled by one
+subtraction from a Hankel view and reduced once per ring. _run_sweep takes
+one slice of the same narrow prefix sums per candidate start or end instead.
+_rle_sweep, behind rle_profile, rle_weighted_max_sums and the chains of the
+tree sweep, counts both sweeps' cells before either runs and takes the
+cheaper.
 """
 
 from __future__ import annotations
@@ -149,62 +151,115 @@ def naive_profile(s: BinaryString) -> Profile:
     return Profile(mins[0], maxs[0])
 
 
-def _run_bounds(labels: np.ndarray) -> np.ndarray:
-    """0, every t where labels[t-1] != labels[t], and n: the run boundaries."""
-    inner = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    return np.concatenate([[0], inner, [labels.size]])
+def _two_valued(labels: np.ndarray) -> bool:
+    """Whether ``labels`` take at most two distinct values."""
+    lo, hi = labels.min(), labels.max()
+    return np.count_nonzero(labels == lo) + np.count_nonzero(labels == hi) >= labels.size
 
 
-def _run_sweep(pref: np.ndarray, bounds: np.ndarray, rings) -> list:
+def _candidates(labels: np.ndarray, ring: Ring, two_valued: bool):
+    """(starts, ends) of the windows _run_sweep folds into ``ring`` besides
+    the suffix windows, by _run_sweep's general rule, or by its two-valued
+    rule when ``two_valued``. Both come from compares of the labels in
+    their own dtype."""
+    toward, away = (np.greater, np.less) if ring is MAX else (np.less, np.greater)
+    starts = np.empty(labels.size, dtype=bool)
+    toward(labels[1:], labels[:-1], out=starts[1:])
+    if two_valued:
+        starts[0] = labels[0] == ring.reduce(labels)
+        return np.flatnonzero(starts), np.zeros(0, dtype=np.int64)
+    starts[0] = True
+    ends = np.flatnonzero(away(labels[1:], labels[:-1]))
+    ends += 1
+    return np.flatnonzero(starts), ends
+
+
+# _run_sweep walks its starts and ends this many at a time, so that only one
+# chunk of them is ever held as Python ints
+_RUN_CHUNK = 256
+
+
+def _in_chunks(positions: np.ndarray):
+    for lo in range(0, positions.size, _RUN_CHUNK):
+        yield from positions[lo:lo + _RUN_CHUNK].tolist()
+
+
+def _run_sweep(pref: np.ndarray, candidates, rings) -> list:
     """For each ring, the extreme sum over the width-w windows of the prefix
-    sums ``pref`` (1-d), w = 1..n, in the narrow dtype of their range, taken
-    over the windows that start or end at a run boundary in ``bounds``.
+    sums ``pref`` (1-d) of labels a, w = 1..n, in the narrow dtype of their
+    range. Each ring takes the suffix windows (those that end at n) and the
+    windows that start at one of its starts or end at one of its ends, a
+    pair of ``candidates`` per ring (from _candidates).
 
-    The sum of the width-w window at t changes by label[t+w] - label[t] from
-    t to t+1, so it is linear in t between two starts of the set bounds U
-    (bounds - w), and its extremes lie on that set.
+    General rule, any labels: for MAX, the starts are 0 and every up-step
+    b (a[b] > a[b-1]), the ends every down-step (a[e] < a[e-1]); MIN takes
+    the mirror image. Let t < n - w be the rightmost maximiser of the sums
+    f(t) = p[t+w] - p[t]. Its right slope a[t+w] - a[t] is negative. Were
+    t no start and t+w no end, the left slope a[t+w-1] - a[t-1] would be at
+    most the right one, below 0, so f(t-1) > f(t): a contradiction.
+
+    Two-valued rule, labels of at most two values: for MAX, the starts are
+    the starts of the high runs, and there are no ends. A window that starts
+    on the low value slides right without loss, and one that starts inside
+    a high run slides left without loss, until it starts a high run or ends
+    at n. On labels of more values this rule misses windows.
     """
     n = pref.size - 1
-    dtype = _narrow_dtype(int(pref.min()), int(pref.max()))
-    info = np.iinfo(dtype)
-    p = pref.astype(dtype)
-    rev = p[::-1].copy()   # rev[n-b+w] = p[b-w], so windows ending at b are contiguous
-    buf = np.empty(n, dtype=dtype)
-    best = [np.full(n, min(max(ring.sentinel, int(info.min)), int(info.max)), dtype=dtype)
-            for ring in rings]
-
-    def fold(sums):
-        for ring, acc in zip(rings, best):
-            head = acc[:sums.size]
-            ring.fold(head, sums, out=head)
-
-    for b in bounds.tolist():
-        if b < n:   # widths 1..n-b starting at b
-            fold(np.subtract(p[b + 1:], p[b], out=buf[:n - b]))
-        if b > 0:   # widths 1..b ending at b
-            fold(np.subtract(p[b], rev[n - b + 1:], out=buf[:b]))
+    p = pref.astype(_narrow_dtype(int(pref.min()), int(pref.max())))
+    # rev[n-e+w] = p[e-w], so the windows ending at e are contiguous
+    rev = p[::-1].copy()
+    buf = np.empty(n, dtype=p.dtype)
+    best = []
+    for ring, (starts, ends) in zip(rings, candidates):
+        acc = np.subtract(p[n], rev[1:])   # the suffix windows
+        for b in _in_chunks(starts):   # widths 1..n-b from b
+            head = acc[:n - b]
+            ring.fold(head, np.subtract(p[b + 1:], p[b], out=buf[:n - b]), out=head)
+        for e in _in_chunks(ends):   # widths 1..e up to e
+            head = acc[:e]
+            ring.fold(head, np.subtract(p[e], rev[n - e + 1:], out=buf[:e]), out=head)
+        best.append(acc)
     return best
 
 
-# rle_profile and rle_weighted_max_sums take the run sweep while a string has
-# fewer than RLE_CUTOFF runs per position, and the window sweep otherwise. On
-# a 2-core x86 VM (best of 9, n = 4096, 16384 and 32768, 0/1 and weighted) the
-# run sweep won below rho/n = 0.3 and lost above 0.35 (n = 16384, 0/1: 2.8
-# against 58 ms at rho/n = 1/64, 36 against 47 ms at 0.25, 63 against 52 ms
-# at 0.4); the cutoff stays below that crossover, where the run sweep still
-# wins by a quarter at every n measured.
-RLE_CUTOFF = 0.25
+# _rle_sweep takes the run sweep while _RUN_CELL_COST times its cells are
+# fewer than the window sweep's cell passes: over its n (n + 1) / 2 cells,
+# one subtraction, then one reduction per ring. A run-sweep cell costs a
+# subtraction and a fold, and its share of a few microseconds of calls per
+# start or end. On a 2-core x86 VM (sweep only, best of 5, n = 16384, ms):
+#
+#   input                    window sweep   every run boundary   directional
+#   i.i.d. 0/1 (rho/n 0.5)       88.7             144.3              42.5
+#   0/1, rho/n = 0.25            81.6              70.5              21.7
+#   weights, rho/n = 0.23        61.4              44.8              19.0
+#   i.i.d. weights (0.95)        35.7             100.4              41.5
+#
+# and at n = 65536, i.i.d. 0/1 took 1119 ms by windows, 367 ms by runs. A
+# run-sweep cell cost 2.6-3.0 window passes from n = 4096 to 16384 and 2.0-2.3
+# at 32768; at n = 16384 the run sweep stopped winning near rho/n = 1 for
+# 0/1 labels and 0.66 for weights, where this rule also turns. So i.i.d.
+# 0/1 strings and chains take the run sweep, and i.i.d. weights the window
+# sweep.
+_RUN_CELL_COST = 3
 
 
 def _rle_sweep(pref: np.ndarray, labels: np.ndarray, rings) -> list:
-    runs = 1 + np.count_nonzero(labels[1:] != labels[:-1])
-    if runs < RLE_CUTOFF * labels.size:
-        return _run_sweep(pref, _run_bounds(labels), rings)
+    """_window_sweep's extremes for the single row ``pref``, the prefix sums
+    of ``labels``, through the run sweep or the window sweep, whichever
+    costs less by their exact cell counts, taken before either runs."""
+    n = labels.size
+    two_valued = _two_valued(labels)
+    candidates = [_candidates(labels, ring, two_valued) for ring in rings]
+    run_cells = sum(n * (starts.size + 1) - int(starts.sum()) + int(ends.sum())
+                    for starts, ends in candidates)
+    if _RUN_CELL_COST * run_cells < (1 + len(rings)) * n * (n + 1) // 2:
+        return _run_sweep(pref, candidates, rings)
     return [best[0] for best in _window_sweep(pref[None, :], rings)]
 
 
 def rle_profile(s: BinaryString) -> Profile:
-    """naive_profile's result in O(n rho) for a string of rho runs."""
+    """naive_profile's result, in O(n rho) for a string of rho runs when
+    that costs less than the window sweep."""
     s = _as_string(s)
     mins, maxs = _rle_sweep(s.prefix_ones, s.bits, (MIN, MAX))
     return Profile(mins, maxs)
@@ -387,8 +442,8 @@ def naive_weighted_max_sums(weights) -> np.ndarray:
 
 
 def rle_weighted_max_sums(weights) -> np.ndarray:
-    """naive_weighted_max_sums's result in O(n rho) for rho runs of equal
-    weight."""
+    """naive_weighted_max_sums's result, in O(n rho) for rho runs of equal
+    weight when that costs less than the window sweep."""
     weights = as_int64(weights, "weights")
     return _rle_sweep(_weight_prefix(weights), weights, (MAX,))[0].astype(np.int64)
 

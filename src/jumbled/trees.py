@@ -16,12 +16,12 @@ set of size i is i minus its fewest 0s (_binary_profile, the front end of
 both backends). weighted_tree_max_sums runs the batched sweep over one row
 of weights under MAX. In the batched sweep, a chain of real nodes of at
 most one child is a string: under a large top it takes one
-strings._window_sweep plus one convolution with the array below it (the
-tree-to-string reduction in heavy-path form, as in Gagie, Hermelin, Landau
-and Weimann, ESA 2013). The other subtrees of at most SMALL real nodes are
-computed a size at a time, one padded convolution per size over a compact
-store, and every other large node takes one convolution. All of it runs in
-the narrowest dtype that holds the label sums.
+strings._rle_sweep per row plus one convolution with the array below it
+(the tree-to-string reduction in heavy-path form, as in Gagie, Hermelin,
+Landau and Weimann, ESA 2013). The other subtrees of at most SMALL real
+nodes are computed a size at a time, one padded convolution per size over a
+compact store, and every other large node takes one convolution. All of it
+runs in the narrowest dtype that holds the label sums.
 
 Global folds only take arrays of *real* (non-dummy) topmost nodes: a set
 whose topmost node is a dummy joins two sibling branches without their
@@ -39,7 +39,7 @@ import numpy as np
 from .bitvec import RankBitvector
 from .minplus import FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, positive_int
 from .profiles import Profile
-from .strings import _fold_into, _window_sweep
+from .strings import _fold_into, _rle_sweep
 
 
 def _post_order(children, root: int) -> list:
@@ -302,8 +302,11 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
 
     * chains under a large top: a run of real nodes of at most one child is
       a string, so its sets are windows of its label prefix sums (one
-      strings._window_sweep), or a suffix of it joined to a set anchored
-      below it (one convolution).
+      strings._rle_sweep per row), or a suffix of it joined to a set
+      anchored below it (one convolution). A 0/1 chain's rows are two-valued,
+      so under MIN the ones row takes its windows from the starts of its
+      0-runs and the zeros row from the starts of its 1-runs: one pass over
+      the run starts between them.
     * other small nodes (subtree size <= SMALL), a size at a time: children
       are smaller than their parent, so every node of size s has its
       children ready; one padded convolution covers them all. Their arrays
@@ -385,8 +388,9 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
             n_ch = chain.size
             prefix = np.zeros((r, n_ch + 1), dtype=dtype)
             np.cumsum(labels[:, chain], axis=1, out=prefix[:, 1:])
-            windows = _window_sweep(prefix, (ring,))[0]
-            ring.fold(best[:, :n_ch], windows, out=best[:, :n_ch])
+            for k in range(r):
+                (windows,) = _rle_sweep(prefix[k], labels[k, chain], (ring,))
+                ring.fold(best[k, :n_ch], windows, out=best[k, :n_ch])
             # a suffix of the chain joined to a set anchored below it
             joined = np.empty((r, n_ch + below.shape[1] - 1), dtype=dtype)
             suffixes = prefix[:, n_ch:] - prefix[:, n_ch - 1::-1]

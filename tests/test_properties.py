@@ -1,9 +1,9 @@
 """Property tests, drawn by hypothesis: the string profile and the paper's
 string reductions on adversarial bit strings (long runs, all-0, all-1,
 alternating and a single 1), the run-boundary sweep on run-length strings and
-piecewise-constant weights, the profile CSV round trip, the tree sweep on
-adversarial shapes, and the vectorised parsers against their line-by-line
-readings."""
+on piecewise-constant weights, general and two-valued, the profile CSV round
+trip, the tree sweep on adversarial shapes, and the vectorised parsers
+against their line-by-line readings."""
 
 import random
 import tempfile
@@ -19,7 +19,7 @@ from jumbled import inputs
 from jumbled.profiles import read_profile_csv, write_profile_csv
 from jumbled.minplus import MAX, MIN
 from jumbled.strings import (
-    _run_bounds, _run_sweep, _weight_prefix, BinaryString, blocked_profile, naive_profile,
+    _candidates, _run_sweep, _two_valued, _weight_prefix, BinaryString, blocked_profile, naive_profile,
     naive_weighted_max_sums, recursive_profile, weighted_max_sums,
 )
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile, tree_profile, \
@@ -101,23 +101,32 @@ def test_weighted_reduction_matches_naive(weights, cutoff):
 run_lengths = st.lists(st.integers(1, 40), min_size=1, max_size=12)
 
 
+def _run_sweep_of(pref, labels, rings):
+    labels = np.asarray(labels)
+    two_valued = _two_valued(labels)
+    return _run_sweep(pref, [_candidates(labels, ring, two_valued) for ring in rings], rings)
+
+
 @SETTINGS
 @given(run_lengths, st.data())
 def test_run_sweep_matches_naive(lengths, data):
-    # the run sweep is called directly, so rle's fallback to the window sweep
+    # the run sweep is called directly, so rle's choice of the window sweep
     # cannot hide it
     bits = [bit for length in lengths
             for bit in [data.draw(st.integers(0, 1), label="bit")] * length]
     s = BinaryString(bits)
-    mins, maxs = _run_sweep(s.prefix_ones, _run_bounds(s.bits), (MIN, MAX))
+    mins, maxs = _run_sweep_of(s.prefix_ones, s.bits, (MIN, MAX))
     want = naive_profile(s)
     assert mins.tolist() == want.min_ones.tolist()
     assert maxs.tolist() == want.max_ones.tolist()
-    weights = [w for length in lengths
-               for w in [data.draw(st.integers(-10 ** 6, 10 ** 6), label="weight")] * length]
-    pref = _weight_prefix(weights)
-    (got,) = _run_sweep(pref, _run_bounds(np.array(weights)), (MAX,))
-    assert got.tolist() == naive_weighted_max_sums(weights).tolist()
+    # general weights, then weights drawn from two values
+    pair = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=2),
+                     label="pair")
+    for value in (st.integers(-10 ** 6, 10 ** 6), st.sampled_from(pair)):
+        weights = [w for length in lengths
+                   for w in [data.draw(value, label="weight")] * length]
+        (got,) = _run_sweep_of(_weight_prefix(weights), weights, (MAX,))
+        assert got.tolist() == naive_weighted_max_sums(weights).tolist()
 
 
 @SETTINGS

@@ -1,12 +1,15 @@
-"""The run-boundary sweep behind rle_profile and rle_weighted_max_sums.
+"""The directional run sweep behind rle_profile and rle_weighted_max_sums.
 
-_run_sweep is called directly where rle's fallback to the window sweep would
-take over (rho/n at or above RLE_CUTOFF), so every edge here reaches it:
-n = 1, a single run, a run per position, adjacent runs of equal weight and
-weights at the int16 / int32 edges of the sweep's narrow dtype.
+_run_sweep is called directly, under either candidate rule, where rle's
+choice of the window sweep would take over, so every edge here reaches it:
+n = 1, a single run, a run per position, adjacent runs of equal weight,
+two-valued weights with negative values and weights at the int16 / int32
+edges of the sweep's narrow dtype. Both rules are also checked exhaustively
+on short inputs.
 """
 
-import math
+import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -15,23 +18,34 @@ import pytest
 from jumbled import strings
 from jumbled.minplus import MAX, MIN
 from jumbled.strings import (
-    RLE_CUTOFF, BinaryString, naive_profile, naive_weighted_max_sums, rle_profile,
-    rle_weighted_max_sums,
+    BinaryString, naive_profile, naive_weighted_max_sums, rle_profile, rle_weighted_max_sums,
 )
 from _support import window_max_sums, window_profile
 
 
-def _run_profile(bits):
+def _candidates(labels, rings, two_valued=None):
+    labels = np.asarray(labels)
+    if two_valued is None:
+        two_valued = strings._two_valued(labels)
+    return [strings._candidates(labels, ring, two_valued) for ring in rings]
+
+
+def _run_profile(bits, two_valued=None):
     s = BinaryString(bits)
-    mins, maxs = strings._run_sweep(s.prefix_ones, strings._run_bounds(s.bits), (MIN, MAX))
+    rings = (MIN, MAX)
+    mins, maxs = strings._run_sweep(s.prefix_ones, _candidates(s.bits, rings, two_valued), rings)
     return mins.tolist(), maxs.tolist()
 
 
-def _run_sums(weights, bounds=None):
+def _run_sums(weights, ring=MAX, two_valued=None, candidates=None):
     pref = strings._weight_prefix(weights)
-    if bounds is None:
-        bounds = strings._run_bounds(np.array(weights))
-    return strings._run_sweep(pref, bounds, (MAX,))[0].tolist()
+    if candidates is None:
+        candidates = _candidates(np.array(weights), (ring,), two_valued)
+    return strings._run_sweep(pref, candidates, (ring,))[0].tolist()
+
+
+def _window_min_sums(weights):
+    return [-x for x in window_max_sums([-w for w in weights])]
 
 
 BIT_CASES = {
@@ -48,7 +62,8 @@ BIT_CASES = {
 
 @pytest.mark.parametrize("bits", BIT_CASES.values(), ids=BIT_CASES.keys())
 def test_run_sweep_edges(bits):
-    assert _run_profile(bits) == window_profile(bits)
+    for two_valued in (True, False):
+        assert _run_profile(bits, two_valued) == window_profile(bits)
     p = rle_profile(bits)
     assert (p.min_ones.tolist(), p.max_ones.tolist()) == window_profile(bits)
 
@@ -57,6 +72,7 @@ WEIGHT_CASES = {
     "n=1": [-3],
     "one run": [4] * 25,
     "a run per position": [(-1) ** i * (i % 7) for i in range(30)],
+    "two negative values": [-7, -2, -2, -7, -7, -7, -2, -7, -2, -2],
     "int16 edges": [32767, -32768, 32767],
     "int16 edges in runs": [32767] * 3 + [-32768] * 2 + [32767] * 4,
     "int32 edges": [-(2 ** 31), 2 ** 31 - 1] * 3,
@@ -67,17 +83,61 @@ WEIGHT_CASES = {
 @pytest.mark.parametrize("weights", WEIGHT_CASES.values(), ids=WEIGHT_CASES.keys())
 def test_run_sweep_weight_edges(weights):
     assert _run_sums(weights) == window_max_sums(weights)
+    assert _run_sums(weights, MIN) == _window_min_sums(weights)
+    assert _run_sums(weights, two_valued=False) == window_max_sums(weights)
     assert rle_weighted_max_sums(weights).tolist() == window_max_sums(weights)
 
 
 def test_adjacent_runs_of_equal_weight_are_one_run():
     # drawn as three runs, of which the first two share a weight
     weights = [5] * 4 + [5] * 3 + [-2] * 6
-    assert strings._run_bounds(np.array(weights)).tolist() == [0, 7, 13]
+    labels = np.array(weights)
+    assert strings._two_valued(labels)
+    # two values: the start of the one high run; the general rule adds its
+    # down-step end
+    assert [(s.tolist(), e.tolist()) for s, e in _candidates(labels, (MAX, MIN))] == \
+        [([0], []), ([7], [])]
+    assert [(s.tolist(), e.tolist()) for s, e in _candidates(labels, (MAX, MIN), False)] == \
+        [([0], [7]), ([0, 7], [])]
     want = window_max_sums(weights)
     assert _run_sums(weights) == want
-    # extra boundaries inside a run only add candidates
-    assert _run_sums(weights, np.array([0, 4, 7, 13])) == want
+    assert _run_sums(weights, two_valued=False) == want
+    # extra candidates inside a run only add windows
+    extra = [(np.array([0, 4]), np.array([2, 4, 7]))]
+    assert _run_sums(weights, candidates=extra) == want
+
+
+def test_two_valued_rule_needs_two_values():
+    # [1, 2] ends at the down-step 2, which only the general rule keeps
+    weights = [1, 2, 0]
+    assert not strings._two_valued(np.array(weights))
+    assert window_max_sums(weights) == [2, 3, 3]
+    assert _run_sums(weights, two_valued=True) == [2, 2, 3]
+    assert _run_sums(weights) == [2, 3, 3]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_both_rules_on_every_bit_string(n):
+    for bits in itertools.product((0, 1), repeat=n):
+        want = window_profile(bits)
+        for two_valued in (True, False):
+            assert _run_profile(bits, two_valued) == want, (bits, two_valued)
+
+
+def test_both_rules_on_weights_in_runs():
+    rng = random.Random(12)
+    for case in range(3000):
+        n = rng.randint(1, 12)
+        two = case % 2 == 1
+        values = rng.sample(range(-6, 7), 2) if two else range(-6, 7)
+        weights = []
+        while len(weights) < n:
+            weights += [rng.choice(values)] * rng.randint(1, 4)
+        weights = weights[:n]
+        for ring, want in ((MAX, window_max_sums(weights)), (MIN, _window_min_sums(weights))):
+            assert _run_sums(weights, ring, two_valued=False) == want, (weights, ring)
+            if two:
+                assert _run_sums(weights, ring, two_valued=True) == want, (weights, ring)
 
 
 def test_narrow_dtype_of_the_sweep():
@@ -85,15 +145,16 @@ def test_narrow_dtype_of_the_sweep():
     for weights, dtype in (([32767, -32768, 32767], np.int32), ([3, -4, 3], np.int16),
                            ([-(2 ** 31), 2 ** 31 - 1] * 3, np.int64)):
         pref = strings._weight_prefix(weights)
-        (best,) = strings._run_sweep(pref, strings._run_bounds(np.array(weights)), (MAX,))
+        (best,) = strings._run_sweep(pref, _candidates(weights, (MAX,)), (MAX,))
         assert best.dtype == dtype
 
 
-def _with_runs(n, runs):
-    """n bits in exactly ``runs`` runs, alternating from 0."""
+def _with_runs(n, runs, values=(0, 1)):
+    """n labels in ``runs`` runs of about equal length, cycling through
+    ``values``."""
     lengths = [n // runs] * runs
     lengths[-1] += n - sum(lengths)
-    return [k % 2 for k, length in enumerate(lengths) for _ in range(length)]
+    return [values[k % len(values)] for k, length in enumerate(lengths) for _ in range(length)]
 
 
 @pytest.fixture
@@ -108,23 +169,59 @@ def sweeps(monkeypatch):
     return called
 
 
-@pytest.mark.parametrize("n", [64, 400, 1001])
-def test_rle_picks_its_sweep_by_runs_per_position(sweeps, n):
-    # below RLE_CUTOFF runs per position the run sweep, from it on the window sweep
-    at = math.ceil(RLE_CUTOFF * n)
-    for runs, sweep in ((1, "_run_sweep"), (at - 1, "_run_sweep"), (at, "_window_sweep"),
-                        (n, "_window_sweep")):
-        bits = _with_runs(n, runs)
-        weights = [7 * b - 3 for b in bits]
-        sweeps.clear()
-        p = rle_profile(bits)
-        assert sweeps == [sweep], runs
-        want = naive_profile(bits)
-        assert p == want
-        sweeps.clear()
-        got = rle_weighted_max_sums(weights)
-        assert sweeps == [sweep], runs
-        assert got.tolist() == naive_weighted_max_sums(weights).tolist()
+def _chosen(labels, rings):
+    # the run sweep while its cells, each weighted _RUN_CELL_COST, are fewer
+    # than the window sweep's: one subtraction and one reduction per ring
+    # over each of the n (n + 1) / 2 windows
+    n = len(labels)
+    cells = sum(n * (starts.size + 1) - int(starts.sum()) + int(ends.sum())
+                for starts, ends in _candidates(labels, rings))
+    run = strings._RUN_CELL_COST * cells < (1 + len(rings)) * n * (n + 1) // 2
+    return "_run_sweep" if run else "_window_sweep"
+
+
+FAMILIES = {
+    "0/1": (8, 64, 400, 1001),
+    "two-valued weights": (8, 13, 14, 64),
+    "weights": (8, 64, 400),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rle_picks_its_sweep_by_cell_count(sweeps, family):
+    chosen = set()
+    for n in FAMILIES[family]:
+        for runs in sorted({1, 2, n // 4, n // 2, 2 * n // 3, n - 4, n - 1, n} - {0}):
+            sweeps.clear()
+            if family == "0/1":
+                labels = _with_runs(n, runs)
+                got, rings = rle_profile(labels), (MIN, MAX)
+            else:
+                values = (-3, 4) if family == "two-valued weights" else (0, 5, -2, 3, 1)
+                labels = _with_runs(n, runs, values)
+                got, rings = rle_weighted_max_sums(labels).tolist(), (MAX,)
+            assert sweeps == [_chosen(np.array(labels), rings)], (n, runs)
+            chosen.add(sweeps[0])
+            if family == "0/1":
+                assert got == naive_profile(labels), (n, runs)
+            else:
+                assert got == naive_weighted_max_sums(labels).tolist(), (n, runs)
+    assert chosen == {"_run_sweep", "_window_sweep"}
+
+
+def test_iid_labels_at_several_chunks_of_starts(sweeps):
+    # i.i.d. bits and two-valued weights take the run sweep, each ring with
+    # some 1000 starts, several chunks of them; i.i.d. weights of 19 values
+    # take the window sweep
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2, 4096)
+    two = np.where(rng.integers(0, 2, 4096) == 1, 6, -5)
+    weights = rng.integers(-9, 10, 4096)
+    got = [rle_profile(bits), rle_weighted_max_sums(two), rle_weighted_max_sums(weights)]
+    assert sweeps == ["_run_sweep", "_run_sweep", "_window_sweep"]
+    assert got[0] == naive_profile(bits)
+    assert np.array_equal(got[1], naive_weighted_max_sums(two))
+    assert np.array_equal(got[2], naive_weighted_max_sums(weights))
 
 
 def test_naive_references_never_take_the_run_sweep(sweeps):
@@ -158,17 +255,20 @@ def test_two_runs_across_the_int16_edge(n):
 
 
 def test_rle_profile_memory_peak():
-    # the run sweep holds five narrow rows of n (the prefix sums, their
-    # reversed copy, one row of differences and the two extremes), freed
-    # but for the extremes before the two int64 profile arrays are made; the
-    # bound is naive_profile's (see test_naive_profile_memory_peak)
-    bits = np.repeat(np.arange(256) % 2, 64).astype(np.uint8)
-    s = BinaryString(bits)
-    rle_profile(s)   # first call: numpy's own lazy allocations
-    tracemalloc.start()
-    try:
-        rle_profile(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / 2 ** 20 <= 0.36
+    # the run sweep holds four narrow rows of n (the prefix sums, one row of
+    # differences and the two extremes), each ring's starts and one chunk of
+    # them as Python ints, freed but for the extremes before the two int64
+    # profile arrays are made; the bound is naive_profile's (see
+    # test_naive_profile_memory_peak). Both strings take the run sweep: 256
+    # runs, and i.i.d. bits with about n / 2 runs
+    for bits in (np.repeat(np.arange(256) % 2, 64).astype(np.uint8),
+                 np.random.default_rng(16384).integers(0, 2, 16384).astype(np.uint8)):
+        s = BinaryString(bits)
+        rle_profile(s)   # first call: numpy's own lazy allocations
+        tracemalloc.start()
+        try:
+            rle_profile(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2 ** 20 <= 0.36

@@ -2,8 +2,9 @@
 
 simple_tree_profile and weighted_tree_max_sums run one sweep
 (trees._tree_sweep): subtrees of at most SMALL real nodes batched by size,
-unary chains of larger real nodes through the string window sweep, every
-other large node one convolution, all in a dtype fitted to the label sums.
+unary chains of larger real nodes through strings._rle_sweep, one label row
+at a time, every other large node one convolution, all in a dtype fitted to
+the label sums.
 The benchmark takes its tree references from these same two functions, so
 only these tests can catch a wrong sweep. Each seam gets exact cases,
 checked against the micro-macro backend, the plain DP and enumeration of
@@ -17,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from jumbled import strings
 from jumbled.minplus import FINITE_BOUND, MAX, MIN
 from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.profiles import write_profile_csv
@@ -121,6 +123,25 @@ def test_chains_between_binary_nodes():
     parents = _stack(_stack([-1], mid, 0), path_parents(SMALL + 10), 0)
     _check(parents, seed=7)
     _check(_stack(path_parents(15), parents, 14), seed=8)
+
+
+def test_a_01_chain_starts_once_at_every_run(monkeypatch):
+    # under MIN the ones row of a chain starts at its 0-runs and the zeros
+    # row at its 1-runs, so the two rows together take each run start once
+    calls = []
+
+    def recording(pref, candidates, rings, sweep=strings._run_sweep):
+        calls.append([starts.tolist() for starts, _ in candidates])
+        return sweep(pref, candidates, rings)
+
+    monkeypatch.setattr(strings, "_run_sweep", recording)
+    n = 700
+    bits = random_bits(random.Random(17), n)
+    assert simple_tree_profile(binarize(LabeledTree(path_parents(n), bits))) == \
+        naive_profile(bits)
+    (ones_row,), (zeros_row,) = calls
+    assert sorted(ones_row + zeros_row) == \
+        [0] + [b for b in range(1, n) if bits[b] != bits[b - 1]]
 
 
 def test_paths_against_the_string_sweep():
