@@ -285,6 +285,9 @@ def cmd_bench(args) -> int:
     for kind in kinds:
         if kind not in KINDS:
             return _fail(f"unknown kind {kind!r}")
+    for algo in algos:
+        if not any(algo in _build_algos(kind) for kind in kinds):
+            return _fail(f"no requested kind builds algo {algo!r}")
     if any(n < 1 for n in sizes):
         return _fail("--sizes entries must be >= 1")
     rows = []

@@ -160,8 +160,7 @@ def max_plus_product(a, b) -> np.ndarray:
 def min_plus_product_tiled(a, b, tile: int = 64) -> np.ndarray:
     """Cache-tiled variant; bitwise identical to min_plus_product."""
     a, b = _as_matrices(a, b)
-    if tile < 1:
-        raise ValueError("tile must be >= 1")
+    tile = positive_int(tile, "tile")
     p, q = a.shape
     r = b.shape[1]
     out = np.full((p, r), INF, dtype=np.int64)

@@ -13,7 +13,7 @@ run over prefix sums of the weights instead of prefix 1-counts. Every sweep
 is written once over a tropical ring (minplus.MIN / minplus.MAX).
 
 All window extremes within a row of prefix sums (naive_profile, the
-windows inside each block, the halving base cases) come from _window_sweep.
+halving base cases) come from _window_sweep.
 It copies the prefix sums once into the narrowest signed dtype that holds
 their span and covers tiles of widths x starts, each filled by one
 subtraction from a Hankel view and reduced once per ring. _run_sweep takes
@@ -289,38 +289,31 @@ def make_block_partition(s, b: int) -> BlockPartition:
     return BlockPartition(_as_string(s), b)
 
 
-def _cross_table(p: BlockPartition, length: int, ring: Ring) -> np.ndarray:
-    """C_l for one ring: spanning-substring 1-counts for suffix+prefix = length.
+def _edge_tables(p: BlockPartition, ring: Ring):
+    """The edge tables of one ring over the prefix 1-counts P, for the
+    blocks [s_i, e_i): left[i, k] = -P[e_i - (b - k)] (a suffix of b - k)
+    and right[t, j] = P[s_j + t] (a prefix of t). A prefix longer than its
+    block is the sentinel. A suffix of the short last block may reach into
+    the block before, which only adds real windows of the same sizes."""
+    pref, n = p.string.prefix_ones, len(p.string)
+    steps = np.arange(p.b + 1)
+    left = -pref[np.clip(p.bounds[1:, None] - p.b + steps, 0, n)]
+    right = pref[np.clip(p.bounds[:-1] + steps[:, None], 0, n)]
+    right[steps[:, None] > p.bounds[1:] - p.bounds[:-1]] = ring.sentinel
+    return left, right
 
-    A[i,k] counts 1s in a suffix of block i, B[k,j] in a prefix of block j;
-    row/column k fixes the split so that suffix+prefix = length. Splits
-    exceeding a donor block's true length are sentinels, as is every entry
-    with i >= j.
-    """
-    pref = p.string.prefix_ones
-    b = p.b
-    lens = p.bounds[1:] - p.bounds[:-1]
-    if length <= b:
-        k = np.arange(length + 1, dtype=np.int64)
-        suffix_len = k[None, :]              # m x (length+1)
-        prefix_len = (length - k)[:, None]   # (length+1) x m
-    else:
-        k = np.arange(2 * b - length + 1, dtype=np.int64)
-        suffix_len = (k + length - b)[None, :]
-        prefix_len = (b - k)[:, None]
-    ends = p.bounds[1:][:, None]
-    starts = p.bounds[:-1][None, :]
-    suf_ok = suffix_len <= lens[:, None]
-    pre_ok = prefix_len <= lens[None, :]
-    suf = pref[ends] - pref[ends - np.where(suf_ok, suffix_len, 0)]
-    pre = pref[starts + np.where(pre_ok, prefix_len, 0)] - pref[starts]
-    i_idx = np.arange(p.m)
-    # interior[i, j] = 1s in the full blocks strictly between i and j
-    interior = pref[p.bounds[i_idx]][None, :] - pref[p.bounds[i_idx + 1]][:, None]
-    spanning = i_idx[:, None] < i_idx[None, :]
-    core = ring.product(np.where(suf_ok, suf, ring.sentinel),
-                        np.where(pre_ok, pre, ring.sentinel))
-    return ring.snap(core + np.where(spanning, interior, ring.sentinel))
+
+def _cross_table(left: np.ndarray, right: np.ndarray, length: int, ring: Ring) -> np.ndarray:
+    """C_l[i, j] = ext over s + t = l of P[s_j + t] - P[e_i - s], one ring
+    product of the edge tables' columns and rows for suffix s, prefix t.
+
+    Cell [i, j] is the extreme over windows of length l + s_j - e_i: across
+    the blocks between when i < j, inside block i when i = j. Cells with no
+    split are sentinels; those with i > j, or i = j and l <= |block i|, hold
+    no window."""
+    b = right.shape[0] - 1
+    lo, hi = max(0, length - b), min(length, b) + 1
+    return ring.product(left[:, b - length + lo:b - length + hi], right[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -340,43 +333,38 @@ class CrossBlockTables:
 
 
 def build_cross_tables(p: BlockPartition) -> CrossBlockTables:
+    below = np.tril_indices(p.m)
+
     def tables(ring):
-        return {length: _cross_table(p, length, ring) for length in range(1, 2 * p.b + 1)}
+        left, right = _edge_tables(p, ring)
+        out = {}
+        for length in range(1, 2 * p.b + 1):
+            out[length] = table = _cross_table(left, right, length, ring)
+            table[below] = ring.sentinel   # windows inside a block, or none
+        return out
 
     return CrossBlockTables(p, tables(MIN), tables(MAX))
 
 
-def _block_rows(p: BlockPartition) -> list:
-    """Prefix sums of each block as rows of equal length: the full blocks in
-    one 2-d array, the short last block (if any) in another."""
-    pref = p.string.prefix_ones
-    n, b = len(p.string), p.b
-    full = n // b
-    rows = [pref[np.arange(full)[:, None] * b + np.arange(b + 1)]]
-    if n % b:
-        rows.append(pref[None, full * b:])
-    return rows
-
-
-def _diagonal_order(m: int):
-    """Flat indices of the strictly upper diagonals of an m x m table,
-    diagonal 1 first, and the position where each diagonal starts."""
-    order = np.concatenate([np.arange(m - d) * (m + 1) + d for d in range(1, m)])
-    starts = np.concatenate([[0], np.cumsum(np.arange(m - 1, 1, -1))])
-    return order, starts
-
-
 def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
-    n, b = len(p.string), p.b
+    """Every window's extreme from the upper triangles of C_1..C_2b: a window
+    whose first and last characters lie in blocks i <= j is a split of a
+    suffix of block i and a prefix of block j, so cell [i, j] of C_l holds it
+    at size l + s_j - e_i. Cells of one offset s_j - e_i fold together."""
+    n, b, m = len(p.string), p.b, p.m
     out = _blank(n, ring)
-    for rows in _block_rows(p):
-        _fold_into(out, ring, ring.reduce(_window_sweep(rows, (ring,))[0], axis=0))
-    order, starts = _diagonal_order(p.m)
-    gaps = np.arange(p.m - 1) * b   # diagonal d holds windows with d-1 interior blocks
-    for length in range(1, min(2 * b, n) + 1):
-        best = ring.fold.reduceat(_cross_table(p, length, ring).ravel()[order], starts)
+    left, right = _edge_tables(p, ring)
+    i, j = np.triu_indices(m)
+    offsets = p.bounds[j] - p.bounds[i + 1]
+    order = np.argsort(offsets, kind="stable")
+    gaps, starts = np.unique(offsets[order], return_index=True)
+    cells = (i * m + j)[order]
+    del i, j, offsets, order   # m^2 / 2 entries each, freed before the products
+    # block 0's own windows take lengths up to 2b, even when n < 2b
+    for length in range(1, 2 * b + 1):
+        best = ring.fold.reduceat(_cross_table(left, right, length, ring).ravel()[cells], starts)
         sizes = length + gaps
-        keep = sizes <= n
+        keep = (sizes >= 1) & (sizes <= n)
         idx = sizes[keep] - 1
         out[idx] = ring.fold(out[idx], best[keep])
     return out

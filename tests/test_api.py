@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import jumbled
-from jumbled.minplus import min_plus_product
+from jumbled.minplus import min_plus_product, min_plus_product_tiled
 from jumbled.strings import (
     blocked_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
 )
@@ -53,6 +53,7 @@ PARAMETERS = {
     "tree-r": lambda value: tree_profile(LabeledTree([-1, 0, 0, 1], [1, 0, 1, 1]), r=value),
     "recursive-cutoff": lambda value: recursive_profile("0110101", cutoff=value),
     "weighted-cutoff": lambda value: weighted_max_sums([1, -2, 3], cutoff=value),
+    "product-tile": lambda value: min_plus_product_tiled([[1, 2]], [[0], [3]], tile=value),
 }
 
 

@@ -423,7 +423,7 @@ def test_bench_times_untraced_builds(tmp_path, monkeypatch):
     assert all(int(r[5]) > 0 for r in rows)
 
 
-def test_bench_rejects_junk(tmp_path):
+def test_bench_rejects_junk(tmp_path, capsys):
     out = tmp_path / "b.csv"
     assert run("bench", "--kinds", "string", "--algos", "naive",
                "--sizes", "12x", "--out", str(out)) == 2
@@ -431,6 +431,12 @@ def test_bench_rejects_junk(tmp_path):
                "--sizes", "16", "--out", str(out)) == 2
     assert run("bench", "--kinds", "tree", "--algos", "blocked",
                "--sizes", "16", "--out", str(out)) == 2   # no usable combo
+    capsys.readouterr()
+    # a misspelt entry is named, not dropped while the others run
+    assert run("bench", "--kinds", "string", "--algos", "naive,nave",
+               "--sizes", "16", "--out", str(out)) == 2
+    assert "'nave'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ ever drift apart the frozen values break the tie.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,25 +133,30 @@ def test_cross_tables_spanning_only():
         assert (cmax[iu] == NEG_INF).all()
 
 
+def _check_cross_tables(bits, b):
+    """Every cell of both sides' tables, the sentinels at i >= j included,
+    against enumeration."""
+    part = make_block_partition(bits, b)
+    tables = build_cross_tables(part)
+    bounds = part.bounds.tolist()
+    for length in range(1, 2 * b + 1):
+        cmin, cmax = tables.min_table(length), tables.max_table(length)
+        for i in range(part.m):
+            for j in range(part.m):
+                lo = _brute_cross_entry(bits, bounds, i, j, length)
+                hi = _brute_cross_entry(bits, bounds, i, j, length, maximize=True)
+                assert cmin[i, j] == (INF if lo is None else lo)
+                assert cmax[i, j] == (NEG_INF if hi is None else hi)
+
+
 def test_cross_tables_match_enumeration():
     rng = random.Random(13)
     for _ in range(25):
         n = rng.randint(2, 30)
         b = rng.randint(1, n)
         bits = random_bits(rng, n)
-        part = make_block_partition(bits, b)
-        if part.m < 2:
-            continue
-        tables = build_cross_tables(part)
-        bounds = part.bounds.tolist()
-        for length in range(1, 2 * b + 1):
-            cmin, cmax = tables.min_table(length), tables.max_table(length)
-            for i in range(part.m):
-                for j in range(part.m):
-                    lo = _brute_cross_entry(bits, bounds, i, j, length)
-                    hi = _brute_cross_entry(bits, bounds, i, j, length, maximize=True)
-                    assert cmin[i, j] == (INF if lo is None else lo)
-                    assert cmax[i, j] == (NEG_INF if hi is None else hi)
+        if make_block_partition(bits, b).m >= 2:
+            _check_cross_tables(bits, b)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +180,40 @@ def test_blocked_matches_naive():
         bits = random_bits(rng, n, rng.random())
         b = rng.randint(1, n)
         assert blocked_profile(bits, b=b) == naive_profile(bits), (bits, b)
+
+
+# (n, b) at the edges of the block layout: one character per block, a last
+# block of one character, a full last block, and one more character after it
+_EDGE_SHAPES = [(9, 1), (9, 8), (10, 5), (11, 5)]
+_EDGE_FILLS = {"mixed": lambda n: random_bits(random.Random(n), n),
+               "all-0": lambda n: [0] * n, "all-1": lambda n: [1] * n}
+
+
+@pytest.mark.parametrize("fill", sorted(_EDGE_FILLS))
+@pytest.mark.parametrize("n, b", _EDGE_SHAPES)
+def test_blocked_edge_shapes(n, b, fill):
+    bits = _EDGE_FILLS[fill](n)
+    assert blocked_profile(bits, b=b) == naive_profile(bits)
+
+
+@pytest.mark.parametrize("fill", sorted(_EDGE_FILLS))
+@pytest.mark.parametrize("n, b", _EDGE_SHAPES)
+def test_cross_tables_edge_shapes(n, b, fill):
+    _check_cross_tables(_EDGE_FILLS[fill](n), b)
+
+
+def test_blocked_profile_memory_peak():
+    # the edge tables and one length's product at a time: at the default
+    # b = 64, m = 64 blocks, one (m, b + 1, m) int64 sum is 2 MiB
+    s = BinaryString(np.random.default_rng(4096).integers(0, 2, 4096, dtype=np.uint8))
+    blocked_profile(s)   # first call: numpy's own lazy allocations
+    tracemalloc.start()
+    try:
+        blocked_profile(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 <= 2.75
 
 
 # ---------------------------------------------------------------------------
