@@ -178,8 +178,10 @@ def _verify_case(kind: str, case: int, max_n: int):
         return BinaryString(bits), "".join(map(str, bits)), n, rng
     if kind == "weighted-string":
         # every other case draws from two values, where rle's run sweep
-        # takes its two-valued rule
-        values = rng.sample(range(-9, 10), 2) if case % 2 else range(-9, 10)
+        # takes its two-valued rule; every fifth from 0..18, whose mean the
+        # bound sweep centres away
+        low = 0 if case % 5 == 4 else -9
+        values = rng.sample(range(low, low + 19), 2) if case % 2 else range(low, low + 19)
 
         def draw():
             return rng.choice(values)

@@ -18,9 +18,12 @@ It copies the prefix sums once into the narrowest signed dtype that holds
 their span and covers tiles of widths x starts, each filled by one
 subtraction from a Hankel view and reduced once per ring. _run_sweep takes
 one slice of the same narrow prefix sums per candidate start or end instead.
+_bound_sweep reads only the blocks of that Hankel matrix, and the starts in
+them, that can reach their widths' extremes, on prefix sums centred on the
+mean label; where too few blocks drop out it runs _window_sweep.
 _rle_sweep, behind rle_profile, rle_weighted_max_sums and the chains of the
-tree sweep, counts both sweeps' cells before either runs and takes the
-cheaper.
+tree sweep, counts the run sweep's cells and the window sweep's before any
+sweep runs: the run sweep when it costs less, else the bound sweep.
 """
 
 from __future__ import annotations
@@ -222,31 +225,168 @@ def _run_sweep(pref: np.ndarray, candidates, rings) -> list:
     return best
 
 
+# _bound_sweep cuts the Hankel matrix of the centred prefix sums into blocks of
+# _BOUND_BLOCK starts x _BOUND_BLOCK widths; each step of its block pass and
+# of its reads holds up to _BOUND_CELLS cells. On a 2-core x86 VM
+# (rle_weighted_max_sums, i.i.d. weights in -9..9, median of 3-15 calls), K =
+# 16 took 2.4 ms at n = 4096, 11.1 ms at 16384 and 67 ms at 65536; K = 32
+# took 8.1 ms (too many blocks kept, so the window sweep ran), 14.4 ms and
+# 62 ms; K = 64 took 32 ms at 16384. Smaller blocks cost more in the
+# O((n / K)^2) block pass.
+#
+# It falls back to the window sweep once the kept blocks' cells, each
+# weighted _BOUND_CELL_COST, outnumber the window sweep's. Where every block
+# and start is kept (weights 1, -1, 0 repeated), a read cell cost 3.6 window
+# sweep cells at n = 4096 and 8.9-11.7 at 16384; where the starts of a kept
+# block are filtered too, it costs less.
+_BOUND_BLOCK = 16
+_BOUND_CELLS = 1 << 15
+_BOUND_CELL_COST = 8
+
+
+def _sliding(x: np.ndarray, k: int, fold) -> np.ndarray:
+    """fold over x[i:i+k] for i = 0..x.size-k, x.size a multiple of k: the
+    fold of a window is that of its tail in one k-block and its head in the
+    next (van Herk, Gil and Werman). At n = 16384 and k = 16 this takes 0.3
+    ms, a reduction over a sliding-window view 1.6 ms."""
+    head = fold.accumulate(x.reshape(-1, k), axis=1).ravel()
+    tail = fold.accumulate(x[::-1].reshape(-1, k), axis=1).ravel()[::-1]
+    return fold(tail[:x.size - k + 1], head[k - 1:])
+
+
+def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
+    """_window_sweep's extremes for ``ring`` over the single row ``pref``,
+    the prefix sums of ``labels``, from only the windows that can reach
+    their width's extreme.
+
+    The sweep runs on q, the prefix sums of labels - c for c the rounded
+    mean label, and adds c w back: a shift moves every window of width w by
+    the same c w, and keeps q at the scale of the labels' noise. MIN runs as
+    MAX on -q. Block (g, t) holds the windows of starts gK..gK+K-1 and widths
+    tK+1..tK+K. It is read only when its bound, max q over its ends - min q
+    over its starts, reaches L_t: the largest min q[gK+tK+1 .. gK+tK+K] - q[gK]
+    over the groups g that have every width of tile t, a value the window
+    from gK reaches at each width of the tile. A start s of a kept block is
+    read only when max q[s+tK+1 .. s+tK+K] - q[s] reaches L_t too. So every
+    window skipped falls short of a real one of its width. When the kept
+    blocks hold too many cells for this to pay, the block pass stops early
+    and q goes through _window_sweep.
+    """
+    n, k = labels.size, _BOUND_BLOCK
+    c = (2 * (int(pref[-1]) - int(pref[0])) + n) // (2 * n)
+    q = np.zeros(n + 1, dtype=np.int64)
+    np.subtract(labels, c, out=q[1:], dtype=np.int64)
+    np.cumsum(q, out=q)
+    if ring is MIN:
+        np.negative(q, out=q)
+    lo, hi = int(q.min()), int(q.max())
+    span = hi - lo
+    below, above = lo - span - 1, hi + span + 1   # below every end, above every start
+    dtype = _narrow_dtype(below, above)
+    groups = -(-n // k)   # groups of K starts, and tiles of K widths
+    ends = np.full((2 * groups + 2) * k + 1, below, dtype=dtype)
+    ends[:n + 1] = q
+    starts = np.full(groups * k, above, dtype=dtype)
+    starts[:n] = q[:n]
+    del q
+    kept = _kept_blocks(ends, starts, n)
+    if kept is None:
+        (best,) = _window_sweep(ends[None, :n + 1], (MAX,))
+        best = best[0]
+    else:
+        best = _read_blocks(ends, starts, *kept).ravel()[:n]
+    out = np.arange(1, n + 1, dtype=np.int64)
+    out *= c
+    (np.subtract if ring is MIN else np.add)(out, best, out=out)
+    return out.astype(_narrow_dtype(int(pref.min()), int(pref.max())))
+
+
+def _kept_blocks(ends: np.ndarray, starts: np.ndarray, n: int):
+    """(the kept blocks as t G + g in increasing order, L_t per tile), or None
+    when pruning does not pay."""
+    k = _BOUND_BLOCK
+    groups = starts.size // k
+    chunks = ends[1:].reshape(-1, k)   # chunk j: the ends jK+1 .. jK+K
+    floor = chunks.min(axis=1)   # a chunk past n holds padding, and bounds no tile
+    top = chunks.max(axis=1)
+    top = np.maximum(top[:-1], top[1:])   # block row j ends in jK+1 .. jK+2K-1
+    least = starts.reshape(groups, k).min(axis=1)
+    # [t, g] = top[g + t] and floor[g + t]
+    top_h = np.lib.stride_tricks.sliding_window_view(top, groups)
+    floor_h = np.lib.stride_tricks.sliding_window_view(floor, groups)
+    lower = np.empty(groups, dtype=ends.dtype)
+    kept, n_kept = [], 0
+    rows = max(1, _BOUND_CELLS // groups)
+    for t0 in range(0, groups, rows):
+        t1 = min(groups, t0 + rows)
+        np.max(floor_h[t0:t1] - starts[::k], axis=1, out=lower[t0:t1])
+        flat = np.flatnonzero(top_h[t0:t1] - least >= lower[t0:t1, None])
+        n_kept += flat.size
+        if _BOUND_CELL_COST * n_kept * k * k > n * (n + 1) // 2:
+            return None
+        kept.append(flat + t0 * groups)
+    return np.concatenate(kept), lower
+
+
+def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept, lower) -> np.ndarray:
+    """The maxima [t, w - tK - 1] over the windows of the ``kept`` blocks
+    whose starts reach their tile's ``lower`` bound."""
+    k, groups = _BOUND_BLOCK, lower.size
+    top = _sliding(ends[1:], k, np.maximum)   # top[i] = max ends[i+1 .. i+K]
+    top_rows = top[:top.size // k * k].reshape(-1, k)
+    start_rows = starts.reshape(groups, k)
+    windows = np.lib.stride_tricks.sliding_window_view(ends[1:], k)
+    best = np.full((groups, k), ends[-1], dtype=ends.dtype)
+    step = max(1, _BOUND_CELLS // (k * k))
+    for b0 in range(0, kept.size, step):
+        t, g = np.divmod(kept[b0:b0 + step], groups)
+        reach = np.flatnonzero(top_rows[g + t] - start_rows[g] >= lower[t, None])
+        if not reach.size:
+            continue
+        block, j = np.divmod(reach, k)
+        s, t = g[block] * k + j, t[block]
+        cells = windows[s + t * k]
+        cells -= starts[s, None]
+        heads = np.ones(t.size, dtype=bool)
+        np.not_equal(t[1:], t[:-1], out=heads[1:])
+        heads = np.flatnonzero(heads)
+        t = t[heads]
+        best[t] = np.maximum(best[t], np.maximum.reduceat(cells, heads, axis=0))
+    return best
+
+
 # _rle_sweep takes the run sweep while _RUN_CELL_COST times its cells are
 # fewer than the window sweep's cell passes: over its n (n + 1) / 2 cells,
 # one subtraction, then one reduction per ring. A run-sweep cell costs a
 # subtraction and a fold, and its share of a few microseconds of calls per
-# start or end. On a 2-core x86 VM (sweep only, best of 5, n = 16384, ms):
+# start or end. Otherwise it takes the bound sweep. On a 2-core x86 VM (sweep
+# only, best of 3-5, ms; the bound sweep one call per ring, all reading
+# blocks, none falling back):
 #
-#   input                    window sweep   every run boundary   directional
-#   i.i.d. 0/1 (rho/n 0.5)       88.7             144.3              42.5
-#   0/1, rho/n = 0.25            81.6              70.5              21.7
-#   weights, rho/n = 0.23        61.4              44.8              19.0
-#   i.i.d. weights (0.95)        35.7             100.4              41.5
+#                             n = 16384                 n = 65536
+#   input (rho/n)          window   run  bound       window   run  bound
+#   i.i.d. 0/1 (0.50)        58.1  31.8   92.7        764.5 226.2  642.8
+#   0/1 (0.25)               59.2  12.9   43.5       1286.5 211.9  329.9
+#   weights (0.23)           41.0  13.3    7.5        643.4 129.8   79.2
+#   weights (0.80)           42.9  41.8    9.4        714.8 447.7   66.6
+#   i.i.d. weights (0.95)    38.8  45.5    8.8        652.5 494.5   81.2
+#   i.i.d. weights in 0..9  105.7  91.8   19.4        882.2 753.9   72.1
 #
-# and at n = 65536, i.i.d. 0/1 took 1119 ms by windows, 367 ms by runs. A
-# run-sweep cell cost 2.6-3.0 window passes from n = 4096 to 16384 and 2.0-2.3
-# at 32768; at n = 16384 the run sweep stopped winning near rho/n = 1 for
-# 0/1 labels and 0.66 for weights, where this rule also turns. So i.i.d.
-# 0/1 strings and chains take the run sweep, and i.i.d. weights the window
-# sweep.
+# 0/1 strings and chains take the run sweep; weights of many runs the bound
+# sweep. A run-sweep cell cost 2.6-3.0 window passes from n = 4096 to 16384
+# and 2.0-2.3 at 32768, so above n = 16384 the count sends to the bound sweep
+# some inputs that the run sweep builds faster than the window sweep; the
+# bound sweep builds them faster still (n = 32768, weights at rho/n = 0.80:
+# 116 ms by the run sweep, 140 ms by the window sweep, 29 ms by the bound
+# sweep).
 _RUN_CELL_COST = 3
 
 
 def _rle_sweep(pref: np.ndarray, labels: np.ndarray, rings) -> list:
     """_window_sweep's extremes for the single row ``pref``, the prefix sums
-    of ``labels``, through the run sweep or the window sweep, whichever
-    costs less by their exact cell counts, taken before either runs."""
+    of ``labels``: through the run sweep when it costs less than the window
+    sweep by their exact cell counts, taken before either runs, else through
+    the bound sweep, one ring at a time."""
     n = labels.size
     two_valued = _two_valued(labels)
     candidates = [_candidates(labels, ring, two_valued) for ring in rings]
@@ -254,7 +394,8 @@ def _rle_sweep(pref: np.ndarray, labels: np.ndarray, rings) -> list:
                     for starts, ends in candidates)
     if _RUN_CELL_COST * run_cells < (1 + len(rings)) * n * (n + 1) // 2:
         return _run_sweep(pref, candidates, rings)
-    return [best[0] for best in _window_sweep(pref[None, :], rings)]
+    del candidates   # up to 2 n int64 positions, freed before the bound sweep's buffers
+    return [_bound_sweep(pref, labels, ring) for ring in rings]
 
 
 def rle_profile(s: BinaryString) -> Profile:
@@ -431,7 +572,8 @@ def naive_weighted_max_sums(weights) -> np.ndarray:
 
 def rle_weighted_max_sums(weights) -> np.ndarray:
     """naive_weighted_max_sums's result, in O(n rho) for rho runs of equal
-    weight when that costs less than the window sweep."""
+    weight when that costs less than the window sweep, else from the windows
+    that can reach their width's maximum."""
     weights = as_int64(weights, "weights")
     return _rle_sweep(_weight_prefix(weights), weights, (MAX,))[0].astype(np.int64)
 

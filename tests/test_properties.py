@@ -1,13 +1,15 @@
 """Property tests, drawn by hypothesis: the string profile and the paper's
 string reductions on adversarial bit strings (long runs, all-0, all-1,
 alternating and a single 1), the run-boundary sweep on run-length strings and
-on piecewise-constant weights, general and two-valued, the profile CSV round
-trip, the tree sweep on adversarial shapes, and the vectorised parsers
-against their line-by-line readings."""
+on piecewise-constant weights, general and two-valued, the bound-pruned sweep
+on drifted and spread weights, the profile CSV round trip, the tree sweep on
+adversarial shapes, and the vectorised parsers against their line-by-line
+readings."""
 
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +17,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from jumbled import inputs
+from jumbled import inputs, strings
 from jumbled.profiles import read_profile_csv, write_profile_csv
 from jumbled.minplus import MAX, MIN
 from jumbled.strings import (
-    _candidates, _run_sweep, _two_valued, _weight_prefix, BinaryString, blocked_profile, naive_profile,
-    naive_weighted_max_sums, recursive_profile, weighted_max_sums,
+    _bound_sweep, _candidates, _run_sweep, _two_valued, _weight_prefix, BinaryString,
+    blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
 )
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile, tree_profile, \
     weighted_tree_max_sums
@@ -127,6 +129,27 @@ def test_run_sweep_matches_naive(lengths, data):
                    for w in [data.draw(value, label="weight")] * length]
         (got,) = _run_sweep_of(_weight_prefix(weights), weights, (MAX,))
         assert got.tolist() == naive_weighted_max_sums(weights).tolist()
+
+
+# weights of a drawn range around a drawn level, so that the centred prefix
+# sums drift either way, or spread across the whole int range
+drifted = st.tuples(st.integers(-30, 30), st.integers(0, 30)).flatmap(
+    lambda level: st.lists(st.integers(level[0], level[0] + level[1]), min_size=1,
+                           max_size=MAX_N))
+
+
+@SETTINGS
+@given(st.one_of(drifted, adversarial, st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1,
+                                                  max_size=MAX_N)))
+def test_bound_sweep_matches_naive(weights):
+    # the block pass never gives up at a cost of 0, so the pruned reads run
+    # on every input, however short
+    pref = _weight_prefix(weights)
+    with mock.patch.object(strings, "_BOUND_CELL_COST", 0):
+        got = _bound_sweep(pref, np.array(weights), MAX)
+        lows = _bound_sweep(pref, np.array(weights), MIN)
+    assert got.tolist() == naive_weighted_max_sums(weights).tolist()
+    assert (-lows).tolist() == naive_weighted_max_sums([-w for w in weights]).tolist()
 
 
 @SETTINGS

@@ -1,7 +1,7 @@
 """The directional run sweep behind rle_profile and rle_weighted_max_sums.
 
 _run_sweep is called directly, under either candidate rule, where rle's
-choice of the window sweep would take over, so every edge here reaches it:
+choice of the bound sweep would take over, so every edge here reaches it:
 n = 1, a single run, a run per position, adjacent runs of equal weight,
 two-valued weights with negative values and weights at the int16 / int32
 edges of the sweep's narrow dtype. Both rules are also checked exhaustively
@@ -159,12 +159,18 @@ def _with_runs(n, runs, values=(0, 1)):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Names of the sweeps the rle builders call, in order."""
-    called = []
-    for name in ("_run_sweep", "_window_sweep"):
+    """Names of the sweeps the builders call, in order; the window sweep a
+    bound sweep falls back to is its own step, not recorded."""
+    called, depth = [], [0]
+    for name in ("_run_sweep", "_bound_sweep", "_window_sweep"):
         def recording(*args, name=name, sweep=getattr(strings, name)):
-            called.append(name)
-            return sweep(*args)
+            if not depth[0]:
+                called.append(name)
+            depth[0] += 1
+            try:
+                return sweep(*args)
+            finally:
+                depth[0] -= 1
         monkeypatch.setattr(strings, name, recording)
     return called
 
@@ -172,12 +178,12 @@ def sweeps(monkeypatch):
 def _chosen(labels, rings):
     # the run sweep while its cells, each weighted _RUN_CELL_COST, are fewer
     # than the window sweep's: one subtraction and one reduction per ring
-    # over each of the n (n + 1) / 2 windows
+    # over each of the n (n + 1) / 2 windows; else one bound sweep per ring
     n = len(labels)
     cells = sum(n * (starts.size + 1) - int(starts.sum()) + int(ends.sum())
                 for starts, ends in _candidates(labels, rings))
     run = strings._RUN_CELL_COST * cells < (1 + len(rings)) * n * (n + 1) // 2
-    return "_run_sweep" if run else "_window_sweep"
+    return ["_run_sweep"] if run else ["_bound_sweep"] * len(rings)
 
 
 FAMILIES = {
@@ -200,25 +206,25 @@ def test_rle_picks_its_sweep_by_cell_count(sweeps, family):
                 values = (-3, 4) if family == "two-valued weights" else (0, 5, -2, 3, 1)
                 labels = _with_runs(n, runs, values)
                 got, rings = rle_weighted_max_sums(labels).tolist(), (MAX,)
-            assert sweeps == [_chosen(np.array(labels), rings)], (n, runs)
+            assert sweeps == _chosen(np.array(labels), rings), (n, runs)
             chosen.add(sweeps[0])
             if family == "0/1":
                 assert got == naive_profile(labels), (n, runs)
             else:
                 assert got == naive_weighted_max_sums(labels).tolist(), (n, runs)
-    assert chosen == {"_run_sweep", "_window_sweep"}
+    assert chosen == {"_run_sweep", "_bound_sweep"}
 
 
 def test_iid_labels_at_several_chunks_of_starts(sweeps):
     # i.i.d. bits and two-valued weights take the run sweep, each ring with
     # some 1000 starts, several chunks of them; i.i.d. weights of 19 values
-    # take the window sweep
+    # take the bound sweep
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2, 4096)
     two = np.where(rng.integers(0, 2, 4096) == 1, 6, -5)
     weights = rng.integers(-9, 10, 4096)
     got = [rle_profile(bits), rle_weighted_max_sums(two), rle_weighted_max_sums(weights)]
-    assert sweeps == ["_run_sweep", "_run_sweep", "_window_sweep"]
+    assert sweeps == ["_run_sweep", "_run_sweep", "_bound_sweep"]
     assert got[0] == naive_profile(bits)
     assert np.array_equal(got[1], naive_weighted_max_sums(two))
     assert np.array_equal(got[2], naive_weighted_max_sums(weights))

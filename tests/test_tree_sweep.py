@@ -145,14 +145,17 @@ def test_a_01_chain_starts_once_at_every_run(monkeypatch):
 
 
 def test_paths_against_the_string_sweep():
+    # a weighted path of 4096 nodes is a chain long enough for the bound
+    # sweep's pruned reads, with i.i.d. and with drifted weights
     rng = random.Random(11)
-    for n in (1, 2, SMALL, SMALL + 1, 3 * SMALL, 700):
+    for n in (1, 2, SMALL, SMALL + 1, 3 * SMALL, 700, 4096):
         bits = random_bits(rng, n)
-        weights = [rng.randint(-9, 9) for _ in range(n)]
         assert simple_tree_profile(binarize(LabeledTree(path_parents(n), bits))) == \
             naive_profile(bits)
-        assert weighted_tree_max_sums(LabeledTree(path_parents(n), weights)).tolist() == \
-            naive_weighted_max_sums(weights).tolist()
+        for lo, hi in ((-9, 9), (0, 9)):
+            weights = [rng.randint(lo, hi) for _ in range(n)]
+            assert weighted_tree_max_sums(LabeledTree(path_parents(n), weights)).tolist() == \
+                naive_weighted_max_sums(weights).tolist()
 
 
 # ---------------------------------------------------------------------------
