@@ -18,12 +18,14 @@ It copies the prefix sums once into the narrowest signed dtype that holds
 their span and covers tiles of widths x starts, each filled by one
 subtraction from a Hankel view and reduced once per ring. _run_sweep takes
 one slice of the same narrow prefix sums per candidate start or end instead.
-_bound_sweep reads only the blocks of that Hankel matrix, and the starts in
-them, that can reach their widths' extremes, on prefix sums centred on the
-mean label; where too few blocks drop out it runs _window_sweep.
+_bound_sweep reads only the blocks of that Hankel matrix that can reach
+their widths' extremes, on prefix sums centred on the nearest half of the
+mean label, so that i.i.d. bits walk by +-1; where too few blocks drop out
+it hands over to the cheaper of the run sweep and _window_sweep.
 _rle_sweep, behind rle_profile, rle_weighted_max_sums and the chains of the
-tree sweep, counts the run sweep's cells and the window sweep's before any
-sweep runs: the run sweep when it costs less, else the bound sweep.
+tree sweep, prices the three kernels before any sweep runs: the run sweep
+when it costs no more than the bound sweep is expected to, else the bound
+sweep, with the cheaper of the other two as its budget.
 """
 
 from __future__ import annotations
@@ -226,56 +228,101 @@ def _run_sweep(pref: np.ndarray, candidates, rings) -> list:
 
 
 # _bound_sweep cuts the Hankel matrix of the centred prefix sums into blocks of
-# _BOUND_BLOCK starts x _BOUND_BLOCK widths; each step of its block pass and
-# of its reads holds up to _BOUND_CELLS cells. On a 2-core x86 VM
+# _BOUND_BLOCK starts x _BOUND_BLOCK widths. On a 2-core x86 VM
 # (rle_weighted_max_sums, i.i.d. weights in -9..9, median of 3-15 calls), K =
 # 16 took 2.4 ms at n = 4096, 11.1 ms at 16384 and 67 ms at 65536; K = 32
 # took 8.1 ms (too many blocks kept, so the window sweep ran), 14.4 ms and
 # 62 ms; K = 64 took 32 ms at 16384. Smaller blocks cost more in the
-# O((n / K)^2) block pass.
-#
-# It falls back to the window sweep once the kept blocks' cells, each
-# weighted _BOUND_CELL_COST, outnumber the window sweep's. Where every block
-# and start is kept (weights 1, -1, 0 repeated), a read cell cost 3.6 window
-# sweep cells at n = 4096 and 8.9-11.7 at 16384; where the starts of a kept
-# block are filtered too, it costs less.
+# O((n / K)^2) block pass. Each step of the block pass bounds up to
+# _BOUND_CELLS blocks; each step of its reads takes _BOUND_READ kept blocks.
+# On i.i.d. bits (rle_profile, median of 15 alternating calls), 256 blocks
+# took 20.8 ms at n = 16384 and 117 ms at 65536, 512 16.1 and 92 ms, 1024
+# 14.0 and 87 ms; the peak of rle_weighted_max_sums on i.i.d. weights at
+# n = 16384 rose from 0.357 to 0.390 and 0.510 MiB.
 _BOUND_BLOCK = 16
 _BOUND_CELLS = 1 << 15
-_BOUND_CELL_COST = 8
+_BOUND_READ = 512
+
+# _rle_sweep and _bound_sweep price each kernel for one ring in window-sweep
+# cell passes: one subtraction or one reduction of one int16 cell. Fits on a
+# 2-core x86 VM (minima of 7-9 interleaved rounds, two runs) put a pass
+# at 0.04-0.07 ns, and
+#
+# * a tile of the window sweep at 11-15 us more; below n = 16384 a tile
+#   holds n / 4 starts, so short rows cost several passes a cell
+#   (_window_cost);
+# * a cell of the run sweep at 0.13-0.20 ns, and a slice at 1.7-2.7 us;
+# * a block of the bound sweep's pass at 2.4-2.8 ns and a cell of a kept
+#   block at 1.0-1.2 ns (n >= 4096), and a call at 0.25-0.3 ms (n = 256,
+#   where it reads few blocks); so i.i.d. 0/1 rows take it from n = 1000 on.
+#
+# Before the pass, _rle_sweep expects _BOUND_TILE_BLOCKS kept blocks per
+# tile, times 1 + _BOUND_DRIFT r^2 for two-valued labels whose centred mean
+# is r standard deviations. Kept blocks per tile of bits at n = 16384, MAX and
+# MIN (4096 and 65536 within 25%):
+#
+#   density   0.02  0.05  0.10  0.15  0.20  0.25  0.30  0.35  0.40  0.50
+#   r         0.14  0.23  0.33  0.42  0.50  0.56  0.44  0.31  0.20  0.01
+#   kept      9-14 11-12 14-15 23-24 26-31 35-37 23-33 15-21 14-15 10-10
+#
+# i.i.d. weights keep 8-13 per tile from n = 1024 to 65536.
+_TILE_COST = 300000
+_RUN_CELL_COST = 3
+_RUN_STEP_COST = 50000
+_BOUND_CALL_COST = 6000000
+_BOUND_PASS_COST = 60
+_BOUND_CELL_COST = 25
+_BOUND_TILE_BLOCKS = 12
+_BOUND_DRIFT = 5
 
 
-def _sliding(x: np.ndarray, k: int, fold) -> np.ndarray:
-    """fold over x[i:i+k] for i = 0..x.size-k, x.size a multiple of k: the
-    fold of a window is that of its tail in one k-block and its head in the
-    next (van Herk, Gil and Werman). At n = 16384 and k = 16 this takes 0.3
-    ms, a reduction over a sliding-window view 1.6 ms."""
-    head = fold.accumulate(x.reshape(-1, k), axis=1).ravel()
-    tail = fold.accumulate(x[::-1].reshape(-1, k), axis=1).ravel()[::-1]
-    return fold(tail[:x.size - k + 1], head[k - 1:])
+def _window_cost(n: int, dtype) -> int:
+    """_window_sweep's price for one ring over one row of n labels in
+    ``dtype``; its tiles hold fewer starts when the row is short."""
+    cells = min(_TILE_CELLS, (n + 1) * 8 // np.dtype(dtype).itemsize)
+    starts_per_tile = min(n, max(_TILE_WIDTHS, cells // _TILE_WIDTHS))
+    tiles = int((-(-np.arange(n, 0, -_TILE_WIDTHS) // starts_per_tile)).sum())
+    return n * (n + 1) + _TILE_COST * tiles
 
 
-def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
+def _centre(pref: np.ndarray):
+    """(d, c) for the bound sweep: labels a become d a - c, for m the
+    rounded 2 mean label, d = 1 and c = m / 2 for an even m, d = 2 and c = m
+    for an odd one."""
+    n = pref.size - 1
+    m = (4 * (int(pref[-1]) - int(pref[0])) + n) // (2 * n)
+    d = 1 + m % 2
+    return d, m * d // 2
+
+
+def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run=None) -> np.ndarray:
     """_window_sweep's extremes for ``ring`` over the single row ``pref``,
     the prefix sums of ``labels``, from only the windows that can reach
     their width's extreme.
 
-    The sweep runs on q, the prefix sums of labels - c for c the rounded
-    mean label, and adds c w back: a shift moves every window of width w by
-    the same c w, and keeps q at the scale of the labels' noise. MIN runs as
-    MAX on -q. Block (g, t) holds the windows of starts gK..gK+K-1 and widths
-    tK+1..tK+K. It is read only when its bound, max q over its ends - min q
-    over its starts, reaches L_t: the largest min q[gK+tK+1 .. gK+tK+K] - q[gK]
-    over the groups g that have every width of tile t, a value the window
-    from gK reaches at each width of the tile. A start s of a kept block is
-    read only when max q[s+tK+1 .. s+tK+K] - q[s] reaches L_t too. So every
-    window skipped falls short of a real one of its width. When the kept
-    blocks hold too many cells for this to pay, the block pass stops early
-    and q goes through _window_sweep.
+    The sweep runs on q, the prefix sums of d labels - c, and returns
+    (c w + the extreme of q) / d: a shift moves every window of width w by
+    the same c w, and keeps q at the scale of the labels' noise. For m the
+    rounded 2 mean label, an even m centres on the integer c = m / 2 (d =
+    1), an odd m on the half m / 2 at twice the scale (d = 2, c = m), so
+    that i.i.d. bits walk by +-1 instead of drifting by w / 2. MIN runs as
+    MAX on -q. Block (g, t) holds the windows of starts gK..gK+K-1 and
+    widths tK+1..tK+K. It is read only when its bound, max q over its ends -
+    min q over its starts, reaches L_t: the largest min q[gK+tK+1 ..
+    gK+tK+K] - q[gK] over the groups g that have every width of tile t, a
+    value the window from gK reaches at each width of the tile. So every
+    block skipped falls short of a real window at each of its widths.
+
+    The block pass stops early once what is left of it, and the reads of
+    the blocks it keeps, cost more than ``run`` (the run sweep's price) or
+    the window sweep's, whichever is less; that kernel runs instead, the
+    run sweep on ``pref`` or the window sweep on q.
     """
     n, k = labels.size, _BOUND_BLOCK
-    c = (2 * (int(pref[-1]) - int(pref[0])) + n) // (2 * n)
+    d, c = _centre(pref)
     q = np.zeros(n + 1, dtype=np.int64)
-    np.subtract(labels, c, out=q[1:], dtype=np.int64)
+    np.multiply(labels, d, out=q[1:], dtype=np.int64)
+    q[1:] -= c
     np.cumsum(q, out=q)
     if ring is MIN:
         np.negative(q, out=q)
@@ -284,123 +331,168 @@ def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray
     below, above = lo - span - 1, hi + span + 1   # below every end, above every start
     dtype = _narrow_dtype(below, above)
     groups = -(-n // k)   # groups of K starts, and tiles of K widths
-    ends = np.full((2 * groups + 2) * k + 1, below, dtype=dtype)
+    ends = np.full((groups + 1) * k + 1, below, dtype=dtype)
     ends[:n + 1] = q
     starts = np.full(groups * k, above, dtype=dtype)
     starts[:n] = q[:n]
     del q
-    kept = _kept_blocks(ends, starts, n)
-    if kept is None:
+    window = _window_cost(n, dtype)
+    kept = _kept_blocks(ends, starts, window if run is None else min(run, window))
+    if kept is not None:
+        best = _read_blocks(ends, starts, kept).ravel()[:n]
+    elif run is not None and run < window:
+        del ends, starts
+        return _run_sweep(pref, [_candidates(labels, ring, _two_valued(labels))], (ring,))[0]
+    else:
         (best,) = _window_sweep(ends[None, :n + 1], (MAX,))
         best = best[0]
-    else:
-        best = _read_blocks(ends, starts, *kept).ravel()[:n]
+    del ends, starts, kept   # before the int64 sums
     out = np.arange(1, n + 1, dtype=np.int64)
     out *= c
     (np.subtract if ring is MIN else np.add)(out, best, out=out)
+    out >>= d - 1   # exact: d divides every sum
     return out.astype(_narrow_dtype(int(pref.min()), int(pref.max())))
 
 
-def _kept_blocks(ends: np.ndarray, starts: np.ndarray, n: int):
-    """(the kept blocks as t G + g in increasing order, L_t per tile), or None
-    when pruning does not pay."""
+def _kept_blocks(ends: np.ndarray, starts: np.ndarray, budget: int):
+    """The kept blocks as t G + g, grouped by t, or None as soon as what is
+    left of the block pass, and the reads of the blocks it keeps, cost more
+    than ``budget``. Past a sixteenth of the pass, the rest of it is taken
+    to keep blocks at the rate so far; before, to keep none."""
     k = _BOUND_BLOCK
     groups = starts.size // k
-    chunks = ends[1:].reshape(-1, k)   # chunk j: the ends jK+1 .. jK+K
-    floor = chunks.min(axis=1)   # a chunk past n holds padding, and bounds no tile
-    top = chunks.max(axis=1)
-    top = np.maximum(top[:-1], top[1:])   # block row j ends in jK+1 .. jK+2K-1
+    chunks = ends[1:groups * k + 1].reshape(groups, k)   # chunk j: the ends jK+1 .. jK+K
+    # from chunk G on, ends lie past n and bound nothing
+    floor = np.full(2 * groups, ends[-1], dtype=ends.dtype)
+    top = floor.copy()
+    chunks.min(axis=1, out=floor[:groups])   # a chunk reaching past n holds padding
+    chunks.max(axis=1, out=top[:groups])
+    top[:groups - 1] = np.maximum(top[:groups - 1], top[1:groups])   # block row j: ends jK+1 .. jK+2K-1
     least = starts.reshape(groups, k).min(axis=1)
+    first = starts[::k]
     # [t, g] = top[g + t] and floor[g + t]
     top_h = np.lib.stride_tricks.sliding_window_view(top, groups)
     floor_h = np.lib.stride_tricks.sliding_window_view(floor, groups)
-    lower = np.empty(groups, dtype=ends.dtype)
-    kept, n_kept = [], 0
-    rows = max(1, _BOUND_CELLS // groups)
-    for t0 in range(0, groups, rows):
-        t1 = min(groups, t0 + rows)
-        np.max(floor_h[t0:t1] - starts[::k], axis=1, out=lower[t0:t1])
-        flat = np.flatnonzero(top_h[t0:t1] - least >= lower[t0:t1, None])
+    key = _narrow_dtype(0, groups * groups)
+    # tile t has windows from the groups g <= G - 1 - t alone; tile G - 1,
+    # from group 0, which need not reach all its widths: it is always read
+    last = np.array([(groups - 1) * groups], dtype=key)
+    total = groups * (groups + 1) // 2 - 1   # G - t blocks in each row t < G - 1
+    kept, done, n_kept = [], 0, 1   # n_kept counts tile G - 1's block
+    t0 = 0
+    while t0 < groups - 1:
+        width = groups - t0
+        t1 = min(groups - 1, t0 + max(1, _BOUND_CELLS // width))
+        lower = np.max(floor_h[t0:t1, :width] - first[:width], axis=1)
+        flat = np.flatnonzero(top_h[t0:t1, :width] - least[:width] >= lower[:, None])
+        done += (t1 - t0) * width
         n_kept += flat.size
-        if _BOUND_CELL_COST * n_kept * k * k > n * (n + 1) // 2:
+        reads = n_kept * total // done if 16 * done >= total else n_kept
+        if _BOUND_PASS_COST * (total - done) + _BOUND_CELL_COST * k * k * reads > budget:
             return None
-        kept.append(flat + t0 * groups)
-    return np.concatenate(kept), lower
+        flat += flat // width * t0 + t0 * groups   # row r, column g -> (t0 + r) G + g
+        kept.append(flat.astype(key))
+        t0 = t1
+    kept.append(last)
+    return np.concatenate(kept)
 
 
-def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept, lower) -> np.ndarray:
-    """The maxima [t, w - tK - 1] over the windows of the ``kept`` blocks
-    whose starts reach their tile's ``lower`` bound."""
-    k, groups = _BOUND_BLOCK, lower.size
-    top = _sliding(ends[1:], k, np.maximum)   # top[i] = max ends[i+1 .. i+K]
-    top_rows = top[:top.size // k * k].reshape(-1, k)
+def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
+    """The maxima [t, w - tK - 1] over the windows of the ``kept`` blocks.
+
+    Block (g, t) holds the cells ends[(g+t)K + 1 + i + j] - starts[gK + i] of
+    start i and width j. Each step lays _BOUND_READ blocks out in columns,
+    the 2K ends of a block in rows i + j and its K starts in rows i, so that
+    every operation runs along the blocks."""
+    k, groups = _BOUND_BLOCK, starts.size // _BOUND_BLOCK
+    rows = np.lib.stride_tricks.sliding_window_view(ends[1:], 2 * k)[::k]   # row j: ends jK+1 .. jK+2K
     start_rows = starts.reshape(groups, k)
-    windows = np.lib.stride_tricks.sliding_window_view(ends[1:], k)
     best = np.full((groups, k), ends[-1], dtype=ends.dtype)
-    step = max(1, _BOUND_CELLS // (k * k))
+    step = min(_BOUND_READ, kept.size)
+    block_ends = np.empty((2 * k, step), dtype=ends.dtype)
+    block_starts = np.empty((k, step), dtype=ends.dtype)
+    acc = np.empty((k, step), dtype=ends.dtype)
+    cells = np.empty((k, step), dtype=ends.dtype)
     for b0 in range(0, kept.size, step):
         t, g = np.divmod(kept[b0:b0 + step], groups)
-        reach = np.flatnonzero(top_rows[g + t] - start_rows[g] >= lower[t, None])
-        if not reach.size:
-            continue
-        block, j = np.divmod(reach, k)
-        s, t = g[block] * k + j, t[block]
-        cells = windows[s + t * k]
-        cells -= starts[s, None]
-        heads = np.ones(t.size, dtype=bool)
+        size = t.size
+        e, s, a, x = block_ends[:, :size], block_starts[:, :size], acc[:, :size], cells[:, :size]
+        e[...] = rows[g + t].T
+        s[...] = start_rows[g].T
+        np.subtract(e[:k], s[0], out=a)
+        for i in range(1, k):
+            np.subtract(e[i:i + k], s[i], out=x)
+            np.maximum(a, x, out=a)
+        heads = np.ones(size, dtype=bool)
         np.not_equal(t[1:], t[:-1], out=heads[1:])
         heads = np.flatnonzero(heads)
         t = t[heads]
-        best[t] = np.maximum(best[t], np.maximum.reduceat(cells, heads, axis=0))
+        best[t] = np.maximum(best[t], np.maximum.reduceat(a, heads, axis=1).T)
     return best
 
 
-# _rle_sweep takes the run sweep while _RUN_CELL_COST times its cells are
-# fewer than the window sweep's cell passes: over its n (n + 1) / 2 cells,
-# one subtraction, then one reduction per ring. A run-sweep cell costs a
-# subtraction and a fold, and its share of a few microseconds of calls per
-# start or end. Otherwise it takes the bound sweep. On a 2-core x86 VM (sweep
-# only, best of 3-5, ms; the bound sweep one call per ring, all reading
-# blocks, none falling back):
+# The kernels _rle_sweep picks, sweep only (2-core x86 VM, best of 5, ms;
+# 0/1 rows both rings, weights one; the bound sweep reading blocks and never
+# falling back):
 #
-#                             n = 16384                 n = 65536
-#   input (rho/n)          window   run  bound       window   run  bound
-#   i.i.d. 0/1 (0.50)        58.1  31.8   92.7        764.5 226.2  642.8
-#   0/1 (0.25)               59.2  12.9   43.5       1286.5 211.9  329.9
-#   weights (0.23)           41.0  13.3    7.5        643.4 129.8   79.2
-#   weights (0.80)           42.9  41.8    9.4        714.8 447.7   66.6
-#   i.i.d. weights (0.95)    38.8  45.5    8.8        652.5 494.5   81.2
-#   i.i.d. weights in 0..9  105.7  91.8   19.4        882.2 753.9   72.1
+#                               n = 16384                n = 65536
+#   input (rho/n)            window   run  bound     window   run  bound
+#   i.i.d. 0/1 (0.51)          47.2  26.0    8.6     1125.8 330.8   64.1
+#   0/1 in runs of 4 (0.25)    75.1  15.4    9.9     1202.9 255.6   63.0
+#   0/1 of density 1/4 (0.37)  58.2  17.4   16.5      686.0 154.0  124.8
+#   0/1 of density 1/20 (0.09) 59.1   4.4    9.6      755.8  40.7   54.5
+#   weights (0.22)             33.6   9.4    3.8      480.2  88.2   21.5
+#   weights (0.76)             33.7  37.3    3.5      554.9 342.2   25.7
+#   i.i.d. weights (0.95)      37.1  46.2    4.7      499.5 495.2   26.4
+#   i.i.d. weights in 0..9    109.7  55.3    4.6      947.0 781.3   35.3
 #
-# 0/1 strings and chains take the run sweep; weights of many runs the bound
-# sweep. A run-sweep cell cost 2.6-3.0 window passes from n = 4096 to 16384
-# and 2.0-2.3 at 32768, so above n = 16384 the count sends to the bound sweep
-# some inputs that the run sweep builds faster than the window sweep; the
-# bound sweep builds them faster still (n = 32768, weights at rho/n = 0.80:
-# 116 ms by the run sweep, 140 ms by the window sweep, 29 ms by the bound
-# sweep).
-_RUN_CELL_COST = 3
+# All but two take the bound sweep. Bits of density 1/20 take the run sweep,
+# as do bits of density 1/4 at n = 16384 (at 65536 one ring gives up after
+# 1.9 ms, and both together take 184 ms against 211 ms by the run sweep).
+
+
+def _tile_blocks(pref: np.ndarray, labels: np.ndarray, two_valued: bool) -> float:
+    """The kept blocks per tile that _rle_sweep expects of the bound sweep:
+    _BOUND_TILE_BLOCKS, times 1 + _BOUND_DRIFT r^2 for two-valued labels, r
+    the centred labels' mean over their standard deviation. Labels of more
+    values count as centred."""
+    lo, hi = int(labels.min()), int(labels.max())
+    if not two_valued or lo == hi:
+        return _BOUND_TILE_BLOCKS
+    n = labels.size
+    d, c = _centre(pref)
+    mean = (int(pref[-1]) - int(pref[0])) / n
+    p = (mean - lo) / (hi - lo)
+    r2 = (d * mean - c) ** 2 / (d * d * (hi - lo) ** 2 * p * (1 - p))
+    return _BOUND_TILE_BLOCKS * (1 + _BOUND_DRIFT * r2)
 
 
 def _rle_sweep(pref: np.ndarray, labels: np.ndarray, rings) -> list:
     """_window_sweep's extremes for the single row ``pref``, the prefix sums
-    of ``labels``: through the run sweep when it costs less than the window
-    sweep by their exact cell counts, taken before either runs, else through
-    the bound sweep, one ring at a time."""
-    n = labels.size
+    of ``labels``, by three prices taken before any sweep runs: the run
+    sweep's from its exact cells and slices, the bound sweep's from its
+    call, its block pass and the blocks it expects to keep (_tile_blocks),
+    and the window sweep's from its cells and tiles. The run sweep runs when
+    it costs no more than the bound sweep; else the bound sweep, one ring at
+    a time, with the cheaper of the other two as its budget and fallback."""
+    n, k = labels.size, _BOUND_BLOCK
     two_valued = _two_valued(labels)
     candidates = [_candidates(labels, ring, two_valued) for ring in rings]
-    run_cells = sum(n * (starts.size + 1) - int(starts.sum()) + int(ends.sum())
-                    for starts, ends in candidates)
-    if _RUN_CELL_COST * run_cells < (1 + len(rings)) * n * (n + 1) // 2:
+    runs = [_RUN_CELL_COST * (n * (starts.size + 1) - int(starts.sum()) + int(ends.sum()))
+            + _RUN_STEP_COST * (starts.size + ends.size + 1) for starts, ends in candidates]
+    groups = -(-n // k)
+    bound = (_BOUND_CALL_COST + _BOUND_PASS_COST * groups * (groups + 1) // 2
+             + _BOUND_CELL_COST * k * k * _tile_blocks(pref, labels, two_valued) * groups)
+    if sum(runs) <= len(rings) * bound:
         return _run_sweep(pref, candidates, rings)
     del candidates   # up to 2 n int64 positions, freed before the bound sweep's buffers
-    return [_bound_sweep(pref, labels, ring) for ring in rings]
+    return [_bound_sweep(pref, labels, ring, run) for ring, run in zip(rings, runs)]
 
 
 def rle_profile(s: BinaryString) -> Profile:
     """naive_profile's result, in O(n rho) for a string of rho runs when
-    that costs less than the window sweep."""
+    that costs less, else from the blocks of windows that can reach their
+    width's extremes."""
     s = _as_string(s)
     mins, maxs = _rle_sweep(s.prefix_ones, s.bits, (MIN, MAX))
     return Profile(mins, maxs)

@@ -1,12 +1,13 @@
 """The bound-pruned sweep behind rle's branch for labels of many runs.
 
-_bound_sweep centres the prefix sums on the rounded mean label, then skips
-every block of K starts x K widths, and every start of a kept block, whose
-bound falls short of a real window at each of its widths. Every case here is
-checked against _window_sweep under both rings, once through the pruned
-reads (with _BOUND_CELL_COST at 0 the block pass never gives up) and once as
-rle calls it, where short or unprunable inputs fall back to the window sweep
-on the centred prefix sums.
+_bound_sweep centres the prefix sums on the nearest half of the mean label
+(0/1 labels of density near 1/2 walk by +-1 at twice the scale), then skips
+every block of K starts x K widths whose bound falls short of a real window
+at each of its widths. Every case here is checked against _window_sweep
+under both rings, once through the pruned reads (with _BOUND_CELL_COST at 0
+the block pass never gives up) and once as rle calls it, where short or
+unprunable inputs fall back to the window sweep on the centred prefix sums,
+and to the run sweep when that is priced lower.
 """
 
 import tracemalloc
@@ -16,7 +17,7 @@ import pytest
 
 from jumbled import strings
 from jumbled.minplus import FINITE_BOUND, MAX, MIN
-from jumbled.strings import BinaryString, rle_weighted_max_sums
+from jumbled.strings import BinaryString, naive_profile, rle_profile, rle_weighted_max_sums
 
 K = strings._BOUND_BLOCK
 
@@ -28,12 +29,18 @@ def path(request, monkeypatch):
     return request.param
 
 
-def _assert_window_sweep(pref, labels):
+def _assert_window_sweep(pref, labels, wants=None):
     for ring in (MAX, MIN):
-        (want,) = strings._window_sweep(pref[None, :], (ring,))
-        got = strings._bound_sweep(pref, np.asarray(labels), ring)
-        assert got.dtype == want.dtype, ring
-        assert np.array_equal(got, want[0]), ring
+        if wants is None:
+            (want,) = strings._window_sweep(pref[None, :], (ring,))
+        else:
+            want = wants[ring]
+        # as priced by rle, and with a run sweep priced at nothing, so that
+        # the pass gives up at its first check and the run sweep answers
+        for run in (None, 0):
+            got = strings._bound_sweep(pref, np.asarray(labels), ring, run)
+            assert got.dtype == want.dtype, (ring, run)
+            assert np.array_equal(got, want[0]), (ring, run)
 
 
 def _assert_weights(weights):
@@ -46,6 +53,19 @@ def test_every_n_up_to_three_blocks(path):
     for n in range(1, 3 * K + 2):
         _assert_weights(rng.integers(-9, 10, n))
         _assert_weights(rng.integers(0, 10, n))
+
+
+def test_many_short_rows_of_small_weights(path):
+    # rows of two to six tiles, where a bound a little too high shows: on
+    # the first, L_2 taken from the group starts one position late would
+    # pass the largest window of width 48
+    _assert_weights([-2, 3, -1, 1, -2, 3, 0, 0, 0, 3, 1, 0, 2, 1, 0, -2, 0, 2, 3, 3, 3, 2, 1,
+                     -1, -2, -2, 1, -1, 3, -2, 2, 2, 0, 3, 1, 1, -3, 0, 0, 2, -1, 0, -1, -2, 3,
+                     -3, 3, -2, -2, -2, 0, 0, -1, 1, 2, 3, 0, -2, 0, 3, 2, 2, 0, 2, -3, 1, 2, 0,
+                     -2, 3, -1, 2, 0])
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        _assert_weights(rng.integers(-3, 4, int(rng.integers(2 * K + 1, 6 * K))))
 
 
 def _two_runs(n):
@@ -101,11 +121,71 @@ def test_bits_under_both_rings(path, n):
         _assert_window_sweep(s.prefix_ones, s.bits)
 
 
+def _assert_bits(bits, wants=None):
+    s = BinaryString(np.asarray(bits, dtype=np.uint8))
+    _assert_window_sweep(s.prefix_ones, s.bits, wants)
+
+
+@pytest.mark.parametrize("density", [0.05, 0.25, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("n", [1000, 4099])
+def test_iid_bits(path, density, n):
+    _assert_bits(np.random.default_rng(n).random(n) < density)
+
+
+@pytest.mark.parametrize("n", [999, 4099])
+def test_odd_n_with_half_the_bits_set(path, n):
+    # (n - 1) / 2 or (n + 1) / 2 ones: a mean of 1/2 -+ 1/(2n), centred on the half
+    rng = np.random.default_rng(n)
+    for ones in ((n - 1) // 2, (n + 1) // 2):
+        bits = np.zeros(n, dtype=np.uint8)
+        bits[rng.choice(n, ones, replace=False)] = 1
+        assert strings._centre(BinaryString(bits).prefix_ones) == (2, 1)
+        _assert_bits(bits)
+
+
+def test_alternating_bits(path):
+    for n in (1000, 1001, 4099):
+        _assert_bits(np.arange(n) % 2)
+
+
+@pytest.mark.parametrize("quarter", [1, 3])
+def test_means_either_side_of_a_parity_change(path, quarter):
+    # m = round(2 mean) changes parity at a mean of 1/4 and of 3/4: one
+    # 1 fewer centres on an integer, and at the quarter on the half
+    n = 4000
+    rng = np.random.default_rng(quarter)
+    centres = set()
+    for ones in (quarter * n // 4 - 1, quarter * n // 4):
+        bits = np.zeros(n, dtype=np.uint8)
+        bits[rng.choice(n, ones, replace=False)] = 1
+        centres.add(strings._centre(BinaryString(bits).prefix_ones)[0])
+        _assert_bits(bits)
+    assert centres == {1, 2}
+
+
+@pytest.fixture(scope="module", params=[32768, 65536])
+def big_bits(request):
+    """i.i.d. bits of n = 32768 or 65536, and the window sweep's extremes of
+    each ring, made once for both paths."""
+    bits = np.random.default_rng(7).integers(0, 2, request.param).astype(np.uint8)
+    pref = BinaryString(bits).prefix_ones
+    return bits, {ring: strings._window_sweep(pref[None, :], (ring,))[0] for ring in (MAX, MIN)}
+
+
+def test_iid_bits_at_the_int16_edge(path, big_bits):
+    # at n = 65536 the seed draws more than 32767 ones, so the raw prefix
+    # sums need int32 while the centred walk stays in int16
+    bits, wants = big_bits
+    assert wants[MAX].dtype == (np.int32 if bits.size == 65536 else np.int16)
+    _assert_bits(bits, wants)
+
+
 @pytest.fixture
 def reads(monkeypatch):
-    """How each _bound_sweep call ended: its pruned reads or the window sweep."""
+    """How each _bound_sweep call ended, its pruned reads or the window
+    sweep, or that rle took the run sweep."""
     called = []
-    for name in ("_read_blocks", "_window_sweep"):
+    for name in ("_read_blocks", "_window_sweep", "_run_sweep"):
         def recording(*args, name=name, step=getattr(strings, name)):
             called.append(name)
             return step(*args)
@@ -120,6 +200,22 @@ def test_periodic_weights_fall_back_and_iid_weights_do_not(reads):
     reads.clear()
     rle_weighted_max_sums(np.random.default_rng(n).integers(-9, 10, n))
     assert reads == ["_read_blocks"]
+
+
+def test_string_random_bits_read_blocks_and_few_runs_take_the_run_sweep(reads):
+    # bits shaped as string-random (density 1/2, n = 16384) read blocks on
+    # both rings; 256 runs and bits of density 0.05 take the run sweep
+    n = 16384
+    rng = np.random.default_rng(n)
+    cases = [(rng.integers(0, 2, n), ["_read_blocks"] * 2),
+             (np.repeat(np.arange(256) % 2, n // 256), ["_run_sweep"]),
+             (rng.random(n) < 0.05, ["_run_sweep"])]
+    for bits, want in cases:
+        bits = bits.astype(np.uint8)
+        reads.clear()
+        got = rle_profile(bits)
+        assert reads == want
+        assert got == naive_profile(bits)
 
 
 def test_rle_weighted_memory_peak():

@@ -2,7 +2,8 @@
 string reductions on adversarial bit strings (long runs, all-0, all-1,
 alternating and a single 1), the run-boundary sweep on run-length strings and
 on piecewise-constant weights, general and two-valued, the bound-pruned sweep
-on drifted and spread weights, the profile CSV round trip, the tree sweep on
+on drifted and spread weights and, through rle_profile, on bits of any
+density, the profile CSV round trip, the tree sweep on
 adversarial shapes, and the vectorised parsers against their line-by-line
 readings."""
 
@@ -22,7 +23,8 @@ from jumbled.profiles import read_profile_csv, write_profile_csv
 from jumbled.minplus import MAX, MIN
 from jumbled.strings import (
     _bound_sweep, _candidates, _run_sweep, _two_valued, _weight_prefix, BinaryString,
-    blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
+    blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile, rle_profile,
+    weighted_max_sums,
 )
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile, tree_profile, \
     weighted_tree_max_sums
@@ -150,6 +152,24 @@ def test_bound_sweep_matches_naive(weights):
         lows = _bound_sweep(pref, np.array(weights), MIN)
     assert got.tolist() == naive_weighted_max_sums(weights).tolist()
     assert (-lows).tolist() == naive_weighted_max_sums([-w for w in weights]).tolist()
+
+
+# bits of a drawn density, around each parity change of the rounded 2 mean
+biased = st.builds(lambda n, density, seed: (np.random.default_rng(seed).random(n) < density)
+                   .astype(int).tolist(),
+                   sizes, st.sampled_from([0.05, 0.2, 0.25, 0.3, 0.5, 0.7, 0.75, 0.8, 0.95]),
+                   st.integers(0, 2 ** 32 - 1))
+
+
+@SETTINGS
+@given(st.one_of(adversarial, biased))
+def test_rle_profile_through_the_bound_sweep(bits):
+    # at no price for the bound sweep rle takes it on every input, however
+    # short, and its block pass never gives up
+    with mock.patch.multiple(strings, _BOUND_CALL_COST=0, _BOUND_PASS_COST=0,
+                             _BOUND_CELL_COST=0):
+        got = rle_profile(bits)
+    assert got == naive_profile(bits)
 
 
 @SETTINGS

@@ -176,19 +176,25 @@ def sweeps(monkeypatch):
 
 
 def _chosen(labels, rings):
-    # the run sweep while its cells, each weighted _RUN_CELL_COST, are fewer
-    # than the window sweep's: one subtraction and one reduction per ring
-    # over each of the n (n + 1) / 2 windows; else one bound sweep per ring
-    n = len(labels)
-    cells = sum(n * (starts.size + 1) - int(starts.sum()) + int(ends.sum())
-                for starts, ends in _candidates(labels, rings))
-    run = strings._RUN_CELL_COST * cells < (1 + len(rings)) * n * (n + 1) // 2
-    return ["_run_sweep"] if run else ["_bound_sweep"] * len(rings)
+    # the run sweep while its price, _RUN_CELL_COST per cell and
+    # _RUN_STEP_COST per slice, is no more than the bound sweep's for every
+    # ring: its call, its block pass over G (G + 1) / 2 blocks and the
+    # blocks it expects to keep per tile; else one bound sweep per ring
+    n, k = len(labels), strings._BOUND_BLOCK
+    run = sum(strings._RUN_CELL_COST * (n * (starts.size + 1) - int(starts.sum()) + int(ends.sum()))
+              + strings._RUN_STEP_COST * (starts.size + ends.size + 1)
+              for starts, ends in _candidates(labels, rings))
+    groups = -(-n // k)
+    pref = np.concatenate([[0], np.cumsum(labels)])
+    kept = strings._tile_blocks(pref, labels, strings._two_valued(labels))
+    bound = (strings._BOUND_CALL_COST + strings._BOUND_PASS_COST * groups * (groups + 1) // 2
+             + strings._BOUND_CELL_COST * k * k * kept * groups)
+    return ["_run_sweep"] if run <= len(rings) * bound else ["_bound_sweep"] * len(rings)
 
 
 FAMILIES = {
     "0/1": (8, 64, 400, 1001),
-    "two-valued weights": (8, 13, 14, 64),
+    "two-valued weights": (8, 13, 14, 64, 1000),
     "weights": (8, 64, 400),
 }
 
@@ -216,15 +222,15 @@ def test_rle_picks_its_sweep_by_cell_count(sweeps, family):
 
 
 def test_iid_labels_at_several_chunks_of_starts(sweeps):
-    # i.i.d. bits and two-valued weights take the run sweep, each ring with
-    # some 1000 starts, several chunks of them; i.i.d. weights of 19 values
-    # take the bound sweep
+    # i.i.d. bits and two-valued weights, each ring with some 1000 starts,
+    # and i.i.d. weights of 19 values take the bound sweep: the first two
+    # centred on the half
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2, 4096)
     two = np.where(rng.integers(0, 2, 4096) == 1, 6, -5)
     weights = rng.integers(-9, 10, 4096)
     got = [rle_profile(bits), rle_weighted_max_sums(two), rle_weighted_max_sums(weights)]
-    assert sweeps == ["_run_sweep", "_run_sweep", "_bound_sweep"]
+    assert sweeps == ["_bound_sweep"] * 4
     assert got[0] == naive_profile(bits)
     assert np.array_equal(got[1], naive_weighted_max_sums(two))
     assert np.array_equal(got[2], naive_weighted_max_sums(weights))
@@ -265,8 +271,9 @@ def test_rle_profile_memory_peak():
     # differences and the two extremes), each ring's starts and one chunk of
     # them as Python ints, freed but for the extremes before the two int64
     # profile arrays are made; the bound is naive_profile's (see
-    # test_naive_profile_memory_peak). Both strings take the run sweep: 256
-    # runs, and i.i.d. bits with about n / 2 runs
+    # test_naive_profile_memory_peak). 256 runs take the run sweep; i.i.d.
+    # bits with about n / 2 runs the bound sweep, whose buffers are freed
+    # but for each ring's extremes before the profile arrays are made
     for bits in (np.repeat(np.arange(256) % 2, 64).astype(np.uint8),
                  np.random.default_rng(16384).integers(0, 2, 16384).astype(np.uint8)):
         s = BinaryString(bits)
