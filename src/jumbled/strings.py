@@ -20,12 +20,13 @@ subtraction from a Hankel view and reduced once per ring. _run_sweep takes
 one slice of the same narrow prefix sums per candidate start or end instead.
 _bound_sweep reads only the blocks of that Hankel matrix that can reach
 their widths' extremes, on prefix sums centred on the nearest half of the
-mean label, so that i.i.d. bits walk by +-1; where too few blocks drop out
-it hands over to the cheaper of the run sweep and _window_sweep.
+mean label, so that i.i.d. bits walk by +-1.
 _rle_sweep, behind rle_profile, rle_weighted_max_sums and the chains of the
-tree sweep, prices the three kernels before any sweep runs: the run sweep
-when it costs no more than the bound sweep is expected to, else the bound
-sweep, with the cheaper of the other two as its budget.
+tree sweep, picks one of these two kernels per ring before either runs: the
+run sweep when it costs no more than the bound sweep is expected to, else
+the bound sweep, which hands over to the run sweep where too few blocks drop
+out. The default thus never runs _window_sweep, the kernel of the naive
+oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -189,12 +190,12 @@ def _in_chunks(positions: np.ndarray):
         yield from positions[lo:lo + _RUN_CHUNK].tolist()
 
 
-def _run_sweep(pref: np.ndarray, candidates, rings) -> list:
-    """For each ring, the extreme sum over the width-w windows of the prefix
+def _run_sweep(pref: np.ndarray, ring: Ring, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The extreme sum for ``ring`` over the width-w windows of the prefix
     sums ``pref`` (1-d) of labels a, w = 1..n, in the narrow dtype of their
-    range. Each ring takes the suffix windows (those that end at n) and the
-    windows that start at one of its starts or end at one of its ends, a
-    pair of ``candidates`` per ring (from _candidates).
+    range. It takes the suffix windows (those that end at n) and the windows
+    that start at one of ``starts`` or end at one of ``ends`` (from
+    _candidates).
 
     General rule, any labels: for MAX, the starts are 0 and every up-step
     b (a[b] > a[b-1]), the ends every down-step (a[e] < a[e-1]); MIN takes
@@ -214,16 +215,13 @@ def _run_sweep(pref: np.ndarray, candidates, rings) -> list:
     # rev[n-e+w] = p[e-w], so the windows ending at e are contiguous
     rev = p[::-1].copy()
     buf = np.empty(n, dtype=p.dtype)
-    best = []
-    for ring, (starts, ends) in zip(rings, candidates):
-        acc = np.subtract(p[n], rev[1:])   # the suffix windows
-        for b in _in_chunks(starts):   # widths 1..n-b from b
-            head = acc[:n - b]
-            ring.fold(head, np.subtract(p[b + 1:], p[b], out=buf[:n - b]), out=head)
-        for e in _in_chunks(ends):   # widths 1..e up to e
-            head = acc[:e]
-            ring.fold(head, np.subtract(p[e], rev[n - e + 1:], out=buf[:e]), out=head)
-        best.append(acc)
+    best = np.subtract(p[n], rev[1:])   # the suffix windows
+    for b in _in_chunks(starts):   # widths 1..n-b from b
+        head = best[:n - b]
+        ring.fold(head, np.subtract(p[b + 1:], p[b], out=buf[:n - b]), out=head)
+    for e in _in_chunks(ends):   # widths 1..e up to e
+        head = best[:e]
+        ring.fold(head, np.subtract(p[e], rev[n - e + 1:], out=buf[:e]), out=head)
     return best
 
 
@@ -243,46 +241,28 @@ _BOUND_BLOCK = 16
 _BOUND_CELLS = 1 << 15
 _BOUND_READ = 512
 
-# _rle_sweep and _bound_sweep price each kernel for one ring in window-sweep
-# cell passes: one subtraction or one reduction of one int16 cell. Fits on a
-# 2-core x86 VM (minima of 7-9 interleaved rounds, two runs) put a pass
-# at 0.04-0.07 ns, and
+# _rle_sweep prices both kernels for one ring in window-sweep cell passes:
+# one subtraction or one reduction of one int16 cell, 0.04-0.07 ns on a
+# 2-core x86 VM (fits to minima of 7-9 interleaved rounds, two runs). The
+# same fits put
 #
-# * a tile of the window sweep at 11-15 us more; below n = 16384 a tile
-#   holds n / 4 starts, so short rows cost several passes a cell
-#   (_window_cost);
 # * a cell of the run sweep at 0.13-0.20 ns, and a slice at 1.7-2.7 us;
 # * a block of the bound sweep's pass at 2.4-2.8 ns and a cell of a kept
 #   block at 1.0-1.2 ns (n >= 4096), and a call at 0.25-0.3 ms (n = 256,
 #   where it reads few blocks); so i.i.d. 0/1 rows take it from n = 1000 on.
 #
 # Before the pass, _rle_sweep expects _BOUND_TILE_BLOCKS kept blocks per
-# tile, times 1 + _BOUND_DRIFT r^2 for two-valued labels whose centred mean
-# is r standard deviations. Kept blocks per tile of bits at n = 16384, MAX and
-# MIN (4096 and 65536 within 25%):
-#
-#   density   0.02  0.05  0.10  0.15  0.20  0.25  0.30  0.35  0.40  0.50
-#   r         0.14  0.23  0.33  0.42  0.50  0.56  0.44  0.31  0.20  0.01
-#   kept      9-14 11-12 14-15 23-24 26-31 35-37 23-33 15-21 14-15 10-10
-#
-# i.i.d. weights keep 8-13 per tile from n = 1024 to 65536.
-_TILE_COST = 300000
+# tile, as i.i.d. labels keep: weights 8-13 from n = 1024 to 65536, bits of
+# density 1/2 10-13. Bits whose mean lies far from a half keep more (about
+# 3x at density 1/4); labels that no bound prunes (1, -1, 0 repeated) make
+# the pass give up to the run sweep once its running count of kept blocks
+# prices the reads over the run sweep's price.
 _RUN_CELL_COST = 3
 _RUN_STEP_COST = 50000
 _BOUND_CALL_COST = 6000000
 _BOUND_PASS_COST = 60
 _BOUND_CELL_COST = 25
 _BOUND_TILE_BLOCKS = 12
-_BOUND_DRIFT = 5
-
-
-def _window_cost(n: int, dtype) -> int:
-    """_window_sweep's price for one ring over one row of n labels in
-    ``dtype``; its tiles hold fewer starts when the row is short."""
-    cells = min(_TILE_CELLS, (n + 1) * 8 // np.dtype(dtype).itemsize)
-    starts_per_tile = min(n, max(_TILE_WIDTHS, cells // _TILE_WIDTHS))
-    tiles = int((-(-np.arange(n, 0, -_TILE_WIDTHS) // starts_per_tile)).sum())
-    return n * (n + 1) + _TILE_COST * tiles
 
 
 def _centre(pref: np.ndarray):
@@ -295,7 +275,7 @@ def _centre(pref: np.ndarray):
     return d, m * d // 2
 
 
-def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run=None) -> np.ndarray:
+def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run: int) -> np.ndarray:
     """_window_sweep's extremes for ``ring`` over the single row ``pref``,
     the prefix sums of ``labels``, from only the windows that can reach
     their width's extreme.
@@ -314,9 +294,8 @@ def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run=None) -> 
     block skipped falls short of a real window at each of its widths.
 
     The block pass stops early once what is left of it, and the reads of
-    the blocks it keeps, cost more than ``run`` (the run sweep's price) or
-    the window sweep's, whichever is less; that kernel runs instead, the
-    run sweep on ``pref`` or the window sweep on q.
+    the blocks it keeps, cost more than ``run``, the run sweep's price; the
+    run sweep on ``pref`` runs instead.
     """
     n, k = labels.size, _BOUND_BLOCK
     d, c = _centre(pref)
@@ -336,16 +315,11 @@ def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run=None) -> 
     starts = np.full(groups * k, above, dtype=dtype)
     starts[:n] = q[:n]
     del q
-    window = _window_cost(n, dtype)
-    kept = _kept_blocks(ends, starts, window if run is None else min(run, window))
-    if kept is not None:
-        best = _read_blocks(ends, starts, kept).ravel()[:n]
-    elif run is not None and run < window:
+    kept = _kept_blocks(ends, starts, run)
+    if kept is None:
         del ends, starts
-        return _run_sweep(pref, [_candidates(labels, ring, _two_valued(labels))], (ring,))[0]
-    else:
-        (best,) = _window_sweep(ends[None, :n + 1], (MAX,))
-        best = best[0]
+        return _run_sweep(pref, ring, *_candidates(labels, ring, _two_valued(labels)))
+    best = _read_blocks(ends, starts, kept).ravel()[:n]
     del ends, starts, kept   # before the int64 sums
     out = np.arange(1, n + 1, dtype=np.int64)
     out *= c
@@ -431,62 +405,49 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
     return best
 
 
-# The kernels _rle_sweep picks, sweep only (2-core x86 VM, best of 5, ms;
-# 0/1 rows both rings, weights one; the bound sweep reading blocks and never
-# falling back):
+# The two kernels _rle_sweep picks between, sweep only (2-core x86 VM, best
+# of 5 at n = 16384 and of 3 at 65536, ms; 0/1 rows both rings, weights one;
+# the bound sweep at a budget it never gives up at), and what rle does: the
+# run sweep, the bound sweep's reads, or a block pass that gives up to the
+# run sweep:
 #
-#                               n = 16384                n = 65536
-#   input (rho/n)            window   run  bound     window   run  bound
-#   i.i.d. 0/1 (0.51)          47.2  26.0    8.6     1125.8 330.8   64.1
-#   0/1 in runs of 4 (0.25)    75.1  15.4    9.9     1202.9 255.6   63.0
-#   0/1 of density 1/4 (0.37)  58.2  17.4   16.5      686.0 154.0  124.8
-#   0/1 of density 1/20 (0.09) 59.1   4.4    9.6      755.8  40.7   54.5
-#   weights (0.22)             33.6   9.4    3.8      480.2  88.2   21.5
-#   weights (0.76)             33.7  37.3    3.5      554.9 342.2   25.7
-#   i.i.d. weights (0.95)      37.1  46.2    4.7      499.5 495.2   26.4
-#   i.i.d. weights in 0..9    109.7  55.3    4.6      947.0 781.3   35.3
+#                                   n = 16384                 n = 65536
+#   input (rho/n)                run  bound  rle         run   bound  rle
+#   i.i.d. 0/1 (0.50)           28.9   10.9  reads      279.1   86.7  reads
+#   0/1 of density 1/4 (0.37)   23.9   19.7  gives up   190.6  165.0  gives up (MIN)
+#   0/1 of density 0.15 (0.25)  20.8   18.8  gives up   138.2   85.4  gives up
+#   0/1 of density 1/20 (0.09)   7.3   15.2  run         52.4   54.3  run
+#   0/1 of period 8 (0.25)      13.5  251.7  gives up   219.5 5080.2  gives up
+#   0/1 in runs of 64 (0.02)     1.5  196.3  run         13.2 2203.3  run
+#   weights in runs (0.24)      18.0    5.6  reads      145.4   37.2  reads
+#   weights in runs (0.75)      65.7    7.2  reads      445.4   44.0  reads
+#   i.i.d. weights (0.95)       82.8    7.8  reads      548.3   30.4  reads
+#   i.i.d. weights in 0..9      98.5    8.5  reads      728.1   32.9  reads
+#   1, -1, 0 repeated (1.00)    83.2  183.5  gives up   570.2 2551.7  gives up
+#   zigzag 9..-9..9 (1.00)      86.3  177.5  gives up   575.9 2620.4  gives up
 #
-# All but two take the bound sweep. Bits of density 1/20 take the run sweep,
-# as do bits of density 1/4 at n = 16384 (at 65536 one ring gives up after
-# 1.9 ms, and both together take 184 ms against 211 ms by the run sweep).
+# A pass that gives up late costs nearly the run sweep's time again: rle took
+# 24.8 ms on period 8 at n = 16384.
 
 
-def _tile_blocks(pref: np.ndarray, labels: np.ndarray, two_valued: bool) -> float:
-    """The kept blocks per tile that _rle_sweep expects of the bound sweep:
-    _BOUND_TILE_BLOCKS, times 1 + _BOUND_DRIFT r^2 for two-valued labels, r
-    the centred labels' mean over their standard deviation. Labels of more
-    values count as centred."""
-    lo, hi = int(labels.min()), int(labels.max())
-    if not two_valued or lo == hi:
-        return _BOUND_TILE_BLOCKS
-    n = labels.size
-    d, c = _centre(pref)
-    mean = (int(pref[-1]) - int(pref[0])) / n
-    p = (mean - lo) / (hi - lo)
-    r2 = (d * mean - c) ** 2 / (d * d * (hi - lo) ** 2 * p * (1 - p))
-    return _BOUND_TILE_BLOCKS * (1 + _BOUND_DRIFT * r2)
-
-
-def _rle_sweep(pref: np.ndarray, labels: np.ndarray, rings) -> list:
-    """_window_sweep's extremes for the single row ``pref``, the prefix sums
-    of ``labels``, by three prices taken before any sweep runs: the run
-    sweep's from its exact cells and slices, the bound sweep's from its
-    call, its block pass and the blocks it expects to keep (_tile_blocks),
-    and the window sweep's from its cells and tiles. The run sweep runs when
-    it costs no more than the bound sweep; else the bound sweep, one ring at
-    a time, with the cheaper of the other two as its budget and fallback."""
+def _rle_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
+    """_window_sweep's extremes for ``ring`` over the single row ``pref``,
+    the prefix sums of ``labels``, by two prices taken before either sweep
+    runs: the run sweep's from its exact cells and slices, the bound sweep's
+    from its call, its block pass and _BOUND_TILE_BLOCKS kept blocks per
+    tile. The run sweep runs when it costs no more; else the bound sweep,
+    with the run sweep's price as its budget."""
     n, k = labels.size, _BOUND_BLOCK
-    two_valued = _two_valued(labels)
-    candidates = [_candidates(labels, ring, two_valued) for ring in rings]
-    runs = [_RUN_CELL_COST * (n * (starts.size + 1) - int(starts.sum()) + int(ends.sum()))
-            + _RUN_STEP_COST * (starts.size + ends.size + 1) for starts, ends in candidates]
+    starts, ends = _candidates(labels, ring, _two_valued(labels))
+    run = (_RUN_CELL_COST * (n * (starts.size + 1) - int(starts.sum()) + int(ends.sum()))
+           + _RUN_STEP_COST * (starts.size + ends.size + 1))
     groups = -(-n // k)
     bound = (_BOUND_CALL_COST + _BOUND_PASS_COST * groups * (groups + 1) // 2
-             + _BOUND_CELL_COST * k * k * _tile_blocks(pref, labels, two_valued) * groups)
-    if sum(runs) <= len(rings) * bound:
-        return _run_sweep(pref, candidates, rings)
-    del candidates   # up to 2 n int64 positions, freed before the bound sweep's buffers
-    return [_bound_sweep(pref, labels, ring, run) for ring, run in zip(rings, runs)]
+             + _BOUND_CELL_COST * k * k * _BOUND_TILE_BLOCKS * groups)
+    if run <= bound:
+        return _run_sweep(pref, ring, starts, ends)
+    del starts, ends   # up to n int64 positions, freed before the bound sweep's buffers
+    return _bound_sweep(pref, labels, ring, run)
 
 
 def rle_profile(s: BinaryString) -> Profile:
@@ -494,8 +455,7 @@ def rle_profile(s: BinaryString) -> Profile:
     that costs less, else from the blocks of windows that can reach their
     width's extremes."""
     s = _as_string(s)
-    mins, maxs = _rle_sweep(s.prefix_ones, s.bits, (MIN, MAX))
-    return Profile(mins, maxs)
+    return Profile(_rle_sweep(s.prefix_ones, s.bits, MIN), _rle_sweep(s.prefix_ones, s.bits, MAX))
 
 
 @dataclass(frozen=True)
@@ -664,10 +624,10 @@ def naive_weighted_max_sums(weights) -> np.ndarray:
 
 def rle_weighted_max_sums(weights) -> np.ndarray:
     """naive_weighted_max_sums's result, in O(n rho) for rho runs of equal
-    weight when that costs less than the window sweep, else from the windows
-    that can reach their width's maximum."""
+    weight when that costs less, else from the windows that can reach their
+    width's maximum."""
     weights = as_int64(weights, "weights")
-    return _rle_sweep(_weight_prefix(weights), weights, (MAX,))[0].astype(np.int64)
+    return _rle_sweep(_weight_prefix(weights), weights, MAX).astype(np.int64)
 
 
 def weighted_max_sums(weights, cutoff: int = RECURSION_CUTOFF) -> np.ndarray:

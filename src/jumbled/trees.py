@@ -389,7 +389,7 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
             prefix = np.zeros((r, n_ch + 1), dtype=dtype)
             np.cumsum(labels[:, chain], axis=1, out=prefix[:, 1:])
             for k in range(r):
-                (windows,) = _rle_sweep(prefix[k], labels[k, chain], (ring,))
+                windows = _rle_sweep(prefix[k], labels[k, chain], ring)
                 ring.fold(best[k, :n_ch], windows, out=best[k, :n_ch])
             # a suffix of the chain joined to a set anchored below it
             joined = np.empty((r, n_ch + below.shape[1] - 1), dtype=dtype)

@@ -4,12 +4,14 @@ _bound_sweep centres the prefix sums on the nearest half of the mean label
 (0/1 labels of density near 1/2 walk by +-1 at twice the scale), then skips
 every block of K starts x K widths whose bound falls short of a real window
 at each of its widths. Every case here is checked against _window_sweep
-under both rings, once through the pruned reads (with _BOUND_CELL_COST at 0
-the block pass never gives up) and once as rle calls it, where short or
-unprunable inputs fall back to the window sweep on the centred prefix sums,
-and to the run sweep when that is priced lower.
+under both rings three ways: through the pruned reads, at a budget no block
+pass reaches; through the run sweep it gives up to, at a budget of nothing;
+and as rle calls it, where short, few-run or unprunable inputs take the run
+sweep. The "pruned" cases price kept blocks at nothing (_BOUND_CELL_COST at
+0), so that rle sends more of them to the bound sweep.
 """
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,9 +19,14 @@ import pytest
 
 from jumbled import strings
 from jumbled.minplus import FINITE_BOUND, MAX, MIN
-from jumbled.strings import BinaryString, naive_profile, rle_profile, rle_weighted_max_sums
+from jumbled.strings import (
+    BinaryString, naive_profile, naive_weighted_max_sums, rle_profile, rle_weighted_max_sums,
+)
+from jumbled.trees import LabeledTree, binarize, simple_tree_profile, weighted_tree_max_sums
+from _support import random_parents
 
 K = strings._BOUND_BLOCK
+NO_LIMIT = 1 << 62   # a budget above any block pass and its reads
 
 
 @pytest.fixture(params=["pruned", "as called"])
@@ -35,12 +42,14 @@ def _assert_window_sweep(pref, labels, wants=None):
             (want,) = strings._window_sweep(pref[None, :], (ring,))
         else:
             want = wants[ring]
-        # as priced by rle, and with a run sweep priced at nothing, so that
-        # the pass gives up at its first check and the run sweep answers
-        for run in (None, 0):
-            got = strings._bound_sweep(pref, np.asarray(labels), ring, run)
-            assert got.dtype == want.dtype, (ring, run)
-            assert np.array_equal(got, want[0]), (ring, run)
+        # the pruned reads; a run sweep priced at nothing, so that the pass
+        # gives up at its first check and the run sweep answers; and rle's pick
+        labels = np.asarray(labels)
+        for how, got in (("reads", strings._bound_sweep(pref, labels, ring, NO_LIMIT)),
+                         ("gives up", strings._bound_sweep(pref, labels, ring, 0)),
+                         ("rle", strings._rle_sweep(pref, labels, ring))):
+            assert got.dtype == want.dtype, (ring, how)
+            assert np.array_equal(got, want[0]), (ring, how)
 
 
 def _assert_weights(weights):
@@ -182,8 +191,9 @@ def test_iid_bits_at_the_int16_edge(path, big_bits):
 
 @pytest.fixture
 def reads(monkeypatch):
-    """How each _bound_sweep call ended, its pruned reads or the window
-    sweep, or that rle took the run sweep."""
+    """How each rle sweep ended, in the bound sweep's pruned reads or in the
+    run sweep, whether rle took it or the bound sweep gave up to it; and any
+    call of the window sweep."""
     called = []
     for name in ("_read_blocks", "_window_sweep", "_run_sweep"):
         def recording(*args, name=name, step=getattr(strings, name)):
@@ -193,35 +203,111 @@ def reads(monkeypatch):
     return called
 
 
-def test_periodic_weights_fall_back_and_iid_weights_do_not(reads):
+def test_periodic_weights_fall_back_and_iid_weights_do_not(reads, monkeypatch):
+    # rle prices the bound sweep below the run sweep for both; on 1, -1, 0
+    # repeated no bound prunes, so the block pass gives up to the run sweep
+    passes = []
+
+    def recording(*args, step=strings._kept_blocks):
+        kept = step(*args)
+        passes.append("gave up" if kept is None else "kept")
+        return kept
+
+    monkeypatch.setattr(strings, "_kept_blocks", recording)
     n = 8192
-    rle_weighted_max_sums(np.resize([1, -1, 0], n))
-    assert reads == ["_window_sweep"]
-    reads.clear()
-    rle_weighted_max_sums(np.random.default_rng(n).integers(-9, 10, n))
-    assert reads == ["_read_blocks"]
+    for weights, want in ((np.resize([1, -1, 0], n), ("gave up", "_run_sweep")),
+                          (np.random.default_rng(n).integers(-9, 10, n), ("kept", "_read_blocks"))):
+        passes.clear()
+        reads.clear()
+        got = rle_weighted_max_sums(weights)
+        assert (passes, reads) == ([want[0]], [want[1]])
+        assert np.array_equal(got, naive_weighted_max_sums(weights))
 
 
 def test_string_random_bits_read_blocks_and_few_runs_take_the_run_sweep(reads):
-    # bits shaped as string-random (density 1/2, n = 16384) read blocks on
-    # both rings; 256 runs and bits of density 0.05 take the run sweep
-    n = 16384
+    # the kernels of the benchmark's builds, on inputs of their shapes: bits
+    # of density 1/2 (n = 16384) read blocks on both rings and i.i.d.
+    # weights on one; 256 runs of bits or of weights take the run sweep, as
+    # do bits of density 0.05; a 4096-node 0/1 path reads blocks on both
+    # rows of its chain and a weighted one on its one row, while the chains
+    # of a random tree are short enough for the run sweep alone. A path's
+    # sets are the windows of its labels, so its profile is the string's.
+    n, n_tree = 16384, 4096
     rng = np.random.default_rng(n)
-    cases = [(rng.integers(0, 2, n), ["_read_blocks"] * 2),
-             (np.repeat(np.arange(256) % 2, n // 256), ["_run_sweep"]),
-             (rng.random(n) < 0.05, ["_run_sweep"])]
-    for bits, want in cases:
+    runs = np.repeat(np.arange(256), n // 256)
+
+    def kernels(build, *args):
+        reads.clear()
+        return build(*args), list(reads)
+
+    for bits, want in ((rng.integers(0, 2, n), ["_read_blocks"] * 2),
+                       (runs % 2, ["_run_sweep"] * 2),
+                       (rng.random(n) < 0.05, ["_run_sweep"] * 2)):
         bits = bits.astype(np.uint8)
+        assert kernels(rle_profile, bits) == (naive_profile(bits), want)
+    for weights, want in ((rng.integers(-9, 10, n), ["_read_blocks"]),
+                          (rng.integers(-9, 10, 256)[runs], ["_run_sweep"])):
+        got, called = kernels(rle_weighted_max_sums, weights)
+        assert called == want
+        assert np.array_equal(got, naive_weighted_max_sums(weights))
+    path = [-1] + list(range(n_tree - 1))
+    bits = rng.integers(0, 2, n_tree).astype(np.uint8)
+    t = LabeledTree(path, bits)
+    assert kernels(simple_tree_profile, binarize(t)) == (naive_profile(bits), ["_read_blocks"] * 2)
+    weights = rng.integers(-9, 10, n_tree)
+    got, called = kernels(weighted_tree_max_sums, LabeledTree(path, weights))
+    assert called == ["_read_blocks"]
+    assert np.array_equal(got, naive_weighted_max_sums(weights))
+    tree = random_parents(random.Random(n_tree), n_tree)
+    for build, labels in ((lambda t: simple_tree_profile(binarize(t)), rng.integers(0, 2, n_tree)),
+                          (weighted_tree_max_sums, rng.integers(-9, 10, n_tree))):
+        _, called = kernels(build, LabeledTree(tree, labels))
+        assert called and set(called) == {"_run_sweep"}
+
+
+def _zigzag(n):
+    # a triangle wave through 9..-9: a run per position, and prefix sums of
+    # period 36 that no bound prunes
+    return 9 - np.abs(np.arange(n) % 36 - 18)
+
+
+NO_WINDOW_INPUTS = {
+    "period-3 weights": lambda rng, n: np.resize([1, -1, 0], n),
+    "zigzag weights": lambda rng, n: _zigzag(n),
+    "alternating bits": lambda rng, n: np.arange(n) % 2,
+    "bits of density 0.05": lambda rng, n: rng.random(n) < 0.05,
+    "bits of density 0.25": lambda rng, n: rng.random(n) < 0.25,
+    "bits of density 0.5": lambda rng, n: rng.random(n) < 0.5,
+    "bits in runs of 64": lambda rng, n: np.arange(n) // 64 % 2,
+}
+
+
+@pytest.mark.parametrize("family", NO_WINDOW_INPUTS)
+def test_rle_never_calls_the_window_sweep(reads, family):
+    # the window sweep is the naive oracle's kernel alone: rle reaches every
+    # width through the run sweep or the bound sweep, whichever it picks or
+    # the bound sweep gives up to
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 3, K - 1, K, K + 1, 100, 1000, 1001, 2048, 4099, 8192):
+        labels = NO_WINDOW_INPUTS[family](rng, n).astype(np.int64)
+        reads.clear()
+        got = rle_weighted_max_sums(labels)
+        assert "_window_sweep" not in reads, n
+        assert np.array_equal(got, naive_weighted_max_sums(labels)), n
+        if family.endswith("weights"):
+            continue
+        bits = labels.astype(np.uint8)
         reads.clear()
         got = rle_profile(bits)
-        assert reads == want
-        assert got == naive_profile(bits)
+        assert "_window_sweep" not in reads, n
+        assert got == naive_profile(bits), n
 
 
 def test_rle_weighted_memory_peak():
-    # the int64 prefix sums, two narrow copies of the centred ones (ends and
-    # starts), the kept blocks, the sliding maxima of the ends, and one batch
-    # of gathered windows of _BOUND_CELLS cells
+    # the int64 prefix sums and, until they are narrowed, the int64 centred
+    # ones; their two narrow copies (ends and starts), one step of the block
+    # pass over up to _BOUND_CELLS blocks, the kept blocks, and the buffers
+    # of one step of reads, _BOUND_READ blocks wide
     weights = np.random.default_rng(16384).integers(-9, 10, 16384)
     rle_weighted_max_sums(weights)   # first call: numpy's own lazy allocations
     tracemalloc.start()

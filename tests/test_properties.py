@@ -108,13 +108,13 @@ run_lengths = st.lists(st.integers(1, 40), min_size=1, max_size=12)
 def _run_sweep_of(pref, labels, rings):
     labels = np.asarray(labels)
     two_valued = _two_valued(labels)
-    return _run_sweep(pref, [_candidates(labels, ring, two_valued) for ring in rings], rings)
+    return [_run_sweep(pref, ring, *_candidates(labels, ring, two_valued)) for ring in rings]
 
 
 @SETTINGS
 @given(run_lengths, st.data())
 def test_run_sweep_matches_naive(lengths, data):
-    # the run sweep is called directly, so rle's choice of the window sweep
+    # the run sweep is called directly, so rle's choice of the bound sweep
     # cannot hide it
     bits = [bit for length in lengths
             for bit in [data.draw(st.integers(0, 1), label="bit")] * length]
@@ -144,12 +144,11 @@ drifted = st.tuples(st.integers(-30, 30), st.integers(0, 30)).flatmap(
 @given(st.one_of(drifted, adversarial, st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1,
                                                   max_size=MAX_N)))
 def test_bound_sweep_matches_naive(weights):
-    # the block pass never gives up at a cost of 0, so the pruned reads run
-    # on every input, however short
+    # the block pass never gives up below a budget no pass reaches, so the
+    # pruned reads run on every input, however short
     pref = _weight_prefix(weights)
-    with mock.patch.object(strings, "_BOUND_CELL_COST", 0):
-        got = _bound_sweep(pref, np.array(weights), MAX)
-        lows = _bound_sweep(pref, np.array(weights), MIN)
+    got = _bound_sweep(pref, np.array(weights), MAX, 1 << 62)
+    lows = _bound_sweep(pref, np.array(weights), MIN, 1 << 62)
     assert got.tolist() == naive_weighted_max_sums(weights).tolist()
     assert (-lows).tolist() == naive_weighted_max_sums([-w for w in weights]).tolist()
 

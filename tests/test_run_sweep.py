@@ -33,15 +33,15 @@ def _candidates(labels, rings, two_valued=None):
 def _run_profile(bits, two_valued=None):
     s = BinaryString(bits)
     rings = (MIN, MAX)
-    mins, maxs = strings._run_sweep(s.prefix_ones, _candidates(s.bits, rings, two_valued), rings)
-    return mins.tolist(), maxs.tolist()
+    return tuple(strings._run_sweep(s.prefix_ones, ring, *candidates).tolist()
+                 for ring, candidates in zip(rings, _candidates(s.bits, rings, two_valued)))
 
 
 def _run_sums(weights, ring=MAX, two_valued=None, candidates=None):
     pref = strings._weight_prefix(weights)
     if candidates is None:
-        candidates = _candidates(np.array(weights), (ring,), two_valued)
-    return strings._run_sweep(pref, candidates, (ring,))[0].tolist()
+        (candidates,) = _candidates(np.array(weights), (ring,), two_valued)
+    return strings._run_sweep(pref, ring, *candidates).tolist()
 
 
 def _window_min_sums(weights):
@@ -103,7 +103,7 @@ def test_adjacent_runs_of_equal_weight_are_one_run():
     assert _run_sums(weights) == want
     assert _run_sums(weights, two_valued=False) == want
     # extra candidates inside a run only add windows
-    extra = [(np.array([0, 4]), np.array([2, 4, 7]))]
+    extra = (np.array([0, 4]), np.array([2, 4, 7]))
     assert _run_sums(weights, candidates=extra) == want
 
 
@@ -145,7 +145,8 @@ def test_narrow_dtype_of_the_sweep():
     for weights, dtype in (([32767, -32768, 32767], np.int32), ([3, -4, 3], np.int16),
                            ([-(2 ** 31), 2 ** 31 - 1] * 3, np.int64)):
         pref = strings._weight_prefix(weights)
-        (best,) = strings._run_sweep(pref, _candidates(weights, (MAX,)), (MAX,))
+        (candidates,) = _candidates(weights, (MAX,))
+        best = strings._run_sweep(pref, MAX, *candidates)
         assert best.dtype == dtype
 
 
@@ -159,7 +160,7 @@ def _with_runs(n, runs, values=(0, 1)):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Names of the sweeps the builders call, in order; the window sweep a
+    """Names of the sweeps the builders call, in order; the run sweep a
     bound sweep falls back to is its own step, not recorded."""
     called, depth = [], [0]
     for name in ("_run_sweep", "_bound_sweep", "_window_sweep"):
@@ -176,20 +177,20 @@ def sweeps(monkeypatch):
 
 
 def _chosen(labels, rings):
-    # the run sweep while its price, _RUN_CELL_COST per cell and
-    # _RUN_STEP_COST per slice, is no more than the bound sweep's for every
-    # ring: its call, its block pass over G (G + 1) / 2 blocks and the
-    # blocks it expects to keep per tile; else one bound sweep per ring
+    # per ring, the run sweep while its price, _RUN_CELL_COST per cell and
+    # _RUN_STEP_COST per slice, is no more than the bound sweep's: its call,
+    # its block pass over G (G + 1) / 2 blocks and _BOUND_TILE_BLOCKS kept
+    # blocks per tile; else the bound sweep
     n, k = len(labels), strings._BOUND_BLOCK
-    run = sum(strings._RUN_CELL_COST * (n * (starts.size + 1) - int(starts.sum()) + int(ends.sum()))
-              + strings._RUN_STEP_COST * (starts.size + ends.size + 1)
-              for starts, ends in _candidates(labels, rings))
     groups = -(-n // k)
-    pref = np.concatenate([[0], np.cumsum(labels)])
-    kept = strings._tile_blocks(pref, labels, strings._two_valued(labels))
     bound = (strings._BOUND_CALL_COST + strings._BOUND_PASS_COST * groups * (groups + 1) // 2
-             + strings._BOUND_CELL_COST * k * k * kept * groups)
-    return ["_run_sweep"] if run <= len(rings) * bound else ["_bound_sweep"] * len(rings)
+             + strings._BOUND_CELL_COST * k * k * strings._BOUND_TILE_BLOCKS * groups)
+    chosen = []
+    for starts, ends in _candidates(labels, rings):
+        run = (strings._RUN_CELL_COST * (n * (starts.size + 1) - int(starts.sum()) + int(ends.sum()))
+               + strings._RUN_STEP_COST * (starts.size + ends.size + 1))
+        chosen.append("_run_sweep" if run <= bound else "_bound_sweep")
+    return chosen
 
 
 FAMILIES = {
@@ -267,10 +268,11 @@ def test_two_runs_across_the_int16_edge(n):
 
 
 def test_rle_profile_memory_peak():
-    # the run sweep holds four narrow rows of n (the prefix sums, one row of
-    # differences and the two extremes), each ring's starts and one chunk of
-    # them as Python ints, freed but for the extremes before the two int64
-    # profile arrays are made; the bound is naive_profile's (see
+    # the run sweep of each ring holds four narrow rows of n (the prefix sums
+    # and their reverse, one row of differences and its extremes) beside the
+    # other ring's extremes, the ring's starts and one chunk of them as
+    # Python ints, freed but for the extremes before the two int64 profile
+    # arrays are made; the bound is naive_profile's (see
     # test_naive_profile_memory_peak). 256 runs take the run sweep; i.i.d.
     # bits with about n / 2 runs the bound sweep, whose buffers are freed
     # but for each ring's extremes before the profile arrays are made

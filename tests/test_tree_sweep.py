@@ -130,16 +130,16 @@ def test_a_01_chain_starts_once_at_every_run(monkeypatch):
     # row at its 1-runs, so the two rows together take each run start once
     calls = []
 
-    def recording(pref, candidates, rings, sweep=strings._run_sweep):
-        calls.append([starts.tolist() for starts, _ in candidates])
-        return sweep(pref, candidates, rings)
+    def recording(pref, ring, starts, ends, sweep=strings._run_sweep):
+        calls.append(starts.tolist())
+        return sweep(pref, ring, starts, ends)
 
     monkeypatch.setattr(strings, "_run_sweep", recording)
     n = 700
     bits = random_bits(random.Random(17), n)
     assert simple_tree_profile(binarize(LabeledTree(path_parents(n), bits))) == \
         naive_profile(bits)
-    (ones_row,), (zeros_row,) = calls
+    ones_row, zeros_row = calls
     assert sorted(ones_row + zeros_row) == \
         [0] + [b for b in range(1, n) if bits[b] != bits[b - 1]]
 
