@@ -82,6 +82,18 @@ def product_oracle(a, b, maximize=False):
 
 
 # ---------------------------------------------------------------------------
+# index files
+
+def csv_rows_one_at_a_time(header, *columns):
+    """The CSV bytes of "%d" formatting, one row at a time: rows
+    "size,values..." for size 1..n."""
+    lines = [header + "\n"]
+    for i in range(columns[0].size):
+        lines.append(",".join(["%d" % (i + 1)] + ["%d" % c[i] for c in columns]) + "\n")
+    return "".join(lines).encode()
+
+
+# ---------------------------------------------------------------------------
 # tree oracles (bitmask connectivity, fine up to n ~ 16)
 
 def tree_adj(parents):

@@ -1,8 +1,12 @@
+import errno
+import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from jumbled import profiles
 from jumbled.inputs import ParseError
 from jumbled.minplus import INF, NEG_INF
 from jumbled.profiles import (
@@ -12,6 +16,7 @@ from jumbled.profiles import (
 from jumbled.inputs import random_parents
 from jumbled.strings import naive_profile
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile
+from _support import csv_rows_one_at_a_time
 
 
 def _p(mins, maxs):
@@ -200,14 +205,6 @@ def test_sums_csv_refuses_arrays_not_one_dimensional(tmp_path, values):
     assert not path.exists()
 
 
-def _rows_one_at_a_time(header, *columns):
-    """The CSV bytes of a writer that formats one row per call."""
-    lines = [header + "\n"]
-    for i in range(columns[0].size):
-        lines.append(",".join([str(i + 1)] + [str(int(c[i])) for c in columns]) + "\n")
-    return "".join(lines).encode()
-
-
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 2049])
 def test_chunked_writers_are_byte_identical(tmp_path, n):
     rng = np.random.default_rng(n)
@@ -216,7 +213,103 @@ def test_chunked_writers_are_byte_identical(tmp_path, n):
     p = _p(mins, np.minimum(mins + rng.integers(0, 3, n), sizes))
     write_profile_csv(p, tmp_path / "p.csv")
     assert (tmp_path / "p.csv").read_bytes() == \
-        _rows_one_at_a_time(CSV_HEADER, p.min_ones, p.max_ones)
+        csv_rows_one_at_a_time(CSV_HEADER, p.min_ones, p.max_ones)
     sums = rng.integers(-(2 ** 62), 2 ** 62, n)
     write_sums_csv(sums, tmp_path / "s.csv")
-    assert (tmp_path / "s.csv").read_bytes() == _rows_one_at_a_time(SUMS_CSV_HEADER, sums)
+    assert (tmp_path / "s.csv").read_bytes() == csv_rows_one_at_a_time(SUMS_CSV_HEADER, sums)
+
+
+# spellings the fast path does not take as it is: each reads back as the
+# line-by-line rules decide (line endings as Python's text mode reads them,
+# trailing blank lines dropped, fields as int() takes them) or fails at the
+# same line; the ".gz" name is read as the plain text it holds
+@pytest.mark.parametrize("name", ["p.csv", "p.csv.gz"])
+@pytest.mark.parametrize("text, want", [
+    (CSV_HEADER + "\r\n1,0,1\r\n2,1,1\r\n", ([0, 1], [1, 1])),
+    (CSV_HEADER + "\r1,0,1\r2,1,1\r", ([0, 1], [1, 1])),
+    (CSV_HEADER + "\n1,0,1\n2,1,1\n\n\n", ([0, 1], [1, 1])),
+    (CSV_HEADER + "\n1,0,1\n2,1,1\n  \n\t\n \x0c", ([0, 1], [1, 1])),
+    (CSV_HEADER + "\n1,0,1\n2,1,1", ([0, 1], [1, 1])),
+    (CSV_HEADER + "\n 1 , 0,1 \n2,\t1 ,1\n", ([0, 1], [1, 1])),
+    (CSV_HEADER + "\n1,0,+1\n+2,1,1\n", ([0, 1], [1, 1])),
+    (CSV_HEADER + "\n1,0,1\n2,1,1_0\n", 3),
+    (CSV_HEADER + "\n1,0,1\n\n2,1,1\n", 3),
+    (CSV_HEADER + "\n1,0,1\n  \n2,1,1\n", 3),
+    (CSV_HEADER + "\r\n \r\n\r\n", 2),
+    (CSV_HEADER + " \n1,0,1\n", 1),
+], ids=["crlf", "bare-cr", "trailing-blank-lines", "trailing-whitespace-lines",
+        "no-final-newline", "padded-fields", "plus-sign", "underscore", "blank-line-mid-file",
+        "whitespace-line-mid-file", "blank-body", "header-with-space"])
+def test_csv_reader_spellings(tmp_path, name, text, want):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    if isinstance(want, int):
+        with pytest.raises(ParseError) as err:
+            read_profile_csv(path)
+        assert err.value.line == want
+    else:
+        assert read_profile_csv(path) == _p(*want)
+
+
+@pytest.mark.parametrize("how", [str, os.fsencode, lambda p: p,
+                                 lambda p: os.open(p, os.O_RDONLY)],
+                         ids=["str", "bytes", "path", "descriptor"])
+def test_csv_reader_takes_what_open_takes(tmp_path, how):
+    path = tmp_path / "p.csv"
+    p = naive_profile("0110100111")
+    write_profile_csv(p, path)
+    assert read_profile_csv(how(path)) == p
+
+
+class _DiskFillsAfter:
+    """A binary file whose writes fail once ``ok`` of them have gone through."""
+
+    def __init__(self, path, mode, ok):
+        self.fh, self.ok = open(path, mode), ok
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def write(self, data):
+        if self.ok == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.ok -= 1
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("write, value", [
+    (write_profile_csv, naive_profile("01" * profiles._CSV_CHUNK_ROWS)),
+    (write_sums_csv, np.arange(3 * profiles._CSV_CHUNK_ROWS)),
+], ids=["profile", "sums"])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, write, value):
+    # the header and the first chunk are written, the second chunk fails:
+    # the file cut there would read back as a valid shorter profile
+    path = tmp_path / "p.csv"
+    path.write_text("an older index\n")
+    monkeypatch.setattr(profiles, "open", lambda p, mode: _DiskFillsAfter(p, mode, 2),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(value, path)
+    assert not path.exists()
+
+
+def test_write_profile_csv_memory_peak(tmp_path):
+    # one chunk of rows at a time: its (slots, rows) matrix, the bytes made
+    # from it and a few uint32 columns
+    rng = np.random.default_rng(5)
+    p = naive_profile(rng.integers(0, 2, 16384, dtype=np.uint8))
+    path = tmp_path / "p.csv"
+    write_profile_csv(p, path)   # first call: numpy's own lazy allocations
+    tracemalloc.start()
+    try:
+        write_profile_csv(p, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 10 <= 160

@@ -3,9 +3,9 @@ string reductions on adversarial bit strings (long runs, all-0, all-1,
 alternating and a single 1), the run-boundary sweep on run-length strings and
 on piecewise-constant weights, general and two-valued, the bound-pruned sweep
 on drifted and spread weights and, through rle_profile, on bits of any
-density, the profile CSV round trip, the tree sweep on
-adversarial shapes, and the vectorised parsers against their line-by-line
-readings."""
+density, the profile CSV round trip, the CSV writers against "%d"
+formatting, the tree sweep on adversarial shapes, and the vectorised
+parsers against their line-by-line readings."""
 
 import random
 import tempfile
@@ -19,7 +19,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from jumbled import inputs, strings
-from jumbled.profiles import read_profile_csv, write_profile_csv
+from jumbled.profiles import (
+    _CSV_CHUNK_ROWS, CSV_HEADER, SUMS_CSV_HEADER, Profile, read_profile_csv, write_profile_csv,
+    write_sums_csv,
+)
 from jumbled.minplus import MAX, MIN
 from jumbled.strings import (
     _bound_sweep, _candidates, _run_sweep, _two_valued, _weight_prefix, BinaryString,
@@ -29,8 +32,8 @@ from jumbled.strings import (
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile, tree_profile, \
     weighted_tree_max_sums
 from _support import (
-    broom_parents, caterpillar_parents, complete_binary_parents, path_parents, star_parents,
-    tree_extremes, window_profile,
+    broom_parents, caterpillar_parents, complete_binary_parents, csv_rows_one_at_a_time,
+    path_parents, star_parents, tree_extremes, window_profile,
 )
 
 MAX_N = 160
@@ -179,6 +182,48 @@ def test_profile_csv_round_trip(bits):
         path = Path(tmp) / "p.csv"
         write_profile_csv(p, path)
         assert read_profile_csv(path) == p
+
+
+# row counts on each side of a chunk boundary, and several chunks
+CSV_ROWS = st.sampled_from([1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+                            3 * _CSV_CHUNK_ROWS + 5])
+INT64_ENDS = [-2 ** 63, 2 ** 63 - 1]
+
+
+def _written(write, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write(value, path)
+        return path.read_bytes()
+
+
+@SETTINGS
+@given(CSV_ROWS, st.integers(0, 2 ** 32 - 1), st.floats(0, 1), st.floats(0, 1))
+def test_profile_writer_is_percent_d(n, seed, zeros, spread):
+    # valid rows of every digit width up to n's: a share of zero minima, and
+    # maxima from min up to min + spread * (size - min)
+    rng = np.random.default_rng(seed)
+    sizes = np.arange(1, n + 1)
+    mins = np.where(rng.random(n) < zeros, 0, rng.integers(0, sizes + 1))
+    maxs = mins + (spread * rng.random(n) * (sizes - mins)).astype(np.int64)
+    p = Profile(mins, maxs)
+    assert _written(write_profile_csv, p) == \
+        csv_rows_one_at_a_time(CSV_HEADER, p.min_ones, p.max_ones)
+
+
+@SETTINGS
+@given(CSV_ROWS, st.integers(0, 2 ** 32 - 1), st.integers(1, 19), st.floats(0, 1),
+       st.lists(st.tuples(st.floats(0, 1), st.sampled_from(INT64_ENDS)), max_size=4))
+def test_sums_writer_is_percent_d(n, seed, widest, negatives, ends):
+    # magnitudes of 0 to ``widest`` digits each, a share of them negative,
+    # and the int64 extremes at drawn rows
+    rng = np.random.default_rng(seed)
+    highs = np.uint64(10) ** rng.integers(0, widest + 1, n).astype(np.uint64)
+    sums = np.minimum(rng.integers(0, highs, dtype=np.uint64), 2 ** 63 - 1).astype(np.int64)
+    sums[rng.random(n) < negatives] *= -1
+    for at, end in ends:
+        sums[int(at * (n - 1))] = end
+    assert _written(write_sums_csv, sums) == csv_rows_one_at_a_time(SUMS_CSV_HEADER, sums)
 
 
 # ---------------------------------------------------------------------------
