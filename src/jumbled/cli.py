@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import random
 import sys
 import time
@@ -24,6 +23,7 @@ from .inputs import (
     parse_weights_text,
     random_parents,
 )
+from .minplus import sqrt_ceil
 from .profiles import (
     Profile,
     occurs,
@@ -94,10 +94,6 @@ def _build_algos(kind: str) -> list:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _sqrt_ceil(n: int) -> int:
-    return math.isqrt(n - 1) + 1 if n > 1 else 1
 
 
 def _parse_input(kind: str, text: str):
@@ -207,7 +203,7 @@ def _draw_param(name: str, n: int, rng: random.Random):
     if name == "blocked":
         return rng.randint(1, n)
     if name == "micro-macro":
-        return rng.choice((1, 2, _sqrt_ceil(n), n))
+        return rng.choice((1, 2, sqrt_ceil(n), n))
     return None
 
 
@@ -299,7 +295,7 @@ def cmd_bench(args) -> int:
                 continue
             for n in sizes:
                 value = _parse_input(kind, _gen_text(kind, n, args.seed, 0.5))
-                param = _sqrt_ceil(n) if algo in ("blocked", "micro-macro") else None
+                param = sqrt_ceil(n) if algo in ("blocked", "micro-macro") else None
                 fn = _BACKEND_MAPS[kind][algo]
                 t0 = time.perf_counter()
                 fn(value, param)

@@ -1,8 +1,8 @@
 """Tropical-semiring kernels: min-plus / max-plus matrix products and
-convolutions. Every sweep convolves through one kernel, _conv_tiled (a
-direct loop when the shorter operand is tiny); the blocked convolution,
-which evaluates a convolution through small matrix products as the paper
-does, is kept as the reference reduction.
+convolutions. Every sweep convolves through one kernel, _conv_tiled; the
+direct loop behind min_plus_convolution is the reference it is tested
+against, and the blocked convolution, which evaluates a convolution through
+small matrix products as the paper does, is kept as the reference reduction.
 
 Cost model
 ----------
@@ -32,13 +32,6 @@ _SNAP_LO = NEG_INF + FINITE_BOUND
 # element budget for broadcast temporaries (~32 MiB of int64)
 _CHUNK_ELEMS = 1 << 22
 
-# Ring.conv takes the direct loop while the shorter operand has at most this
-# many entries, and the tiled kernel otherwise. On a 2-core x86 VM the loop
-# took 8-20 us a call up to 4 entries, where the tiled kernel took 20-35 us;
-# from about 8 entries the tiled kernel won (64 x 64: 210 against 45 us).
-# Micro-macro, which makes tens of thousands of 1-2 entry convolutions, ran
-# as fast at a cutoff of 4, 6 or 8.
-NAIVE_CONV_CUTOFF = 4
 # the tiled kernel takes _CONV_SHIFTS entries of its shorter operand at a
 # time and fills a reused buffer of at most _CONV_CELLS cells per tile
 _CONV_SHIFTS = 32
@@ -76,8 +69,6 @@ class Ring:
 
     def conv(self, u, v) -> np.ndarray:
         """Convolution along the last axis; leading axes (rows) must match."""
-        if min(u.shape[-1], v.shape[-1]) <= NAIVE_CONV_CUTOFF:
-            return _conv_direct(u, v, self)
         out = np.empty(u.shape[:-1] + (u.shape[-1] + v.shape[-1] - 1,), dtype=np.int64)
         _conv_tiled(u, v, self, self.sentinel, out)
         return self.snap(out)
@@ -114,6 +105,11 @@ def positive_int(x, what: str) -> int:
     if value < 1:
         raise ValueError(f"{what} must be an integer >= 1, got {x!r}")
     return value
+
+
+def sqrt_ceil(n: int) -> int:
+    """ceil(sqrt(n)), and 1 for n <= 1: the default block and micro sizes."""
+    return math.isqrt(n - 1) + 1 if n > 1 else 1
 
 
 def _as_operand(x, ndim: int, what: str) -> np.ndarray:
@@ -185,18 +181,19 @@ def _as_vectors(u, v):
 
 
 def _conv_direct(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
-    if u.shape[-1] > v.shape[-1]:
+    if u.size > v.size:
         u, v = v, u
-    out = np.full(u.shape[:-1] + (u.shape[-1] + v.shape[-1] - 1,), ring.sentinel, dtype=np.int64)
-    for k in range(u.shape[-1]):
-        dst = out[..., k:k + v.shape[-1]]
-        ring.fold(dst, u[..., k, None] + v, out=dst)
+    out = np.full(u.size + v.size - 1, ring.sentinel, dtype=np.int64)
+    for k in range(u.size):
+        dst = out[k:k + v.size]
+        ring.fold(dst, u[k] + v, out=dst)
     return ring.snap(out)
 
 
 def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np.ndarray) -> None:
     """out[..., i] = ext_k x[..., k] + y[..., i - k] along the last axis, for
-    every i below out's width; cells of x or y may hold the sentinel.
+    every i below out's width; cells of x or y may hold the sentinel. Every
+    sweep convolves here: Ring.conv in int64, the tree sweep in its dtype.
 
     The same trick as strings._window_sweep: a block of K entries of the
     shorter operand meets the longer one in tiles of K x C cells, each filled
@@ -211,10 +208,10 @@ def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np
     padded = np.full(out.shape[:-1] + (ly + 2 * (k_s - 1),), sentinel, dtype=out.dtype)
     padded[..., k_s - 1:k_s - 1 + ly] = y
     span = ly + k_s - 1   # the output positions one block reaches
-    # hankel[..., m, t] = padded[..., t + m]
-    hankel = np.lib.stride_tricks.as_strided(
-        padded, padded.shape[:-1] + (k_s, span), padded.strides + padded.strides[-1:],
-        writeable=False)
+    # hankel[..., m, t] = padded[..., t + m]; the ndarray constructor makes
+    # it in ~1.3 us, as_strided in ~6.9 us (2-core x86 VM)
+    hankel = np.ndarray(padded.shape[:-1] + (k_s, span), padded.dtype, padded.data.toreadonly(),
+                        0, padded.strides + padded.strides[-1:])
     step = max(1, min(_CONV_CELLS // (out.size // width * k_s), span))
     buf = np.empty(out.shape[:-1] + (k_s, step), dtype=out.dtype)
     out.fill(sentinel)
@@ -248,7 +245,7 @@ def _conv_blocked(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
         u, v = v, u
     lu, lv = u.size, v.size
     sentinel = ring.sentinel
-    t = math.isqrt(lv - 1) + 1 if lv > 1 else 1
+    t = sqrt_ceil(lv)
 
     num_p = -(-lu // t)
     num_c = -(-lv // t) + 1

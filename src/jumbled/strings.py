@@ -31,13 +31,12 @@ oracle it is tested against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bitvec import as_bits
-from .minplus import FINITE_BOUND, MAX, MIN, Ring, as_int64, positive_int
+from .minplus import FINITE_BOUND, MAX, MIN, Ring, as_int64, positive_int, sqrt_ceil
 from .profiles import Profile
 
 RECURSION_CUTOFF = 64
@@ -408,26 +407,27 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
 # The two kernels _rle_sweep picks between, sweep only (2-core x86 VM, best
 # of 5 at n = 16384 and of 3 at 65536, ms; 0/1 rows both rings, weights one;
 # the bound sweep at a budget it never gives up at), and what rle does: the
-# run sweep, the bound sweep's reads, or a block pass that gives up to the
-# run sweep:
+# run sweep, the bound sweep's reads, or, in the rows marked *, a block pass
+# that gives up to the run sweep; there rle's own time was taken interleaved
+# with both kernels in one process (best of 14 at 16384, of 3 at 65536):
 #
-#                                   n = 16384                 n = 65536
-#   input (rho/n)                run  bound  rle         run   bound  rle
-#   i.i.d. 0/1 (0.50)           28.9   10.9  reads      279.1   86.7  reads
-#   0/1 of density 1/4 (0.37)   23.9   19.7  gives up   190.6  165.0  gives up (MIN)
-#   0/1 of density 0.15 (0.25)  20.8   18.8  gives up   138.2   85.4  gives up
-#   0/1 of density 1/20 (0.09)   7.3   15.2  run         52.4   54.3  run
-#   0/1 of period 8 (0.25)      13.5  251.7  gives up   219.5 5080.2  gives up
-#   0/1 in runs of 64 (0.02)     1.5  196.3  run         13.2 2203.3  run
-#   weights in runs (0.24)      18.0    5.6  reads      145.4   37.2  reads
-#   weights in runs (0.75)      65.7    7.2  reads      445.4   44.0  reads
-#   i.i.d. weights (0.95)       82.8    7.8  reads      548.3   30.4  reads
-#   i.i.d. weights in 0..9      98.5    8.5  reads      728.1   32.9  reads
-#   1, -1, 0 repeated (1.00)    83.2  183.5  gives up   570.2 2551.7  gives up
-#   zigzag 9..-9..9 (1.00)      86.3  177.5  gives up   575.9 2620.4  gives up
+#                                   n = 16384                  n = 65536
+#   input (rho/n)                run  bound  rle          run   bound  rle
+#   i.i.d. 0/1 (0.50)           28.9   10.9  reads      279.1    86.7  reads
+#   0/1 of density 1/4 (0.37)*  17.1   16.8  18.0       184.7   172.1  192.1 (MAX reads)
+#   0/1 of density 0.15 (0.25)* 11.8   13.9  12.8       130.3   105.3  117.0
+#   0/1 of density 1/20 (0.09)   7.3   15.2  run         52.4    54.3  run
+#   0/1 of period 8 (0.25)*     12.1  249.7  15.7       196.8  4347.4  181.4
+#   0/1 in runs of 64 (0.02)     1.5  196.3  run         13.2  2203.3  run
+#   weights in runs (0.24)      18.0    5.6  reads      145.4    37.2  reads
+#   weights in runs (0.75)      65.7    7.2  reads      445.4    44.0  reads
+#   i.i.d. weights (0.95)       82.8    7.8  reads      548.3    30.4  reads
+#   i.i.d. weights in 0..9      98.5    8.5  reads      728.1    32.9  reads
+#   1, -1, 0 repeated (1.00)*   54.3  145.6  54.6       450.7  2067.2  410.5
+#   zigzag 9..-9..9 (1.00)*     48.2  116.8  50.2       402.2  1949.5  390.6
 #
-# A pass that gives up late costs nearly the run sweep's time again: rle took
-# 24.8 ms on period 8 at n = 16384.
+# Giving up costs rle a few ms over the run sweep (period 8 at n = 16384:
+# 15.7 against 12.1 ms); density 1/4 gives up where the reads win by ~1 ms.
 
 
 def _rle_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
@@ -565,9 +565,8 @@ def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
 
 def blocked_profile(s: BinaryString, b=None) -> Profile:
     s = _as_string(s)
-    n = len(s)
     if b is None:
-        b = math.isqrt(n - 1) + 1 if n > 1 else 1
+        b = sqrt_ceil(len(s))
     p = make_block_partition(s, b)
     if p.m == 1:
         return naive_profile(s)

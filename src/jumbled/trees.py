@@ -30,14 +30,13 @@ shared original parent, which is disconnected in the original tree.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitvec import RankBitvector
-from .minplus import FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, positive_int
+from .minplus import FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, positive_int, sqrt_ceil
 from .profiles import Profile
 from .strings import _fold_into, _rle_sweep
 
@@ -247,8 +246,13 @@ def _combine(ring: Ring, a_u, a_w, lab, size_w: int):
     """One DP step: join two child arrays below a node, along the last axis.
 
     A real node consumes one unit of size and contributes its label ``lab``
-    (a scalar, or a column for stacked rows); a dummy node consumes nothing."""
-    core = ring.conv(a_u, a_w)
+    (a scalar, or a column for stacked rows); a dummy node consumes nothing.
+    An array of one entry covers only the empty set and holds 0 in every
+    row, the join's identity: the other operand is then taken as it is, and
+    under a dummy node returned itself, not a copy."""
+    if a_u.shape[-1] == 1:
+        a_u, a_w = a_w, a_u
+    core = a_u if a_w.shape[-1] == 1 else ring.conv(a_u, a_w)
     if size_w:
         out = np.empty(core.shape[:-1] + (core.shape[-1] + 1,), dtype=np.int64)
         out[..., 0] = 0
@@ -585,7 +589,7 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
                 for a in forced[:-1]:
                     _fold_into(ehat, ring, a)
                 _fold_into(best, ring, ring.conv(ehat, below)[:, 1:])
-            gt = ring.conv(a1[dec.tops[mid]], below)
+            gt = _combine(ring, a1[dec.tops[mid]], below, 0, False)
             _fold_into(gt, ring, ft)
             ft = gt
         _check_steps(ft)
@@ -598,7 +602,7 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
 def tree_profile(t: LabeledTree, r=None, sink=None) -> Profile:
     bt = binarize(t)
     if r is None:
-        r = math.isqrt(bt.n_real - 1) + 1 if bt.n_real > 1 else 1
+        r = sqrt_ceil(bt.n_real)
     return _binary_profile(bt, sink, micro_macro(bt, r))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jumbled.minplus import (
-    FINITE_BOUND, INF, MAX, MIN, NAIVE_CONV_CUTOFF, NEG_INF,
+    FINITE_BOUND, INF, MAX, MIN, NEG_INF,
     max_plus_convolution, max_plus_convolution_blocked, max_plus_product,
     min_plus_convolution, min_plus_convolution_blocked,
     min_plus_product, min_plus_product_tiled,
@@ -246,10 +246,10 @@ def _sentinel_vector(rng, size, sentinel):
     return x
 
 
-# shorter-operand lengths around the direct loop's cutoff and the tiled
-# kernel's block of 32 shifts; a longer operand of 2100 entries makes the
-# tile's column step (2048 at 32 shifts) smaller than its span
-@pytest.mark.parametrize("short", [1, NAIVE_CONV_CUTOFF, NAIVE_CONV_CUTOFF + 1, 31, 32, 33, 65])
+# shorter-operand lengths from one entry (a block of fewer shifts than the
+# kernel's 32) to around and past its block; a longer operand of 2100
+# entries makes the tile's column step (2048 at 32 shifts) smaller than its span
+@pytest.mark.parametrize("short", [1, 2, 4, 5, 31, 32, 33, 65])
 @pytest.mark.parametrize("long", ["equal", 97, 2100])
 def test_ring_conv_matches_direct_kernel(short, long):
     size = short if long == "equal" else long

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from jumbled.minplus import MIN
+from jumbled.minplus import MIN, Ring
 from jumbled.trees import (
     CorruptedProfileError, DeltaBits, LabeledTree, MICRO_COUNT_CONSTANT,
     _combine, _macro_sweep, binarize, encode_delta, enumerate_connected_oracle,
@@ -327,6 +327,26 @@ def test_tree_profile_default_r():
     t = LabeledTree(random_parents(random.Random(45), 100),
                     [random.Random(46).randint(0, 1) for _ in range(100)])
     assert tree_profile(t) == simple_tree_profile(binarize(t))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("shape", ["random", "path"])
+def test_micro_macro_never_convolves_with_the_empty_set(monkeypatch, shape, r):
+    # a one-entry array covers only the empty set, the join's identity
+    n = 300
+    rng = random.Random(49)
+    parents = random_parents(rng, n) if shape == "random" else path_parents(n)
+    t = LabeledTree(parents, [rng.randint(0, 1) for _ in range(n)])
+    shorter = []
+    conv = Ring.conv
+
+    def counting(ring, u, v):
+        shorter.append(min(u.shape[-1], v.shape[-1]))
+        return conv(ring, u, v)
+
+    monkeypatch.setattr(Ring, "conv", counting)
+    assert tree_profile(t, r=r) == simple_tree_profile(binarize(t))
+    assert shorter and min(shorter) > 1
 
 
 # ---------------------------------------------------------------------------
