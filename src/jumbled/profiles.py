@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import stat
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,9 +16,10 @@ from .minplus import as_int64
 CSV_HEADER = "size,min_ones,max_ones"
 SUMS_CSV_HEADER = "size,max_sum"
 
-# rows formatted per write: at n=16384 (2-core x86 VM) 1024 rows took 4.5 ms,
-# 2048 3.1 ms and 4096 2.4 ms; write_profile_csv's tracemalloc peak stays at
-# the 144 KiB of its range check up to 2048 rows, 4096 lift it to 261 KiB
+# rows formatted per write, and sizes range-checked per step: at n=16384
+# (2-core x86 VM) 1024 rows took 4.5 ms, 2048 3.1 ms and 4096 2.4 ms;
+# write_profile_csv's tracemalloc peak is 125 KiB at 2048 rows, of which
+# the range check takes 18 KiB (144 KiB when it checked the whole arrays)
 _CSV_CHUNK_ROWS = 2048
 
 
@@ -39,6 +41,16 @@ class Profile:
     def n(self) -> int:
         return int(self.min_ones.size)
 
+    @cached_property
+    def _views(self):
+        """memoryviews of (min_ones, max_ones): indexing one gives a Python
+        int. Made on first use, so no build allocates them."""
+        return memoryview(self.min_ones), memoryview(self.max_ones)
+
+    def __getstate__(self):
+        # a memoryview cannot be pickled; a copy makes its own on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_views"}
+
     def occurs(self, i: int, j: int) -> bool:
         return occurs(self, i, j)
 
@@ -52,11 +64,13 @@ class Profile:
 def occurs(p: Profile, i: int, j: int) -> bool:
     """True iff some window/subgraph of size i has exactly j ones.
 
-    Out-of-domain arguments answer False. Two array reads, no scan.
+    Out-of-domain arguments answer False; a non-integral 0 < i <= n raises.
+    Two reads through the profile's buffer views, which give Python ints
+    where the arrays would box numpy scalars; the conditional gives a bool
+    for numpy arguments too, without a call to bool().
     """
-    if i < 1 or i > p.n:
-        return False
-    return bool(p.min_ones[i - 1] <= j <= p.max_ones[i - 1])
+    lo, hi = p._views
+    return True if 0 < i <= len(lo) and lo[i - 1] <= j <= hi[i - 1] else False
 
 
 def write_profile_csv(p: Profile, path) -> None:
@@ -109,9 +123,13 @@ def _rows_valid(rows: np.ndarray, count: int) -> bool:
 
 
 def _in_range(lo: np.ndarray, hi: np.ndarray) -> bool:
-    """0 <= lo <= hi <= size at every size 1..n."""
-    return bool((lo >= 0).all() and (lo <= hi).all()
-                and (hi <= np.arange(1, hi.size + 1)).all())
+    """0 <= lo <= hi <= size at every size 1..n, checked _CSV_CHUNK_ROWS
+    sizes at a time so that it stays below the writer's own peak."""
+    for s in range(0, lo.size, _CSV_CHUNK_ROWS):
+        a, b = lo[s:s + _CSV_CHUNK_ROWS], hi[s:s + _CSV_CHUNK_ROWS]
+        if a.min() < 0 or (a > b).any() or (b > np.arange(s + 1, s + b.size + 1)).any():
+            return False
+    return True
 
 
 def _check_lines(body) -> np.ndarray:

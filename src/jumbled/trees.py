@@ -579,17 +579,21 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
                 f[:, 0] = ring.sentinel
             a1[v] = f
 
-        ft = a0[dec.tops[mid]]
+        top = dec.tops[mid]
+        ft = a0[top]
         if below is not None:
+            gt = _combine(ring, a1[top], below, 0, False)
             # sets anchored at a real node on the path that continue below the
-            # cut; the path's arrays widen upward, so the last is the widest
-            forced = [a for v, a in a1.items() if v < n_real]
-            if forced:
-                ehat = forced[-1].copy()
-                for a in forced[:-1]:
-                    _fold_into(ehat, ring, a)
+            # cut; the path's arrays widen upward, so the last is the widest.
+            # A top that is the only real node on the path gives gt's join
+            forced = [v for v in a1 if v < n_real]
+            if forced == [top]:
+                _fold_into(best, ring, gt[:, 1:])
+            elif forced:
+                ehat = a1[forced[-1]].copy()
+                for v in forced[:-1]:
+                    _fold_into(ehat, ring, a1[v])
                 _fold_into(best, ring, ring.conv(ehat, below)[:, 1:])
-            gt = _combine(ring, a1[dec.tops[mid]], below, 0, False)
             _fold_into(gt, ring, ft)
             ft = gt
         _check_steps(ft)

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import errno
 import os
+import pickle
 import random
 import tracemalloc
 
@@ -37,6 +40,70 @@ def test_occurs_method_delegates():
     p = naive_profile("0110")
     assert p.occurs(4, 2) is True
     assert p.occurs(4, 1) is False
+
+
+@pytest.mark.parametrize("mins, maxs", [
+    (np.array([0, 0, 1, 1]), np.array([1, 2, 2, 3])),
+    (np.array([0, 0, 1, 1], dtype=np.int16), np.array([1, 2, 2, 3], dtype=np.int16)),
+    (np.array([0, 0, 1, 1], dtype=bool), np.array([1, 1, 1, 1], dtype=bool)),
+    (np.array([0, 9, 0, 9, 1, 9, 1, 9])[::2], np.array([1, 9, 2, 9, 2, 9, 3, 9])[::2]),
+], ids=["int64", "int16", "bool", "strided"])
+def test_occurs_on_arrays_of_any_integer_dtype(mins, maxs):
+    p = Profile(mins, maxs)
+    assert p.min_ones.flags.c_contiguous == mins.flags.c_contiguous   # strided stays
+    lows, highs = mins.astype(np.int64).tolist(), maxs.astype(np.int64).tolist()
+    for i in range(-1, p.n + 2):
+        for j in range(-1, p.n + 2):
+            want = 1 <= i <= p.n and lows[i - 1] <= j <= highs[i - 1]
+            assert occurs(p, i, j) is want
+            assert p.occurs(i, j) is want
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint8, np.intp])
+def test_occurs_takes_integers_of_any_type(kind):
+    p = naive_profile("0110")   # min 0 0 1 2, max 1 2 2 2
+    n = p.n
+    for i in range(0, n + 2):
+        for j in range(0, n + 2):
+            want = 1 <= i <= n and int(p.min_ones[i - 1]) <= j <= int(p.max_ones[i - 1])
+            assert occurs(p, kind(i), kind(j)) is want
+            assert p.occurs(kind(i), j) is want
+    if kind is not np.uint8:
+        assert occurs(p, kind(-1), kind(0)) is False
+        assert occurs(p, kind(2), kind(-1)) is False
+    assert occurs(p, True, True) is True     # size 1 holds a 1
+    assert occurs(p, True, False) is True
+    assert occurs(p, False, False) is False
+    assert occurs(p, 2, np.bool_(True)) is True
+
+
+@pytest.mark.parametrize("i", [1.5, 2.0, np.float64(3.0), 0.5, "2"])
+def test_occurs_refuses_a_size_that_is_not_an_integer(i):
+    p = naive_profile("0110")
+    with pytest.raises(TypeError):
+        occurs(p, i, 1)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy, dataclasses.replace,
+], ids=["pickle", "copy", "deepcopy", "replace"])
+def test_profile_clones_after_a_query(clone):
+    p = naive_profile("011010")
+    assert p.occurs(3, 2) is True   # makes the cached views
+    q = clone(p)
+    assert q == p
+    assert [q.occurs(i, j) for i in range(8) for j in range(8)] == \
+        [p.occurs(i, j) for i in range(8) for j in range(8)]
+
+
+def test_occurs_reads_the_arrays_it_was_given():
+    # the views share the arrays' buffers: a write shows in the next query
+    mins, maxs = np.array([0, 1]), np.array([1, 1])
+    p = Profile(mins, maxs)
+    assert "_views" not in vars(p)   # made on the first query, not by a build
+    assert p.occurs(2, 2) is False
+    maxs[1] = 2
+    assert p.occurs(2, 2) is True
 
 
 def test_profile_equality_and_n():
@@ -181,6 +248,19 @@ def test_write_refuses_rows_the_reader_refuses(tmp_path, mins, maxs):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("at", [0, profiles._CSV_CHUNK_ROWS, 2 * profiles._CSV_CHUNK_ROWS + 4])
+def test_write_refuses_a_bad_row_in_any_chunk_before_opening(tmp_path, at):
+    # the range check goes chunk by chunk, all of it before the file opens
+    p = naive_profile("01" * (profiles._CSV_CHUNK_ROWS + 3))
+    maxs = p.max_ones.copy()
+    maxs[at] = at + 2
+    path = tmp_path / "p.csv"
+    path.write_text("an older index\n")
+    with pytest.raises(ValueError, match="min <= max <= size"):
+        write_profile_csv(Profile(p.min_ones, maxs), path)
+    assert path.read_text() == "an older index\n"
+
+
 def test_sums_csv(tmp_path):
     path = tmp_path / "s.csv"
     write_sums_csv(np.asarray([3, 2, 4], dtype=np.int64), path)
@@ -301,7 +381,8 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, write, value):
 
 def test_write_profile_csv_memory_peak(tmp_path):
     # one chunk of rows at a time: its (slots, rows) matrix, the bytes made
-    # from it and a few uint32 columns
+    # from it and a few uint32 columns; the range check, one chunk of sizes
+    # at a time, stays below that (checked whole, it set a 144 KiB peak)
     rng = np.random.default_rng(5)
     p = naive_profile(rng.integers(0, 2, 16384, dtype=np.uint8))
     path = tmp_path / "p.csv"
@@ -312,4 +393,4 @@ def test_write_profile_csv_memory_peak(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 2 ** 10 <= 160
+    assert peak / 2 ** 10 < 144

@@ -3,8 +3,9 @@ string reductions on adversarial bit strings (long runs, all-0, all-1,
 alternating and a single 1), the run-boundary sweep on run-length strings and
 on piecewise-constant weights, general and two-valued, the bound-pruned sweep
 on drifted and spread weights and, through rle_profile, on bits of any
-density, the profile CSV round trip, the CSV writers against "%d"
-formatting, the tree sweep on adversarial shapes, and the vectorised
+density, occurs against the profile's arrays, the profile CSV round trip,
+the writer's chunked range check against the whole-array rule, the CSV
+writers against "%d" formatting, the tree sweep on adversarial shapes, and the vectorised
 parsers against their line-by-line readings."""
 
 import random
@@ -20,10 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from jumbled import inputs, strings
 from jumbled.profiles import (
-    _CSV_CHUNK_ROWS, CSV_HEADER, SUMS_CSV_HEADER, Profile, read_profile_csv, write_profile_csv,
-    write_sums_csv,
+    _CSV_CHUNK_ROWS, CSV_HEADER, SUMS_CSV_HEADER, Profile, occurs, read_profile_csv,
+    write_profile_csv, write_sums_csv,
 )
-from jumbled.minplus import MAX, MIN
+from jumbled.minplus import INF, MAX, MIN, NEG_INF
 from jumbled.strings import (
     _bound_sweep, _candidates, _run_sweep, _two_valued, _weight_prefix, BinaryString,
     blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile, rle_profile,
@@ -188,6 +189,49 @@ def test_profile_csv_round_trip(bits):
 CSV_ROWS = st.sampled_from([1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
                             3 * _CSV_CHUNK_ROWS + 5])
 INT64_ENDS = [-2 ** 63, 2 ** 63 - 1]
+
+
+# entries of any order, sentinels included: occurs reads what the arrays hold
+bounds = st.lists(st.one_of(st.integers(-3, MAX_N + 3), st.sampled_from([INF, NEG_INF])),
+                  min_size=1, max_size=MAX_N)
+
+
+@SETTINGS
+@given(bounds, st.data())
+def test_occurs_reads_the_interval(lows, data):
+    n = len(lows)
+    highs = data.draw(st.lists(st.one_of(st.integers(-3, MAX_N + 3), st.just(INF)),
+                               min_size=n, max_size=n))
+    p = Profile(lows, highs)
+    queries = st.tuples(st.integers(-2, n + 2),
+                        st.one_of(st.integers(-3, n + 3), st.sampled_from([INF, NEG_INF])))
+    for i, j in data.draw(st.lists(queries, min_size=1, max_size=20)):
+        want = 1 <= i <= n and bool(lows[i - 1] <= j <= highs[i - 1])
+        assert occurs(p, i, j) is want
+        assert p.occurs(i, j) is want
+
+
+@SETTINGS
+@given(CSV_ROWS, st.integers(0, 2 ** 32 - 1), st.integers(-1, 1), st.integers(-1, 1))
+def test_writer_range_check_is_the_whole_array_rule(n, seed, low_shift, high_shift):
+    # valid rows, then one row moved across a rule at a drawn size
+    rng = np.random.default_rng(seed)
+    sizes = np.arange(1, n + 1)
+    mins = rng.integers(0, sizes + 1)
+    maxs = rng.integers(mins, sizes + 1)
+    at = int(rng.integers(0, n))
+    mins[at] += low_shift
+    maxs[at] += high_shift
+    valid = bool((mins >= 0).all() and (mins <= maxs).all() and (maxs <= sizes).all())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        if valid:
+            write_profile_csv(Profile(mins, maxs), path)
+            assert read_profile_csv(path) == Profile(mins, maxs)
+        else:
+            with pytest.raises(ValueError, match="min <= max <= size"):
+                write_profile_csv(Profile(mins, maxs), path)
+            assert not path.exists()
 
 
 def _written(write, value):

@@ -349,6 +349,31 @@ def test_micro_macro_never_convolves_with_the_empty_set(monkeypatch, shape, r):
     assert shorter and min(shorter) > 1
 
 
+@pytest.mark.parametrize("shape", [path_parents, random_parents, star_parents,
+                                   caterpillar_parents])
+def test_micro_macro_at_r1_makes_one_convolution_per_edge(monkeypatch, shape):
+    # each micro tree is one node: a join of two children's arrays per
+    # binarized node with two children, one join with the arrays below per
+    # real node with a child, together n - 1; a top that is the only real
+    # node on its path must not convolve the same pair a second time
+    n = 60
+    rng = random.Random(53)
+    parents = shape(rng, n) if shape is random_parents else shape(n)
+    t = LabeledTree(parents, [rng.randint(0, 1) for _ in range(n)])
+    calls = []
+    conv = Ring.conv
+
+    def counting(ring, u, v):
+        calls.append(1)
+        return conv(ring, u, v)
+
+    monkeypatch.setattr(Ring, "conv", counting)
+    got = tree_profile(t, r=1)
+    assert len(calls) == n - 1
+    monkeypatch.undo()
+    assert got == simple_tree_profile(binarize(t))
+
+
 # ---------------------------------------------------------------------------
 # weighted trees
 
