@@ -21,12 +21,14 @@ one slice of the same narrow prefix sums per candidate start or end instead.
 _bound_sweep reads only the blocks of that Hankel matrix that can reach
 their widths' extremes, on prefix sums centred on the nearest half of the
 mean label, so that i.i.d. bits walk by +-1.
+_gap_sweep takes two-valued labels from the gaps between the positions of
+one value, a row half as long for i.i.d. bits, swept again by _rle_sweep.
 _rle_sweep, behind rle_profile, rle_weighted_max_sums and the chains of the
-tree sweep, picks one of these two kernels per ring before either runs: the
-run sweep when it costs no more than the bound sweep is expected to, else
-the bound sweep, which hands over to the run sweep where too few blocks drop
-out. The default thus never runs _window_sweep, the kernel of the naive
-oracle it is tested against.
+tree sweep, picks its kernel per ring before any runs: the run sweep when it
+costs no more than the bound sweep is expected to; else the gap sweep for
+two-valued labels, and for others the bound sweep, which hands over to the
+run sweep where too few blocks drop out. The default thus never runs
+_window_sweep, the kernel of the naive oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -317,7 +319,7 @@ def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run: int) -> 
     kept = _kept_blocks(ends, starts, run)
     if kept is None:
         del ends, starts
-        return _run_sweep(pref, ring, *_candidates(labels, ring, _two_valued(labels)))
+        return _run_sweep(pref, ring, *_candidates(labels, ring, False))
     best = _read_blocks(ends, starts, kept).ravel()[:n]
     del ends, starts, kept   # before the int64 sums
     out = np.arange(1, n + 1, dtype=np.int64)
@@ -404,41 +406,46 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
     return best
 
 
-# The two kernels _rle_sweep picks between, sweep only (2-core x86 VM, best
-# of 5 at n = 16384 and of 3 at 65536, ms; 0/1 rows both rings, weights one;
-# the bound sweep at a budget it never gives up at), and what rle does: the
-# run sweep, the bound sweep's reads, or, in the rows marked *, a block pass
-# that gives up to the run sweep; there rle's own time was taken interleaved
-# with both kernels in one process (best of 14 at 16384, of 3 at 65536):
+# The kernels _rle_sweep picks between, sweep only, beside naive's window sweep
+# and rle's own time and pick: the run sweep, the gap sweep, the bound
+# sweep's reads, or a block pass that gives up to the run sweep (2-core x86
+# VM, ms, one process, best of 9 interleaved rounds at n = 16384 and of 3 at
+# 65536; 0/1 rows both rings, weights one; the bound sweep at a budget it
+# never gives up at; gap only for two values):
 #
-#                                   n = 16384                  n = 65536
-#   input (rho/n)                run  bound  rle          run   bound  rle
-#   i.i.d. 0/1 (0.50)           28.9   10.9  reads      279.1    86.7  reads
-#   0/1 of density 1/4 (0.37)*  17.1   16.8  18.0       184.7   172.1  192.1 (MAX reads)
-#   0/1 of density 0.15 (0.25)* 11.8   13.9  12.8       130.3   105.3  117.0
-#   0/1 of density 1/20 (0.09)   7.3   15.2  run         52.4    54.3  run
-#   0/1 of period 8 (0.25)*     12.1  249.7  15.7       196.8  4347.4  181.4
-#   0/1 in runs of 64 (0.02)     1.5  196.3  run         13.2  2203.3  run
-#   weights in runs (0.24)      18.0    5.6  reads      145.4    37.2  reads
-#   weights in runs (0.75)      65.7    7.2  reads      445.4    44.0  reads
-#   i.i.d. weights (0.95)       82.8    7.8  reads      548.3    30.4  reads
-#   i.i.d. weights in 0..9      98.5    8.5  reads      728.1    32.9  reads
-#   1, -1, 0 repeated (1.00)*   54.3  145.6  54.6       450.7  2067.2  410.5
-#   zigzag 9..-9..9 (1.00)*     48.2  116.8  50.2       402.2  1949.5  390.6
+#                              n = 16384                        n = 65536
+#   input (rho/n)              run bound   gap naive   rle    run  bound   gap  naive   rle
+#   i.i.d. 0/1 (0.50)         25.8  10.5   5.1  54.2   5.4  286.1   64.7  32.3  970.4  32.3 gap
+#   0/1 density 1/4 (0.38)    19.2  16.9   6.0  54.3   6.7  214.0  164.4  47.9  944.7  47.3 gap
+#   0/1 density 0.15 (0.25)   12.7  13.0   6.8  56.9   6.9  146.1  105.8  45.1 1030.5  41.9 gap
+#   0/1 density 1/20 (0.09)    5.4   9.4   6.3  51.1   5.1   52.1   84.7  94.4  992.6  44.7 run
+#   0/1 period 8 (0.25)       13.2 239.5   1.1  57.5   1.2  206.1 5122.3   3.4 1129.5   3.5 gap
+#   0/1 runs of 64 (0.02)      1.3 168.3   1.6  75.3   1.5   13.3 2409.7   7.9 1037.5  15.0 run
+#   Fibonacci word (0.76)     38.9 261.9   1.4  55.1   1.6  391.9 6985.6   4.1 1013.8   4.8 gap
+#   i.i.d. {-5, 6} (0.50)     13.9   6.1   3.3  45.9   3.8  142.3   33.0  13.7  689.9  17.2 gap
+#   {-5, 6} in runs (0.22)     6.3   5.6   2.7  43.5   3.7   64.0   49.1  20.2  701.3  20.1 gap
+#   weights in runs (0.24)    16.7   4.9     -  46.5   4.7  143.5   38.1     -  687.9  39.7 reads
+#   i.i.d. weights (0.95)     64.3   5.8     -  45.5   5.7  591.7   44.8     -  719.2  43.8 reads
+#   1, -1, 0 repeated (1.00)  59.3 150.1     -  49.0  62.1  594.1 2630.1     -  643.0 620.9 gives up
+#   zigzag 9..-9..9 (1.00)    53.4 127.8     -  48.1  54.0  558.3 2452.4     -  601.9 487.2 gives up
 #
-# Giving up costs rle a few ms over the run sweep (period 8 at n = 16384:
-# 15.7 against 12.1 ms); density 1/4 gives up where the reads win by ~1 ms.
+# {-5, 6} in runs takes runs of 1-8 at random; the weights in runs draw from
+# -9..9. The gap rows of i.i.d. bits take the bound sweep's reads; those of
+# period 8 and of the Fibonacci word are two-valued, 4 and 5 gap sweeps deep.
 
 
 def _rle_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
     """_window_sweep's extremes for ``ring`` over the single row ``pref``,
-    the prefix sums of ``labels``, by two prices taken before either sweep
+    the prefix sums of ``labels``, by two prices taken before any sweep
     runs: the run sweep's from its exact cells and slices, the bound sweep's
     from its call, its block pass and _BOUND_TILE_BLOCKS kept blocks per
-    tile. The run sweep runs when it costs no more; else the bound sweep,
-    with the run sweep's price as its budget."""
+    tile. The run sweep runs when it costs no more. Else two-valued labels
+    take the gap sweep, whose gap row is priced the same way in its own
+    call, and other labels the bound sweep, with the run sweep's price as
+    its budget."""
     n, k = labels.size, _BOUND_BLOCK
-    starts, ends = _candidates(labels, ring, _two_valued(labels))
+    two_valued = _two_valued(labels)
+    starts, ends = _candidates(labels, ring, two_valued)
     run = (_RUN_CELL_COST * (n * (starts.size + 1) - int(starts.sum()) + int(ends.sum()))
            + _RUN_STEP_COST * (starts.size + ends.size + 1))
     groups = -(-n // k)
@@ -446,14 +453,38 @@ def _rle_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
              + _BOUND_CELL_COST * k * k * _BOUND_TILE_BLOCKS * groups)
     if run <= bound:
         return _run_sweep(pref, ring, starts, ends)
-    del starts, ends   # up to n int64 positions, freed before the bound sweep's buffers
+    del starts, ends   # up to n int64 positions, freed before the other sweeps' buffers
+    if two_valued:
+        return _gap_sweep(pref, labels, ring)
     return _bound_sweep(pref, labels, ring, run)
+
+
+def _gap_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
+    """_window_sweep's extremes for ``ring`` over the single row ``pref``,
+    the prefix sums of two-valued ``labels`` {lo, hi}, from the gaps between
+    the positions of one value: hi for MAX, lo for MIN.
+
+    The least width that holds t of that value is span(1) = 1, and span(t) =
+    1 + the least sum of t - 1 consecutive gaps, the MIN of _rle_sweep over
+    the gap row. The extreme of width w is the sum of w steps: that value at
+    the widths span(t), the other value elsewhere. Each partial sum is a
+    real extreme, so it fits the narrow dtype of ``pref``. The gap row is
+    shorter than the labels; it recurses here only if it is two-valued.
+    """
+    lo, hi = int(labels.min()), int(labels.max())
+    value, other = (hi, lo) if ring is MAX else (lo, hi)
+    steps = np.full(labels.size, other, dtype=_narrow_dtype(int(pref.min()), int(pref.max())))
+    at = np.flatnonzero(labels == value).astype(_narrow_dtype(0, labels.size))
+    if lo < hi and at.size > 1:
+        at -= at[0]
+        steps[_rle_sweep(at, np.diff(at), MIN)] = value   # width span(t), t >= 2
+    steps[0] = value
+    return np.cumsum(steps, dtype=steps.dtype, out=steps)
 
 
 def rle_profile(s: BinaryString) -> Profile:
     """naive_profile's result, in O(n rho) for a string of rho runs when
-    that costs less, else from the blocks of windows that can reach their
-    width's extremes."""
+    that costs less, else from the gaps between its 0s and between its 1s."""
     s = _as_string(s)
     return Profile(_rle_sweep(s.prefix_ones, s.bits, MIN), _rle_sweep(s.prefix_ones, s.bits, MAX))
 
@@ -623,7 +654,8 @@ def naive_weighted_max_sums(weights) -> np.ndarray:
 
 def rle_weighted_max_sums(weights) -> np.ndarray:
     """naive_weighted_max_sums's result, in O(n rho) for rho runs of equal
-    weight when that costs less, else from the windows that can reach their
+    weight when that costs less, else from the gaps between the positions of
+    the larger of two weights, or from the windows that can reach their
     width's maximum."""
     weights = as_int64(weights, "weights")
     return _rle_sweep(_weight_prefix(weights), weights, MAX).astype(np.int64)

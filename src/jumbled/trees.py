@@ -310,7 +310,9 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
       anchored below it (one convolution). A 0/1 chain's rows are two-valued,
       so under MIN the ones row takes its windows from the starts of its
       0-runs and the zeros row from the starts of its 1-runs: one pass over
-      the run starts between them.
+      the run starts between them. Rows of many runs take the gap sweep
+      instead, the ones row over the gaps between its 0s and the zeros row
+      over the gaps between its 1s.
     * other small nodes (subtree size <= SMALL), a size at a time: children
       are smaller than their parent, so every node of size s has its
       children ready; one padded convolution covers them all. Their arrays

@@ -193,9 +193,10 @@ def test_iid_bits_at_the_int16_edge(path, big_bits):
 def reads(monkeypatch):
     """How each rle sweep ended, in the bound sweep's pruned reads or in the
     run sweep, whether rle took it or the bound sweep gave up to it; and any
-    call of the window sweep."""
+    call of the gap sweep, before the sweep of its gap row, or of the window
+    sweep."""
     called = []
-    for name in ("_read_blocks", "_window_sweep", "_run_sweep"):
+    for name in ("_read_blocks", "_window_sweep", "_run_sweep", "_gap_sweep"):
         def recording(*args, name=name, step=getattr(strings, name)):
             called.append(name)
             return step(*args)
@@ -226,10 +227,11 @@ def test_periodic_weights_fall_back_and_iid_weights_do_not(reads, monkeypatch):
 
 def test_string_random_bits_read_blocks_and_few_runs_take_the_run_sweep(reads):
     # the kernels of the benchmark's builds, on inputs of their shapes: bits
-    # of density 1/2 (n = 16384) read blocks on both rings and i.i.d.
-    # weights on one; 256 runs of bits or of weights take the run sweep, as
-    # do bits of density 0.05; a 4096-node 0/1 path reads blocks on both
-    # rows of its chain and a weighted one on its one row, while the chains
+    # of density 1/2 (n = 16384) take the gap sweep on both rings, whose gap
+    # rows read blocks, and i.i.d. weights read blocks on one; 256 runs of
+    # bits or of weights take the run sweep, as do bits of density 0.05; a
+    # 4096-node 0/1 path takes the gap sweep on both rows of its chain and a
+    # weighted one reads blocks on its one row, while the chains
     # of a random tree are short enough for the run sweep alone. A path's
     # sets are the windows of its labels, so its profile is the string's.
     n, n_tree = 16384, 4096
@@ -240,7 +242,7 @@ def test_string_random_bits_read_blocks_and_few_runs_take_the_run_sweep(reads):
         reads.clear()
         return build(*args), list(reads)
 
-    for bits, want in ((rng.integers(0, 2, n), ["_read_blocks"] * 2),
+    for bits, want in ((rng.integers(0, 2, n), ["_gap_sweep", "_read_blocks"] * 2),
                        (runs % 2, ["_run_sweep"] * 2),
                        (rng.random(n) < 0.05, ["_run_sweep"] * 2)):
         bits = bits.astype(np.uint8)
@@ -253,7 +255,8 @@ def test_string_random_bits_read_blocks_and_few_runs_take_the_run_sweep(reads):
     path = [-1] + list(range(n_tree - 1))
     bits = rng.integers(0, 2, n_tree).astype(np.uint8)
     t = LabeledTree(path, bits)
-    assert kernels(simple_tree_profile, binarize(t)) == (naive_profile(bits), ["_read_blocks"] * 2)
+    assert kernels(simple_tree_profile, binarize(t)) == \
+        (naive_profile(bits), ["_gap_sweep", "_read_blocks"] * 2)
     weights = rng.integers(-9, 10, n_tree)
     got, called = kernels(weighted_tree_max_sums, LabeledTree(path, weights))
     assert called == ["_read_blocks"]

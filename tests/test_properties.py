@@ -2,11 +2,12 @@
 string reductions on adversarial bit strings (long runs, all-0, all-1,
 alternating and a single 1), the run-boundary sweep on run-length strings and
 on piecewise-constant weights, general and two-valued, the bound-pruned sweep
-on drifted and spread weights and, through rle_profile, on bits of any
-density, occurs against the profile's arrays, the profile CSV round trip,
-the writer's chunked range check against the whole-array rule, the CSV
-writers against "%d" formatting, the tree sweep on adversarial shapes, and the vectorised
-parsers against their line-by-line readings."""
+on drifted and spread weights, the gap sweep through rle on bits of any
+density, Sturmian words and two-valued weights, occurs against the profile's
+arrays, the profile CSV round trip, the writer's chunked range check against
+the whole-array rule, the CSV writers against "%d" formatting, the tree sweep
+on adversarial shapes, and the vectorised parsers against their line-by-line
+readings."""
 
 import random
 import tempfile
@@ -28,7 +29,7 @@ from jumbled.minplus import INF, MAX, MIN, NEG_INF
 from jumbled.strings import (
     _bound_sweep, _candidates, _run_sweep, _two_valued, _weight_prefix, BinaryString,
     blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile, rle_profile,
-    weighted_max_sums,
+    rle_weighted_max_sums, weighted_max_sums,
 )
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile, tree_profile, \
     weighted_tree_max_sums
@@ -164,15 +165,44 @@ biased = st.builds(lambda n, density, seed: (np.random.default_rng(seed).random(
                    st.integers(0, 2 ** 32 - 1))
 
 
+def _fibonacci(n):
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+# Sturmian words, bit k = floor((k + 1) a + c) - floor(k a + c): the gaps
+# between their 1s take two values, and so do the gaps between those gaps,
+# so the gap sweep nests; the Fibonacci word is one of them
+sturmian = st.one_of(
+    sizes.map(_fibonacci),
+    st.builds(lambda n, a, c: [int((k + 1) * a + c) - int(k * a + c) for k in range(n)],
+              sizes, st.floats(0.01, 0.99), st.floats(0, 1)))
+
+PRICED_OUT = dict(_BOUND_CALL_COST=0, _BOUND_PASS_COST=0, _BOUND_CELL_COST=0)
+
+
 @SETTINGS
-@given(st.one_of(adversarial, biased))
+@given(st.one_of(adversarial, biased, sturmian))
 def test_rle_profile_through_the_bound_sweep(bits):
-    # at no price for the bound sweep rle takes it on every input, however
-    # short, and its block pass never gives up
-    with mock.patch.multiple(strings, _BOUND_CALL_COST=0, _BOUND_PASS_COST=0,
-                             _BOUND_CELL_COST=0):
+    # at no price for the bound sweep rle leaves the run sweep on every
+    # input, however short: the bits take the gap sweep, their gap rows of
+    # more than two values the bound sweep, whose block pass never gives up
+    with mock.patch.multiple(strings, **PRICED_OUT):
         got = rle_profile(bits)
     assert got == naive_profile(bits)
+
+
+@SETTINGS
+@given(st.one_of(adversarial, biased, sturmian),
+       st.one_of(st.just(0), st.integers(-10 ** 6, -1)), st.integers(1, 10 ** 6))
+def test_rle_weighted_two_values_through_the_gap_sweep(bits, lo, step):
+    # weights lo and lo + step laid out as the bits, lo = 0 or negative
+    weights = [lo + step * bit for bit in bits]
+    with mock.patch.multiple(strings, **PRICED_OUT):
+        got = rle_weighted_max_sums(weights)
+    assert got.tolist() == naive_weighted_max_sums(weights).tolist()
 
 
 @SETTINGS

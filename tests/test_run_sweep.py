@@ -161,9 +161,10 @@ def _with_runs(n, runs, values=(0, 1)):
 @pytest.fixture
 def sweeps(monkeypatch):
     """Names of the sweeps the builders call, in order; the run sweep a
-    bound sweep falls back to is its own step, not recorded."""
+    bound sweep falls back to, and the sweeps of a gap sweep's gap row, are
+    its own steps, not recorded."""
     called, depth = [], [0]
-    for name in ("_run_sweep", "_bound_sweep", "_window_sweep"):
+    for name in ("_run_sweep", "_bound_sweep", "_gap_sweep", "_window_sweep"):
         def recording(*args, name=name, sweep=getattr(strings, name)):
             if not depth[0]:
                 called.append(name)
@@ -180,7 +181,8 @@ def _chosen(labels, rings):
     # per ring, the run sweep while its price, _RUN_CELL_COST per cell and
     # _RUN_STEP_COST per slice, is no more than the bound sweep's: its call,
     # its block pass over G (G + 1) / 2 blocks and _BOUND_TILE_BLOCKS kept
-    # blocks per tile; else the bound sweep
+    # blocks per tile; else the gap sweep for two-valued labels, the bound
+    # sweep for others
     n, k = len(labels), strings._BOUND_BLOCK
     groups = -(-n // k)
     bound = (strings._BOUND_CALL_COST + strings._BOUND_PASS_COST * groups * (groups + 1) // 2
@@ -189,7 +191,8 @@ def _chosen(labels, rings):
     for starts, ends in _candidates(labels, rings):
         run = (strings._RUN_CELL_COST * (n * (starts.size + 1) - int(starts.sum()) + int(ends.sum()))
                + strings._RUN_STEP_COST * (starts.size + ends.size + 1))
-        chosen.append("_run_sweep" if run <= bound else "_bound_sweep")
+        chosen.append("_run_sweep" if run <= bound
+                      else "_gap_sweep" if strings._two_valued(labels) else "_bound_sweep")
     return chosen
 
 
@@ -219,19 +222,18 @@ def test_rle_picks_its_sweep_by_cell_count(sweeps, family):
                 assert got == naive_profile(labels), (n, runs)
             else:
                 assert got == naive_weighted_max_sums(labels).tolist(), (n, runs)
-    assert chosen == {"_run_sweep", "_bound_sweep"}
+    assert chosen == {"_run_sweep", "_bound_sweep" if family == "weights" else "_gap_sweep"}
 
 
 def test_iid_labels_at_several_chunks_of_starts(sweeps):
     # i.i.d. bits and two-valued weights, each ring with some 1000 starts,
-    # and i.i.d. weights of 19 values take the bound sweep: the first two
-    # centred on the half
+    # take the gap sweep, and i.i.d. weights of 19 values the bound sweep
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2, 4096)
     two = np.where(rng.integers(0, 2, 4096) == 1, 6, -5)
     weights = rng.integers(-9, 10, 4096)
     got = [rle_profile(bits), rle_weighted_max_sums(two), rle_weighted_max_sums(weights)]
-    assert sweeps == ["_bound_sweep"] * 4
+    assert sweeps == ["_gap_sweep"] * 3 + ["_bound_sweep"]
     assert got[0] == naive_profile(bits)
     assert np.array_equal(got[1], naive_weighted_max_sums(two))
     assert np.array_equal(got[2], naive_weighted_max_sums(weights))
