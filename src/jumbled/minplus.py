@@ -6,12 +6,12 @@ small matrix products as the paper does, is kept as the reference reduction.
 
 Cost model
 ----------
-All entries are int64. Finite costs must satisfy |x| <= FINITE_BOUND; the
-sentinels INF (min side) and NEG_INF (max side) mark infeasible cells.
-Additions never overflow (2 * INF = 2^61 < 2^63) and are re-saturated
-after every kernel: a sum lands beyond the snap threshold iff one of its
-operands was a sentinel, because finite + finite <= 2^53 < INF - FINITE_BOUND.
-"""
+The public kernels and the blocked reduction run on int64: finite costs
+satisfy |x| <= FINITE_BOUND, and the sentinels INF (min side) and NEG_INF
+(max side) mark infeasible cells. Additions never overflow (2 * INF = 2^61 <
+2^63) and are re-saturated after every kernel: a sum lands beyond the snap
+threshold iff one of its operands was a sentinel, because finite + finite
+<= 2^53 < INF - FINITE_BOUND. The sweeps never snap: see sum_dtype."""
 
 from __future__ import annotations
 
@@ -51,11 +51,10 @@ def snap_max(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ring:
-    """One side of the tropical semiring: the sentinel that marks an
+    """One side of the tropical semiring: the int64 sentinel that marks an
     infeasible cell, the pointwise fold (np.minimum / np.maximum), and the
-    snap that re-saturates sums. Sweeps call its product and convolution on
-    operands already checked at the public boundary, so neither validates
-    again."""
+    snap that re-saturates int64 sums. The blocked reduction calls its
+    product on operands already checked at the public boundary."""
 
     sentinel: int
     fold: np.ufunc
@@ -67,15 +66,32 @@ class Ring:
     def product(self, a, b) -> np.ndarray:
         return _product(a, b, self)
 
-    def conv(self, u, v) -> np.ndarray:
-        """Convolution along the last axis; leading axes (rows) must match."""
-        out = np.empty(u.shape[:-1] + (u.shape[-1] + v.shape[-1] - 1,), dtype=np.int64)
-        _conv_tiled(u, v, self, self.sentinel, out)
-        return self.snap(out)
-
 
 MIN = Ring(INF, np.minimum, snap_min)
 MAX = Ring(NEG_INF, np.maximum, snap_max)
+
+
+def narrow_dtype(lo: int, hi: int):
+    """The smallest signed dtype holding every value in [lo, hi] and every
+    difference of two of them."""
+    for dtype in (np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max and hi - lo <= info.max:
+            return dtype
+    return np.int64
+
+
+def sum_dtype(rows: np.ndarray, ring: Ring):
+    """The narrowest signed dtype for sums of labels along ``rows``, and the
+    ring's sentinel in it. A sum lies in [lo, hi], the sums of a row's
+    negative and positive labels; the dtype holds +-(hi - lo + 1), so a
+    sentinel of +-half its range stays beyond every finite value after one
+    finite addend, and two sentinels add without overflow."""
+    lo = int(np.minimum(rows, 0).sum(axis=-1).min())
+    hi = int(np.maximum(rows, 0).sum(axis=-1).max())
+    dtype = narrow_dtype(lo - hi - 1, hi - lo + 1)
+    half = int(np.iinfo(dtype).max) // 2   # in int64, the ring's own sentinel is within
+    return dtype, min(max(ring.sentinel, -half), half)
 
 
 def as_int64(x, what: str) -> np.ndarray:
@@ -192,8 +208,8 @@ def _conv_direct(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
 
 def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np.ndarray) -> None:
     """out[..., i] = ext_k x[..., k] + y[..., i - k] along the last axis, for
-    every i below out's width; cells of x or y may hold the sentinel. Every
-    sweep convolves here: Ring.conv in int64, the tree sweep in its dtype.
+    every i below out's width, and no cell beyond the sentinel; cells of x
+    or y may hold it. Every sweep convolves here, in out's dtype (sum_dtype).
 
     The same trick as strings._window_sweep: a block of K entries of the
     shorter operand meets the longer one in tiles of K x C cells, each filled

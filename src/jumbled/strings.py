@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitvec import as_bits
-from .minplus import FINITE_BOUND, MAX, MIN, Ring, as_int64, positive_int, sqrt_ceil
+from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, narrow_dtype,
+                      positive_int, sqrt_ceil, sum_dtype)
 from .profiles import Profile
 
 RECURSION_CUTOFF = 64
@@ -86,16 +87,6 @@ _TILE_CELLS = 1 << 16
 _TRIANGLE = np.arange(_TILE_WIDTHS)[None, :] >= _TILE_WIDTHS - np.arange(_TILE_WIDTHS)[:, None]
 
 
-def _narrow_dtype(lo: int, hi: int):
-    """The smallest signed dtype holding every value in [lo, hi] and every
-    difference of two of them."""
-    for dtype in (np.int16, np.int32):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max and hi - lo <= info.max:
-            return dtype
-    return np.int64
-
-
 def _window_sweep(rows: np.ndarray, rings) -> list:
     """For each ring, the extreme sum over the width-w windows of each row of
     prefix sums in ``rows`` (2-d, one segment per row), w = 1..L, as one
@@ -103,11 +94,12 @@ def _window_sweep(rows: np.ndarray, rings) -> list:
 
     One subtraction per tile fills cells [k, t] = p[w0+k+t] - p[t] from a
     Hankel view of the rows; every ring reduces the same tile. Cells past
-    the end of a row are set to the ring's sentinel clipped to the dtype.
+    the end of a row are set to the ring's sentinel clipped to the dtype,
+    which real windows may fill: the sweep never adds to its sentinel.
     """
     n_rows, length = rows.shape[0], rows.shape[1] - 1
     k_w = _TILE_WIDTHS
-    dtype = _narrow_dtype(int(rows.min()), int(rows.max()))
+    dtype = narrow_dtype(int(rows.min()), int(rows.max()))
     info = np.iinfo(dtype)
     # at least K starts (or all), so the last tile holds every cell that
     # runs past the end
@@ -146,10 +138,6 @@ def _window_sweep(rows: np.ndarray, rings) -> list:
 def _fold_into(out: np.ndarray, ring: Ring, extremes: np.ndarray) -> None:
     head = out[..., :extremes.shape[-1]]
     ring.fold(head, extremes, out=head)
-
-
-def _blank(n: int, ring: Ring) -> np.ndarray:
-    return np.full(n, ring.sentinel, dtype=np.int64)
 
 
 def naive_profile(s: BinaryString) -> Profile:
@@ -212,7 +200,7 @@ def _run_sweep(pref: np.ndarray, ring: Ring, starts: np.ndarray, ends: np.ndarra
     at n. On labels of more values this rule misses windows.
     """
     n = pref.size - 1
-    p = pref.astype(_narrow_dtype(int(pref.min()), int(pref.max())))
+    p = pref.astype(narrow_dtype(int(pref.min()), int(pref.max())))
     # rev[n-e+w] = p[e-w], so the windows ending at e are contiguous
     rev = p[::-1].copy()
     buf = np.empty(n, dtype=p.dtype)
@@ -309,7 +297,7 @@ def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run: int) -> 
     lo, hi = int(q.min()), int(q.max())
     span = hi - lo
     below, above = lo - span - 1, hi + span + 1   # below every end, above every start
-    dtype = _narrow_dtype(below, above)
+    dtype = narrow_dtype(below, above)
     groups = -(-n // k)   # groups of K starts, and tiles of K widths
     ends = np.full((groups + 1) * k + 1, below, dtype=dtype)
     ends[:n + 1] = q
@@ -326,7 +314,7 @@ def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run: int) -> 
     out *= c
     (np.subtract if ring is MIN else np.add)(out, best, out=out)
     out >>= d - 1   # exact: d divides every sum
-    return out.astype(_narrow_dtype(int(pref.min()), int(pref.max())))
+    return out.astype(narrow_dtype(int(pref.min()), int(pref.max())))
 
 
 def _kept_blocks(ends: np.ndarray, starts: np.ndarray, budget: int):
@@ -348,7 +336,7 @@ def _kept_blocks(ends: np.ndarray, starts: np.ndarray, budget: int):
     # [t, g] = top[g + t] and floor[g + t]
     top_h = np.lib.stride_tricks.sliding_window_view(top, groups)
     floor_h = np.lib.stride_tricks.sliding_window_view(floor, groups)
-    key = _narrow_dtype(0, groups * groups)
+    key = narrow_dtype(0, groups * groups)
     # tile t has windows from the groups g <= G - 1 - t alone; tile G - 1,
     # from group 0, which need not reach all its widths: it is always read
     last = np.array([(groups - 1) * groups], dtype=key)
@@ -473,8 +461,8 @@ def _gap_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
     """
     lo, hi = int(labels.min()), int(labels.max())
     value, other = (hi, lo) if ring is MAX else (lo, hi)
-    steps = np.full(labels.size, other, dtype=_narrow_dtype(int(pref.min()), int(pref.max())))
-    at = np.flatnonzero(labels == value).astype(_narrow_dtype(0, labels.size))
+    steps = np.full(labels.size, other, dtype=narrow_dtype(int(pref.min()), int(pref.max())))
+    at = np.flatnonzero(labels == value).astype(narrow_dtype(0, labels.size))
     if lo < hi and at.size > 1:
         at -= at[0]
         steps[_rle_sweep(at, np.diff(at), MIN)] = value   # width span(t), t >= 2
@@ -576,7 +564,7 @@ def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
     suffix of block i and a prefix of block j, so cell [i, j] of C_l holds it
     at size l + s_j - e_i. Cells of one offset s_j - e_i fold together."""
     n, b, m = len(p.string), p.b, p.m
-    out = _blank(n, ring)
+    out = np.full(n, ring.sentinel, dtype=np.int64)
     left, right = _edge_tables(p, ring)
     i, j = np.triu_indices(m)
     offsets = p.bounds[j] - p.bounds[i + 1]
@@ -606,11 +594,14 @@ def blocked_profile(s: BinaryString, b=None) -> Profile:
 
 def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
     """Extreme window sums for every width: split at the midpoint, fold the
-    windows that cross it with one ring convolution, recurse on the halves."""
+    windows that cross it with one convolution, recurse on the halves. The
+    crossing sums are finite; only the convolution pads with the sentinel."""
     # below 1, a segment of length 1 would split into itself forever
     cutoff = positive_int(cutoff, "recursion cutoff")
     n = pref.size - 1
-    out = _blank(n, ring)
+    dtype, sentinel = sum_dtype(np.diff(pref), ring)
+    pref = pref.astype(dtype)
+    out = np.full(n, sentinel, dtype=dtype)
     leaves = {}   # base-case length -> start of each segment of that length
     # explicit stack; deep inputs must not hit the interpreter limit
     stack = [(0, n)]
@@ -625,7 +616,9 @@ def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
         # windows crossing mid: a characters to the left, c to the right
         u = pref[mid] - pref[mid - np.arange(mid - lo + 1)]
         v = pref[mid + np.arange(hi - mid + 1)] - pref[mid]
-        _fold_into(out, ring, ring.conv(u, v)[1:])
+        crossing = np.empty(u.size + v.size - 1, dtype=dtype)
+        _conv_tiled(u, v, ring, sentinel, crossing)
+        _fold_into(out, ring, crossing[1:])
     # the base cases of one length are the rows of one window sweep
     for length, starts in leaves.items():
         rows = pref[np.add.outer(starts, np.arange(length + 1))]
@@ -663,4 +656,4 @@ def rle_weighted_max_sums(weights) -> np.ndarray:
 
 def weighted_max_sums(weights, cutoff: int = RECURSION_CUTOFF) -> np.ndarray:
     """Maximum total weight over length-i windows, i = 1..n."""
-    return _halving_sweep(_weight_prefix(weights), MAX, cutoff)
+    return _halving_sweep(_weight_prefix(weights), MAX, cutoff).astype(np.int64)

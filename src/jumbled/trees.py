@@ -8,7 +8,7 @@ arrays into a global profile:
 * simple_tree_profile   the default: one batched sweep, O(n^2) cells total
 * tree_profile          micro-macro decomposition; inside each micro tree
                         the per-node DP step _combine, across micro trees
-                        ring convolutions through the boundary nodes
+                        joins through the boundary nodes by the same step
 
 Both sweeps (_tree_sweep, _macro_sweep) run one ring over a matrix of label
 rows. For 0/1 labels the rows are (ones, zeros) under MIN: the most 1s in a
@@ -20,8 +20,8 @@ strings._rle_sweep per row plus one convolution with the array below it
 (the tree-to-string reduction in heavy-path form, as in Gagie, Hermelin,
 Landau and Weimann, ESA 2013). The other subtrees of at most SMALL real
 nodes are computed a size at a time, one padded convolution per size over a
-compact store, and every other large node takes one convolution. All of it
-runs in the narrowest dtype that holds the label sums.
+compact store, and every other large node takes one DP step, _combine.
+Both sweeps run in minplus.sum_dtype's narrow dtype and sentinel, no snap.
 
 Global folds only take arrays of *real* (non-dummy) topmost nodes: a set
 whose topmost node is a dummy joins two sibling branches without their
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvec import RankBitvector
-from .minplus import FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, positive_int, sqrt_ceil
+from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, positive_int,
+                      sqrt_ceil, sum_dtype)
 from .profiles import Profile
 from .strings import _fold_into, _rle_sweep
 
@@ -242,23 +243,28 @@ def encode_delta(a_v) -> DeltaBits:
     return DeltaBits(np.concatenate([[0], np.diff(arr)]).astype(np.uint8))
 
 
-def _combine(ring: Ring, a_u, a_w, lab, size_w: int):
-    """One DP step: join two child arrays below a node, along the last axis.
+def _combine(ring: Ring, sentinel: int, x, y, lab, real: bool):
+    """One DP step: join two child arrays below a node, along the last axis,
+    in x's dtype with ``sentinel`` for an infeasible cell, and no snap.
 
     A real node consumes one unit of size and contributes its label ``lab``
     (a scalar, or a column for stacked rows); a dummy node consumes nothing.
     An array of one entry covers only the empty set and holds 0 in every
     row, the join's identity: the other operand is then taken as it is, and
     under a dummy node returned itself, not a copy."""
-    if a_u.shape[-1] == 1:
-        a_u, a_w = a_w, a_u
-    core = a_u if a_w.shape[-1] == 1 else ring.conv(a_u, a_w)
-    if size_w:
-        out = np.empty(core.shape[:-1] + (core.shape[-1] + 1,), dtype=np.int64)
+    if x.shape[-1] == 1:
+        x, y = y, x
+    if y.shape[-1] == 1 and not real:
+        return x
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + y.shape[-1] - 1 + int(real),), dtype=x.dtype)
+    core = out[..., 1:] if real else out
+    if y.shape[-1] > 1:
+        _conv_tiled(x, y, ring, sentinel, core)
+        x = core
+    if real:
         out[..., 0] = 0
-        np.add(core, lab, out=out[..., 1:])
-        return ring.snap(out)
-    return core
+        np.add(x, lab, out=core)
+    return out
 
 
 def _check_binary_labels(values: np.ndarray) -> None:
@@ -270,21 +276,6 @@ def _check_binary_labels(values: np.ndarray) -> None:
 # taken one at a time. On a random tree (n=4096), 95% of the 5108 binarized
 # nodes are small at SMALL=32; 16 and 24 built it slower, 48 and 64 no faster.
 SMALL = 32
-
-
-def _tree_dtype(rows: np.ndarray, ring: Ring):
-    """The narrowest signed dtype for a DP over ``rows`` of labels, and the
-    ring's sentinel in it. A connected set's label sum lies in [lo, hi], the
-    sums of the row's negative and positive labels. A sentinel of +-half the
-    dtype's range, with hi - lo < half, stays beyond every finite value
-    after one finite addend, and two sentinels still add without overflow."""
-    lo = int(np.minimum(rows, 0).sum(axis=1).min())
-    hi = int(np.maximum(rows, 0).sum(axis=1).max())
-    for dtype in (np.int16, np.int32):
-        half = int(np.iinfo(dtype).max) // 2
-        if hi - lo < half:
-            return dtype, min(max(ring.sentinel, -half), half)
-    return np.int64, ring.sentinel
 
 
 def _subtree_sizes(bt: BinarizedTree) -> np.ndarray:
@@ -317,13 +308,13 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
       are smaller than their parent, so every node of size s has its
       children ready; one padded convolution covers them all. Their arrays
       sit in one flat store, each exactly size + 1 cells wide.
-    * other large nodes: one convolution of their children's arrays.
+    * other large nodes: one DP step (_combine) of their children's arrays.
 
     ``sink``, when given, receives A_v of every real node as an (r, .) array.
     """
     n_total, n_real = bt.n_total, bt.n_real
     r = rows.shape[0]
-    dtype, sentinel = _tree_dtype(rows, ring)
+    dtype, sentinel = sum_dtype(rows, ring)
     labels = rows.astype(dtype)
     del rows   # the int64 rows are dropped once narrowed, if the caller made them
     best = np.full((r, n_real), sentinel, dtype=dtype)
@@ -407,19 +398,12 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
                 for t in range(n_ch):
                     sink(a_v[:, t:] - prefix[:, t:t + 1])
         else:
-            x, y = array_of(int(left[v])), array_of(int(right[v]))
-            span = x.shape[1] + y.shape[1] - 1
+            a_v = _combine(ring, sentinel, array_of(int(left[v])), array_of(int(right[v])),
+                           labels[:, v, None], real[v])
             if real[v]:
-                a_v = np.empty((r, span + 1), dtype=dtype)
-                a_v[:, 0] = 0
-                _conv_tiled(x, y, ring, sentinel, a_v[:, 1:])
-                a_v[:, 1:] += labels[:, v, None]
-                ring.fold(best[:, :span], a_v[:, 1:], out=best[:, :span])
+                _fold_into(best, ring, a_v[:, 1:])
                 if sink is not None:
                     sink(a_v)
-            else:
-                a_v = np.empty((r, span), dtype=dtype)
-                _conv_tiled(x, y, ring, sentinel, a_v)
         arrays[v] = a_v
     return best
 
@@ -543,14 +527,20 @@ def micro_macro(bt: BinarizedTree, r: int) -> MicroMacroDecomposition:
 
 def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarray,
                  ring: Ring, sink=None) -> np.ndarray:
-    """best as _tree_sweep gives it, micro tree by micro tree. In a micro
-    tree, a0[v] holds the sets anchored at v that stay inside it, and a1[v]
-    those that contain the path from v down to the attach node x, so they
-    can go on below the cut; the f array, which ``sink`` receives, holds
-    every set anchored at the top."""
+    """best as _tree_sweep gives it for 0/1 ``rows`` under MIN, micro tree by
+    micro tree. In a micro tree, a0[v] holds the sets anchored at v that stay
+    inside it, and a1[v] those that contain the path from v down to the
+    attach node x, so they can go on below the cut; the f array, which
+    ``sink`` receives, holds every set anchored at the top. Joins are
+    _combine steps in sum_dtype's dtype. An a1 cell of sentinel plus path
+    labels would overflow where a convolution's padding meets it, so a1 is
+    clamped to the sentinel: a join with finite sums, at most hi, then stays
+    at most sentinel + hi + 1 (a 0/1 label), inside the dtype."""
     n_rows, n_real = rows.shape[0], bt.n_real
-    best = np.full((n_rows, n_real), ring.sentinel, dtype=np.int64)
-    trivial = np.zeros((n_rows, 1), dtype=np.int64)
+    dtype, sentinel = sum_dtype(rows, ring)
+    rows = rows.astype(dtype)
+    best = np.full((n_rows, n_real), sentinel, dtype=dtype)
+    trivial = np.zeros((n_rows, 1), dtype=dtype)
     left, right = _machine_ints(bt.left), _machine_ints(bt.right)
     micro_of = _machine_ints(dec.micro_of)
     f_store = {}
@@ -559,7 +549,7 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
         if x is not None:   # an attach node always has a child cut below it
             fs = [f_store.pop(micro_of[c]) for c in (left[x], right[x])
                   if c >= 0 and micro_of[c] != mid]
-            below = fs[0] if len(fs) == 1 else ring.conv(*fs)
+            below = fs[0] if len(fs) == 1 else _combine(ring, sentinel, *fs, 0, False)
         a0, a1 = {}, {}
         # children come before parents, so the path from x up to the top is
         # x and every node with a child in a1
@@ -567,24 +557,24 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
             kids = [c for c in (left[v], right[v]) if c >= 0 and micro_of[c] == mid]
             pair = [a0[c] for c in kids] + [trivial] * (2 - len(kids))
             lab, real = rows[:, v, None], v < n_real
-            a0[v] = av = _combine(ring, *pair, lab, real)
+            a0[v] = av = _combine(ring, sentinel, *pair, lab, real)
             if real:
                 _fold_into(best, ring, av[:, 1:])
             on = [i for i, c in enumerate(kids) if c in a1]
             if v == x:
                 f = av.copy()
             elif on:
-                f = _combine(ring, a1[kids[on[0]]], pair[1 - on[0]], lab, real)
+                f = _combine(ring, sentinel, a1[kids[on[0]]], pair[1 - on[0]], lab, real)
             else:
                 continue
             if real:   # a real node on the path is in every set through it
-                f[:, 0] = ring.sentinel
-            a1[v] = f
+                f[:, 0] = sentinel
+            a1[v] = ring.fold(f, sentinel, out=f)
 
         top = dec.tops[mid]
         ft = a0[top]
         if below is not None:
-            gt = _combine(ring, a1[top], below, 0, False)
+            gt = _combine(ring, sentinel, a1[top], below, 0, False)
             # sets anchored at a real node on the path that continue below the
             # cut; the path's arrays widen upward, so the last is the widest.
             # A top that is the only real node on the path gives gt's join
@@ -595,7 +585,7 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
                 ehat = a1[forced[-1]].copy()
                 for v in forced[:-1]:
                     _fold_into(ehat, ring, a1[v])
-                _fold_into(best, ring, ring.conv(ehat, below)[:, 1:])
+                _fold_into(best, ring, _combine(ring, sentinel, ehat, below, 0, False)[:, 1:])
             _fold_into(gt, ring, ft)
             ft = gt
         _check_steps(ft)

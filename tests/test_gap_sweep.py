@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from jumbled import strings
-from jumbled.minplus import MAX, MIN
+from jumbled.minplus import MAX, MIN, narrow_dtype
 from jumbled.strings import (
     BinaryString, naive_profile, naive_weighted_max_sums, rle_profile, rle_weighted_max_sums,
 )
@@ -73,7 +73,7 @@ def test_sums_stay_in_the_dtype_of_the_prefix_sums():
     # the steps is a window extreme, inside the prefix sums' int16
     weights = np.where(np.random.default_rng(6000).integers(0, 2, 6000) == 1, 6, -5)
     pref = strings._weight_prefix(weights)
-    assert strings._narrow_dtype(int(pref.min()), int(pref.max())) == np.int16
+    assert narrow_dtype(int(pref.min()), int(pref.max())) == np.int16
     for ring in (MAX, MIN):
         got = strings._gap_sweep(pref, weights, ring)
         (want,) = strings._window_sweep(pref[None, :], (ring,))
@@ -88,7 +88,7 @@ def test_weights_of_two_values_past_int16(prices):
 
 def test_positions_past_int16(prices):
     bits = np.random.default_rng(40000).integers(0, 2, 40000).astype(np.uint8)
-    assert strings._narrow_dtype(0, bits.size) == np.int32
+    assert narrow_dtype(0, bits.size) == np.int32
     assert rle_profile(bits) == naive_profile(bits)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jumbled.minplus import (
-    FINITE_BOUND, INF, MAX, MIN, NEG_INF,
+    FINITE_BOUND, INF, MAX, MIN, NEG_INF, _conv_tiled,
     max_plus_convolution, max_plus_convolution_blocked, max_plus_product,
     min_plus_convolution, min_plus_convolution_blocked,
     min_plus_product, min_plus_product_tiled,
@@ -237,13 +237,21 @@ def test_blocked_convolution_fuzz():
                               max_plus_convolution(_max_vec(u), _max_vec(v)))
 
 
-def _sentinel_vector(rng, size, sentinel):
-    """Values over the whole finite range, a sentinel first and in about a
-    third of the other cells, so that output cell 0 has no finite split."""
-    x = rng.integers(-FINITE_BOUND, FINITE_BOUND + 1, size=size)
+def _sentinel_vector(rng, size, sentinel, lo=-FINITE_BOUND, hi=FINITE_BOUND):
+    """Values over [lo, hi], both ends included when there is room, a
+    sentinel first and in about a third of the other cells, so that output
+    cell 0 has no finite split."""
+    x = rng.integers(lo, hi + 1, size=size)
     x[rng.random(size) < 0.3] = sentinel
+    x[1:3] = (lo, hi)[:size - 1]
     x[0] = sentinel
     return x
+
+
+def _tiled(x, y, ring, sentinel):
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + y.shape[-1] - 1,), dtype=x.dtype)
+    _conv_tiled(x, y, ring, sentinel, out)
+    return out
 
 
 # shorter-operand lengths from one entry (a block of fewer shifts than the
@@ -252,25 +260,54 @@ def _sentinel_vector(rng, size, sentinel):
 @pytest.mark.parametrize("short", [1, 2, 4, 5, 31, 32, 33, 65])
 @pytest.mark.parametrize("long", ["equal", 97, 2100])
 def test_ring_conv_matches_direct_kernel(short, long):
+    # the tiled kernel against the direct loop: in int64 with INF, snapped
+    # as the public kernels are; and in the sweeps' narrow dtypes with the
+    # sentinel of sum_dtype, half the range, and no snap, on values whose
+    # sums span the widest range that sum_dtype gives that dtype. There a
+    # cell with no finite split need not be the sentinel, only beyond every
+    # finite sum, and it is read as the sentinel
     size = short if long == "equal" else long
     rng = np.random.default_rng([short, size])
     for ring, reference in ((MIN, min_plus_convolution), (MAX, max_plus_convolution)):
-        u = _sentinel_vector(rng, short, ring.sentinel)
-        v = _sentinel_vector(rng, size, ring.sentinel)
-        want = reference(u, v)
-        assert want[0] == ring.sentinel
-        for a, b in ((u, v), (v, u)):
-            got = ring.conv(a, b)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want)
-        # stacked operands: each row is convolved with the same row of the other
-        us = np.stack([u, _sentinel_vector(rng, short, ring.sentinel)])
-        vs = np.stack([_sentinel_vector(rng, size, ring.sentinel), v])
-        for a, b in ((us, vs), (vs, us)):
-            got = ring.conv(a, b)
-            assert got.dtype == np.int64 and got.shape == (2, short + size - 1)
-            for k in range(2):
-                assert np.array_equal(got[k], reference(us[k], vs[k]))
+        for dtype in (np.int64, np.int16, np.int32):
+            if dtype is np.int64:
+                sentinel, lo, hi = ring.sentinel, -FINITE_BOUND, FINITE_BOUND
+            else:
+                half = int(np.iinfo(dtype).max) // 2
+                sentinel = half if ring is MIN else -half
+                lo = -((half - 1) // 6)
+                hi = lo + (half - 1) // 2
+
+            def vector(length):
+                return _sentinel_vector(rng, length, ring.sentinel, lo, hi)
+
+            def narrow(a):
+                return np.where(a == ring.sentinel, sentinel, a).astype(dtype)
+
+            def settled(got):
+                if dtype is np.int64:
+                    return ring.snap(got)
+                beyond = got > 2 * hi if ring is MIN else got < 2 * lo
+                return np.where(beyond, ring.sentinel, got.astype(np.int64))
+
+            u, v = vector(short), vector(size)
+            want = reference(u, v)
+            assert want[0] == ring.sentinel
+            u, v = narrow(u), narrow(v)
+            for a, b in ((u, v), (v, u)):
+                got = _tiled(a, b, ring, sentinel)
+                assert got.dtype == dtype
+                assert np.array_equal(settled(got), want)
+            # stacked operands: each row is convolved with the same row of the other
+            us = np.stack([vector(short), vector(short)])
+            vs = np.stack([vector(size), vector(size)])
+            wants = [reference(us[k], vs[k]) for k in range(2)]
+            us, vs = narrow(us), narrow(vs)
+            for a, b in ((us, vs), (vs, us)):
+                got = _tiled(a, b, ring, sentinel)
+                assert got.dtype == dtype and got.shape == (2, short + size - 1)
+                for k in range(2):
+                    assert np.array_equal(settled(got[k]), wants[k])
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_both_rules_on_weights_in_runs():
 
 
 def test_narrow_dtype_of_the_sweep():
-    # the sweep keeps its accumulators in the dtype _narrow_dtype picks
+    # the sweep keeps its accumulators in the dtype minplus.narrow_dtype picks
     for weights, dtype in (([32767, -32768, 32767], np.int32), ([3, -4, 3], np.int16),
                            ([-(2 ** 31), 2 ** 31 - 1] * 3, np.int64)):
         pref = strings._weight_prefix(weights)

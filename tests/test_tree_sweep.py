@@ -11,6 +11,7 @@ checked against the micro-macro backend, the plain DP and enumeration of
 _support, and the string sweeps on paths.
 """
 
+import math
 import os
 import random
 import tracemalloc
@@ -19,13 +20,15 @@ import numpy as np
 import pytest
 
 from jumbled import strings
-from jumbled.minplus import FINITE_BOUND, MAX, MIN
+from jumbled.minplus import FINITE_BOUND, MAX, MIN, sum_dtype
 from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.profiles import write_profile_csv
-from jumbled.strings import naive_profile, naive_weighted_max_sums
+from jumbled.strings import (
+    naive_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
+)
 from jumbled.trees import (
-    SMALL, LabeledTree, _tree_dtype, binarize, enumerate_max_sums, simple_tree_profile,
-    tree_profile, weighted_tree_max_sums,
+    SMALL, LabeledTree, binarize, enumerate_max_sums, simple_tree_profile, tree_profile,
+    weighted_tree_max_sums,
 )
 from _support import (
     anchored_arrays, caterpillar_parents, complete_binary_parents, path_parents,
@@ -182,7 +185,7 @@ def test_small_trees_against_enumeration():
 
 def test_dtype_switch_points():
     def dtype_of(lo, hi):
-        return _tree_dtype(np.array([[lo, hi]]), MIN)[0]
+        return sum_dtype(np.array([[lo, hi]]), MIN)[0]
     # the sweep keeps sums inside half of the dtype's range
     assert dtype_of(0, 2 ** 14 - 2) == np.int16
     assert dtype_of(0, 2 ** 14 - 1) == np.int32
@@ -190,8 +193,8 @@ def test_dtype_switch_points():
     assert dtype_of(-(2 ** 13), 2 ** 13 - 1) == np.int32
     assert dtype_of(0, 2 ** 30 - 2) == np.int32
     assert dtype_of(0, 2 ** 30 - 1) == np.int64
-    assert _tree_dtype(np.array([[0, 5]]), MAX) == (np.int16, -(2 ** 14 - 1))
-    assert _tree_dtype(np.array([[0, 2 ** 31]]), MIN) == (np.int64, MIN.sentinel)
+    assert sum_dtype(np.array([[0, 5]]), MAX) == (np.int16, -(2 ** 14 - 1))
+    assert sum_dtype(np.array([[0, 2 ** 31]]), MIN) == (np.int64, MIN.sentinel)
 
 
 @pytest.mark.parametrize("ones", [2 ** 14 - 2, 2 ** 14 - 1])
@@ -202,9 +205,23 @@ def test_zero_one_paths_at_the_int16_switch(ones):
     for at in (0, n // 3, n - 5):
         bits[at] = 0
     rows = np.array([bits, [1 - b for b in bits]])
-    assert _tree_dtype(rows, MIN)[0] == (np.int16 if ones < 2 ** 14 - 1 else np.int32)
+    assert sum_dtype(rows, MIN)[0] == (np.int16 if ones < 2 ** 14 - 1 else np.int32)
     t = LabeledTree(path_parents(n), bits)
-    assert simple_tree_profile(binarize(t)) == naive_profile(bits)
+    want = naive_profile(bits)
+    assert simple_tree_profile(binarize(t)) == want
+    # micro-macro in the same dtype: at r = sqrt(n) a micro tree's path
+    # arrays hold the sentinel plus up to r labels, which only their clamp
+    # keeps in range where a convolution's padding meets them
+    for r in (2, math.isqrt(n - 1) + 1, n):
+        assert tree_profile(t, r=r) == want, r
+    # the halving reduction takes the same dtype from the labels, a
+    # string's and signed weights' alike, and still returns int64
+    got = recursive_profile(bits)
+    assert got == want and got.min_ones.dtype == got.max_ones.dtype == np.int64
+    for ws in (bits, [-b for b in bits]):
+        sums = weighted_max_sums(ws)
+        assert sums.dtype == np.int64
+        assert np.array_equal(sums, naive_weighted_max_sums(ws))
 
 
 @pytest.mark.parametrize("span", [2 ** 14 - 2, 2 ** 14 - 1, 2 ** 15 - 1, 2 ** 15,

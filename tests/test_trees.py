@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from jumbled.minplus import MIN, Ring
+from jumbled import trees
+from jumbled.minplus import MIN
 from jumbled.trees import (
     CorruptedProfileError, DeltaBits, LabeledTree, MICRO_COUNT_CONSTANT,
     _combine, _macro_sweep, binarize, encode_delta, enumerate_connected_oracle,
@@ -105,14 +106,14 @@ def test_binarized_profile_equals_enumeration():
 def test_combine_hand_example():
     a_u = np.array([0, 0, 1], dtype=np.int64)
     a_w = np.array([0, 1], dtype=np.int64)
-    out = _combine(MIN, a_u, a_w, 1, 1)
+    out = _combine(MIN, MIN.sentinel, a_u, a_w, 1, True)
     # sizes 0..4; the size-4 set takes everything: 1 + 1 + 1
     assert out.tolist() == [0, 1, 1, 2, 3]
 
 
 def test_combine_single_child_shift():
     a_u = np.array([0, 1, 1], dtype=np.int64)
-    out = _combine(MIN, a_u, np.array([0], dtype=np.int64), 0, 1)
+    out = _combine(MIN, MIN.sentinel, a_u, np.array([0], dtype=np.int64), 0, True)
     assert out.tolist() == [0, 0, 1, 1]    # A_v[i] = lab + A_u[i-1]
 
 
@@ -338,14 +339,16 @@ def test_micro_macro_never_convolves_with_the_empty_set(monkeypatch, shape, r):
     parents = random_parents(rng, n) if shape == "random" else path_parents(n)
     t = LabeledTree(parents, [rng.randint(0, 1) for _ in range(n)])
     shorter = []
-    conv = Ring.conv
+    conv = trees._conv_tiled
 
-    def counting(ring, u, v):
-        shorter.append(min(u.shape[-1], v.shape[-1]))
-        return conv(ring, u, v)
+    def counting(x, y, ring, sentinel, out):
+        shorter.append(min(x.shape[-1], y.shape[-1]))
+        return conv(x, y, ring, sentinel, out)
 
-    monkeypatch.setattr(Ring, "conv", counting)
-    assert tree_profile(t, r=r) == simple_tree_profile(binarize(t))
+    monkeypatch.setattr(trees, "_conv_tiled", counting)
+    got = tree_profile(t, r=r)
+    monkeypatch.undo()   # the batched sweep convolves through the same kernel
+    assert got == simple_tree_profile(binarize(t))
     assert shorter and min(shorter) > 1
 
 
@@ -361,13 +364,13 @@ def test_micro_macro_at_r1_makes_one_convolution_per_edge(monkeypatch, shape):
     parents = shape(rng, n) if shape is random_parents else shape(n)
     t = LabeledTree(parents, [rng.randint(0, 1) for _ in range(n)])
     calls = []
-    conv = Ring.conv
+    conv = trees._conv_tiled
 
-    def counting(ring, u, v):
+    def counting(x, y, ring, sentinel, out):
         calls.append(1)
-        return conv(ring, u, v)
+        return conv(x, y, ring, sentinel, out)
 
-    monkeypatch.setattr(Ring, "conv", counting)
+    monkeypatch.setattr(trees, "_conv_tiled", counting)
     got = tree_profile(t, r=1)
     assert len(calls) == n - 1
     monkeypatch.undo()

@@ -12,9 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jumbled.minplus import FINITE_BOUND
+from jumbled.minplus import FINITE_BOUND, narrow_dtype
 from jumbled.strings import (
-    _TILE_CELLS, _TILE_WIDTHS, _narrow_dtype, BinaryString, blocked_profile,
+    _TILE_CELLS, _TILE_WIDTHS, BinaryString, blocked_profile,
     naive_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
 )
 from _support import random_bits, window_max_sums, window_profile
@@ -65,7 +65,7 @@ def test_naive_across_start_tiles(n):
 @pytest.mark.parametrize("n", [32767, 32768, 32769])
 def test_uniform_strings_across_the_int16_edge(n):
     # an all-1 string has span n, so int16 holds it up to n = 32767
-    assert _narrow_dtype(0, n) == (np.int16 if n <= 32767 else np.int32)
+    assert narrow_dtype(0, n) == (np.int16 if n <= 32767 else np.int32)
     sizes = np.arange(1, n + 1)
     p = naive_profile(BinaryString(np.ones(n, dtype=np.uint8)))
     assert np.array_equal(p.min_ones, sizes) and np.array_equal(p.max_ones, sizes)
@@ -75,13 +75,13 @@ def test_uniform_strings_across_the_int16_edge(n):
 
 def test_narrow_dtype_edges():
     i16, i32 = 2 ** 15 - 1, 2 ** 31 - 1
-    assert _narrow_dtype(0, i16) == np.int16
-    assert _narrow_dtype(0, i16 + 1) == np.int32
-    assert _narrow_dtype(-1, i16) == np.int32        # the span, not the range
-    assert _narrow_dtype(-(i16 + 1), 0) == np.int32
-    assert _narrow_dtype(0, i32) == np.int32
-    assert _narrow_dtype(0, i32 + 1) == np.int64
-    assert _narrow_dtype(-FINITE_BOUND, FINITE_BOUND) == np.int64
+    assert narrow_dtype(0, i16) == np.int16
+    assert narrow_dtype(0, i16 + 1) == np.int32
+    assert narrow_dtype(-1, i16) == np.int32        # the span, not the range
+    assert narrow_dtype(-(i16 + 1), 0) == np.int32
+    assert narrow_dtype(0, i32) == np.int32
+    assert narrow_dtype(0, i32 + 1) == np.int64
+    assert narrow_dtype(-FINITE_BOUND, FINITE_BOUND) == np.int64
 
 
 def _weights_with_span(span, rng, n=40):
