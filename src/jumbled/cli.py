@@ -132,9 +132,7 @@ def cmd_build(args) -> int:
             write_profile_csv(result, args.out)
         else:
             write_sums_csv(result, args.out)
-    except (ParseError, ValueError) as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (ParseError, ValueError, OSError) as exc:
         return _fail(str(exc))
     return 0
 
@@ -189,6 +187,11 @@ def _verify_case(kind: str, case: int, max_n: int):
         # random tree hung below it, which the batched sweep takes as a chain
         top = rng.randint(SMALL + 1, n - 1)
         parents = [-1] + list(range(top - 1)) + [rng.randrange(top - 1, v) for v in range(top, n)]
+    elif case % 3 == 1:
+        # leaves hung on random nodes of a path (a caterpillar), or on its last node (a broom)
+        top = rng.randint(1, n)
+        low = 0 if case % 2 else top - 1
+        parents = [-1] + list(range(top - 1)) + [rng.randrange(low, top) for _ in range(top, n)]
     else:
         parents = random_parents(n, rng)
     if kind == "tree":

@@ -210,9 +210,6 @@ def gen_tree(n: int, seed: int, density: float = 0.5, weighted: bool = False) ->
     parents = random_parents(n, rng)
     lines = [str(n)]
     for i in range(n):
-        if weighted:
-            label = rng.randint(-9, 9)
-        else:
-            label = 1 if rng.random() < density else 0
+        label = rng.randint(-9, 9) if weighted else int(rng.random() < density)
         lines.append(f"{parents[i] + 1} {label}")
     return "\n".join(lines) + "\n"

@@ -36,22 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvec import RankBitvector
-from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, positive_int,
-                      sqrt_ceil, sum_dtype)
+from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, narrow_dtype,
+                      positive_int, sqrt_ceil, sum_dtype)
 from .profiles import Profile
 from .strings import _fold_into, _rle_sweep
-
-
-def _post_order(children, root: int) -> list:
-    # reversed preorder: every node appears after all of its descendants
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    order.reverse()
-    return order
 
 
 class LabeledTree:
@@ -102,15 +90,22 @@ class LabeledTree:
         return self._children
 
     def post_order(self) -> list:
-        return _post_order(self.children, self.root)
+        # reversed preorder: every node appears after all of its descendants
+        order = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(self.children[v])
+        order.reverse()
+        return order
 
     def rerooted(self, new_root: int) -> "LabeledTree":
         n = self.n
         if not 0 <= new_root < n:
             raise ValueError("root out of range")
         adj = [list(c) for c in self.children]
-        for v in range(n):
-            p = int(self.parents[v])
+        for v, p in enumerate(self.parents.tolist()):
             if p >= 0:
                 adj[v].append(p)
         parents = np.full(n, -2, dtype=np.int64)
@@ -131,11 +126,12 @@ class BinarizedTree:
     and 1-counts are preserved. Original ids are kept, dummies appended.
 
     The shape is held in int arrays: left[v] and right[v] (-1 for none; a
-    single child is the left one), parent[v] (-1 at the root) and
-    post_order, which lists every node after all of its descendants."""
+    single child is the left one), parent[v] (-1 at the root), post_order,
+    which lists every node after all of its descendants, and size[v], the
+    real nodes in v's subtree (size[-1] = 0 stands for a missing child)."""
 
     __slots__ = ("parent", "left", "right", "size_w", "ones_w", "root",
-                 "post_order", "n_real")
+                 "post_order", "size", "n_real")
 
     def __init__(self, parent, left, right, ones_w, root, n_real):
         self.parent = parent
@@ -145,7 +141,7 @@ class BinarizedTree:
         self.ones_w = ones_w
         self.root = root
         self.n_real = n_real
-        self.post_order = _binary_post_order(left, right, root)
+        self.post_order, self.size = _tour_order(parent, left, right, root, n_real)
 
     @property
     def n_total(self) -> int:
@@ -158,19 +154,32 @@ def _machine_ints(a: np.ndarray) -> array:
     return array("q", a.tobytes())
 
 
-def _binary_post_order(left: np.ndarray, right: np.ndarray, root: int) -> np.ndarray:
-    # reversed preorder, as _post_order gives for child lists [left, right]
-    left, right = _machine_ints(left), _machine_ints(right)
-    order = array("q")
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        if left[v] >= 0:
-            stack.append(left[v])
-            if right[v] >= 0:
-                stack.append(right[v])
-    return np.frombuffer(order[::-1], dtype=np.int64)
+def _tour_order(parent, left, right, root: int, n_real: int):
+    """post_order and the real-node subtree sizes from one list ranking of
+    the Euler tour (Tarjan and Vishkin, 1985): event v enters node v, event
+    n + v leaves it, and pointer jumping (Wyllie, 1979) gives every event
+    its distance to the tour's end in log2(2n) rounds of gathers."""
+    n = left.size
+    idx = narrow_dtype(0, 2 * n + 1)
+    nodes = np.arange(n)
+    sib = right[parent]   # leaving a left child enters its right sibling
+    nxt = np.concatenate([np.where(left >= 0, left, n + nodes),
+                          np.where((sib >= 0) & (sib != nodes), sib, n + parent)]).astype(idx)
+    nxt[n + root] = n + root   # the tour ends on leaving the root
+    dist = (nxt != np.arange(2 * n)).astype(idx)
+    buf = np.empty_like(dist)
+    for _ in range((2 * n - 1).bit_length()):
+        dist += np.take(dist, nxt, out=buf, mode="clip")   # "raise" would buffer out
+        np.take(nxt, nxt, out=buf, mode="clip")
+        nxt, buf = buf, nxt
+    pos = np.subtract(2 * n - 1, dist, out=dist)
+    tour = np.empty(2 * n, dtype=idx)   # the events in tour order
+    tour[pos] = np.arange(2 * n, dtype=idx)
+    # the real nodes of a subtree are the real exits from its enter to its exit
+    exits = tour >= n
+    seen = np.cumsum(exits & (tour < n + n_real), dtype=idx)
+    size = np.append(seen[pos[n:]] - seen[pos[:n]], idx(0))   # and 0 for a missing child
+    return (tour[exits] - n).astype(np.int64), size
 
 
 def binarize(t: LabeledTree) -> BinarizedTree:
@@ -202,6 +211,7 @@ def binarize(t: LabeledTree) -> BinarizedTree:
     parent[dummies] = above
     ones_w = np.zeros(total, dtype=np.int64)
     ones_w[:n] = t.labels
+    del kids, par, deg, extra, first_dummy, rank, d, step, holder, on_right, dummies, owner, above
     return BinarizedTree(parent, left, right, ones_w, t.root, n)
 
 
@@ -278,16 +288,6 @@ def _check_binary_labels(values: np.ndarray) -> None:
 SMALL = 32
 
 
-def _subtree_sizes(bt: BinarizedTree) -> np.ndarray:
-    """Real nodes in each subtree; entry n_total (a missing child) is 0."""
-    left, right = _machine_ints(bt.left), _machine_ints(bt.right)
-    n_real = bt.n_real
-    size = array("q", bytes(8 * (bt.n_total + 1)))
-    for v in _machine_ints(bt.post_order):
-        size[v] = (v < n_real) + size[left[v]] + size[right[v]]
-    return np.frombuffer(size, dtype=np.int64)
-
-
 def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> np.ndarray:
     """best[k, i-1] = the ring's extreme sum of row k's labels over connected
     sets of i real nodes, for every row of ``rows`` (r x n_total labels).
@@ -318,7 +318,7 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
     labels = rows.astype(dtype)
     del rows   # the int64 rows are dropped once narrowed, if the caller made them
     best = np.full((r, n_real), sentinel, dtype=dtype)
-    size = _subtree_sizes(bt)
+    size = bt.size
     left, right = bt.left, bt.right
     real = np.arange(n_total) < n_real
 

@@ -6,6 +6,8 @@ a bug with the vectorized implementations under test.
 
 import random
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
 # string oracles
@@ -195,6 +197,34 @@ def tree_extremes(parents, weights, pick):
         for i in range(1, len(a)):
             out[i - 1] = a[i] if out[i - 1] is None else pick(out[i - 1], a[i])
     return out
+
+
+# ---------------------------------------------------------------------------
+# binarized-tree order and sizes
+
+def binary_post_order(left, right, root):
+    """Reversed preorder over children [left, right]: every node after all
+    of its descendants, a left subtree before its right sibling's."""
+    order, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(c for c in (left[v], right[v]) if c >= 0)
+    return order[::-1]
+
+
+def real_descendant_counts(parent, n_real):
+    """counts[v] = real nodes (ids below n_real) in v's subtree, with an
+    extra 0 at the end, by walking every real node up to the root one step
+    at a time (numpy over the nodes, O(n * depth))."""
+    parent = np.asarray(parent)
+    counts = np.zeros(parent.size + 1, dtype=np.int64)
+    up = np.arange(n_real)
+    while up.size:
+        counts[:-1] += np.bincount(up, minlength=parent.size)
+        up = parent[up]
+        up = up[up >= 0]
+    return counts
 
 
 # ---------------------------------------------------------------------------

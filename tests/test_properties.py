@@ -31,11 +31,13 @@ from jumbled.strings import (
     blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile, rle_profile,
     rle_weighted_max_sums, weighted_max_sums,
 )
-from jumbled.trees import LabeledTree, binarize, simple_tree_profile, tree_profile, \
+from jumbled.minplus import narrow_dtype
+from jumbled.trees import SMALL, LabeledTree, binarize, simple_tree_profile, tree_profile, \
     weighted_tree_max_sums
 from _support import (
-    broom_parents, caterpillar_parents, complete_binary_parents, csv_rows_one_at_a_time,
-    path_parents, star_parents, tree_extremes, window_profile,
+    binary_post_order, broom_parents, caterpillar_parents, complete_binary_parents,
+    csv_rows_one_at_a_time, path_parents, random_parents, real_descendant_counts,
+    star_parents, tree_extremes, window_profile,
 )
 
 MAX_N = 160
@@ -324,10 +326,18 @@ def labeled_trees(draw):
     return shape, parents, labels, weights
 
 
+def _check_order_and_sizes(parents):
+    bt = binarize(LabeledTree(parents, [0] * len(parents)))
+    assert bt.post_order.tolist() == binary_post_order(bt.left, bt.right, bt.root)
+    assert bt.size.tolist() == real_descendant_counts(bt.parent, bt.n_real).tolist()
+    assert bt.size.dtype == narrow_dtype(0, 2 * bt.n_total + 1)
+
+
 @TREE_SETTINGS
 @given(labeled_trees())
 def test_tree_sweep_matches_references(case):
     shape, parents, labels, weights = case
+    _check_order_and_sizes(parents)
     t = LabeledTree(parents, labels)
     assert simple_tree_profile(binarize(t)) == tree_profile(t)
     got = weighted_tree_max_sums(LabeledTree(parents, weights)).tolist()
@@ -335,6 +345,17 @@ def test_tree_sweep_matches_references(case):
         assert got == naive_weighted_max_sums(weights).tolist()
     else:
         assert got == tree_extremes(parents, weights, max)
+
+
+# sizes around SMALL on every shape, and both sides of the tour's index-dtype
+# switch: n_total = 16383 is the last tree of int16 events, 16384 the first of
+# int32 (a star of n nodes binarizes to 2n - 3)
+@pytest.mark.parametrize("shape, n", [(shape, n) for shape in sorted(SHAPES) + ["random"]
+                                      for n in (1, 2, SMALL - 1, SMALL + 1)]
+                         + [("path", 16383), ("path", 16384), ("star", 8193), ("star", 8194)])
+def test_binarized_order_and_sizes_at_seams(shape, n):
+    _check_order_and_sizes(random_parents(random.Random(n), n) if shape == "random"
+                           else SHAPES[shape](n))
 
 
 # ---------------------------------------------------------------------------
