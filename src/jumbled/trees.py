@@ -20,8 +20,12 @@ strings._rle_sweep per row plus one convolution with the array below it
 (the tree-to-string reduction in heavy-path form, as in Gagie, Hermelin,
 Landau and Weimann, ESA 2013). The other subtrees of at most SMALL real
 nodes are computed a size at a time, one padded convolution per size over a
-compact store, and every other large node takes one DP step, _combine.
-Both sweeps run in minplus.sum_dtype's narrow dtype and sentinel, no snap.
+compact store, and every other large node takes one DP step, _combine. A
+0/1 step that joins two arrays of more than _WIDE entries runs in the
+value domain (_combine_by_counts): each array becomes its inverse, the
+largest size for each count, and the inverses take the same convolution
+under MAX, about a quarter of the cells. Both sweeps run in
+minplus.sum_dtype's narrow dtype and sentinel, no snap.
 
 Global folds only take arrays of *real* (non-dummy) topmost nodes: a set
 whose topmost node is a dummy joins two sibling branches without their
@@ -277,6 +281,58 @@ def _combine(ring: Ring, sentinel: int, x, y, lab, real: bool):
     return out
 
 
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """g[k, c] = the largest i with a[k, i] <= c, for rows that start at 0
+    and step by 0 or 1: strictly increasing in c, and L - 1 (L = a's width)
+    from c = a[k, -1] on, so rows of other sums pad exactly to the widest.
+    No temporary is wider than a's dtype."""
+    r, width = a.shape
+    sums = a[:, -1]
+    g = np.full((r, int(sums.max()) + 1), width - 1, dtype=a.dtype)
+    at = np.arange(width - 1, dtype=a.dtype)
+    for k, m in enumerate(sums.tolist()):
+        # below m, g[k, c] is where row k steps from c to c + 1
+        g[k, :m] = at[a[k, 1:] != a[k, :-1]]
+    return g
+
+
+def _combine_by_counts(sentinel: int, gx, gy, lab, real: bool):
+    """_combine under MIN in the value domain, for two stacks of rows that
+    start at 0 and step by 0 or 1, given as their inverses (_inverse): the
+    bounded monotone case of Chan and Lewenstein (STOC 2015). The batched
+    sweep's 0/1 rows are such rows, and never hold the sentinel.
+
+    T[k] <= c iff some c1 + c2 = c has gx[c1] + gy[c2] >= k, so the MIN
+    convolution T comes from the MAX convolution G of the inverses:
+    T[k] = #{c : G[c] < k}. G is strictly increasing until it reaches
+    Lx + Ly - 2, so T steps up by one just after each G[c] below that: one
+    mark per c and one cumsum. The ones and the zeros row split the sizes
+    between them, so the inverses convolve in about a quarter of the cells
+    of the rows.
+
+    The MAX pass keeps the ring's sentinel, negated, which _conv_tiled pads
+    only its longer operand with. Say the shorter inverse is x's: the larger
+    of x's row sums, mx, is at most y's, my, and x's values are at most its
+    size, ones_x + zeros_x. If my is y's ones, zeros_x <= mx <= ones_y, so
+    that size is at most ones_x + ones_y <= hi, the tree's larger row sum;
+    likewise if it is y's zeros. sum_dtype's dtype holds 2 hi + 2, so hi is
+    below the half-range sentinel: a padded cell stays below 0, the least
+    value of every output, and no sum leaves the dtype."""
+    width = int(gx[0, -1]) + int(gy[0, -1]) + 1   # T's, Lx + Ly - 1
+    g = np.empty((gx.shape[0], gx.shape[1] + gy.shape[1] - 1), dtype=gx.dtype)
+    _conv_tiled(gx, gy, MAX, -sentinel, g)
+    counts = np.count_nonzero(g < width - 1, axis=1).tolist()
+    # out[0] = 0 and out[i] = lab + T[i - 1] for a real node: lab marks
+    # out[1], and T's steps land one further on
+    out = np.zeros((g.shape[0], width + int(real)), dtype=g.dtype)
+    if real:
+        out[:, 1] = lab[:, 0]
+    g += 1 + int(real)
+    for k, c in enumerate(counts):
+        out[k, g[k, :c]] = 1
+    return np.cumsum(out, axis=-1, dtype=out.dtype, out=out)
+
+
 def _check_binary_labels(values: np.ndarray) -> None:
     if np.logical_or(values < 0, values > 1).any():
         raise ValueError("profile computation requires {0,1} labels")
@@ -286,6 +342,15 @@ def _check_binary_labels(values: np.ndarray) -> None:
 # taken one at a time. On a random tree (n=4096), 95% of the 5108 binarized
 # nodes are small at SMALL=32; 16 and 24 built it slower, 48 and 64 no faster.
 SMALL = 32
+
+# A 0/1 join of two arrays of more than _WIDE entries each convolves their
+# inverses (_combine_by_counts): below it, two inverses, the marks and the
+# cumsum (~60 us) cost more than the cells they save. Against size-domain
+# joins only, interleaved in one process, a random 0/1 tree (n = 4096) built
+# in 0.84 of the time at 128..256, 0.89 at 96, 0.92 at 48 and 64 (0.90 at
+# 512 in another run); one of 16384 in 0.60 at 128 and 192, 0.66-0.69 at 64
+# and 256.
+_WIDE = 128
 
 
 def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> np.ndarray:
@@ -309,6 +374,9 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
       children ready; one padded convolution covers them all. Their arrays
       sit in one flat store, each exactly size + 1 cells wide.
     * other large nodes: one DP step (_combine) of their children's arrays.
+      Under MIN (the 0/1 rows) a join of two arrays of more than _WIDE
+      entries takes their inverses instead, and convolves them under MAX
+      (_combine_by_counts): about a quarter of the cells.
 
     ``sink``, when given, receives A_v of every real node as an (r, .) array.
     """
@@ -398,8 +466,14 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
                 for t in range(n_ch):
                     sink(a_v[:, t:] - prefix[:, t:t + 1])
         else:
-            a_v = _combine(ring, sentinel, array_of(int(left[v])), array_of(int(right[v])),
-                           labels[:, v, None], real[v])
+            lc, rc = int(left[v]), int(right[v])
+            if ring is MIN and min(size[lc], size[rc]) >= _WIDE:
+                # the children's rows are freed once inverted, before the
+                # convolution's buffers (a lower tracemalloc peak)
+                a_v = _combine_by_counts(sentinel, _inverse(array_of(lc)), _inverse(array_of(rc)),
+                                         labels[:, v, None], real[v])
+            else:
+                a_v = _combine(ring, sentinel, array_of(lc), array_of(rc), labels[:, v, None], real[v])
             if real[v]:
                 _fold_into(best, ring, a_v[:, 1:])
                 if sink is not None:

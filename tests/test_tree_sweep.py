@@ -4,7 +4,8 @@ simple_tree_profile and weighted_tree_max_sums run one sweep
 (trees._tree_sweep): subtrees of at most SMALL real nodes batched by size,
 unary chains of larger real nodes through strings._rle_sweep, one label row
 at a time, every other large node one convolution, all in a dtype fitted to
-the label sums.
+the label sums. A 0/1 join of two arrays wider than _WIDE convolves their
+inverses instead.
 The benchmark takes its tree references from these same two functions, so
 only these tests can catch a wrong sweep. Each seam gets exact cases,
 checked against the micro-macro backend, the plain DP and enumeration of
@@ -19,16 +20,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jumbled import strings
-from jumbled.minplus import FINITE_BOUND, MAX, MIN, sum_dtype
+from jumbled import strings, trees
+from jumbled.minplus import FINITE_BOUND, MAX, MIN, _conv_tiled, min_plus_convolution, sum_dtype
 from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.profiles import write_profile_csv
 from jumbled.strings import (
     naive_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
 )
 from jumbled.trees import (
-    SMALL, LabeledTree, binarize, enumerate_max_sums, simple_tree_profile, tree_profile,
-    weighted_tree_max_sums,
+    _WIDE, SMALL, LabeledTree, _combine, _combine_by_counts, _inverse, binarize,
+    enumerate_max_sums, simple_tree_profile, tree_profile, weighted_tree_max_sums,
 )
 from _support import (
     anchored_arrays, caterpillar_parents, complete_binary_parents, path_parents,
@@ -159,6 +160,113 @@ def test_paths_against_the_string_sweep():
             weights = [rng.randint(lo, hi) for _ in range(n)]
             assert weighted_tree_max_sums(LabeledTree(path_parents(n), weights)).tolist() == \
                 naive_weighted_max_sums(weights).tolist()
+
+
+# ---------------------------------------------------------------------------
+# joins in the value domain
+
+def _steps(rng, width, density):
+    """A row that starts at 0 and steps by 1 with the given density, else 0."""
+    return np.concatenate([[0], np.cumsum(rng.random(width - 1) < density)])
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_value_domain_join(dtype):
+    rng = np.random.default_rng(7)
+    sentinel = np.iinfo(dtype).max // 2
+    widths = [1, 2, 3, 40, _WIDE, _WIDE + 1, 300]
+    pairs = [(a, b) for a in widths for b in widths] + \
+        [tuple(rng.integers(1, 400, 2)) for _ in range(20)]
+    for lx, ly in pairs:
+        # an all-0 row (an inverse of 1 entry) and an all-1 row (of lx)
+        # beside mixed ones, so rows of one stack pad to the longest
+        for dx, dy in ((0.0, 1.0), (1.0, 0.0), (0.5, 0.2), (rng.random(), rng.random())):
+            x = np.stack([_steps(rng, lx, dx), _steps(rng, lx, 1 - dx)]).astype(dtype)
+            y = np.stack([_steps(rng, ly, dy), _steps(rng, ly, rng.random())]).astype(dtype)
+            gx, gy = _inverse(x), _inverse(y)
+            assert gx.dtype == dtype and (np.diff(gx[:, :int(x[:, -1].min()) + 1]) > 0).all()
+            got = _combine_by_counts(sentinel, gx, gy, None, False)
+            want = np.empty((2, lx + ly - 1), dtype=dtype)
+            _conv_tiled(x, y, MIN, sentinel, want)
+            assert got.dtype == dtype and np.array_equal(got, want), (lx, ly, dx, dy)
+            for k in range(2):
+                assert got[k].tolist() == min_plus_convolution(x[k], y[k]).tolist()
+            lab = np.array([[1], [0]], dtype=dtype)
+            assert np.array_equal(_combine_by_counts(sentinel, gx, gy, lab, True),
+                                  _combine(MIN, sentinel, x, y, lab, True))
+
+
+def _binary_profile_and_arrays(t):
+    arrays = []
+    return simple_tree_profile(binarize(t), sink=arrays.append), sorted(a.tolist() for a in arrays)
+
+
+def test_value_domain_starts_above_wide(monkeypatch):
+    # a root over two subtrees of a and b real nodes joins arrays of a + 1
+    # and b + 1 entries: in the value domain only if both pass _WIDE
+    calls = []
+
+    def recording(sentinel, gx, gy, lab, real, join=_combine_by_counts):
+        calls.append((int(gx[0, -1]) + 1, int(gy[0, -1]) + 1))
+        return join(sentinel, gx, gy, lab, real)
+
+    monkeypatch.setattr(trees, "_combine_by_counts", recording)
+    rng = random.Random(19)
+    for a, b in ((_WIDE - 1, _WIDE - 1), (_WIDE - 1, _WIDE), (_WIDE, _WIDE), (_WIDE, 3 * _WIDE)):
+        parents = _stack(_stack([-1], complete_binary_parents(a), 0), random_parents(rng, b), 0)
+        calls.clear()
+        _check(parents, seed=a + b)
+        assert ((a + 1, b + 1) in calls) == (min(a, b) >= _WIDE), (a, b, calls)
+
+
+def test_value_domain_joins_keep_every_array(monkeypatch):
+    # at _WIDE = 1 every large node with two children joins them in the
+    # value domain, small children included; profiles and every sink
+    # array stay the same
+    rng = random.Random(23)
+    shapes = (random_parents(rng, 6 * SMALL), complete_binary_parents(5 * SMALL),
+              star_parents(3 * SMALL), caterpillar_parents(4 * SMALL),
+              _stack(path_parents(40), complete_binary_parents(3 * SMALL), 39))
+    for parents in shapes:
+        for density in (0.0, 0.1, 0.5, 1.0):
+            t = LabeledTree(parents, random_bits(rng, len(parents), density))
+            monkeypatch.setattr(trees, "_WIDE", len(parents) + 1)
+            want = _binary_profile_and_arrays(t)
+            monkeypatch.setattr(trees, "_WIDE", 1)
+            assert _binary_profile_and_arrays(t) == want
+
+
+@pytest.mark.parametrize("hi", [2 ** 14 - 2, 2 ** 14 - 1])
+def test_value_domain_at_the_int16_switch(hi, monkeypatch):
+    # Trees of hi ones and hi zeros, hi on both sides of the int16 switch,
+    # against the size domain. In a random tree the sums reach 2 hi. In the
+    # skewed one, a 1-labelled root joins a path of a 0 over hi - 1 ones and
+    # a path of hi - 1 zeros: the first one's zeros row has the inverse
+    # [0, hi, hi, ...], the shorter operand by a tie, which meets the
+    # padding at output 0, where the true value is 0. There the padded
+    # cells hold hi - sentinel, just below 0 in int16. The profile does not
+    # show that join's output, so it is also checked on its own.
+    rng = random.Random(hi)
+    bits = [1] * hi + [0] * hi
+    rng.shuffle(bits)
+    skewed = _stack(_stack([-1], path_parents(hi), 0), path_parents(hi - 1), 0)
+    skewed_bits = [1, 0] + [1] * (hi - 1) + [0] * (hi - 1)
+    for parents, labels in ((random_parents(rng, 2 * hi), bits), (skewed, skewed_bits)):
+        rows = np.array([labels, [1 - b for b in labels]])
+        dtype, sentinel = sum_dtype(rows, MIN)
+        assert dtype == (np.int16 if hi < 2 ** 14 - 1 else np.int32)
+        bt = binarize(LabeledTree(parents, labels))
+        got = simple_tree_profile(bt)
+        monkeypatch.setattr(trees, "_WIDE", len(labels) + 1)
+        assert simple_tree_profile(bt) == got
+        monkeypatch.undo()
+    # the root join's operands, the paths' arrays as (ones, zeros) rows
+    size = np.arange(hi + 1)
+    x = np.stack([np.maximum(size - 1, 0), np.minimum(size, 1)]).astype(dtype)
+    y = np.stack([np.zeros(hi, dtype=int), size[:hi]]).astype(dtype)
+    lab = np.array([[1], [0]], dtype=dtype)
+    assert np.array_equal(_combine_by_counts(sentinel, _inverse(x), _inverse(y), lab, True),
+                          _combine(MIN, sentinel, x, y, lab, True))
 
 
 # ---------------------------------------------------------------------------
