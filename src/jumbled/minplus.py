@@ -115,6 +115,15 @@ def as_int64(x, what: str) -> np.ndarray:
     return a.astype(np.int64)
 
 
+def as_bits(bits) -> np.ndarray:
+    """``bits`` as a contiguous uint8 array. Values are checked before the
+    narrowing cast, so 256 or -1 is refused rather than wrapped."""
+    arr = np.asarray(bits)
+    if arr.size and not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("bits must contain only 0 and 1")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
+
+
 def positive_int(x, what: str) -> int:
     """``x`` as an int >= 1; ValueError for anything else, 2.5 and "3" included."""
     value = operator.index(x) if hasattr(type(x), "__index__") else 0

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitvec import RankBitvector
-from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, narrow_dtype,
-                      positive_int, sqrt_ceil, sum_dtype)
+from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_bits, as_int64,
+                      narrow_dtype, positive_int, sqrt_ceil, sum_dtype)
 from .profiles import Profile
 from .strings import _fold_into, _rle_sweep
 
@@ -105,22 +104,16 @@ class LabeledTree:
         return order
 
     def rerooted(self, new_root: int) -> "LabeledTree":
-        n = self.n
-        if not 0 <= new_root < n:
+        """The same tree rooted at ``new_root``: only the parents on the path
+        from ``new_root`` up to the old root turn around."""
+        if not 0 <= new_root < self.n:
             raise ValueError("root out of range")
-        adj = [list(c) for c in self.children]
-        for v, p in enumerate(self.parents.tolist()):
-            if p >= 0:
-                adj[v].append(p)
-        parents = np.full(n, -2, dtype=np.int64)
+        path = [new_root]
+        while path[-1] != self.root:
+            path.append(int(self.parents[path[-1]]))
+        parents = self.parents.copy()
+        parents[path[1:]] = path[:-1]
         parents[new_root] = -1
-        stack = [new_root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if parents[w] == -2:
-                    parents[w] = v
-                    stack.append(w)
         return LabeledTree(parents, self.labels)
 
 
@@ -224,22 +217,30 @@ class CorruptedProfileError(ValueError):
 
 
 class DeltaBits:
-    """A_v stored as its difference bits; entries come back via rank."""
+    """A_v stored as its step bits (uint8) beside their running count, so
+    an entry is one read."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "_counts")
 
     def __init__(self, bits):
-        self.bits = RankBitvector(bits)
+        bits = as_bits(bits).copy()   # never a view of the caller's array
+        if bits.ndim != 1:
+            raise ValueError("bits must be a one-dimensional sequence")
+        bits.flags.writeable = False
+        self.bits = bits
+        # A[i] is the number of 1-steps in positions 0..i
+        self._counts = np.cumsum(bits, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return int(self.bits.size)
 
     def value_at(self, i: int) -> int:
-        # A[i] is the number of 1-steps in positions 0..i
-        return self.bits.rank1(i + 1)
+        if not 0 <= i < self.bits.size:
+            raise IndexError(f"index {i} out of range [0, {self.bits.size})")
+        return int(self._counts[i])
 
     def decode(self) -> np.ndarray:
-        return np.cumsum(self.bits.to_array(), dtype=np.int64)
+        return self._counts.copy()
 
 
 def _check_steps(a: np.ndarray) -> None:

@@ -107,6 +107,22 @@ def tree_adj(parents):
     return adj
 
 
+def rerooted_parents(parents, new_root):
+    """The parent list of the same tree rooted at ``new_root``, by a search
+    over the undirected adjacency from the new root."""
+    adj = tree_adj(parents)
+    out = [-2] * len(parents)
+    out[new_root] = -1
+    stack = [new_root]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if out[w] == -2:
+                out[w] = v
+                stack.append(w)
+    return out
+
+
 def _connected_masks(parents):
     n = len(parents)
     adj = tree_adj(parents)

@@ -172,6 +172,27 @@ def test_means_either_side_of_a_parity_change(path, quarter):
     assert centres == {1, 2}
 
 
+def test_default_path_reaches_the_half_centre(monkeypatch):
+    # bits reach the bound sweep only through their gap rows: at density 0.4
+    # the gaps between 1s have mean 2.5 and those between 0s 5/3, both of an
+    # odd m; weights in -9..10 have mean 1/2
+    centres = []
+
+    def recording(pref, step=strings._centre):
+        centres.append(step(pref))
+        return centres[-1]
+
+    monkeypatch.setattr(strings, "_centre", recording)
+    rng = np.random.default_rng(4096)
+    bits = (rng.random(4096) < 0.4).astype(np.uint8)
+    assert rle_profile(bits) == naive_profile(bits)
+    assert 2 in [d for d, _ in centres]
+    centres.clear()
+    weights = rng.integers(-9, 11, 4096)
+    assert np.array_equal(rle_weighted_max_sums(weights), naive_weighted_max_sums(weights))
+    assert 2 in [d for d, _ in centres]
+
+
 @pytest.fixture(scope="module", params=[32768, 65536])
 def big_bits(request):
     """i.i.d. bits of n = 32768 or 65536, and the window sweep's extremes of

@@ -13,8 +13,9 @@ from jumbled.trees import (
     weighted_tree_max_sums,
 )
 from _support import (
-    caterpillar_parents, complete_binary_parents, path_parents, random_parents,
-    star_parents, subtree_max_sums, subtree_profile, tree_adj,
+    broom_parents, caterpillar_parents, complete_binary_parents, path_parents,
+    random_parents, rerooted_parents, star_parents, subtree_max_sums, subtree_profile,
+    tree_adj,
 )
 
 
@@ -169,9 +170,9 @@ def test_simple_profile_shaped_trees():
 # delta-encoded retention
 
 def test_delta_hand_examples():
-    assert encode_delta([0, 1, 1, 2]).bits.to_array().tolist() == [0, 1, 0, 1]
-    assert encode_delta([0, 0, 0]).bits.to_array().tolist() == [0, 0, 0]
-    assert encode_delta([0, 1, 2]).bits.to_array().tolist() == [0, 1, 1]
+    assert encode_delta([0, 1, 1, 2]).bits.tolist() == [0, 1, 0, 1]
+    assert encode_delta([0, 0, 0]).bits.tolist() == [0, 0, 0]
+    assert encode_delta([0, 1, 2]).bits.tolist() == [0, 1, 1]
 
 
 def test_delta_round_trip_and_point_lookups():
@@ -209,6 +210,28 @@ def test_delta_bits_direct():
     db = DeltaBits([0, 1, 0, 1])
     assert db.decode().tolist() == [0, 1, 1, 2]
     assert db.value_at(3) == 2
+
+
+@pytest.mark.parametrize("bits", [[0, 2, 1], [0, 256, 1], [0, -1, 1], [[0, 1], [1, 0]]])
+def test_delta_bits_refuse_non_bits(bits):
+    # 256 and -1 are refused before the uint8 cast could wrap them
+    with pytest.raises(ValueError):
+        DeltaBits(bits)
+
+
+def test_delta_bits_bounds_and_copies():
+    src = np.array([0, 1, 1], dtype=np.uint8)
+    db = DeltaBits(src)
+    # a plain array read would wrap -1 to the last entry
+    for i in (-1, len(db)):
+        with pytest.raises(IndexError):
+            db.value_at(i)
+    out = db.decode()
+    out[:] = 7
+    src[:] = 0
+    assert db.decode().tolist() == [0, 1, 2]
+    assert db.bits.tolist() == [0, 1, 1]
+    assert db.value_at(2) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +476,34 @@ def test_feasible_size_sets_match_bitmask():
         got = feasible_size_sets(LabeledTree(parents, labels))
         want = subtree_feasible_sets(parents, labels)
         assert {k: set(v) for k, v in got.items()} == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 4096])
+@pytest.mark.parametrize("shape", [path_parents, star_parents, caterpillar_parents,
+                                   broom_parents, complete_binary_parents])
+def test_rerooted_matches_search(shape, n):
+    parents = shape(n)
+    t = LabeledTree(parents, [0] * n)
+    for r in (0, n - 1, n // 2, random.Random(n).randrange(n)):
+        assert t.rerooted(r).parents.tolist() == rerooted_parents(parents, r), r
+
+
+def test_rerooted_matches_search_on_random_trees():
+    # ids are shuffled, so the old root is seldom 0 and parents may follow
+    # their children
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randint(1, 60)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        parents = [-1] * n
+        for v, p in enumerate(random_parents(rng, n)):
+            if p >= 0:
+                parents[ids[v]] = ids[p]
+        r = rng.randrange(n)
+        got = LabeledTree(parents, [0] * n).rerooted(r)
+        assert got.root == r
+        assert got.parents.tolist() == rerooted_parents(parents, r)
 
 
 def test_rerooted_profile_is_invariant():
