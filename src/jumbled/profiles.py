@@ -3,6 +3,7 @@ queries, and the profile CSV format."""
 
 from __future__ import annotations
 
+import operator
 import os
 import stat
 from dataclasses import dataclass
@@ -16,10 +17,13 @@ from .minplus import as_int64
 CSV_HEADER = "size,min_ones,max_ones"
 SUMS_CSV_HEADER = "size,max_sum"
 
-# rows formatted per write, and sizes range-checked per step: at n=16384
-# (2-core x86 VM) 1024 rows took 4.5 ms, 2048 3.1 ms and 4096 2.4 ms;
-# write_profile_csv's tracemalloc peak is 125 KiB at 2048 rows, of which
-# the range check takes 18 KiB (144 KiB when it checked the whole arrays)
+# rows formatted per write, and sizes range-checked per step. With the
+# 4-digit group tables (80 KiB, made at import) a profile write at n=16384
+# took 2.7, 2.4, 2.4 and 2.2 ms at 1024, 2048, 3072 and 4096 rows (2-core
+# x86 VM, medians of 40 interleaved writes to an existing file), and its
+# tracemalloc peak was 54, 101, 148 and 195 KiB: a chunk's byte matrix, its
+# translated copy and a few int64 columns. 2048 rows keep the peak well
+# below the 125 KiB of the digit-at-a-time writer.
 _CSV_CHUNK_ROWS = 2048
 
 
@@ -64,13 +68,17 @@ class Profile:
 def occurs(p: Profile, i: int, j: int) -> bool:
     """True iff some window/subgraph of size i has exactly j ones.
 
-    Out-of-domain arguments answer False; a non-integral 0 < i <= n raises.
-    Two reads through the profile's buffer views, which give Python ints
-    where the arrays would box numpy scalars; the conditional gives a bool
-    for numpy arguments too, without a call to bool().
+    Out-of-domain arguments answer False; a size that is not an integer
+    raises TypeError, inside 1..n or not. Two reads through the profile's
+    buffer views, which give Python ints where the arrays would box numpy
+    scalars; the conditional gives a bool for numpy arguments too, without
+    a call to bool().
     """
     lo, hi = p._views
-    return True if 0 < i <= len(lo) and lo[i - 1] <= j <= hi[i - 1] else False
+    if 0 < i <= len(lo):
+        return True if lo[i - 1] <= j <= hi[i - 1] else False
+    operator.index(i)   # the views refuse a non-integral size in range
+    return False
 
 
 def write_profile_csv(p: Profile, path) -> None:
@@ -165,44 +173,91 @@ def write_sums_csv(values, path) -> None:
 def _write_csv(path, header: str, *columns: np.ndarray) -> None:
     """Rows "size,column values..." for size 1..n, _CSV_CHUNK_ROWS at a
     time. A write that fails removes its regular file: cut at a row
-    boundary, it would read back as a valid shorter profile."""
+    boundary, it would read back as a valid shorter profile.
+
+    A chunk is a (rows, slots) byte matrix, one row per line: per column a
+    sign slot if the column holds a negative, 4-digit groups for its widest
+    magnitude and the separator. NUL comes before a value's first
+    character, and one bytes.translate deletes them."""
     n = columns[0].size
+    widths = [(False, _groups(n))] + [
+        (bool(c.min() < 0), _groups(max(int(c.max()), -int(c.min())))) for c in columns]
+    rows, width = min(n, _CSV_CHUNK_ROWS), sum(sign + 4 * groups + 1 for sign, groups in widths)
+    buf = bytearray(rows * width)
+    mat = np.frombuffer(buf, np.uint8).reshape(rows, width)
+    slots = []   # per column: its sign slot or None, and a uint32 view of each group
+    at = 0
+    for sign, groups in widths:
+        slots.append((mat[:, at] if sign else None,
+                      [mat[:, s:s + 4].view("<u4")[:, 0]
+                       for s in range(at + sign, at + sign + 4 * groups, 4)]))
+        at += sign + 4 * groups + 1
+        mat[:, at - 1] = ord(",")
+    mat[:, -1] = ord("\n")
     regular = False
     try:
         with open(path, "wb") as fh:
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             fh.write(header.encode() + b"\n")
-            for lo in range(0, n, _CSV_CHUNK_ROWS):
-                hi = min(n, lo + _CSV_CHUNK_ROWS)
-                fh.write(_csv_rows([np.arange(lo + 1, hi + 1), *(c[lo:hi] for c in columns)]))
+            for lo in range(0, n, rows):
+                k = min(rows, n - lo)
+                values = [np.arange(lo + 1, lo + k + 1, dtype=np.int64),
+                          *(c[lo:lo + k] for c in columns)]
+                for (sign, groups), v in zip(slots, values):
+                    _fill(None if sign is None else sign[:k], [g[:k] for g in groups], v)
+                fh.write((buf if k == rows else buf[:k * width]).translate(None, b"\0"))
     except BaseException:
         if regular:
             os.unlink(path)
         raise
 
 
-def _csv_rows(columns) -> bytes:
-    """The "%d,...\\n" rows of equal-length int64 columns: each fills a sign
-    slot (if it holds a negative) and digit slots right-aligned to its widest
-    value in a (slots, rows) uint8 matrix, NUL before the first digit."""
-    fields = [(c, bool(c.min() < 0), len(str(max(int(c.max()), -int(c.min())))))
-              for c in columns]
-    mat = np.zeros((sum(sign + d + 1 for _, sign, d in fields), columns[0].size), np.uint8)
-    s = 0
-    for c, sign, d in fields:
-        # two's complement takes -2**63 too; uint32 runs about twice as fast
-        mag = c.astype(np.uint32 if d < 10 else np.uint64)
-        if sign:
-            mat[s, c < 0] = ord("-")
-            np.negative(mag, out=mag, where=c < 0)
-            s += 1
-        for r in range(s + d - 1, s - 1, -1):
-            q = mag // 10
-            mat[r] = mag - q * 10 + ord("0")
-            if r < s + d - 1:
-                mat[r] *= mag != 0   # 0: a position before the first digit
-            mag = q
-        s += d + 1
-        mat[s - 1] = ord(",")
-    mat[-1] = ord("\n")
-    return mat.T.tobytes().translate(None, b"\0")
+def _groups(widest: int) -> int:
+    """4-digit groups in the text of 0 <= widest < 2**64."""
+    return (len(str(widest)) + 3) // 4
+
+
+def _fill(sign, groups: list, values: np.ndarray) -> None:
+    """Writes int64 values as "%d" text into their column's slots: "-" or
+    NUL into the sign slot, and into each 4-digit group one gather from
+    _GROUPS, the last group first."""
+    if sign is not None:
+        sign[...] = (values < 0).view(np.uint8) * ord("-")
+        values = np.abs(values)   # -2**63 stays, and reads as 2**63 unsigned
+    r = values.view(np.uint64)    # the digits not yet written
+    last = len(groups) - 1
+    for g in range(last, -1, -1):
+        if g:   # r's last four digits: index r below 10000, else 10000 + r % 10000
+            q = r // 10000
+            idx = np.multiply(q, 10000)
+            np.subtract(r, idx, out=idx)
+            np.add(idx, 10000, out=idx)
+            np.minimum(r, idx, out=idx)
+        else:   # the first group: r < 10000
+            idx = r
+        idx = idx.view(np.int64)
+        table = _GROUPS
+        if g < last:   # before the last group, r = 0 is four NULs: index -1 of _GROUPS[1:]
+            np.subtract(idx, 1, out=idx)   # idx is a temporary here, q at g = 0
+            table = _GROUPS[1:]
+        groups[g][...] = table.take(idx)
+        if g:
+            r = q
+
+
+def _group_table() -> np.ndarray:
+    """The 4-digit groups as little-endian uint32 (80 KiB): entry k < 10000
+    is k with NUL before its first digit ("\\0\\0" "42"; 0 is three NULs and
+    "0"), entry 10000 + k is k zero-padded ("0042"), and the last is four
+    NULs. _fill indexes it from 0 for a value's last group, where every
+    value below 10000 gives its leading form, and from 1 for any group
+    before it, where 0 (index -1) gives the four NULs."""
+    d = np.arange(100, dtype=np.uint32)
+    pair = (d // 10 + ord("0")) | (d % 10 + ord("0")) << 8   # "07" as two bytes
+    lead = np.where(d < 10, pair & 0xFF00, pair)              # NUL, then "7"
+    padded = pair[:, None] | pair << 16
+    leading = np.concatenate([lead << 16, (lead[1:, None] | pair << 16).ravel()])
+    return np.concatenate([leading, padded.ravel(), [0]]).astype("<u4")
+
+
+_GROUPS = _group_table()

@@ -77,11 +77,15 @@ def test_occurs_takes_integers_of_any_type(kind):
     assert occurs(p, 2, np.bool_(True)) is True
 
 
-@pytest.mark.parametrize("i", [1.5, 2.0, np.float64(3.0), 0.5, "2"])
+@pytest.mark.parametrize("i", [1.5, 2.0, np.float64(3.0), 0.5, "2",
+                               4.5, -0.5, np.float64(5.0)])
 def test_occurs_refuses_a_size_that_is_not_an_integer(i):
+    # inside 1..n and outside it (n = 4: 4.5, -0.5 and n + 1 as a float)
     p = naive_profile("0110")
     with pytest.raises(TypeError):
         occurs(p, i, 1)
+    with pytest.raises(TypeError):
+        p.occurs(i, 0)
 
 
 @pytest.mark.parametrize("clone", [
@@ -394,3 +398,53 @@ def test_write_profile_csv_memory_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / 2 ** 10 < 144
+
+
+
+# the 4-digit group kernel at its edges: one group to two (9999, 10000),
+# two to three (99999999, 10**8), the leading form of 0, the signs, and the
+# int64 ends, whose magnitude 2**63 only fits unsigned
+GROUP_EDGES = [0, 9, 10, 9999, 10000, 99999999, 10 ** 8, 10 ** 12,
+               -1, -9999, -10000, 2 ** 63 - 1, -2 ** 63]
+
+
+# each edge alone in a one-row file, then among values of fewer digits and
+# of each sign; every edge in one column; an all-zero column
+@pytest.mark.parametrize("values", [[e] for e in GROUP_EDGES]
+                         + [[e, 0, 7, -3, e, 10000, 9999] for e in GROUP_EDGES]
+                         + [GROUP_EDGES * 3, [0] * 5])
+def test_sums_writer_at_group_edges(tmp_path, values):
+    sums = np.array(values, dtype=np.int64)
+    write_sums_csv(sums, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == csv_rows_one_at_a_time(SUMS_CSV_HEADER, sums)
+
+
+N_ACROSS = 10050   # sizes 9999 and 10000 share a chunk
+SIZES_ACROSS = np.arange(1, N_ACROSS + 1)
+
+
+# one-row files; then size and max cross the group edge on one row, beside
+# an all-zero min column; then max crosses it a row after size
+@pytest.mark.parametrize("mins, maxs", [
+    ([0], [0]), ([0], [1]), ([1], [1]),
+    (np.zeros(N_ACROSS), SIZES_ACROSS),
+    (SIZES_ACROSS // 2, SIZES_ACROSS - (SIZES_ACROSS >= 10000)),
+], ids=["0-0", "0-1", "1-1", "zeros-sizes", "halves-lagging"])
+def test_profile_writer_at_group_edges(tmp_path, mins, maxs):
+    assert 9998 // profiles._CSV_CHUNK_ROWS == 9999 // profiles._CSV_CHUNK_ROWS
+    p = _p(mins, maxs)
+    write_profile_csv(p, tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_bytes() == \
+        csv_rows_one_at_a_time(CSV_HEADER, p.min_ones, p.max_ones)
+
+
+def test_writers_take_strided_and_byte_swapped_columns(tmp_path):
+    for sums in (np.arange(-20000, 20000)[::-3], (np.arange(1, 5001) * 1999).astype(">i8")):
+        write_sums_csv(sums, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == \
+            csv_rows_one_at_a_time(SUMS_CSV_HEADER, sums)
+    p = naive_profile("0110" * 3000)
+    write_profile_csv(Profile(np.repeat(p.min_ones, 2)[::2], np.repeat(p.max_ones, 2)[::2]),
+                      tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_bytes() == \
+        csv_rows_one_at_a_time(CSV_HEADER, p.min_ones, p.max_ones)
