@@ -7,6 +7,13 @@ weights         whitespace-separated signed decimal integers
 tree            line 1: node count n; lines 2..n+1: "parent label" for
                 nodes 1..n, parent 0 marking the root (exactly one);
                 weighted trees carry a signed integer in the label field
+
+Each text is read first by one vectorised pass over its bytes: for weights
+and trees (_int_tokens), ASCII digits, '-', spaces, tabs, CR and LF, every
+token -?[0-9]{1,18}; for a tree, 2n + 1 tokens, n first, with line break j
+between tokens 2j and 2j + 1 for j < n (CR is no line break), and valid
+parents and labels. Every text the pass refuses is read line by line, which
+names the line, and for strings and weights the column, of an offence.
 """
 
 from __future__ import annotations
@@ -38,14 +45,10 @@ _INT64 = range(-(1 << 63), 1 << 63)
 # str.isspace() accepts
 _BIT_TEXT = np.zeros(128, dtype=bool)
 _BIT_TEXT[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 48, 49]] = True
-# the ASCII characters of the integer texts a vectorised pass reads
-_SPACE = np.zeros(128, dtype=bool)
-_SPACE[[9, 10, 13, 32]] = True
-_INT_TEXT = _SPACE.copy()
-_INT_TEXT[45] = True       # '-'
-_INT_TEXT[48:58] = True    # the digits
+# the bytes of the integer texts the fast path reads
+_INT_TEXT = b"0123456789- \t\r\n"
 # a token of at most 18 digits fits in int64 whatever its sign
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_MAX_DIGITS = 18
 
 
 def _ascii_codes(text: str):
@@ -56,28 +59,48 @@ def _ascii_codes(text: str):
 
 
 def _int_tokens(text: str):
-    """(values, 0-based line of each) of the whitespace-separated integers of
-    ``text``; None unless every token is -?[0-9]{1,18} and the text holds
-    nothing else but spaces, tabs and line breaks. Whatever this leaves
-    out, the per-line parsers accept or reject with a position."""
-    data = _ascii_codes(text)
-    if data is None or not _INT_TEXT[data].all():
+    """(values, starts, codes): the int64 values of the tokens of ``text``,
+    the byte offset each starts at, and the text's bytes; None if a rule of
+    the fast path (module docstring) fails. A gap is a byte <= 32, and the
+    offsets where gap and token alternate are the tokens' starts and stops,
+    interleaved. Offsets are int32, digits int8; only the values are int64."""
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
         return None
-    space = _SPACE[data].view(np.int8)
-    edge = np.diff(space, prepend=1, append=1)   # -1 opens a token, +1 follows it
-    starts, stops = np.flatnonzero(edge == -1), np.flatnonzero(edge == 1)
-    del edge
-    negative = data[starts] == 45
-    count = stops - starts - negative   # digits, if each '-' opens a token
+    if raw.translate(None, _INT_TEXT):
+        return None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    gap = np.ones(data.size + 2, dtype=bool)   # a gap before and after the text
+    np.less_equal(data, 32, out=gap[1:-1])
+    edges = np.flatnonzero(gap[1:] != gap[:-1])
+    del gap
+    edges = edges.astype(np.int32 if data.size < 1 << 31 else np.int64)
+    starts, stops = edges[0::2], edges[1::2]
+    negative = data.take(starts) == 45
+    count = stops - starts
+    count -= negative   # digits, if each '-' opens a token
     if (np.count_nonzero(data == 45) != np.count_nonzero(negative)
-            or (count < 1).any() or (count > _POW10.size).any()):
+            or count.min(initial=1) < 1 or count.max(initial=0) > _MAX_DIGITS):
         return None
-    values = np.zeros(starts.size, dtype=np.int64)
-    for k in range(int(count.max(initial=0))):   # k-th digit from the right
-        digit = data[np.maximum(stops - 1 - k, 0)].astype(np.int64) - 48
-        values += np.where(count > k, digit, 0) * _POW10[k]
-    values[negative] *= -1
-    return values, np.searchsorted(np.flatnonzero(data == 10), starts)
+    # Horner over the tokens right-aligned to m digits, signed: step k reads
+    # the byte m - k before each stop (below 0 wraps), a digit unless the
+    # token is shorter. The values come after the first gather, the peak.
+    m = int(count.max(initial=1))
+    shortest = int(count.min(initial=m))
+    sign = 1 - 2 * negative.view(np.int8)
+    for k in range(m):
+        digit = data.take(np.subtract(stops, m - k, dtype=np.intp)).view(np.int8)
+        digit -= 48
+        if k < m - shortest:
+            digit *= count >= m - k
+        digit *= sign
+        if k:
+            values *= 10
+            values += digit
+        else:
+            values = digit.astype(np.int64)
+    return values, starts, data
 
 
 def parse_binary_string_text(text: str) -> np.ndarray:
@@ -139,13 +162,18 @@ def _int_field(tok: str, ln: int, what: str) -> int:
 def parse_tree_text(text: str, weighted: bool = False):
     """Returns (parents, labels): 0-based parents with -1 for the root."""
     tokens = _int_tokens(text)
-    # n, then n lines of two fields: 2n + 1 tokens, token 0 on line 0
+    # n, then n lines of two fields: 2n + 1 tokens, and line break j (from
+    # 0) comes after 2j + 1 of them for j < n, after all of them from j = n;
+    # that is, it falls between token 2j and token 2j + 1
     if tokens is not None and tokens[0].size % 2 and tokens[0][0] == tokens[0].size // 2:
-        values, lines = tokens
+        values, starts, data = tokens
         n = values.size // 2
+        breaks = np.flatnonzero(data == 10)
         node = np.arange(1, n + 1)
         parents, labels = values[1::2], values[2::2]
-        if (n >= 1 and (lines == np.append(0, node.repeat(2))).all()
+        if (n >= 1 and breaks.size >= n
+                and (starts[:-1:2] < breaks[:n]).all() and (breaks[:n] < starts[1::2]).all()
+                and (breaks[n:n + 1] > starts[-1]).all()
                 and ((parents >= 0) & (parents <= n) & (parents != node)).all()
                 and (weighted or ((labels == 0) | (labels == 1)).all())
                 and np.count_nonzero(parents == 0) == 1):

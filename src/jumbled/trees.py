@@ -340,8 +340,12 @@ def _check_binary_labels(values: np.ndarray) -> None:
 
 
 # Subtrees of at most SMALL real nodes are batched by size; larger nodes are
-# taken one at a time. On a random tree (n=4096), 95% of the 5108 binarized
-# nodes are small at SMALL=32; 16 and 24 built it slower, 48 and 64 no faster.
+# taken one at a time. On a random tree (n=4096), 95.3 / 96.7 / 97.6% of the
+# 5127 binarized nodes are small at SMALL = 32 / 48 / 64; 16 and 24 built it
+# slower. With the smaller child as block operand, 48 / 64 swept it in 0.94 /
+# 0.96 of 32's time (0/1) and 0.97 / 0.95 (weighted), and perfbench
+# tree-random build_s went 0.0388 -> 0.0370 s at 48 (10/10 pairs), but the
+# build peak rose 7 / 13 KiB, and at 48 no chain of that tree is large.
 SMALL = 32
 
 # A 0/1 join of two arrays of more than _WIDE entries each convolves their
@@ -352,6 +356,14 @@ SMALL = 32
 # 512 in another run); one of 16384 in 0.60 at 128 and 192, 0.66-0.69 at 64
 # and 256.
 _WIDE = 128
+
+
+def _stored(store, off, size, nodes):
+    """The arrays of ``nodes`` from _tree_sweep's store, one row of cells per
+    node, padded to the widest with the sentinel in the store's last cell."""
+    j = np.arange(int(size[nodes].max()) + 1)
+    pad = store.shape[1] - 1
+    return store[:, np.where(j <= size[nodes][:, None], off[nodes][:, None] + j, pad)]
 
 
 def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> np.ndarray:
@@ -413,7 +425,6 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
     store = np.empty((r, 2 + int(width.sum())), dtype=dtype)
     store[:, 0] = 0
     store[:, -1] = sentinel
-    pad = store.shape[1] - 1
     counts = np.bincount(size[small], minlength=SMALL + 1)
     lo = 0
     for s in np.flatnonzero(counts).tolist():
@@ -421,13 +432,15 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
         lo += counts[s]
         n_lev = nodes.size
         n_rl = int(real[nodes].sum())
+        # each node's smaller child (often a leaf or none) is the block
+        # operand; each side is padded only to its own widest child
         lc, rc = left[nodes], right[nodes]
-        q = int(max(size[lc].max(), size[rc].max())) + 1
-        j = np.arange(q)
+        swap = size[lc] > size[rc]
+        x = _stored(store, off, size, np.where(swap, rc, lc))
+        y = _stored(store, off, size, np.where(swap, lc, rc))
         core = np.empty((r, n_lev, s + 1), dtype=dtype)
-        _conv_tiled(store[:, np.where(j <= size[lc][:, None], off[lc][:, None] + j, pad)],
-                    store[:, np.where(j <= size[rc][:, None], off[rc][:, None] + j, pad)],
-                    ring, sentinel, core)
+        _conv_tiled(x, y, ring, sentinel, core)
+        del x, y
         base = int(off[nodes[0]])
         block = store[:, base:base + n_lev * (s + 1)].reshape(r, n_lev, s + 1)
         block[:, n_rl:] = core[:, n_rl:]

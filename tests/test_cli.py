@@ -7,7 +7,8 @@ import pytest
 
 from jumbled import cli
 from jumbled.inputs import (
-    ParseError, parse_binary_string_text, parse_tree_text, parse_weights_text,
+    ParseError, gen_tree, gen_weights, parse_binary_string_text, parse_tree_text,
+    parse_weights_text,
 )
 from jumbled.profiles import read_profile_csv
 from jumbled.strings import naive_profile
@@ -67,6 +68,25 @@ def test_parse_tree_rejects_bad_label():
         parse_tree_text("1\n0 7\n")
     parents, labels = parse_tree_text("1\n0 7\n", weighted=True)
     assert labels.tolist() == [7]
+
+
+# The one-pass parse keeps int32 token offsets and no line number per byte
+# or token: 339 KiB for the tree and 457 KiB for the weights (a prototype's
+# line map from a cumsum over the bytes set 879 KiB on the tree; the pass it
+# replaced took 508 and 992 KiB).
+@pytest.mark.parametrize("parse, text, bound_kib", [
+    (parse_tree_text, gen_tree(4096, 3), 400),
+    (parse_weights_text, gen_weights(16384, 3), 540),
+], ids=["tree", "weights"])
+def test_parse_memory_peak(parse, text, bound_kib):
+    parse(text)   # first call: numpy's own lazy allocations
+    tracemalloc.start()
+    try:
+        parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 10 < bound_kib
 
 
 # ---------------------------------------------------------------------------

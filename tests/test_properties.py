@@ -371,19 +371,26 @@ def _outcome(parse, text, *args):
     return "ok", [(a.dtype.str, a.tolist()) for a in arrays]
 
 
-fields = st.sampled_from(["0", "1", "7", "-3", "12", "-", "+4", "x", "1_0", "\xa0",
-                          "99999999999999999999", "\x0b"])
-gaps = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\n\n"])
-texts = st.lists(st.tuples(fields, gaps), max_size=14).map(
-    lambda parts: "".join(f + g for f, g in parts))
+# the fast path reads at most 18 digits; 19 go to the line readers, which
+# take -2**63 and refuse 2**63 and 20 digits
+LONG = ["123456789012345678", "-123456789012345678", "1234567890123456789",
+        "-9223372036854775808", "9223372036854775808"]
+fields = st.sampled_from(["0", "1", "7", "-3", "12", "-0", "-", "+4", "x", "1_0", "\xa0",
+                          "99999999999999999999", "\x0b", *LONG])
+gaps = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\r", "\n\n"])
+blank_lines = st.sampled_from(["", "", "", "", "\n", "\n\n", " \n", "\r\n"])
+texts = st.tuples(blank_lines, st.lists(st.tuples(fields, gaps), max_size=14)).map(
+    lambda parts: parts[0] + "".join(f + g for f, g in parts[1]))
 
 
 @st.composite
 def tree_texts(draw):
     n = draw(st.integers(0, 6))
-    lines = [str(n)] + [f"{draw(st.integers(-1, n + 1))} {draw(st.integers(-2, 2))}"
-                        for _ in range(n)]
-    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", " \n"]))
+    labels = st.one_of(st.integers(-2, 2).map(str), st.sampled_from(["-0", *LONG]))
+    lines = [str(n)] + [str(draw(st.integers(-1, n + 1))) + draw(st.sampled_from([" ", "\t"]))
+                        + draw(labels) for _ in range(n)]
+    text = draw(blank_lines) + draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])).join(lines)
+    text += draw(st.sampled_from(["", "\n", "\n\n", " \n", "\r"]))
     at = draw(st.integers(0, len(text)))
     return text[:at] + draw(st.sampled_from(["", "", "", " 1", "\n", "x"])) + text[at:]
 
@@ -400,5 +407,54 @@ def test_string_and_weight_parsers_match_line_readings(text):
 @SETTINGS
 @given(tree_texts(), st.booleans())
 def test_tree_parser_matches_line_reading(text, weighted):
+    assert _outcome(inputs.parse_tree_text, text, weighted) == \
+        _outcome(inputs._parse_tree_lines, text, weighted)
+
+
+# texts the byte pass must take whole: tokens of mixed lengths up to 18
+# digits, so a short token's gather reaches into the gap and the token
+# before it
+@SETTINGS
+@given(blank_lines, st.lists(st.tuples(st.one_of(st.integers(-12, 12),
+                                                 st.integers(-10 ** 18 + 1, 10 ** 18 - 1)),
+                                       st.sampled_from([" ", "\t", "\n", "\r\n", "\r", " \n "])),
+                             min_size=1, max_size=30), st.booleans())
+def test_weights_of_at_most_18_digits_take_the_byte_pass(lead, parts, strip):
+    text = lead + "".join(f"{v}{gap}" for v, gap in parts)
+    text = text.rstrip() if strip else text
+    tokens = inputs._int_tokens(text)
+    assert tokens is not None and tokens[0].tolist() == [v for v, _ in parts]
+    assert _outcome(inputs.parse_weights_text, text) == \
+        _outcome(inputs._parse_weights_per_token, text)
+
+
+@st.composite
+def tree_texts_with_a_moved_break(draw):
+    """A valid tree text, then at most one gap changed: two adjacent gaps
+    swapped (a line break moves by one token), a line break made a space, a
+    space made a line break, or the final line break dropped."""
+    n = draw(st.integers(1, 12))
+    weighted = draw(st.booleans())
+    label = st.integers(-30, 30) if weighted else st.integers(0, 1)
+    tokens = [str(n)]
+    for v in range(n):   # node v + 1 hangs below an earlier node, the first is the root
+        tokens += [str(draw(st.integers(1, v)) if v else 0), str(draw(label))]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    gaps = [draw(st.sampled_from([" ", "\t"])) if k % 2 else end for k in range(len(tokens))]
+    k = draw(st.integers(0, len(gaps) - 1))
+    move = draw(st.sampled_from(["none", "swap", "to space", "to break", "strip"]))
+    if move == "swap" and k + 1 < len(gaps):
+        gaps[k], gaps[k + 1] = gaps[k + 1], gaps[k]
+    elif move in ("to space", "to break"):
+        gaps[k] = " " if move == "to space" else end
+    elif move == "strip":
+        gaps[-1] = ""
+    return "".join(t + g for t, g in zip(tokens, gaps)), weighted
+
+
+@SETTINGS
+@given(tree_texts_with_a_moved_break())
+def test_tree_parser_places_line_breaks_as_the_line_reading(case):
+    text, weighted = case
     assert _outcome(inputs.parse_tree_text, text, weighted) == \
         _outcome(inputs._parse_tree_lines, text, weighted)
