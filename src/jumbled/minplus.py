@@ -11,7 +11,7 @@ satisfy |x| <= FINITE_BOUND, and the sentinels INF (min side) and NEG_INF
 (max side) mark infeasible cells. Additions never overflow (2 * INF = 2^61 <
 2^63) and are re-saturated after every kernel: a sum lands beyond the snap
 threshold iff one of its operands was a sentinel, because finite + finite
-<= 2^53 < INF - FINITE_BOUND. The sweeps never snap: see sum_dtype."""
+<= 2^53 < INF - FINITE_BOUND. The sweeps never snap: see span_dtype."""
 
 from __future__ import annotations
 
@@ -81,17 +81,24 @@ def narrow_dtype(lo: int, hi: int):
     return np.int64
 
 
-def sum_dtype(rows: np.ndarray, ring: Ring):
-    """The narrowest signed dtype for sums of labels along ``rows``, and the
-    ring's sentinel in it. A sum lies in [lo, hi], the sums of a row's
-    negative and positive labels; the dtype holds +-(hi - lo + 1), so a
-    sentinel of +-half its range stays beyond every finite value after one
-    finite addend, and two sentinels add without overflow."""
-    lo = int(np.minimum(rows, 0).sum(axis=-1).min())
-    hi = int(np.maximum(rows, 0).sum(axis=-1).max())
-    dtype = narrow_dtype(lo - hi - 1, hi - lo + 1)
+def span_dtype(bound: int, ring: Ring):
+    """The number model of every sweep: the narrowest signed dtype that
+    holds +-2 ``bound``, and the ring's sentinel in it, at most half its
+    range. The sentinel is then at least ``bound`` away from 0, a finite
+    addend in [-bound, bound] leaves it within the dtype, and two sentinels
+    add without overflow."""
+    dtype = narrow_dtype(-bound, bound)
     half = int(np.iinfo(dtype).max) // 2   # in int64, the ring's own sentinel is within
     return dtype, min(max(ring.sentinel, -half), half)
+
+
+def sum_dtype(rows: np.ndarray, ring: Ring):
+    """span_dtype for sums of labels along ``rows``. A sum lies in [lo, hi],
+    the sums of a row's negative and positive labels; a bound of hi - lo + 1
+    keeps the sentinel beyond every finite value after one finite addend."""
+    lo = int(np.minimum(rows, 0).sum(axis=-1).min())
+    hi = int(np.maximum(rows, 0).sum(axis=-1).max())
+    return span_dtype(hi - lo + 1, ring)
 
 
 def as_int64(x, what: str) -> np.ndarray:
@@ -218,13 +225,13 @@ def _conv_direct(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
 def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np.ndarray) -> None:
     """out[..., i] = ext_k x[..., k] + y[..., i - k] along the last axis, for
     every i below out's width, and no cell beyond the sentinel; cells of x
-    or y may hold it. Every sweep convolves here, in out's dtype (sum_dtype).
+    or y may hold it. Every sweep convolves here, in out's dtype (span_dtype),
+    strings._window_extremes included, as the correlation of a row with itself.
 
-    The same trick as strings._window_sweep: a block of K entries of the
-    shorter operand meets the longer one in tiles of K x C cells, each filled
-    by one add from a Hankel view of the longer operand (K - 1 sentinels on
-    each side) and emptied by one reduce over its K rows. A block wastes
-    K(K-1) cells past the operands' ends."""
+    A block of K entries of the shorter operand meets the longer one in
+    tiles of K x C cells, each filled by one add from a Hankel view of the
+    longer operand (K - 1 sentinels on each side) and emptied by one reduce
+    over its K rows. A block wastes K(K-1) cells past the operands' ends."""
     if x.shape[-1] > y.shape[-1]:
         x, y = y, x
     q, ly = x.shape[-1], y.shape[-1]

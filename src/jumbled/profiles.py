@@ -3,9 +3,12 @@ queries, and the profile CSV format."""
 
 from __future__ import annotations
 
+import errno
 import operator
 import os
+import re
 import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -172,8 +175,8 @@ def write_sums_csv(values, path) -> None:
 
 def _write_csv(path, header: str, *columns: np.ndarray) -> None:
     """Rows "size,column values..." for size 1..n, _CSV_CHUNK_ROWS at a
-    time. A write that fails removes its regular file: cut at a row
-    boundary, it would read back as a valid shorter profile.
+    time, through _replacing: a file cut at a row boundary would read back
+    as a valid shorter profile.
 
     A chunk is a (rows, slots) byte matrix, one row per line: per column a
     sign slot if the column holds a negative, 4-digit groups for its widest
@@ -194,22 +197,71 @@ def _write_csv(path, header: str, *columns: np.ndarray) -> None:
         at += sign + 4 * groups + 1
         mat[:, at - 1] = ord(",")
     mat[:, -1] = ord("\n")
-    regular = False
-    try:
-        with open(path, "wb") as fh:
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            fh.write(header.encode() + b"\n")
-            for lo in range(0, n, rows):
-                k = min(rows, n - lo)
-                values = [np.arange(lo + 1, lo + k + 1, dtype=np.int64),
-                          *(c[lo:lo + k] for c in columns)]
-                for (sign, groups), v in zip(slots, values):
-                    _fill(None if sign is None else sign[:k], [g[:k] for g in groups], v)
-                fh.write((buf if k == rows else buf[:k * width]).translate(None, b"\0"))
-    except BaseException:
-        if regular:
-            os.unlink(path)
-        raise
+    with _replacing(path) as fh:
+        fh.write(header.encode() + b"\n")
+        for lo in range(0, n, rows):
+            k = min(rows, n - lo)
+            values = [np.arange(lo + 1, lo + k + 1, dtype=np.int64),
+                      *(c[lo:lo + k] for c in columns)]
+            for (sign, groups), v in zip(slots, values):
+                _fill(None if sign is None else sign[:k], [g[:k] for g in groups], v)
+            fh.write((buf if k == rows else buf[:k * width]).translate(None, b"\0"))
+
+
+@contextmanager
+def _replacing(path):
+    """A binary file that writes ``path``. A regular file, or a name not
+    yet taken, is written through a new file beside it (symlinks resolved),
+    "<name>.tmp-<pid>-<hex>" with the old file's mode or 0o666 less the
+    umask, that replaces it once complete: a write that fails or is killed
+    leaves the old file as it was. No fsync: a power loss may still cut it.
+    A file the caller may not write is refused, as open would refuse it.
+
+    A descriptor, a FIFO or a device is written in place. So is a name that
+    resolves through a /proc descriptor link (/dev/stdout, /dev/fd/1, a
+    symlink to one): one of this process's own is written through a dup of
+    that descriptor, at its offset, as the shell's redirection would be."""
+    link = None if isinstance(path, int) else _proc_link(path)
+    if link is not None:
+        own = re.fullmatch(rf"/proc/{os.getpid()}/fd/(\d+)", link)
+        path = os.dup(int(own[1])) if own else link
+    elif not isinstance(path, int):
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is None or stat.S_ISREG(mode):
+            target = os.path.realpath(path)
+            if mode is not None and not os.access(target, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fsdecode(target))
+            tmp = f"{os.fsdecode(target)}.tmp-{os.getpid()}-{os.urandom(4).hex()}"
+            fh = open(tmp, "xb")
+            try:
+                with fh:
+                    if mode is not None:
+                        os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+                    yield fh
+                os.replace(tmp, target)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+            return
+    with open(path, "wb") as fh:
+        yield fh
+
+
+def _proc_link(path):
+    """The first symlink under /proc that ``path`` resolves through, such
+    as /proc/<pid>/fd/1 for /dev/stdout, or None. Its realpath is the name
+    of an open file, or "/tmp/#12 (deleted)", not a name to replace."""
+    p = os.path.abspath(os.fsdecode(path))
+    while True:
+        p = os.path.join(os.path.realpath(os.path.dirname(p)), os.path.basename(p))
+        if not os.path.islink(p):
+            return None
+        if p.startswith("/proc/"):
+            return p
+        p = os.path.join(os.path.dirname(p), os.readlink(p))
 
 
 def _groups(widest: int) -> int:

@@ -13,15 +13,16 @@ run over prefix sums of the weights instead of prefix 1-counts. Every sweep
 is written once over a tropical ring (minplus.MIN / minplus.MAX).
 
 All window extremes within a row of prefix sums (naive_profile, the
-halving base cases) come from _window_sweep.
-It copies the prefix sums once into the narrowest signed dtype that holds
-their span and covers tiles of widths x starts, each filled by one
-subtraction from a Hankel view and reduced once per ring. _run_sweep takes
-one slice of the same narrow prefix sums per candidate start or end instead.
-_bound_sweep reads only the blocks of that Hankel matrix that can reach
-their widths' extremes, on prefix sums centred on the nearest half of the
-mean label. 0/1 strings reach it only through their gap rows; the half
-centre pays on those and on weights of half-integer mean (see _bound_sweep).
+halving base cases) come from _window_extremes: the tropical correlation of
+the row with itself, on minplus._conv_tiled like every other convolution.
+The other kernels return the same extremes in the narrowest signed dtype
+that holds the prefix sums' range. _run_sweep takes one slice of those
+narrow prefix sums per candidate start or end. _bound_sweep reads only the
+blocks of their Hankel matrix (cells p[t + w] - p[t] of start t and width
+w) that can reach their widths' extremes, on prefix sums centred on the
+nearest half of the mean label. 0/1 strings reach it only through their
+gap rows; the half centre pays on those and on weights of half-integer mean
+(see _bound_sweep).
 _gap_sweep takes two-valued labels from the gaps between the positions of
 one value, a row half as long for i.i.d. bits, swept again by _rle_sweep.
 _rle_sweep, behind rle_profile, rle_weighted_max_sums and the chains of the
@@ -29,7 +30,7 @@ tree sweep, picks its kernel per ring before any runs: the run sweep when it
 costs no more than the bound sweep is expected to; else the gap sweep for
 two-valued labels, and for others the bound sweep, which hands over to the
 run sweep where too few blocks drop out. The default thus never runs
-_window_sweep, the kernel of the naive oracle it is tested against.
+_window_extremes, the kernel of the naive oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_bits, as_int64,
-                      narrow_dtype, positive_int, sqrt_ceil, sum_dtype)
+                      narrow_dtype, positive_int, span_dtype, sqrt_ceil, sum_dtype)
 from .profiles import Profile
 
 RECURSION_CUTOFF = 64
@@ -71,68 +72,22 @@ def _as_string(s) -> BinaryString:
     return s if isinstance(s, BinaryString) else BinaryString(s)
 
 
-# A window sweep covers tiles of _TILE_WIDTHS widths by up to _TILE_CELLS
-# (width, start) cells; the buffer (128 KiB of int16) is reused per tile.
-# At n=16384 on a 2-core x86 VM, 16 widths ran naive_profile in 0.080 s, 8 in
-# 0.096 s and 32 in 0.091 s; a larger buffer would be faster but lift its memory
-# peak past 0.36 MiB. Short rows get the full buffer too: one no larger than
-# the row as int64 ran naive_profile in 6.9-8.1 ms at n=2048 and 11-14 ms at
-# 4096, the full one in 3.0-3.9 and 6.4-8.4 ms (peaks 132 and 212 KiB).
-_TILE_WIDTHS = 16
-_TILE_CELLS = 1 << 16
+def _window_extremes(rows: np.ndarray, ring: Ring) -> np.ndarray:
+    """The extreme sum for ``ring`` over the width-w windows of each row of
+    prefix sums p in ``rows`` (2-d), w = 1..L, as one (rows, L) array in the
+    span_dtype of the rows' widest span.
 
-# _TRIANGLE[k, j] is true iff the window of width w0+k that starts at
-# n - K + j runs past the end of its row, where n counts the starts of width
-# w0; it masks the last K starts of a tile of widths w0..w0+K-1
-_TRIANGLE = np.arange(_TILE_WIDTHS)[None, :] >= _TILE_WIDTHS - np.arange(_TILE_WIDTHS)[:, None]
-
-
-def _window_sweep(rows: np.ndarray, rings) -> list:
-    """For each ring, the extreme sum over the width-w windows of each row of
-    prefix sums in ``rows`` (2-d, one segment per row), w = 1..L, as one
-    (rows, L) array in the narrow dtype of the rows' range.
-
-    One subtraction per tile fills cells [k, t] = p[w0+k+t] - p[t] from a
-    Hankel view of the rows; every ring reduces the same tile. Cells past
-    the end of a row are set to the ring's sentinel clipped to the dtype,
-    which real windows may fill: the sweep never adds to its sentinel.
-    """
-    n_rows, length = rows.shape[0], rows.shape[1] - 1
-    k_w = _TILE_WIDTHS
-    dtype = narrow_dtype(int(rows.min()), int(rows.max()))
-    info = np.iinfo(dtype)
-    # at least K starts (or all), so the last tile holds every cell that
-    # runs past the end
-    starts_per_tile = min(length, max(k_w, _TILE_CELLS // k_w))
-    rows_per_tile = max(1, _TILE_CELLS // (k_w * starts_per_tile))
-    # zero padding keeps every view in bounds; the cells it reaches are masked
-    pref = np.zeros((n_rows, length + k_w + starts_per_tile), dtype=dtype)
-    pref[:, :length + 1] = rows
-    hankel = np.lib.stride_tricks.sliding_window_view(pref, starts_per_tile, axis=-1)
-    buf = np.empty((min(n_rows, rows_per_tile), k_w, starts_per_tile), dtype=dtype)
-    sentinels = [min(max(ring.sentinel, int(info.min)), int(info.max)) for ring in rings]
-    best = [np.full((n_rows, length + k_w), s, dtype=dtype) for s in sentinels]
-    for w0 in range(1, length + 1, k_w):
-        widths = slice(w0 - 1, w0 - 1 + k_w)
-        n_starts = length - w0 + 1   # starts of the narrowest width in the tile
-        # tiles are cut from the end, so the last holds the last
-        # min(K, n_starts) starts, where cells run past the end
-        for t1 in range(n_starts, 0, -starts_per_tile):
-            t0 = max(0, t1 - starts_per_tile)
-            cols = t1 - t0
-            tail = min(cols, k_w) if t1 == n_starts else 0
-            for r0 in range(0, n_rows, rows_per_tile):
-                r1 = min(n_rows, r0 + rows_per_tile)
-                tile = buf[:r1 - r0, :, :cols]
-                np.subtract(hankel[r0:r1, w0 + t0:w0 + t0 + k_w, :cols],
-                            pref[r0:r1, None, t0:t0 + cols], out=tile)
-                for ring, sentinel, acc in zip(rings, sentinels, best):
-                    if tail:
-                        np.copyto(tile[:, :, cols - tail:], sentinel,
-                                  where=_TRIANGLE[:, k_w - tail:])
-                    ring.fold(acc[r0:r1, widths], ring.reduce(tile, axis=2),
-                              out=acc[r0:r1, widths])
-    return [acc[:, :length] for acc in best]
+    The (min,+) or (max,+) correlation of p with itself: for base the row's
+    extreme on the ring's side, y = base - p and x, y reversed and negated,
+    give x[k] + y[j] = p[L - k] - p[j], the window from j to L - k, so
+    output L - w holds width w. x lies on the sentinel's side of 0, so a
+    padded cell neither beats a real window nor overflows."""
+    dtype, sentinel = span_dtype(int((rows.max(axis=1) - rows.min(axis=1)).max()), ring)
+    y = np.empty(rows.shape, dtype=dtype)
+    np.subtract(ring.reduce(rows, axis=1)[:, None], rows, out=y)
+    out = np.empty((rows.shape[0], rows.shape[1] - 1), dtype=dtype)
+    _conv_tiled(np.negative(y[:, ::-1]), y, ring, sentinel, out)
+    return out[:, ::-1]
 
 
 def _fold_into(out: np.ndarray, ring: Ring, extremes: np.ndarray) -> None:
@@ -141,8 +96,9 @@ def _fold_into(out: np.ndarray, ring: Ring, extremes: np.ndarray) -> None:
 
 
 def naive_profile(s: BinaryString) -> Profile:
-    # the int64 profile arrays are made only after the sweep's buffer is freed
-    mins, maxs = _window_sweep(_as_string(s).prefix_ones[None, :], (MIN, MAX))
+    # the int64 profile arrays are made only after both sweeps' buffers are freed
+    pref = _as_string(s).prefix_ones[None, :]
+    mins, maxs = _window_extremes(pref, MIN), _window_extremes(pref, MAX)
     return Profile(mins[0], maxs[0])
 
 
@@ -218,7 +174,7 @@ def _run_sweep(pref: np.ndarray, ring: Ring, starts: np.ndarray, ends: np.ndarra
 # _BOUND_BLOCK starts x _BOUND_BLOCK widths. On a 2-core x86 VM
 # (rle_weighted_max_sums, i.i.d. weights in -9..9, median of 3-15 calls), K =
 # 16 took 2.4 ms at n = 4096, 11.1 ms at 16384 and 67 ms at 65536; K = 32
-# took 8.1 ms (too many blocks kept, so the window sweep ran), 14.4 ms and
+# took 8.1 ms (too many blocks kept, so a slower kernel ran), 14.4 ms and
 # 62 ms; K = 64 took 32 ms at 16384. Smaller blocks cost more in the
 # O((n / K)^2) block pass. Each step of the block pass bounds up to
 # _BOUND_CELLS blocks; each step of its reads takes _BOUND_READ kept blocks.
@@ -230,8 +186,8 @@ _BOUND_BLOCK = 16
 _BOUND_CELLS = 1 << 15
 _BOUND_READ = 512
 
-# _rle_sweep prices both kernels for one ring in window-sweep cell passes:
-# one subtraction or one reduction of one int16 cell, 0.04-0.07 ns on a
+# _rle_sweep prices both kernels for one ring in cell passes: one
+# subtraction or one reduction of one int16 cell, 0.04-0.07 ns on a
 # 2-core x86 VM (fits to minima of 7-9 interleaved rounds, two runs). The
 # same fits put
 #
@@ -265,9 +221,9 @@ def _centre(pref: np.ndarray):
 
 
 def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run: int) -> np.ndarray:
-    """_window_sweep's extremes for ``ring`` over the single row ``pref``,
-    the prefix sums of ``labels``, from only the windows that can reach
-    their width's extreme.
+    """_window_extremes for ``ring`` over the single row ``pref``, the
+    prefix sums of ``labels``, in the narrow dtype of their range, from only
+    the windows that can reach their width's extreme.
 
     The sweep runs on q, the prefix sums of d labels - c, and returns
     (c w + the extreme of q) / d: a shift moves every window of width w by
@@ -402,28 +358,29 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
     return best
 
 
-# The kernels _rle_sweep picks between, sweep only, beside naive's window sweep
-# and rle's own time and pick: the run sweep, the gap sweep, the bound
-# sweep's reads, or a block pass that gives up to the run sweep (2-core x86
-# VM, ms, one process, best of 9 interleaved rounds at n = 16384 and of 3 at
-# 65536; 0/1 rows both rings, weights one; the bound sweep at a budget it
-# never gives up at; gap only for two values):
+# The kernels _rle_sweep picks between, sweep only, beside naive's time and
+# rle's own time and pick: the run sweep, the gap sweep, the bound sweep's
+# reads, or a block pass that gives up to the run sweep (2-core x86 VM, ms,
+# one process, best of 9 interleaved rounds at n = 16384 and of 3 at 65536;
+# 0/1 rows both rings, weights one; the bound sweep at a budget it never
+# gives up at; gap only for two values). naive, the correlation of
+# _window_extremes, was timed in a later process, best of 5 and of 3 calls:
 #
 #                              n = 16384                        n = 65536
 #   input (rho/n)              run bound   gap naive   rle    run  bound   gap  naive   rle
-#   i.i.d. 0/1 (0.50)         25.8  10.5   5.1  54.2   5.4  286.1   64.7  32.3  970.4  32.3 gap
-#   0/1 density 1/4 (0.38)    19.2  16.9   6.0  54.3   6.7  214.0  164.4  47.9  944.7  47.3 gap
-#   0/1 density 0.15 (0.25)   12.7  13.0   6.8  56.9   6.9  146.1  105.8  45.1 1030.5  41.9 gap
-#   0/1 density 1/20 (0.09)    5.4   9.4   6.3  51.1   5.1   52.1   84.7  94.4  992.6  44.7 run
-#   0/1 period 8 (0.25)       13.2 239.5   1.1  57.5   1.2  206.1 5122.3   3.4 1129.5   3.5 gap
-#   0/1 runs of 64 (0.02)      1.3 168.3   1.6  75.3   1.5   13.3 2409.7   7.9 1037.5  15.0 run
-#   Fibonacci word (0.76)     38.9 261.9   1.4  55.1   1.6  391.9 6985.6   4.1 1013.8   4.8 gap
-#   i.i.d. {-5, 6} (0.50)     13.9   6.1   3.3  45.9   3.8  142.3   33.0  13.7  689.9  17.2 gap
-#   {-5, 6} in runs (0.22)     6.3   5.6   2.7  43.5   3.7   64.0   49.1  20.2  701.3  20.1 gap
-#   weights in runs (0.24)    16.7   4.9     -  46.5   4.7  143.5   38.1     -  687.9  39.7 reads
-#   i.i.d. weights (0.95)     64.3   5.8     -  45.5   5.7  591.7   44.8     -  719.2  43.8 reads
-#   1, -1, 0 repeated (1.00)  59.3 150.1     -  49.0  62.1  594.1 2630.1     -  643.0 620.9 gives up
-#   zigzag 9..-9..9 (1.00)    53.4 127.8     -  48.1  54.0  558.3 2452.4     -  601.9 487.2 gives up
+#   i.i.d. 0/1 (0.50)         25.8  10.5   5.1  73.3   5.4  286.1   64.7  32.3 2335.4  32.3 gap
+#   0/1 density 1/4 (0.38)    19.2  16.9   6.0  68.7   6.7  214.0  164.4  47.9 2336.4  47.3 gap
+#   0/1 density 0.15 (0.25)   12.7  13.0   6.8  69.2   6.9  146.1  105.8  45.1 1062.4  41.9 gap
+#   0/1 density 1/20 (0.09)    5.4   9.4   6.3  68.3   5.1   52.1   84.7  94.4 1076.4  44.7 run
+#   0/1 period 8 (0.25)       13.2 239.5   1.1  69.8   1.2  206.1 5122.3   3.4 2614.8   3.5 gap
+#   0/1 runs of 64 (0.02)      1.3 168.3   1.6 101.9   1.5   13.3 2409.7   7.9 2682.0  15.0 run
+#   Fibonacci word (0.76)     38.9 261.9   1.4  78.2   1.6  391.9 6985.6   4.1 2480.4   4.8 gap
+#   i.i.d. {-5, 6} (0.50)     13.9   6.1   3.3  38.4   3.8  142.3   33.0  13.7 1332.4  17.2 gap
+#   {-5, 6} in runs (0.22)     6.3   5.6   2.7  38.9   3.7   64.0   49.1  20.2 1389.9  20.1 gap
+#   weights in runs (0.24)    16.7   4.9     -  35.2   4.7  143.5   38.1     -  581.1  39.7 reads
+#   i.i.d. weights (0.95)     64.3   5.8     -  38.8   5.7  591.7   44.8     -  620.9  43.8 reads
+#   1, -1, 0 repeated (1.00)  59.3 150.1     -  50.9  62.1  594.1 2630.1     -  683.4 620.9 gives up
+#   zigzag 9..-9..9 (1.00)    53.4 127.8     -  38.1  54.0  558.3 2452.4     -  651.3 487.2 gives up
 #
 # {-5, 6} in runs takes runs of 1-8 at random; the weights in runs draw from
 # -9..9. The gap rows of i.i.d. bits take the bound sweep's reads; those of
@@ -431,14 +388,14 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
 
 
 def _rle_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
-    """_window_sweep's extremes for ``ring`` over the single row ``pref``,
-    the prefix sums of ``labels``, by two prices taken before any sweep
-    runs: the run sweep's from its exact cells and slices, the bound sweep's
-    from its call, its block pass and _BOUND_TILE_BLOCKS kept blocks per
-    tile. The run sweep runs when it costs no more. Else two-valued labels
-    take the gap sweep, whose gap row is priced the same way in its own
-    call, and other labels the bound sweep, with the run sweep's price as
-    its budget."""
+    """_window_extremes for ``ring`` over the single row ``pref``, the
+    prefix sums of ``labels``, in the narrow dtype of their range, by two
+    prices taken before any sweep runs: the run sweep's from its exact cells
+    and slices, the bound sweep's from its call, its block pass and
+    _BOUND_TILE_BLOCKS kept blocks per tile. The run sweep runs when it
+    costs no more. Else two-valued labels take the gap sweep, whose gap row
+    is priced the same way in its own call, and other labels the bound
+    sweep, with the run sweep's price as its budget."""
     n, k = labels.size, _BOUND_BLOCK
     two_valued = _two_valued(labels)
     starts, ends = _candidates(labels, ring, two_valued)
@@ -456,9 +413,10 @@ def _rle_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
 
 
 def _gap_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
-    """_window_sweep's extremes for ``ring`` over the single row ``pref``,
-    the prefix sums of two-valued ``labels`` {lo, hi}, from the gaps between
-    the positions of one value: hi for MAX, lo for MIN.
+    """_window_extremes for ``ring`` over the single row ``pref``, the
+    prefix sums of two-valued ``labels`` {lo, hi}, in the narrow dtype of
+    their range, from the gaps between the positions of one value: hi for
+    MAX, lo for MIN.
 
     The least width that holds t of that value is span(1) = 1, and span(t) =
     1 + the least sum of t - 1 consecutive gaps, the MIN of _rle_sweep over
@@ -627,10 +585,10 @@ def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
         crossing = np.empty(u.size + v.size - 1, dtype=dtype)
         _conv_tiled(u, v, ring, sentinel, crossing)
         _fold_into(out, ring, crossing[1:])
-    # the base cases of one length are the rows of one window sweep
+    # the base cases of one length are the rows of one correlation
     for length, starts in leaves.items():
         rows = pref[np.add.outer(starts, np.arange(length + 1))]
-        _fold_into(out, ring, ring.reduce(_window_sweep(rows, (ring,))[0], axis=0))
+        _fold_into(out, ring, ring.reduce(_window_extremes(rows, ring), axis=0))
     return out
 
 
@@ -650,7 +608,7 @@ def _weight_prefix(weights) -> np.ndarray:
 
 
 def naive_weighted_max_sums(weights) -> np.ndarray:
-    return _window_sweep(_weight_prefix(weights)[None, :], (MAX,))[0][0].astype(np.int64)
+    return _window_extremes(_weight_prefix(weights)[None, :], MAX)[0].astype(np.int64)
 
 
 def rle_weighted_max_sums(weights) -> np.ndarray:

@@ -3,7 +3,7 @@
 _bound_sweep centres the prefix sums on the nearest half of the mean label
 (0/1 labels of density near 1/2 walk by +-1 at twice the scale), then skips
 every block of K starts x K widths whose bound falls short of a real window
-at each of its widths. Every case here is checked against _window_sweep
+at each of its widths. Every case here is checked against _window_extremes
 under both rings three ways: through the pruned reads, at a budget no block
 pass reaches; through the run sweep it gives up to, at a budget of nothing;
 and as rle calls it, where short, few-run or unprunable inputs take the run
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from jumbled import strings
-from jumbled.minplus import FINITE_BOUND, MAX, MIN
+from jumbled.minplus import FINITE_BOUND, MAX, MIN, narrow_dtype
 from jumbled.strings import (
     BinaryString, naive_profile, naive_weighted_max_sums, rle_profile, rle_weighted_max_sums,
 )
@@ -39,7 +39,7 @@ def path(request, monkeypatch):
 def _assert_window_sweep(pref, labels, wants=None):
     for ring in (MAX, MIN):
         if wants is None:
-            (want,) = strings._window_sweep(pref[None, :], (ring,))
+            want = strings._window_extremes(pref[None, :], ring)
         else:
             want = wants[ring]
         # the pruned reads; a run sweep priced at nothing, so that the pass
@@ -48,7 +48,7 @@ def _assert_window_sweep(pref, labels, wants=None):
         for how, got in (("reads", strings._bound_sweep(pref, labels, ring, NO_LIMIT)),
                          ("gives up", strings._bound_sweep(pref, labels, ring, 0)),
                          ("rle", strings._rle_sweep(pref, labels, ring))):
-            assert got.dtype == want.dtype, (ring, how)
+            assert got.dtype == narrow_dtype(int(pref.min()), int(pref.max())), (ring, how)
             assert np.array_equal(got, want[0]), (ring, how)
 
 
@@ -195,18 +195,18 @@ def test_default_path_reaches_the_half_centre(monkeypatch):
 
 @pytest.fixture(scope="module", params=[32768, 65536])
 def big_bits(request):
-    """i.i.d. bits of n = 32768 or 65536, and the window sweep's extremes of
-    each ring, made once for both paths."""
+    """i.i.d. bits of n = 32768 or 65536, and _window_extremes for each
+    ring, made once for both paths."""
     bits = np.random.default_rng(7).integers(0, 2, request.param).astype(np.uint8)
     pref = BinaryString(bits).prefix_ones
-    return bits, {ring: strings._window_sweep(pref[None, :], (ring,))[0] for ring in (MAX, MIN)}
+    return bits, {ring: strings._window_extremes(pref[None, :], ring) for ring in (MAX, MIN)}
 
 
 def test_iid_bits_at_the_int16_edge(path, big_bits):
     # at n = 65536 the seed draws more than 32767 ones, so the raw prefix
     # sums need int32 while the centred walk stays in int16
     bits, wants = big_bits
-    assert wants[MAX].dtype == (np.int32 if bits.size == 65536 else np.int16)
+    assert narrow_dtype(0, int(bits.sum())) == (np.int32 if bits.size == 65536 else np.int16)
     _assert_bits(bits, wants)
 
 
@@ -217,7 +217,7 @@ def reads(monkeypatch):
     call of the gap sweep, before the sweep of its gap row, or of the window
     sweep."""
     called = []
-    for name in ("_read_blocks", "_window_sweep", "_run_sweep", "_gap_sweep"):
+    for name in ("_read_blocks", "_window_extremes", "_run_sweep", "_gap_sweep"):
         def recording(*args, name=name, step=getattr(strings, name)):
             called.append(name)
             return step(*args)
@@ -308,7 +308,7 @@ NO_WINDOW_INPUTS = {
 
 @pytest.mark.parametrize("family", NO_WINDOW_INPUTS)
 def test_rle_never_calls_the_window_sweep(reads, family):
-    # the window sweep is the naive oracle's kernel alone: rle reaches every
+    # _window_extremes is the naive oracle's kernel alone: rle reaches every
     # width through the run sweep or the bound sweep, whichever it picks or
     # the bound sweep gives up to
     rng = np.random.default_rng(15)
@@ -316,14 +316,14 @@ def test_rle_never_calls_the_window_sweep(reads, family):
         labels = NO_WINDOW_INPUTS[family](rng, n).astype(np.int64)
         reads.clear()
         got = rle_weighted_max_sums(labels)
-        assert "_window_sweep" not in reads, n
+        assert "_window_extremes" not in reads, n
         assert np.array_equal(got, naive_weighted_max_sums(labels)), n
         if family.endswith("weights"):
             continue
         bits = labels.astype(np.uint8)
         reads.clear()
         got = rle_profile(bits)
-        assert "_window_sweep" not in reads, n
+        assert "_window_extremes" not in reads, n
         assert got == naive_profile(bits), n
 
 

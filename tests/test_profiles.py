@@ -4,6 +4,12 @@ import errno
 import os
 import pickle
 import random
+import signal
+import stat
+import subprocess
+import sys
+import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -373,14 +379,164 @@ class _DiskFillsAfter:
 ], ids=["profile", "sums"])
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, write, value):
     # the header and the first chunk are written, the second chunk fails:
-    # the file cut there would read back as a valid shorter profile
+    # the file cut there would read back as a valid shorter profile, so the
+    # old index stays as it was and the temporary file is removed
     path = tmp_path / "p.csv"
     path.write_text("an older index\n")
     monkeypatch.setattr(profiles, "open", lambda p, mode: _DiskFillsAfter(p, mode, 2),
                         raising=False)
     with pytest.raises(OSError, match="No space left"):
         write(value, path)
-    assert not path.exists()
+    assert path.read_bytes() == b"an older index\n"
+    assert os.listdir(tmp_path) == ["p.csv"]
+
+
+def _with_package():
+    """The environment with this jumbled package first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(profiles.__file__)), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_killed_build_keeps_the_old_index(tmp_path):
+    # SIGKILL once the build's temporary file appears: the old index stays
+    # byte for byte. 2**20 bits in 16 runs build in a few slices, and their
+    # write (about 0.1 s on a 2-core x86 VM) is the window to hit.
+    src, out = tmp_path / "s.txt", tmp_path / "p.csv"
+    src.write_bytes((np.arange(2 ** 20) >> 16 & 1).astype(np.uint8) + ord("0"))
+    write_profile_csv(naive_profile("0110"), out)
+    old = out.read_bytes()
+    env = _with_package()
+    argv = [sys.executable, "-m", "jumbled.cli", "build", "--kind", "string",
+            "--input", str(src), "--out", str(out)]
+    for _ in range(3):   # a build that finishes between two polls is run again
+        proc = subprocess.Popen(argv, env=env)
+        try:
+            while proc.poll() is None:
+                if any(name.startswith("p.csv.tmp-") for name in os.listdir(tmp_path)):
+                    proc.send_signal(signal.SIGKILL)
+                    proc.wait(timeout=60)
+                    assert out.read_bytes() == old
+                    return
+            assert proc.returncode == 0
+            write_profile_csv(naive_profile("0110"), out)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+    pytest.fail("no build was caught while it wrote")
+
+
+def test_write_keeps_the_mode_and_follows_a_symlink(tmp_path):
+    p = naive_profile("0110100111")
+    path, link = tmp_path / "p.csv", tmp_path / "link.csv"
+    path.write_text("an older index\n")
+    os.chmod(path, 0o604)
+    link.symlink_to(path)
+    write_profile_csv(p, link)
+    assert link.is_symlink() and read_profile_csv(path) == p
+    assert stat.S_IMODE(path.stat().st_mode) == 0o604
+    umask = os.umask(0o027)
+    try:
+        write_profile_csv(p, tmp_path / "new.csv")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "new.csv", "p.csv"]
+
+
+def test_write_to_dev_null_and_a_fifo_in_place(tmp_path):
+    p = naive_profile("01" * profiles._CSV_CHUNK_ROWS)
+    write_profile_csv(p, os.devnull)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    write_profile_csv(p, fifo)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [csv_rows_one_at_a_time(CSV_HEADER, p.min_ones, p.max_ones)]
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and os.listdir(tmp_path) == ["fifo"]
+    # /dev/stdout resolves to a pipe that has no name to write beside
+    code = ("import sys; from jumbled.profiles import write_profile_csv; "
+            "from jumbled.strings import naive_profile; "
+            "write_profile_csv(naive_profile(sys.argv[1]), '/dev/stdout')")
+    out = subprocess.run([sys.executable, "-c", code, "01" * 100], env=_with_package(),
+                         capture_output=True, check=True).stdout
+    p = naive_profile("01" * 100)
+    assert out == csv_rows_one_at_a_time(CSV_HEADER, p.min_ones, p.max_ones)
+
+
+# /dev/stdout and the names that lead to it, on a file the child's stdout
+# shares with its parent: appended to (">>"), at its offset (as after
+# "exec > run.log"), or unlinked. The CSV lands between what the child
+# printed before and after it, what the parent writes next follows it, and
+# no file is made or replaced beside the log.
+@pytest.mark.parametrize("name", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1", "link"])
+@pytest.mark.parametrize("log", ["append", "offset", "unlinked"])
+def test_write_to_dev_stdout_on_a_file_shares_its_offset(tmp_path, name, log):
+    if name == "link":
+        name = tmp_path / "link.csv"
+        name.symlink_to("/dev/stdout")
+    code = ("import sys; from jumbled.profiles import write_profile_csv; "
+            "from jumbled.strings import naive_profile; "
+            "print('a prefix', flush=True); "
+            "write_profile_csv(naive_profile(sys.argv[1]), sys.argv[2]); "
+            "print('a suffix')")
+    before = sorted(os.listdir(tmp_path))
+    with (tempfile.TemporaryFile(dir=tmp_path) if log == "unlinked"
+          else open(tmp_path / "run.log", "ab+" if log == "append" else "wb+")) as fh:
+        os.write(fh.fileno(), b"already there\n")
+        subprocess.run([sys.executable, "-c", code, "01" * 100, str(name)],
+                       env=_with_package(), stdout=fh, check=True)
+        os.write(fh.fileno(), b"written after\n")
+        fh.seek(0)
+        got = fh.read()
+    p = naive_profile("01" * 100)
+    assert got == (b"already there\na prefix\n"
+                   + csv_rows_one_at_a_time(CSV_HEADER, p.min_ones, p.max_ones)
+                   + b"a suffix\nwritten after\n")
+    assert sorted(os.listdir(tmp_path)) == sorted(before + ([] if log == "unlinked" else ["run.log"]))
+
+
+def test_write_protected_index_is_refused_as_open_refuses_it(tmp_path):
+    # replacing by rename needs only the directory's write bit: the file's
+    # own is checked first, so a 0444 index stays (for root, os.access and
+    # open both allow the write, and the index is replaced with its mode)
+    path = tmp_path / "p.csv"
+    path.write_text("an older index\n")
+    os.chmod(path, 0o444)
+    p = naive_profile("0110")
+    if os.access(path, os.W_OK):
+        write_profile_csv(p, path)
+        assert read_profile_csv(path) == p
+    else:
+        with pytest.raises(PermissionError):
+            write_profile_csv(p, path)
+        assert path.read_bytes() == b"an older index\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o444
+    assert os.listdir(tmp_path) == ["p.csv"]
+
+
+def test_refused_write_leaves_the_index_and_no_file_beside_it(tmp_path, monkeypatch):
+    # the refusal itself, as a user who is not root meets it
+    path = tmp_path / "p.csv"
+    path.write_text("an older index\n")
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    with pytest.raises(PermissionError) as err:
+        write_profile_csv(naive_profile("0110"), path)
+    assert err.value.errno == errno.EACCES and err.value.filename == str(path)
+    assert path.read_bytes() == b"an older index\n"
+    assert os.listdir(tmp_path) == ["p.csv"]
+
+
+def test_failed_write_to_a_descriptor_raises_its_oserror(tmp_path):
+    # a descriptor is never unlinked: the write's own error comes through
+    path = tmp_path / "p.csv"
+    path.write_text("an older index\n")
+    with pytest.raises(OSError) as err:
+        write_profile_csv(naive_profile("0110"), os.open(path, os.O_RDONLY))
+    assert err.value.errno == errno.EBADF
+    assert path.read_bytes() == b"an older index\n"
 
 
 def test_write_profile_csv_memory_peak(tmp_path):

@@ -164,7 +164,7 @@ def sweeps(monkeypatch):
     bound sweep falls back to, and the sweeps of a gap sweep's gap row, are
     its own steps, not recorded."""
     called, depth = [], [0]
-    for name in ("_run_sweep", "_bound_sweep", "_gap_sweep", "_window_sweep"):
+    for name in ("_run_sweep", "_bound_sweep", "_gap_sweep", "_window_extremes"):
         def recording(*args, name=name, sweep=getattr(strings, name)):
             if not depth[0]:
                 called.append(name)
@@ -243,7 +243,7 @@ def test_naive_references_never_take_the_run_sweep(sweeps):
     bits = _with_runs(500, 4)
     naive_profile(bits)
     naive_weighted_max_sums(bits)
-    assert sweeps == ["_window_sweep", "_window_sweep"]
+    assert sweeps == ["_window_extremes"] * 3   # the profile's two rings, the sums' one
 
 
 def test_rle_at_benchmark_scale():

@@ -1,9 +1,13 @@
-"""The tiled window sweep at the edges of its tiles and of its dtypes.
+"""The window correlation at the edges of its blocks and of its dtypes.
 
-The sweep covers _TILE_WIDTHS widths by up to _TILE_CELLS cells per tile and
-keeps prefix sums in int16, int32 or int64 by their span, so every edge
-between two tiles or two dtypes gets an exact case here, checked against the
-loop oracles of _support, one numpy pass per width, or a closed form.
+_window_extremes correlates each row of prefix sums with itself on
+minplus._conv_tiled, which takes _CONV_SHIFTS entries of a row per block and
+fills up to _CONV_CELLS cells per step, in int16, int32 or int64 by the
+rows' span (span_dtype holds twice it). The inputs of the tiled window sweep
+it replaced stay: 16-width tiles of up to 2**16 cells, and prefix sums kept
+by their span, not twice it. Every edge between two blocks, two steps or two
+dtypes gets an exact case here, checked against the loop oracles of
+_support, one numpy pass per width, or a closed form.
 """
 
 import random
@@ -12,15 +16,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jumbled.minplus import FINITE_BOUND, narrow_dtype
+from jumbled.minplus import (
+    _CONV_CELLS, _CONV_SHIFTS, FINITE_BOUND, MAX, MIN, narrow_dtype, span_dtype,
+)
 from jumbled.strings import (
-    _TILE_CELLS, _TILE_WIDTHS, BinaryString, blocked_profile,
-    naive_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
+    BinaryString, blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile,
+    weighted_max_sums,
 )
 from _support import random_bits, window_max_sums, window_profile
 
-K = _TILE_WIDTHS
-FULL_ROW = _TILE_CELLS // 4   # a 0/1 row this long gets the whole tile buffer
+S = _CONV_SHIFTS
+STEP = _CONV_CELLS // S   # the outputs one step of a single row's block fills
 
 
 def _assert_oracle(bits):
@@ -31,7 +37,8 @@ def _assert_oracle(bits):
     return p
 
 
-@pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 2 * K + 1])
+# a row of n windows has n + 1 prefix sums, so n = S - 1 fills one block exactly
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33, S - 2, S - 1, S, 2 * S - 1, 2 * S, 2 * S + 1])
 def test_naive_at_tile_width_edges(n):
     rng = random.Random(n)
     for bits in (random_bits(rng, n), [0] * n, [1] * n, [i % 2 for i in range(n)]):
@@ -49,11 +56,10 @@ def _width_at_a_time(bits):
     return mins, maxs
 
 
-@pytest.mark.parametrize("n", [100, 1000, 4097, FULL_ROW + 37])
+@pytest.mark.parametrize("n", [100, 1000, 4097, 16421, STEP - 1, STEP, STEP + 1, 3 * STEP + 5])
 def test_naive_across_start_tiles(n):
-    # short rows get a smaller buffer, so every n here splits the starts of
-    # a width into several tiles; the cells past the end of the row must all
-    # land in the last one (FULL_ROW + 37 uses the full-size buffer)
+    # a block's first n outputs split into steps of STEP, so from STEP + 1 on
+    # every block of the row is filled in several steps
     bits = np.random.default_rng(n).integers(0, 2, n)
     mins, maxs = _width_at_a_time(bits)
     p = naive_profile(bits)
@@ -62,10 +68,13 @@ def test_naive_across_start_tiles(n):
     assert naive_weighted_max_sums(bits).tolist() == maxs
 
 
-@pytest.mark.parametrize("n", [32767, 32768, 32769])
+@pytest.mark.parametrize("n", [16383, 16384, 32767, 32768, 32769])
 def test_uniform_strings_across_the_int16_edge(n):
-    # an all-1 string has span n, so int16 holds it up to n = 32767
+    # an all-1 string has span n: int16 holds its prefix sums up to n =
+    # 32767, and its correlation, +-2n, up to n = 16383
     assert narrow_dtype(0, n) == (np.int16 if n <= 32767 else np.int32)
+    for ring in (MIN, MAX):
+        assert span_dtype(n, ring)[0] == (np.int16 if n <= 16383 else np.int32)
     sizes = np.arange(1, n + 1)
     p = naive_profile(BinaryString(np.ones(n, dtype=np.uint8)))
     assert np.array_equal(p.min_ones, sizes) and np.array_equal(p.max_ones, sizes)
@@ -93,9 +102,13 @@ def _weights_with_span(span, rng, n=40):
     return ws
 
 
-@pytest.mark.parametrize("span", [2 ** 15 - 2, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
+@pytest.mark.parametrize("span", [2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1,
+                                  2 ** 15 - 2, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
+                                  2 ** 30 - 1, 2 ** 30, 2 ** 30 + 1,
                                   2 ** 31 - 2, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1])
 def test_weighted_spans_across_dtype_edges(span):
+    # the correlation takes int16 up to a span of 2**14 - 1 and int32 up to
+    # 2**30 - 1; the prefix sums themselves, up to 2**15 - 1 and 2**31 - 1
     rng = random.Random(span)
     for sign in (1, -1):
         ws = [sign * w for w in _weights_with_span(span, rng)]
@@ -117,19 +130,20 @@ def test_weighted_at_the_finite_bound(ws):
     assert weighted_max_sums(ws).tolist() == want
 
 
-@pytest.mark.parametrize("n", [3 * K + 5, 130])
+@pytest.mark.parametrize("n", [53, 130])
 def test_blocked_at_block_edges(n):
     rng = random.Random(n)
     for bits in (random_bits(rng, n), [1] * n, [0] * n):
         want = _assert_oracle(bits)
-        for b in (1, 2, K - 1, K, K + 1, n):
+        for b in (1, 2, 15, 16, 17, n):
             assert blocked_profile(bits, b=b) == want, b
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 64])
 def test_halving_base_cases(cutoff):
     rng = random.Random(cutoff)
-    for n in (1, 2, K - 1, K + 1, 2 * K + 1, 150):
+    # at cutoff 64 the base cases of up to 64 windows take two blocks
+    for n in (1, 2, 15, 17, 33, S - 1, S, 2 * S, 2 * S + 1, 150):
         bits = random_bits(rng, n, rng.random())
         want = _assert_oracle(bits)
         assert recursive_profile(bits, cutoff=cutoff) == want
@@ -138,9 +152,10 @@ def test_halving_base_cases(cutoff):
 
 
 def test_naive_profile_memory_peak():
-    # the narrow prefix copy, one 2**16-cell tile buffer and the narrow
-    # extremes stay below the two int64 profile arrays and one int64 row
-    # that a width-at-a-time sweep holds (0.377 MiB)
+    # each ring's narrow row, its reverse and its padded copy, one
+    # _CONV_CELLS-cell step buffer and the narrow extremes of both rings stay
+    # below the two int64 profile arrays and one int64 row that a
+    # width-at-a-time sweep holds (0.377 MiB)
     s = BinaryString(np.random.default_rng(3).integers(0, 2, 16384, dtype=np.uint8))
     naive_profile(s)   # first call: numpy's own lazy allocations
     tracemalloc.start()
