@@ -83,24 +83,31 @@ def _int_tokens(text: str):
     if (np.count_nonzero(data == 45) != np.count_nonzero(negative)
             or count.min(initial=1) < 1 or count.max(initial=0) > _MAX_DIGITS):
         return None
-    # Horner over the tokens right-aligned to m digits, signed: step k reads
-    # the byte m - k before each stop (below 0 wraps), a digit unless the
-    # token is shorter. The values come after the first gather, the peak.
+    return _digit_values(data, stops, count, 1 - 2 * negative.view(np.int8)), starts, data
+
+
+def _digit_values(data: np.ndarray, stops, count, sign=None) -> np.ndarray:
+    """int64 values of the digit runs of ``data`` that end before ``stops``,
+    ``count`` digits each (1.._MAX_DIGITS), times ``sign`` if given.
+
+    Horner over the tokens right-aligned to m digits, signed: step k reads
+    the byte m - k before each stop (below 0 wraps), a digit unless the
+    token is shorter. The values come after the first gather, the peak."""
     m = int(count.max(initial=1))
     shortest = int(count.min(initial=m))
-    sign = 1 - 2 * negative.view(np.int8)
     for k in range(m):
         digit = data.take(np.subtract(stops, m - k, dtype=np.intp)).view(np.int8)
         digit -= 48
         if k < m - shortest:
             digit *= count >= m - k
-        digit *= sign
+        if sign is not None:
+            digit *= sign
         if k:
             values *= 10
             values += digit
         else:
             values = digit.astype(np.int64)
-    return values, starts, data
+    return values
 
 
 def parse_binary_string_text(text: str) -> np.ndarray:

@@ -95,6 +95,39 @@ def csv_rows_one_at_a_time(header, *columns):
     return "".join(lines).encode()
 
 
+def profile_csv_by_lines(path):
+    """A profile CSV read in text mode, one line and one int() per field:
+    (mins, maxs) as lists, or ParseError at the first line that breaks a
+    rule, with the reader's messages. Trailing blank lines are dropped."""
+    from jumbled.inputs import ParseError
+
+    with open(path, "r") as fh:
+        lines = fh.read().split("\n")
+    if lines[0] != "size,min_ones,max_ones":
+        raise ParseError("expected header 'size,min_ones,max_ones'", 1)
+    while len(lines) > 1 and not lines[-1].rstrip():
+        lines.pop()
+    if len(lines) == 1:
+        raise ParseError("profile has no rows", 2)
+    mins, maxs = [], []
+    for ln in range(2, len(lines) + 1):
+        line = lines[ln - 1]
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 comma-separated fields, got {line!r}", ln)
+        try:
+            size, lo, hi = int(fields[0]), int(fields[1]), int(fields[2])
+        except ValueError:
+            raise ParseError(f"non-integer field in {line!r}", ln) from None
+        if size != ln - 1:
+            raise ParseError(f"expected size {ln - 1}, got {size}", ln)
+        if not (0 <= lo and lo <= hi and hi <= size):
+            raise ParseError(f"requires 0 <= min <= max <= size, got {lo}, {hi}", ln)
+        mins.append(lo)
+        maxs.append(hi)
+    return mins, maxs
+
+
 # ---------------------------------------------------------------------------
 # tree oracles (bitmask connectivity, fine up to n ~ 16)
 

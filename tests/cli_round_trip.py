@@ -43,9 +43,19 @@ PARSES = {
 }
 
 
-def cli(*argv) -> str:
-    return subprocess.run([sys.executable, "-m", "jumbled.cli", *argv], capture_output=True,
-                          text=True, check=True).stdout
+def cli(*argv, stdin=None) -> str:
+    return subprocess.run([sys.executable, "-m", "jumbled.cli", *argv], input=stdin,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def same_answer(p, what: str, i: int, j: int, *argv, stdin=None) -> bool:
+    """True if ``jumbled query`` with ``argv`` answers (i, j) as occurs does
+    on ``p``; prints a mismatch."""
+    out = cli("query", *argv, "-i", str(i), "-j", str(j), stdin=stdin).strip()
+    if out != ("yes" if occurs(p, i, j) else "no"):
+        print(f"{what} {i} {j}: got {out!r}")
+        return False
+    return True
 
 
 def same_index_from_spacing(d: Path, kind: str) -> bool:
@@ -86,15 +96,20 @@ def main() -> int:
             ok &= same
             if kind.startswith("weighted"):
                 ok &= same_index_from_spacing(d, kind)
-        p = BUILDS["string"]((d / "string.txt").read_text())
         rng = random.Random(5)
-        for _ in range(6):
-            i = rng.randint(1, p.n)
-            for j in (int(p.min_ones[i - 1]), int(p.max_ones[i - 1]) + 1, rng.randint(0, i)):
-                out = cli("query", "--profile", str(d / "string.csv"), "-i", str(i), "-j", str(j))
-                if out.strip() != ("yes" if occurs(p, i, j) else "no"):
-                    print(f"query {i} {j}: got {out.strip()!r}")
-                    ok = False
+        for kind in ("string", "tree"):
+            p = BUILDS[kind]((d / f"{kind}.txt").read_text())
+            index = d / f"{kind}.csv"
+            good = True
+            for _ in range(6):
+                i = rng.randint(1, p.n)
+                for j in (int(p.min_ones[i - 1]), int(p.max_ones[i - 1]) + 1, rng.randint(0, i)):
+                    good &= same_answer(p, f"{kind} query", i, j, "--profile", str(index))
+            # a pipe, which the reader can read only once
+            good &= same_answer(p, f"{kind} query through a pipe", i, j, "--profile", "/dev/stdin",
+                                stdin=index.read_text())
+            print(f"{kind}: queries {'answer as occurs does' if good else 'DIFFER from occurs'}")
+            ok &= good
     print("round trip ok" if ok else "round trip FAILED")
     return 0 if ok else 1
 

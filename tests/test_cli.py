@@ -1,5 +1,9 @@
-"""End-to-end checks of the command-line surface, driven through main()."""
+"""End-to-end checks of the command-line surface, driven through main(), and
+one query run as a subprocess that reads its profile from a pipe."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -287,6 +291,25 @@ def test_query_round_trip_matches_memory(tmp_path, capsys):
             run("query", "--profile", str(out), "-i", str(i), "-j", str(j))
             shown = capsys.readouterr().out.strip()
             assert (shown == "yes") == p.occurs(i, j)
+
+
+def test_query_reads_a_piped_profile_once(tmp_path):
+    # a pipe can be read only once: a second open of /dev/stdin finds it
+    # empty, and a warning about that fails the query under
+    # PYTHONWARNINGS=error
+    src, out = tmp_path / "s.txt", tmp_path / "p.csv"
+    run("gen", "--kind", "string", "--n", "3000", "--seed", "4", "--out", str(src))
+    run("build", "--input", str(src), "--out", str(out))
+    p = read_profile_csv(out)
+    env = dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+    lo, hi = p.min_ones.tolist(), p.max_ones.tolist()
+    for i, j in ((1, 0), (1, 2), (1500, lo[1499]), (1500, hi[1499] + 1), (3000, hi[2999])):
+        proc = subprocess.run([sys.executable, "-m", "jumbled.cli", "query", "--profile",
+                               "/dev/stdin", "-i", str(i), "-j", str(j)],
+                              input=out.read_bytes(), capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode().strip() == ("yes" if p.occurs(i, j) else "no")
 
 
 def test_query_missing_profile(tmp_path):

@@ -23,9 +23,9 @@ from jumbled.profiles import (
     read_profile_csv, write_profile_csv, write_sums_csv,
 )
 from jumbled.inputs import random_parents
-from jumbled.strings import naive_profile
+from jumbled.strings import naive_profile, rle_profile
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile
-from _support import csv_rows_one_at_a_time
+from _support import csv_rows_one_at_a_time, profile_csv_by_lines
 
 
 def _p(mins, maxs):
@@ -309,10 +309,10 @@ def test_chunked_writers_are_byte_identical(tmp_path, n):
     assert (tmp_path / "s.csv").read_bytes() == csv_rows_one_at_a_time(SUMS_CSV_HEADER, sums)
 
 
-# spellings the fast path does not take as it is: each reads back as the
-# line-by-line rules decide (line endings as Python's text mode reads them,
-# trailing blank lines dropped, fields as int() takes them) or fails at the
-# same line; the ".gz" name is read as the plain text it holds
+# spellings the writer does not write: each reads back as the line-by-line
+# rules decide (line endings as Python's text mode reads them, trailing blank
+# lines dropped, fields as int() takes them) or fails at the same line; the
+# ".gz" name is read as the plain text it holds
 @pytest.mark.parametrize("name", ["p.csv", "p.csv.gz"])
 @pytest.mark.parametrize("text, want", [
     (CSV_HEADER + "\r\n1,0,1\r\n2,1,1\r\n", ([0, 1], [1, 1])),
@@ -322,14 +322,15 @@ def test_chunked_writers_are_byte_identical(tmp_path, n):
     (CSV_HEADER + "\n1,0,1\n2,1,1", ([0, 1], [1, 1])),
     (CSV_HEADER + "\n 1 , 0,1 \n2,\t1 ,1\n", ([0, 1], [1, 1])),
     (CSV_HEADER + "\n1,0,+1\n+2,1,1\n", ([0, 1], [1, 1])),
+    (CSV_HEADER + "\n1,0,1\n2,\u0661,1\n", ([0, 1], [1, 1])),
     (CSV_HEADER + "\n1,0,1\n2,1,1_0\n", 3),
     (CSV_HEADER + "\n1,0,1\n\n2,1,1\n", 3),
     (CSV_HEADER + "\n1,0,1\n  \n2,1,1\n", 3),
     (CSV_HEADER + "\r\n \r\n\r\n", 2),
     (CSV_HEADER + " \n1,0,1\n", 1),
 ], ids=["crlf", "bare-cr", "trailing-blank-lines", "trailing-whitespace-lines",
-        "no-final-newline", "padded-fields", "plus-sign", "underscore", "blank-line-mid-file",
-        "whitespace-line-mid-file", "blank-body", "header-with-space"])
+        "no-final-newline", "padded-fields", "plus-sign", "arabic-indic-digit", "underscore",
+        "blank-line-mid-file", "whitespace-line-mid-file", "blank-body", "header-with-space"])
 def test_csv_reader_spellings(tmp_path, name, text, want):
     path = tmp_path / name
     path.write_bytes(text.encode())
@@ -349,6 +350,54 @@ def test_csv_reader_takes_what_open_takes(tmp_path, how):
     p = naive_profile("0110100111")
     write_profile_csv(p, path)
     assert read_profile_csv(how(path)) == p
+
+
+def _no_line_reading(body):
+    raise AssertionError("the byte pass refused a file the writer wrote")
+
+
+# every profile the writer writes takes the byte pass, at sizes around the
+# writer's 2048-row chunks and with the reader's chunks ending on many rows
+@pytest.mark.parametrize("chunk", [profiles._READ_CHUNK_BYTES, 97], ids=["default", "97"])
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 99, 100, 2047, 2048, 2049, 16384])
+def test_written_profiles_take_the_byte_pass(tmp_path, monkeypatch, n, chunk):
+    rng = np.random.default_rng(n)
+    sizes = np.arange(1, n + 1)
+    mins = rng.integers(0, sizes + 1)
+    p = _p(mins, rng.integers(mins, sizes + 1))
+    path = tmp_path / "p.csv"
+    write_profile_csv(p, path)
+    assert profile_csv_by_lines(path) == (p.min_ones.tolist(), p.max_ones.tolist())
+    monkeypatch.setattr(profiles, "_READ_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(profiles, "_check_lines", _no_line_reading)
+    got = read_profile_csv(path)
+    assert got == p
+    for arr in (got.min_ones, got.max_ones):
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous
+
+
+def test_csv_rows_longer_than_a_chunk_are_read_line_by_line(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    path.write_text(CSV_HEADER + "\n1,0,1\n2,0000000000001,2\n")
+    monkeypatch.setattr(profiles, "_READ_CHUNK_BYTES", 16)
+    assert read_profile_csv(path) == _p([0, 1], [1, 2])
+
+
+# The byte pass holds the file, the two int64 columns and one chunk's
+# temporaries: 912 KiB at n = 16384 with 64 KiB chunks, where the reader on
+# np.loadtxt took 1124 KiB.
+def test_read_memory_peak(tmp_path):
+    p = rle_profile(np.random.default_rng(3).integers(0, 2, 16384))
+    path = tmp_path / "p.csv"
+    write_profile_csv(p, path)
+    read_profile_csv(path)   # first call: numpy's own lazy allocations
+    tracemalloc.start()
+    try:
+        read_profile_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 10 < 1124
 
 
 class _DiskFillsAfter:

@@ -4,8 +4,9 @@ alternating and a single 1), the run-boundary sweep on run-length strings and
 on piecewise-constant weights, general and two-valued, the bound-pruned sweep
 on drifted and spread weights, the gap sweep through rle on bits of any
 density, Sturmian words and two-valued weights, occurs against the profile's
-arrays, the profile CSV round trip, the writer's chunked range check against
-the whole-array rule, the CSV writers against "%d" formatting, the tree sweep
+arrays, the profile CSV round trip, the CSV reader against a line-by-line
+reading on one-byte edits, the writer's chunked range check against the
+whole-array rule, the CSV writers against "%d" formatting, the tree sweep
 on adversarial shapes, and the vectorised parsers against their line-by-line
 readings."""
 
@@ -21,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from jumbled import inputs, strings
+from jumbled.inputs import ParseError
 from jumbled.profiles import (
     _CSV_CHUNK_ROWS, CSV_HEADER, SUMS_CSV_HEADER, Profile, occurs, read_profile_csv,
     write_profile_csv, write_sums_csv,
@@ -36,8 +38,8 @@ from jumbled.trees import SMALL, LabeledTree, binarize, simple_tree_profile, tre
     weighted_tree_max_sums
 from _support import (
     binary_post_order, broom_parents, caterpillar_parents, complete_binary_parents,
-    csv_rows_one_at_a_time, path_parents, random_parents, real_descendant_counts,
-    star_parents, tree_extremes, window_profile,
+    csv_rows_one_at_a_time, path_parents, profile_csv_by_lines, random_parents,
+    real_descendant_counts, star_parents, tree_extremes, window_profile,
 )
 
 MAX_N = 160
@@ -264,6 +266,44 @@ def test_writer_range_check_is_the_whole_array_rule(n, seed, low_shift, high_shi
             with pytest.raises(ValueError, match="min <= max <= size"):
                 write_profile_csv(Profile(mins, maxs), path)
             assert not path.exists()
+
+
+def _read_outcome(read, path):
+    """read(path) as ("rows", mins, maxs), or as the exception's type, and
+    for a ParseError its line and message."""
+    try:
+        p = read(path)
+    except ParseError as exc:
+        return ParseError, exc.line, str(exc)
+    except UnicodeDecodeError:
+        return (UnicodeDecodeError,)
+    mins, maxs = (p.min_ones.tolist(), p.max_ones.tolist()) if isinstance(p, Profile) else p
+    return "rows", mins, maxs
+
+
+# one byte inserted, deleted or replaced anywhere in a 12-row profile CSV,
+# from the bytes of rows, those the line-by-line reading also takes or names
+# (CR, space, '+', '-', '.', '_') and one byte that is not ASCII
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["insert", "delete", "replace"]),
+       st.integers(0, 200), st.sampled_from(list(b"0123456789,\n\r +-._\xe9")))
+def test_profile_csv_reader_matches_reading_by_lines(seed, edit, at, byte):
+    rng = np.random.default_rng(seed)
+    sizes = np.arange(1, 13)
+    mins = rng.integers(0, sizes + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_profile_csv(Profile(mins, rng.integers(mins, sizes + 1)), path)
+        text = bytearray(path.read_bytes())
+        at %= len(text) + (edit == "insert")
+        if edit == "insert":
+            text[at:at] = bytes([byte])
+        elif edit == "delete":
+            del text[at]
+        else:
+            text[at] = byte
+        path.write_bytes(text)
+        assert _read_outcome(read_profile_csv, path) == _read_outcome(profile_csv_by_lines, path)
 
 
 def _written(write, value):
