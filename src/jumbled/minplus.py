@@ -32,10 +32,28 @@ _SNAP_LO = NEG_INF + FINITE_BOUND
 # element budget for broadcast temporaries (~32 MiB of int64)
 _CHUNK_ELEMS = 1 << 22
 
-# the tiled kernel takes _CONV_SHIFTS entries of its shorter operand at a
-# time and fills a reused buffer of at most _CONV_CELLS cells per tile
+# the tiled kernel takes up to _CONV_SHIFTS entries of its shorter operand at
+# a time and fills a reused buffer of at most _CONV_CELLS cells per tile; a
+# stack of many rows takes fewer entries, so that a tile still spans
+# _CONV_SHIFTS columns (or the whole operand): _window_extremes on (256, 65)
+# int16 rows took 3.7 ms in tiles of 32 shifts x 8 columns and 1.3 ms in
+# tiles of 8 x 32. Re-fitted with unbuffered adds (below): 64 shifts made
+# naive_profile 1.06x slower at n = 16384, and 2^17 cells raised the 0/1
+# tree-random build's tracemalloc peak from 755 to 887 KiB
 _CONV_SHIFTS = 32
 _CONV_CELLS = 1 << 16
+# numpy copies the operands of a tile add of more than 2 shift rows through
+# buffers of bufsize elements unless the tile is at least about bufsize / 3
+# columns wide: 2731 at the default 8192 (numpy 2.4), wider than every tile.
+# A call of _CONV_CELLS cells or more runs its tiles under this bufsize,
+# which leaves tiles of 683 columns or more unbuffered: int32 adds of
+# 1024-2048 columns took 0.23-0.31 against 0.63-0.70 ns a cell buffered,
+# and the buffers were 84 KiB of a 1000 x 3000 int32 join's 362 KiB
+# tracemalloc peak. The tile reduce, which runs in pieces of bufsize cells,
+# keeps its speed here; at 16 or 512 the tree-random sweeps took 1.03x as
+# long. A set and restore costs a few us, a third of a short join, so
+# smaller calls keep numpy's bufsize
+_CONV_BUFSIZE = 2048
 
 
 def snap_min(a: np.ndarray) -> np.ndarray:
@@ -231,12 +249,16 @@ def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np
     A block of K entries of the shorter operand meets the longer one in
     tiles of K x C cells, each filled by one add from a Hankel view of the
     longer operand (K - 1 sentinels on each side) and emptied by one reduce
-    over its K rows. A block wastes K(K-1) cells past the operands' ends."""
+    over its K rows. A block wastes K(K-1) cells past the operands' ends.
+    A call of at least _CONV_CELLS cells runs its tiles under a numpy
+    bufsize at which the adds are not buffered (see _CONV_BUFSIZE), and
+    restores the caller's bufsize on return and on a raise."""
     if x.shape[-1] > y.shape[-1]:
         x, y = y, x
     q, ly = x.shape[-1], y.shape[-1]
     width = out.shape[-1]
-    k_s = min(_CONV_SHIFTS, q)
+    n_rows = out.size // width
+    k_s = max(1, min(_CONV_SHIFTS, q, _CONV_CELLS // (n_rows * min(ly, _CONV_SHIFTS))))
     padded = np.full(out.shape[:-1] + (ly + 2 * (k_s - 1),), sentinel, dtype=out.dtype)
     padded[..., k_s - 1:k_s - 1 + ly] = y
     span = ly + k_s - 1   # the output positions one block reaches
@@ -244,20 +266,27 @@ def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np
     # it in ~1.3 us, as_strided in ~6.9 us (2-core x86 VM)
     hankel = np.ndarray(padded.shape[:-1] + (k_s, span), padded.dtype, padded.data.toreadonly(),
                         0, padded.strides + padded.strides[-1:])
-    step = max(1, min(_CONV_CELLS // (out.size // width * k_s), span))
+    step = max(1, min(_CONV_CELLS // (n_rows * k_s), span))
     buf = np.empty(out.shape[:-1] + (k_s, step), dtype=out.dtype)
     out.fill(sentinel)
-    for k0 in range(0, min(q, width), k_s):
-        kb = min(k_s, q - k0)
-        block = x[..., k0:k0 + kb][..., ::-1, None]   # row m: x[k0 + kb - 1 - m]
-        rows = hankel[..., k_s - kb:, :]              # row m: y[t - (kb - 1 - m)]
-        end = min(span, width - k0)
-        for t0 in range(0, end, step):
-            t1 = min(end, t0 + step)
-            tile = buf[..., :kb, :t1 - t0]
-            np.add(rows[..., t0:t1], block, out=tile)
-            dst = out[..., k0 + t0:k0 + t1]
-            ring.fold(dst, ring.reduce(tile, axis=-2), out=dst)
+    scoped = k_s > 2 and out.size * q >= _CONV_CELLS
+    # not np.errstate: numpy 1.24's does not restore the bufsize
+    old = np.setbufsize(_CONV_BUFSIZE) if scoped else None
+    try:
+        for k0 in range(0, min(q, width), k_s):
+            kb = min(k_s, q - k0)
+            block = x[..., k0:k0 + kb][..., ::-1, None]   # row m: x[k0 + kb - 1 - m]
+            rows = hankel[..., k_s - kb:, :]              # row m: y[t - (kb - 1 - m)]
+            end = min(span, width - k0)
+            for t0 in range(0, end, step):
+                t1 = min(end, t0 + step)
+                tile = buf[..., :kb, :t1 - t0]
+                np.add(rows[..., t0:t1], block, out=tile)
+                dst = out[..., k0 + t0:k0 + t1]
+                ring.fold(dst, ring.reduce(tile, axis=-2), out=dst)
+    finally:
+        if scoped:
+            np.setbufsize(old)
 
 
 def min_plus_convolution(u, v) -> np.ndarray:

@@ -1,17 +1,20 @@
 """Tropical kernel checks: frozen hand values plus oracle cross-checks."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.minplus import (
-    FINITE_BOUND, INF, MAX, MIN, NEG_INF, _conv_tiled,
+    _CONV_BUFSIZE, _CONV_CELLS, FINITE_BOUND, INF, MAX, MIN, NEG_INF, _conv_tiled,
     max_plus_convolution, max_plus_convolution_blocked, max_plus_product,
     min_plus_convolution, min_plus_convolution_blocked,
     min_plus_product, min_plus_product_tiled,
     snap_max, snap_min,
 )
+from jumbled.trees import LabeledTree, binarize, simple_tree_profile, weighted_tree_max_sums
 from _support import conv_oracle, product_oracle
 
 
@@ -254,22 +257,17 @@ def _tiled(x, y, ring, sentinel):
     return out
 
 
-# shorter-operand lengths from one entry (a block of fewer shifts than the
-# kernel's 32) to around and past its block; a longer operand of 2100
-# entries makes the tile's column step (2048 at 32 shifts) smaller than its span
-@pytest.mark.parametrize("short", [1, 2, 4, 5, 31, 32, 33, 65])
-@pytest.mark.parametrize("long", ["equal", 97, 2100])
-def test_ring_conv_matches_direct_kernel(short, long):
-    # the tiled kernel against the direct loop: in int64 with INF, snapped
-    # as the public kernels are; and in the sweeps' narrow dtypes with the
-    # sentinel of sum_dtype, half the range, and no snap, on values whose
-    # sums span the widest range that sum_dtype gives that dtype. There a
-    # cell with no finite split need not be the sentinel, only beyond every
-    # finite sum, and it is read as the sentinel
-    size = short if long == "equal" else long
-    rng = np.random.default_rng([short, size])
+def _assert_tiled_matches_direct(rng, short, size, dtypes=(np.int64, np.int16, np.int32), rows=2):
+    """The tiled kernel against the direct loop: in int64 with INF, snapped
+    as the public kernels are; and in the sweeps' narrow dtypes with the
+    sentinel of sum_dtype, half the range, and no snap, on values whose
+    sums span the widest range that sum_dtype gives that dtype. There a
+    cell with no finite split need not be the sentinel, only beyond every
+    finite sum, and it is read as the sentinel. Operands of ``short`` and
+    ``size`` entries are convolved as 1-d rows, then as ``rows`` stacked
+    rows, each with the same row of the other, in both orders."""
     for ring, reference in ((MIN, min_plus_convolution), (MAX, max_plus_convolution)):
-        for dtype in (np.int64, np.int16, np.int32):
+        for dtype in dtypes:
             if dtype is np.int64:
                 sentinel, lo, hi = ring.sentinel, -FINITE_BOUND, FINITE_BOUND
             else:
@@ -298,16 +296,135 @@ def test_ring_conv_matches_direct_kernel(short, long):
                 got = _tiled(a, b, ring, sentinel)
                 assert got.dtype == dtype
                 assert np.array_equal(settled(got), want)
-            # stacked operands: each row is convolved with the same row of the other
-            us = np.stack([vector(short), vector(short)])
-            vs = np.stack([vector(size), vector(size)])
-            wants = [reference(us[k], vs[k]) for k in range(2)]
+            us = np.stack([vector(short) for _ in range(rows)])
+            vs = np.stack([vector(size) for _ in range(rows)])
+            wants = [reference(us[k], vs[k]) for k in range(rows)]
             us, vs = narrow(us), narrow(vs)
             for a, b in ((us, vs), (vs, us)):
                 got = _tiled(a, b, ring, sentinel)
-                assert got.dtype == dtype and got.shape == (2, short + size - 1)
-                for k in range(2):
+                assert got.dtype == dtype and got.shape == (rows, short + size - 1)
+                for k in range(rows):
                     assert np.array_equal(settled(got[k]), wants[k])
+
+
+# shorter-operand lengths from one entry (a block of fewer shifts than the
+# kernel's 32) to around and past its block; a longer operand of 2100
+# entries makes the tile's column step (2048 at 32 shifts) smaller than its span
+@pytest.mark.parametrize("short", [1, 2, 4, 5, 31, 32, 33, 65])
+@pytest.mark.parametrize("long", ["equal", 97, 2100])
+def test_ring_conv_matches_direct_kernel(short, long):
+    size = short if long == "equal" else long
+    _assert_tiled_matches_direct(np.random.default_rng([short, size]), short, size)
+
+
+# a stack of many rows takes fewer shifts a block, so that a tile keeps
+# _CONV_SHIFTS columns: 64 rows of 65 entries keep 32 shifts, 65 rows take
+# 31, 256 rows 8, and 2049 rows of 33 entries one
+@pytest.mark.parametrize("rows, length", [(64, 65), (65, 65), (256, 65), (2049, 33)])
+def test_stacked_rows_match_direct_kernel(rows, length):
+    _assert_tiled_matches_direct(np.random.default_rng([rows, length]), length, length,
+                                 (np.int16,), rows)
+
+
+def _recording_setbufsize(monkeypatch):
+    """Every size the kernel passes to np.setbufsize, in call order."""
+    sizes = []
+    setbufsize = np.setbufsize
+
+    def recording(size):
+        sizes.append(size)
+        return setbufsize(size)
+
+    monkeypatch.setattr(np, "setbufsize", recording)
+    return sizes
+
+
+# out.size * q just below, at and just above _CONV_CELLS, where a call
+# starts to run its tiles under _CONV_BUFSIZE; blocks of at most 2 shifts,
+# which numpy does not buffer, never do
+@pytest.mark.parametrize("short", [1, 2, 4, 64])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_conv_tiled_matches_direct_across_the_bufsize_scope(short, offset, monkeypatch):
+    size = _CONV_CELLS // short - short + 1 + offset   # (short + size - 1) * short cells
+    assert (short + size - 1) * short == _CONV_CELLS + offset * short
+    default = np.getbufsize()
+    sizes = _recording_setbufsize(monkeypatch)
+    _assert_tiled_matches_direct(np.random.default_rng([short, size]), short, size,
+                                 (np.int16, np.int32), rows=1)
+    # 2 rings x 2 dtypes x 2 orders x (1-d, stacked) calls
+    scoped = short > 2 and offset >= 0
+    assert sizes == ([_CONV_BUFSIZE, default] * 16 if scoped else [])
+    assert np.getbufsize() == default
+
+
+class _SecondTileFails:
+    """MIN, but the second tile's reduce raises; it records the bufsize
+    each tile ran under."""
+
+    fold = np.minimum
+
+    def __init__(self):
+        self.bufsizes = []
+
+    def reduce(self, a, axis):
+        self.bufsizes.append(np.getbufsize())
+        if len(self.bufsizes) == 2:
+            raise RuntimeError("second tile")
+        return np.minimum.reduce(a, axis=axis)
+
+
+def test_conv_tiled_restores_the_callers_bufsize():
+    # a call of 1000 x 3000 cells runs its tiles under _CONV_BUFSIZE, and
+    # gives the caller's own bufsize back on return and on a raise partway
+    rng = np.random.default_rng(7)
+    x = rng.integers(-9, 10, (1, 1000)).astype(np.int32)
+    y = rng.integers(-9, 10, (1, 3000)).astype(np.int32)
+    out = np.empty((1, 3999), dtype=np.int32)
+    old = np.setbufsize(4096)
+    try:
+        _conv_tiled(x, y, MIN, 1 << 30, out)
+        assert np.getbufsize() == 4096
+        ring = _SecondTileFails()
+        with pytest.raises(RuntimeError, match="second tile"):
+            _conv_tiled(x, y, ring, 1 << 30, out)
+        assert ring.bufsizes == [_CONV_BUFSIZE] * 2
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
+def test_tree_builds_restore_the_bufsize(monkeypatch):
+    # the default 0/1 and weighted tree builds make scoped calls
+    default = np.getbufsize()
+    sizes = _recording_setbufsize(monkeypatch)
+    parents, bits = parse_tree_text(gen_tree(4096, 1))
+    simple_tree_profile(binarize(LabeledTree(parents, bits)))
+    assert sizes and np.getbufsize() == default
+    sizes.clear()
+    parents, weights = parse_tree_text(gen_tree(4096, 1, weighted=True), weighted=True)
+    weighted_tree_max_sums(LabeledTree(parents, weights))
+    assert sizes and np.getbufsize() == default
+
+
+def test_conv_tiled_memory_peak():
+    # one int32 (1, 1000) x (1, 3000) call holds its 32 x 2048 tile buffer
+    # (256 KiB), the padded longer operand (12 KiB), out (16 KiB) and one
+    # tile's reduce (8 KiB); buffered tile adds took 84 KiB more (378 KiB)
+    rng = np.random.default_rng(8)
+    x = rng.integers(-9, 10, (1, 1000)).astype(np.int32)
+    y = rng.integers(-9, 10, (1, 3000)).astype(np.int32)
+
+    def call():
+        _conv_tiled(x, y, MIN, 1 << 30, np.empty((1, 3999), dtype=np.int32))
+
+    call()   # first call: numpy's own lazy allocations
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 10 < 300
 
 
 # ---------------------------------------------------------------------------

@@ -406,3 +406,26 @@ def test_build_pipeline_memory(shape, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= PARENT_PEAK[shape]
+
+
+# tracemalloc peaks of the two default builds of one random recursive tree
+# of 4096 nodes, with the tile adds of minplus._conv_tiled unbuffered: 755
+# KiB for the 0/1 build and 899 KiB for the weighted one (794 and 974 KiB
+# with buffered adds); the bounds leave the margin of the other peak tests
+@pytest.mark.parametrize("weighted, bound_kib", [(False, 870), (True, 1035)],
+                         ids=["zero-one", "weighted"])
+def test_tree_build_memory_peak(weighted, bound_kib):
+    parents, labels = parse_tree_text(gen_tree(4096, 1, weighted=weighted), weighted=weighted)
+    tree = LabeledTree(parents, labels)
+
+    def build():
+        return weighted_tree_max_sums(tree) if weighted else simple_tree_profile(binarize(tree))
+
+    build()   # first call: numpy's own lazy allocations
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 10 < bound_kib
