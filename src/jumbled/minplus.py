@@ -250,6 +250,9 @@ def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np
     tiles of K x C cells, each filled by one add from a Hankel view of the
     longer operand (K - 1 sentinels on each side) and emptied by one reduce
     over its K rows. A block wastes K(K-1) cells past the operands' ends.
+    A call whose shorter operand is one block and whose span is one tile
+    (most calls of the tree sweep) takes no buffer and no loop: one add
+    and one reduce straight into out, then the sentinel past the span.
     A call of at least _CONV_CELLS cells runs its tiles under a numpy
     bufsize at which the adds are not buffered (see _CONV_BUFSIZE), and
     restores the caller's bufsize on return and on a raise."""
@@ -267,9 +270,13 @@ def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np
     hankel = np.ndarray(padded.shape[:-1] + (k_s, span), padded.dtype, padded.data.toreadonly(),
                         0, padded.strides + padded.strides[-1:])
     step = max(1, min(_CONV_CELLS // (n_rows * k_s), span))
+    scoped = k_s > 2 and out.size * q >= _CONV_CELLS
+    if not scoped and q == k_s and step == span:   # out may be narrower or wider
+        ring.fold.reduce(hankel[..., :width] + x[..., ::-1, None], axis=-2, out=out[..., :span])
+        out[..., span:] = sentinel
+        return
     buf = np.empty(out.shape[:-1] + (k_s, step), dtype=out.dtype)
     out.fill(sentinel)
-    scoped = k_s > 2 and out.size * q >= _CONV_CELLS
     # not np.errstate: numpy 1.24's does not restore the bufsize
     old = np.setbufsize(_CONV_BUFSIZE) if scoped else None
     try:

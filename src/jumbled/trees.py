@@ -19,12 +19,12 @@ most one child is a string: under a large top it takes one
 strings._rle_sweep per row plus one convolution with the array below it
 (the tree-to-string reduction in heavy-path form, as in Gagie, Hermelin,
 Landau and Weimann, ESA 2013). The other subtrees of at most SMALL real
-nodes are computed a size at a time, one padded convolution per size over a
-compact store, and every other large node takes one DP step, _combine. A
-0/1 step that joins two arrays of more than _WIDE entries runs in the
-value domain (_combine_by_counts): each array becomes its inverse, the
-largest size for each count, and the inverses take the same convolution
-under MAX, about a quarter of the cells. Both sweeps run in
+nodes are computed a size at a time, one padded convolution per size over
+windows of a compact store, and every other large node takes one DP step,
+_combine. A 0/1 step that joins two arrays of more than _WIDE entries runs
+in the value domain (_combine_by_counts): each array becomes its inverse,
+the largest size for each count, and the inverses take the same
+convolution under MAX, about a quarter of the cells. Both sweeps run in
 minplus.sum_dtype's narrow dtype and sentinel, no snap.
 
 Global folds only take arrays of *real* (non-dummy) topmost nodes: a set
@@ -155,21 +155,28 @@ def _tour_order(parent, left, right, root: int, n_real: int):
     """post_order and the real-node subtree sizes from one list ranking of
     the Euler tour (Tarjan and Vishkin, 1985): event v enters node v, event
     n + v leaves it, and pointer jumping (Wyllie, 1979) gives every event
-    its distance to the tour's end in log2(2n) rounds of gathers."""
+    its distance to the tour's end in log2(2n) rounds of gathers. An event
+    holds (distance << b) | successor in one int64, so a round is one gather;
+    both fields take b bits, 2b <= 62 for every tree that fits in memory."""
     n = left.size
     idx = narrow_dtype(0, 2 * n + 1)
+    b = (2 * n).bit_length()
     nodes = np.arange(n)
     sib = right[parent]   # leaving a left child enters its right sibling
-    nxt = np.concatenate([np.where(left >= 0, left, n + nodes),
-                          np.where((sib >= 0) & (sib != nodes), sib, n + parent)]).astype(idx)
-    nxt[n + root] = n + root   # the tour ends on leaving the root
-    dist = (nxt != np.arange(2 * n)).astype(idx)
-    buf = np.empty_like(dist)
+    packed = np.concatenate([np.where(left >= 0, left, n + nodes),
+                             np.where((sib >= 0) & (sib != nodes), sib, n + parent)])
+    del nodes, sib
+    packed |= 1 << b   # every event is one step from its successor,
+    packed[n + root] = n + root   # but the tour ends on leaving the root
+    low = (1 << b) - 1
+    nxt, buf = np.empty_like(packed), np.empty_like(packed)
     for _ in range((2 * n - 1).bit_length()):
-        dist += np.take(dist, nxt, out=buf, mode="clip")   # "raise" would buffer out
-        np.take(nxt, nxt, out=buf, mode="clip")
-        nxt, buf = buf, nxt
-    pos = np.subtract(2 * n - 1, dist, out=dist)
+        np.bitwise_and(packed, low, out=nxt)
+        np.take(packed, nxt, out=buf, mode="clip")   # "raise" would buffer out
+        packed &= ~low   # the distance plus the successor's (distance, successor)
+        packed += buf
+    packed >>= b
+    pos = np.subtract(2 * n - 1, packed, out=packed)
     tour = np.empty(2 * n, dtype=idx)   # the events in tour order
     tour[pos] = np.arange(2 * n, dtype=idx)
     # the real nodes of a subtree are the real exits from its enter to its exit
@@ -358,14 +365,6 @@ SMALL = 32
 _WIDE = 128
 
 
-def _stored(store, off, size, nodes):
-    """The arrays of ``nodes`` from _tree_sweep's store, one row of cells per
-    node, padded to the widest with the sentinel in the store's last cell."""
-    j = np.arange(int(size[nodes].max()) + 1)
-    pad = store.shape[1] - 1
-    return store[:, np.where(j <= size[nodes][:, None], off[nodes][:, None] + j, pad)]
-
-
 def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> np.ndarray:
     """best[k, i-1] = the ring's extreme sum of row k's labels over connected
     sets of i real nodes, for every row of ``rows`` (r x n_total labels).
@@ -385,7 +384,9 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
     * other small nodes (subtree size <= SMALL), a size at a time: children
       are smaller than their parent, so every node of size s has its
       children ready; one padded convolution covers them all. Their arrays
-      sit in one flat store, each exactly size + 1 cells wide.
+      sit in one flat store, each exactly size + 1 cells wide, then a tail of
+      SMALL + 1 sentinels, so that a round reads each side as one gather of
+      windows of SMALL + 1 cells, masked past each child's size.
     * other large nodes: one DP step (_combine) of their children's arrays.
       Under MIN (the 0/1 rows) a join of two arrays of more than _WIDE
       entries takes their inverses instead, and convolves them under MAX
@@ -420,38 +421,50 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
     small = post[(size[post] <= SMALL) & ~in_large_chain]
     small = small[np.argsort(2 * size[small] + ~real[small], kind="stable")]
     width = size[small] + 1
-    off = np.zeros(n_total + 1, dtype=np.int64)   # off[-1] -> the trivial [0] at 0
-    off[small] = 1 + np.cumsum(width) - width
-    store = np.empty((r, 2 + int(width.sum())), dtype=dtype)
+    store = np.full((r, 2 + int(width.sum()) + SMALL), sentinel, dtype=dtype)   # tail: SMALL + 1
     store[:, 0] = 0
-    store[:, -1] = sentinel
-    counts = np.bincount(size[small], minlength=SMALL + 1)
-    lo = 0
-    for s in np.flatnonzero(counts).tolist():
-        nodes = small[lo:lo + counts[s]]
-        lo += counts[s]
-        n_lev = nodes.size
-        n_rl = int(real[nodes].sum())
-        # each node's smaller child (often a leaf or none) is the block
-        # operand; each side is padded only to its own widest child
-        lc, rc = left[nodes], right[nodes]
-        swap = size[lc] > size[rc]
-        x = _stored(store, off, size, np.where(swap, rc, lc))
-        y = _stored(store, off, size, np.where(swap, lc, rc))
+    off = np.zeros(n_total + 1, dtype=narrow_dtype(0, store.shape[1]))   # off[-1] -> [0] at 0
+    off[small] = 1 + np.cumsum(width) - width
+    # every round's per-node work in one pass: each node's smaller child
+    # (often a leaf or none) is the block operand, the other the long one
+    sizes, starts, counts = np.unique(size[small], return_index=True, return_counts=True)
+    reals = np.add.reduceat(real[small], starts).tolist()
+    sides = [(off[kid], size[kid].astype(np.int16)) for kid in (left[small], right[small])]
+    swap = sides[0][1] > sides[1][1]
+    for a, b in zip(*sides):
+        a[swap], b[swap] = b[swap], a[swap]
+    widest = [np.maximum.reduceat(kid_size, starts).tolist() for _, kid_size in sides]
+    lab = labels[:, small]
+    del small, width, swap
+    # windows of SMALL + 1 cells: a child's array, then cells of the arrays
+    # after it or of the tail, which the gather masks to the sentinel
+    windows = np.lib.stride_tricks.sliding_window_view(store, SMALL + 1, axis=-1)
+    cell = np.arange(SMALL + 1, dtype=np.int16)
+
+    def gather(side, nodes, w):   # the children's arrays, padded to the side's widest, w
+        kid_off, kid_size = side
+        a = windows[:, kid_off[nodes], :w + 1]
+        np.copyto(a, sentinel, where=cell[:w + 1] > kid_size[nodes, None])
+        return a
+
+    base = 1
+    for s, lo, n_lev, n_rl, wx, wy in zip(sizes.tolist(), starts.tolist(), counts.tolist(),
+                                          reals, *widest):
+        nodes = slice(lo, lo + n_lev)
         core = np.empty((r, n_lev, s + 1), dtype=dtype)
-        _conv_tiled(x, y, ring, sentinel, core)
-        del x, y
-        base = int(off[nodes[0]])
+        _conv_tiled(gather(sides[0], nodes, wx), gather(sides[1], nodes, wy),
+                    ring, sentinel, core)
         block = store[:, base:base + n_lev * (s + 1)].reshape(r, n_lev, s + 1)
+        base += n_lev * (s + 1)
         block[:, n_rl:] = core[:, n_rl:]
         if n_rl:
             block[:, :n_rl, 0] = 0
-            np.add(core[:, :n_rl, :s], labels[:, nodes[:n_rl], None], out=block[:, :n_rl, 1:])
+            np.add(core[:, :n_rl, :s], lab[:, lo:lo + n_rl, None], out=block[:, :n_rl, 1:])
             ring.fold(best[:, :s], ring.reduce(block[:, :n_rl, 1:], axis=1), out=best[:, :s])
             if sink is not None:
                 for k in range(n_rl):
                     sink(block[:, k])
-
+    del sides, lab, windows, sizes, starts, counts
     arrays = {}   # a large node's array, kept until its parent consumes it
 
     def array_of(v):

@@ -357,6 +357,66 @@ def test_conv_tiled_matches_direct_across_the_bufsize_scope(short, offset, monke
     assert np.getbufsize() == default
 
 
+def _assert_rows_match_direct(rng, ring, dtype, lead, q, size, width):
+    """_conv_tiled on rows of shape lead + (q,) and lead + (size,), in both
+    orders, into out of ``width`` columns, against the direct loop row by
+    row: cells past the span are the sentinel. Values and the settling of
+    cells with no finite split are those of _assert_tiled_matches_direct."""
+    half = int(np.iinfo(dtype).max) // 2
+    sentinel = half if ring is MIN else -half
+    lo = -((half - 1) // 6)
+    hi = lo + (half - 1) // 2
+    n_rows = int(np.prod(lead, dtype=np.int64))
+    us = [_sentinel_vector(rng, q, ring.sentinel, lo, hi) for _ in range(n_rows)]
+    vs = [_sentinel_vector(rng, size, ring.sentinel, lo, hi) for _ in range(n_rows)]
+    reference = min_plus_convolution if ring is MIN else max_plus_convolution
+    want = np.full((n_rows, max(width, q + size - 1)), ring.sentinel, dtype=np.int64)
+    for k in range(n_rows):
+        want[k, :q + size - 1] = reference(us[k], vs[k])
+    want = want[:, :width].reshape(lead + (width,))
+
+    def narrow(rows, length):
+        a = np.stack(rows).reshape(lead + (length,))
+        return np.where(a == ring.sentinel, sentinel, a).astype(dtype)
+
+    u, v = narrow(us, q), narrow(vs, size)
+    for a, b in ((u, v), (v, u)):
+        out = np.empty(lead + (width,), dtype=dtype)
+        _conv_tiled(a, b, ring, sentinel, out)
+        beyond = out > 2 * hi if ring is MIN else out < 2 * lo
+        assert np.array_equal(np.where(beyond, ring.sentinel, out.astype(np.int64)), want)
+
+
+# A call whose shorter operand is one block (q <= _CONV_SHIFTS) and whose
+# span fits one tile step reduces straight into out, with no buffer and no
+# bufsize scope. q = 33 is the first two-block shape. "short" is a small
+# single-tile call; "whole" makes the step exactly the span, n_rows * q *
+# span <= _CONV_CELLS (q = 32 on one or two rows reaches _CONV_CELLS and is
+# scoped); "over" makes it one column short of the span, so the call takes
+# the tile loop, scoped for q > 2 unless out is narrower. out is the span
+# wide, 7 columns narrower, or one column wider, as the tree sweep's rounds
+# of real nodes make it.
+@pytest.mark.parametrize("q", [1, 2, 31, 32, 33])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["row", "two-rows", "stacked"])
+@pytest.mark.parametrize("fit", ["short", "whole", "over"])
+@pytest.mark.parametrize("extra", [0, -7, 1], ids=["span", "narrower", "wider"])
+def test_single_tile_calls_match_direct(q, lead, fit, extra, monkeypatch):
+    n_rows = int(np.prod(lead, dtype=np.int64))
+    span = {"short": q + 39,
+            "whole": _CONV_CELLS // (n_rows * q),
+            "over": _CONV_CELLS // (n_rows * q) + 1}[fit]
+    size = span - q + 1
+    default = np.getbufsize()
+    sizes = _recording_setbufsize(monkeypatch)
+    rng = np.random.default_rng([q, n_rows, span, extra + 7])
+    for ring in (MIN, MAX):
+        for dtype in (np.int16, np.int32):
+            _assert_rows_match_direct(rng, ring, dtype, lead, q, size, span + extra)
+    if fit == "short" and q <= 32:
+        assert sizes == []
+    assert np.getbufsize() == default
+
+
 class _SecondTileFails:
     """MIN, but the second tile's reduce raises; it records the bufsize
     each tile ran under."""

@@ -29,7 +29,8 @@ from jumbled.strings import (
 )
 from jumbled.trees import (
     _WIDE, SMALL, LabeledTree, _combine, _combine_by_counts, _inverse, binarize,
-    enumerate_max_sums, simple_tree_profile, tree_profile, weighted_tree_max_sums,
+    enumerate_connected_oracle, enumerate_max_sums, simple_tree_profile, tree_profile,
+    weighted_tree_max_sums,
 )
 from _support import (
     anchored_arrays, caterpillar_parents, complete_binary_parents, path_parents,
@@ -86,6 +87,70 @@ def test_small_dummies_and_stars():
     for n in (2 * SMALL, 5 * SMALL + 3):
         _check(star_parents(n), seed=n)
         _check(_stack(path_parents(SMALL + 2), star_parents(n), SMALL + 1), seed=n)
+
+
+def _comb_parents(n, tooth=3):
+    # a spine whose every node carries a path of ``tooth`` nodes
+    par = [-1]
+    spine = 0
+    while len(par) < n:
+        par += [spine] + list(range(len(par), len(par) + tooth - 1))
+        if len(par) < n:
+            par.append(spine)
+            spine = len(par) - 1
+    return par[:n]
+
+
+def _small_step_nodes(bt):
+    """(size, real, a missing child) of every node the small step computes:
+    the nodes of at most SMALL real nodes outside a chain with a large top."""
+    def member(v):
+        return v < bt.n_real and bt.right[v] < 0
+    seen = set()
+    for v in range(bt.n_total):
+        top = v
+        while member(top) and bt.parent[top] >= 0 and member(bt.parent[top]):
+            top = int(bt.parent[top])
+        if bt.size[v] <= SMALL and not (member(v) and bt.size[top] > SMALL):
+            seen.add((int(bt.size[v]), v < bt.n_real, bool(bt.right[v] < 0)))
+    return seen
+
+
+def test_small_step_reads_every_round_from_the_store():
+    # every small size, with real nodes of two children and of a missing
+    # one and with dummies, alone and hung under a large node beside a
+    # sibling (its parent a dummy); 0/1 against micro-macro and enumeration,
+    # every sink array against the plain DP, weights against enumeration
+    rng = random.Random(29)
+    top = complete_binary_parents(3 * SMALL)
+    seen = set()
+    for shape in (path_parents, star_parents, _comb_parents, caterpillar_parents,
+                  complete_binary_parents):
+        for n in range(SMALL - 1, SMALL + 3):
+            for parents in (shape(n), _stack(top, shape(n), 0)):
+                labels = random_bits(rng, len(parents))
+                t = LabeledTree(parents, labels)
+                bt = binarize(t)
+                seen |= _small_step_nodes(bt)
+                got = []
+                profile = simple_tree_profile(bt, sink=got.append)
+                assert profile == tree_profile(t)
+                lows = anchored_arrays(parents, labels, min)
+                highs = anchored_arrays(parents, labels, max)
+                assert all(a.dtype == np.int64 for a in got)
+                assert sorted(a.tolist() for a in got) == \
+                    sorted([lows[v] for v in lows] + [highs[v] for v in highs])
+                weights = [rng.randint(-2, 2) for _ in parents]
+                want = tree_extremes(parents, weights, max)
+                if len(parents) <= SMALL + 2:
+                    assert profile == enumerate_connected_oracle(t, max_n=SMALL + 2)
+                    want = enumerate_max_sums(LabeledTree(parents, weights), max_n=SMALL + 2)
+                assert weighted_tree_max_sums(LabeledTree(parents, weights)).tolist() == \
+                    list(want)
+    for s in range(1, SMALL + 1):
+        assert (s, True, True) in seen
+        assert s < 2 or (s, False, False) in seen
+        assert s < 3 or (s, True, False) in seen
 
 
 # ---------------------------------------------------------------------------
