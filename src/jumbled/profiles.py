@@ -298,14 +298,16 @@ def _replacing(path):
 def _proc_link(path):
     """The first symlink under /proc that ``path`` resolves through, such
     as /proc/<pid>/fd/1 for /dev/stdout, or None. Its realpath is the name
-    of an open file, or "/tmp/#12 (deleted)", not a name to replace."""
-    p = os.path.abspath(os.fsdecode(path))
+    of an open file, or "/tmp/#12 (deleted)", not a name to replace. A
+    link met twice is a loop, which gives None: opening it fails (ELOOP)."""
+    p, seen = os.path.abspath(os.fsdecode(path)), set()
     while True:
         p = os.path.join(os.path.realpath(os.path.dirname(p)), os.path.basename(p))
-        if not os.path.islink(p):
+        if p in seen or not os.path.islink(p):
             return None
         if p.startswith("/proc/"):
             return p
+        seen.add(p)
         p = os.path.join(os.path.dirname(p), os.readlink(p))
 
 

@@ -47,7 +47,9 @@ RECURSION_CUTOFF = 64
 
 
 class BinaryString:
-    """A {0,1} string with precomputed prefix 1-counts."""
+    """A {0,1} string with precomputed prefix 1-counts: prefix_ones[i] is the
+    number of 1s among the first i bits, in minplus.narrow_dtype(0, n), so
+    int16 up to n = 32767. Each backend takes its own dtype from them."""
 
     __slots__ = ("bits", "prefix_ones")
 
@@ -61,8 +63,8 @@ class BinaryString:
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("need a non-empty one-dimensional bit sequence")
         self.bits = arr
-        self.prefix_ones = np.concatenate([np.zeros(1, dtype=np.int64),
-                                           np.cumsum(arr, dtype=np.int64)])
+        self.prefix_ones = np.zeros(arr.size + 1, dtype=narrow_dtype(0, arr.size))
+        np.cumsum(arr, out=self.prefix_ones[1:])   # summed in that dtype, no int64 pass
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -470,10 +472,11 @@ def make_block_partition(s, b: int) -> BlockPartition:
 def _edge_tables(p: BlockPartition, ring: Ring):
     """The edge tables of one ring over the prefix 1-counts P, for the
     blocks [s_i, e_i): left[i, k] = -P[e_i - (b - k)] (a suffix of b - k)
-    and right[t, j] = P[s_j + t] (a prefix of t). A prefix longer than its
-    block is the sentinel. A suffix of the short last block may reach into
-    the block before, which only adds real windows of the same sizes."""
-    pref, n = p.string.prefix_ones, len(p.string)
+    and right[t, j] = P[s_j + t] (a prefix of t), in int64. A prefix longer
+    than its block is the int64 sentinel. A suffix of the short last block
+    may reach into the block before, which only adds real windows of the
+    same sizes."""
+    pref, n = p.string.prefix_ones.astype(np.int64), len(p.string)
     steps = np.arange(p.b + 1)
     left = -pref[np.clip(p.bounds[1:, None] - p.b + steps, 0, n)]
     right = pref[np.clip(p.bounds[:-1] + steps[:, None], 0, n)]

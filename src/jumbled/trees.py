@@ -127,14 +127,12 @@ class BinarizedTree:
     which lists every node after all of its descendants, and size[v], the
     real nodes in v's subtree (size[-1] = 0 stands for a missing child)."""
 
-    __slots__ = ("parent", "left", "right", "size_w", "ones_w", "root",
-                 "post_order", "size", "n_real")
+    __slots__ = ("parent", "left", "right", "ones_w", "root", "post_order", "size", "n_real")
 
     def __init__(self, parent, left, right, ones_w, root, n_real):
         self.parent = parent
         self.left = left
         self.right = right
-        self.size_w = (np.arange(left.size) < n_real).astype(np.int64)
         self.ones_w = ones_w
         self.root = root
         self.n_real = n_real
@@ -143,6 +141,12 @@ class BinarizedTree:
     @property
     def n_total(self) -> int:
         return int(self.left.size)
+
+    @property
+    def size_w(self) -> np.ndarray:
+        """1 for a real node, 0 for a dummy (int64), made on each read: only
+        the 0/1 build reads it, once."""
+        return (np.arange(self.left.size) < self.n_real).astype(np.int64)
 
 
 def _machine_ints(a: np.ndarray) -> array:

@@ -2,14 +2,16 @@
 
     PYTHONPATH=src python tests/cli_round_trip.py
 
-For strings at n = 200000 and trees at n = 20000, 0/1 and weighted:
-``jumbled gen`` an input, ``jumbled build`` its index, and check that the
-index's bytes equal "%d" formatting, row by row, of the result built in
-this process. The weighted inputs are built again with CRLF line ends and
-with tabs between fields, and must give the same index bytes, so that the
-parser's whitespace handling and its int32 offsets run on every numpy the
-script runs on. Then ``jumbled query`` on the string index answers as
-``occurs`` does. Prints one line per kind and exits 1 on a mismatch.
+For strings at n = 200000 and trees at n = 20000, 0/1 and weighted, and
+0/1 strings on both sides of the int16 limit of their prefix 1-counts (n =
+32767, i.i.d. and all 1s, and n = 32768): ``jumbled gen`` an input,
+``jumbled build`` its index, and check that the index's bytes equal "%d"
+formatting, row by row, of the result built in this process. Those short
+strings' profiles must also equal naive_profile's. The weighted inputs are
+built again with CRLF line ends and with tabs between fields, and must
+give the same index bytes, so that the parser's whitespace handling and
+its int32 offsets run on every numpy the script runs on. On every 0/1 index, ``jumbled query`` answers as
+``occurs`` does. Prints one line per input and exits 1 on a mismatch.
 """
 
 import random
@@ -27,8 +29,12 @@ from jumbled import (
 )
 from jumbled.inputs import parse_binary_string_text, parse_tree_text, parse_weights_text
 from jumbled.profiles import CSV_HEADER, SUMS_CSV_HEADER
+from jumbled.strings import naive_profile
 
-SIZES = {"string": 200000, "weighted-string": 200000, "tree": 20000, "weighted-tree": 20000}
+# (kind, n, density of 1s)
+INPUTS = [("string", 200000, 0.5), ("weighted-string", 200000, 0.5), ("tree", 20000, 0.5),
+          ("weighted-tree", 20000, 0.5), ("string", 32767, 0.5), ("string", 32767, 1.0),
+          ("string", 32768, 0.5)]
 BUILDS = {
     "string": lambda text: rle_profile(parse_binary_string_text(text)),
     "weighted-string": lambda text: rle_weighted_max_sums(parse_weights_text(text)),
@@ -58,18 +64,18 @@ def same_answer(p, what: str, i: int, j: int, *argv, stdin=None) -> bool:
     return True
 
 
-def same_index_from_spacing(d: Path, kind: str) -> bool:
-    """Builds ``kind``'s input with CRLF line ends and with tabs for spaces;
-    True if both indexes equal the canonical text's byte for byte. The CLI
+def same_index_from_spacing(src: Path, index: Path, kind: str) -> bool:
+    """Builds the weighted input ``src`` with CRLF line ends and with tabs
+    for spaces; True if both indexes equal ``index`` byte for byte. The CLI
     reads its input with universal newlines, so each copy is also parsed
     here as it is, carriage returns included, against the canonical text."""
-    text = (d / f"{kind}.txt").read_text()
-    want = (d / f"{kind}.csv").read_bytes()
+    text = src.read_text()
+    want = index.read_bytes()
     ok = True
     for name, variant in (("CRLF", text.replace("\n", "\r\n")), ("tabs", text.replace(" ", "\t"))):
-        src, out = d / f"{kind}-{name}.txt", d / f"{kind}-{name}.csv"
-        src.write_bytes(variant.encode("ascii"))
-        cli("build", "--kind", kind, "--input", str(src), "--out", str(out))
+        copy, out = src.with_suffix(f".{name}.txt"), src.with_suffix(f".{name}.csv")
+        copy.write_bytes(variant.encode("ascii"))
+        cli("build", "--kind", kind, "--input", str(copy), "--out", str(out))
         same = out.read_bytes() == want
         same_parse = all(map(np.array_equal, PARSES[kind](variant), PARSES[kind](text)))
         print(f"{kind} with {name}: index bytes {'equal' if same else 'DIFFER from'} the "
@@ -78,38 +84,48 @@ def same_index_from_spacing(d: Path, kind: str) -> bool:
     return ok
 
 
+def same_answers(p, index: Path, what: str, rng: random.Random) -> bool:
+    """True if ``jumbled query`` on ``index`` answers as occurs does on
+    ``p``, at both ends of the interval and at random counts, from the
+    file and through a pipe, which the reader can read only once."""
+    good = True
+    for _ in range(6):
+        i = rng.randint(1, p.n)
+        for j in (int(p.min_ones[i - 1]), int(p.max_ones[i - 1]) + 1, rng.randint(0, i)):
+            good &= same_answer(p, f"{what} query", i, j, "--profile", str(index))
+    good &= same_answer(p, f"{what} query through a pipe", i, j, "--profile", "/dev/stdin",
+                        stdin=index.read_text())
+    print(f"{what}: queries {'answer as occurs does' if good else 'DIFFER from occurs'}")
+    return good
+
+
 def main() -> int:
     ok = True
+    rng = random.Random(5)
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        for kind, n in SIZES.items():
-            cli("gen", "--kind", kind, "--n", str(n), "--seed", "5", "--out", str(d / f"{kind}.txt"))
-            cli("build", "--kind", kind, "--input", str(d / f"{kind}.txt"),
-                "--out", str(d / f"{kind}.csv"))
-            result = BUILDS[kind]((d / f"{kind}.txt").read_text())
+        for kind, n, density in INPUTS:
+            what = f"{kind}, n = {n}" + (f", density {density}" if density != 0.5 else "")
+            src, index = d / f"{kind}-{n}-{density}.txt", d / f"{kind}-{n}-{density}.csv"
+            cli("gen", "--kind", kind, "--n", str(n), "--seed", "5", "--density", str(density),
+                "--out", str(src))
+            cli("build", "--kind", kind, "--input", str(src), "--out", str(index))
+            result = BUILDS[kind](src.read_text())
             if kind.startswith("weighted"):
                 want = csv_rows_one_at_a_time(SUMS_CSV_HEADER, result)
             else:
                 want = csv_rows_one_at_a_time(CSV_HEADER, result.min_ones, result.max_ones)
-            same = (d / f"{kind}.csv").read_bytes() == want
-            print(f"{kind}: n = {n}, index bytes {'equal' if same else 'DIFFER from'} \"%d\"")
+            same = index.read_bytes() == want
+            print(f"{what}: index bytes {'equal' if same else 'DIFFER from'} \"%d\"")
             ok &= same
+            if kind == "string" and n <= 32768:
+                same = result == naive_profile(parse_binary_string_text(src.read_text()))
+                print(f"{what}: profile {'equals' if same else 'DIFFERS from'} naive_profile's")
+                ok &= same
             if kind.startswith("weighted"):
-                ok &= same_index_from_spacing(d, kind)
-        rng = random.Random(5)
-        for kind in ("string", "tree"):
-            p = BUILDS[kind]((d / f"{kind}.txt").read_text())
-            index = d / f"{kind}.csv"
-            good = True
-            for _ in range(6):
-                i = rng.randint(1, p.n)
-                for j in (int(p.min_ones[i - 1]), int(p.max_ones[i - 1]) + 1, rng.randint(0, i)):
-                    good &= same_answer(p, f"{kind} query", i, j, "--profile", str(index))
-            # a pipe, which the reader can read only once
-            good &= same_answer(p, f"{kind} query through a pipe", i, j, "--profile", "/dev/stdin",
-                                stdin=index.read_text())
-            print(f"{kind}: queries {'answer as occurs does' if good else 'DIFFER from occurs'}")
-            ok &= good
+                ok &= same_index_from_spacing(src, index, kind)
+            else:
+                ok &= same_answers(result, index, what, rng)
     print("round trip ok" if ok else "round trip FAILED")
     return 0 if ok else 1
 

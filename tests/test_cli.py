@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface, driven through main(), and
 one query run as a subprocess that reads its profile from a pipe."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from jumbled import cli
 from jumbled.inputs import (
-    ParseError, gen_tree, gen_weights, parse_binary_string_text, parse_tree_text,
+    ParseError, gen_string, gen_tree, gen_weights, parse_binary_string_text, parse_tree_text,
     parse_weights_text,
 )
 from jumbled.profiles import read_profile_csv
@@ -262,6 +263,48 @@ def test_build_default_backend(tmp_path, monkeypatch, kind, table, default, text
     assert run("build", "--input", str(src), "--kind", kind, "--out", str(out)) == 0
     assert calls == [None]
     assert out.read_text().splitlines() == rows
+
+
+# tracemalloc peaks of a default build as a user runs it: parse, build and
+# write. With the prefix 1-counts in int16 and size_w made on read, 372 KiB
+# for a 16384-bit i.i.d. string (468 KiB with int64 prefix 1-counts) and
+# 722 KiB for a random recursive 0/1 tree of 4096 nodes (763 KiB with a
+# stored size_w); the bounds leave the margin of the other peak tests
+@pytest.mark.parametrize("kind, text, bound_kib", [
+    ("string", gen_string(16384, 1), 430),
+    ("tree", gen_tree(4096, 1), 835),
+], ids=["string", "tree"])
+def test_build_memory_peak(tmp_path, kind, text, bound_kib):
+    src, out = tmp_path / "in.txt", tmp_path / "out.csv"
+    src.write_text(text)
+    argv = ("build", "--input", str(src), "--kind", kind, "--out", str(out))
+    assert run(*argv) == 0   # first call: numpy's own lazy allocations
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 10 < bound_kib
+
+
+@pytest.mark.parametrize("links", [{"a": "a"}, {"b": "b1", "b1": "b"}], ids=["self", "pair"])
+def test_build_to_a_symlink_loop_fails_at_once(tmp_path, links):
+    # open fails with ELOOP; the walk over the links must not spin
+    d, src = tmp_path / "out", tmp_path / "s.txt"
+    d.mkdir()
+    for name, target in links.items():
+        os.symlink(target, d / name)
+    src.write_text("0110\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "jumbled.cli", "build", "--input", str(src),
+                           "--out", str(d / next(iter(links)))],
+                          capture_output=True, env=env, timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2 and err.startswith("error: ") and os.strerror(errno.ELOOP) in err
+    assert sorted(os.listdir(d)) == sorted(links)   # no .tmp-* file
+    assert {name: os.readlink(d / name) for name in links} == links
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,31 @@ def test_write_keeps_the_mode_and_follows_a_symlink(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "new.csv", "p.csv"]
 
 
+@pytest.mark.parametrize("write", [
+    lambda path: write_profile_csv(naive_profile("0110"), path),
+    lambda path: write_sums_csv(np.array([3, 2, 4]), path),
+], ids=["profile", "sums"])
+@pytest.mark.parametrize("links", [{"a": "a"}, {"b": "b1", "b1": "b"}], ids=["self", "pair"])
+def test_write_to_a_symlink_loop_fails_with_eloop(tmp_path, write, links):
+    # in a thread, so that a walk that spins on the loop fails the test
+    for name, target in links.items():
+        os.symlink(target, tmp_path / name)
+    raised = []
+
+    def attempt():
+        try:
+            write(tmp_path / next(iter(links)))
+        except OSError as exc:
+            raised.append(exc.errno)
+
+    writer = threading.Thread(target=attempt, daemon=True)
+    writer.start()
+    writer.join(timeout=30)
+    assert not writer.is_alive() and raised == [errno.ELOOP]
+    assert sorted(os.listdir(tmp_path)) == sorted(links)   # no .tmp-* file
+    assert {name: os.readlink(tmp_path / name) for name in links} == links
+
+
 def test_write_to_dev_null_and_a_fifo_in_place(tmp_path):
     p = naive_profile("01" * profiles._CSV_CHUNK_ROWS)
     write_profile_csv(p, os.devnull)

@@ -12,10 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jumbled.minplus import INF, NEG_INF
+from jumbled.minplus import INF, MAX, MIN, NEG_INF
 from jumbled.strings import (
-    BinaryString, blocked_profile, build_cross_tables, make_block_partition,
-    naive_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
+    BinaryString, _edge_tables, blocked_profile, build_cross_tables, make_block_partition,
+    naive_profile, naive_weighted_max_sums, recursive_profile, rle_profile, weighted_max_sums,
 )
 from _support import random_bits, window_max_sums, window_profile
 
@@ -39,6 +39,53 @@ def test_binary_string_rejects_garbage():
         BinaryString(np.array([256, 1, 257]))
     with pytest.raises(ValueError):
         BinaryString([-1])
+
+
+# The prefix 1-counts take int16 up to n = 32767 and int32 from 32768 on;
+# every backend reads them in that dtype, and the string's 1-count reaches
+# the int16 limit when all bits are 1
+_SWITCH_FILLS = {
+    "iid": lambda n: np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8),
+    "ones": lambda n: np.ones(n, dtype=np.uint8),
+    "zeros": lambda n: np.zeros(n, dtype=np.uint8),
+}
+
+
+@pytest.fixture(scope="module", params=[(n, fill) for n in (32767, 32768) for fill in _SWITCH_FILLS],
+                ids=lambda case: f"{case[0]}-{case[1]}")
+def switch_case(request):
+    n, fill = request.param
+    s = BinaryString(_SWITCH_FILLS[fill](n))
+    return s, naive_profile(s)
+
+
+def test_prefix_ones_narrow_at_the_int16_switch(switch_case):
+    s, _ = switch_case
+    n = len(s)
+    assert s.prefix_ones.dtype == (np.int16 if n <= 32767 else np.int32)
+    assert np.array_equal(s.prefix_ones, np.cumsum(np.append(0, s.bits), dtype=np.int64))
+
+
+# blocked at its default b only: --block 1 at this n needs about 8 GB
+@pytest.mark.parametrize("backend", [rle_profile, recursive_profile, blocked_profile],
+                         ids=lambda f: f.__name__)
+def test_backends_equal_naive_at_the_int16_switch(switch_case, backend):
+    s, want = switch_case
+    assert backend(s) == want
+
+
+@pytest.mark.parametrize("ring", [MIN, MAX], ids=["min", "max"])
+def test_edge_tables_take_an_int64_copy_of_a_narrow_prefix(ring):
+    # the tables hold the int64 sentinel, which no narrow dtype holds
+    s = BinaryString(_SWITCH_FILLS["iid"](32767))
+    wide = BinaryString(s.bits)
+    wide.prefix_ones = s.prefix_ones.astype(np.int64)
+    assert s.prefix_ones.dtype == np.int16
+    got = _edge_tables(make_block_partition(s, 182), ring)
+    want = _edge_tables(make_block_partition(wide, 182), ring)
+    for table, expected in zip(got, want):
+        assert table.dtype == np.int64 and np.array_equal(table, expected)
+    assert (got[1] == ring.sentinel).any()
 
 
 # ---------------------------------------------------------------------------
