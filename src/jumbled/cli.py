@@ -26,8 +26,7 @@ from .inputs import (
 from .minplus import sqrt_ceil
 from .profiles import (
     Profile,
-    occurs,
-    read_profile_csv,
+    _occurs_in_csv,
     write_profile_csv,
     write_sums_csv,
 )
@@ -139,12 +138,12 @@ def cmd_build(args) -> int:
 
 def cmd_query(args) -> int:
     try:
-        profile = read_profile_csv(args.profile)
+        found = _occurs_in_csv(args.profile, args.i, args.j)
     except (ParseError, OSError) as exc:
         return _fail(str(exc))
     except UnicodeDecodeError as exc:
         return _fail(f"{args.profile}: {exc}")
-    print("yes" if occurs(profile, args.i, args.j) else "no")
+    print("yes" if found else "no")
     return 0
 
 
@@ -377,16 +376,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args keeps no state between calls, and
-    # building takes about a millisecond, a share of a query's cost
-    return build_parser()
+def _parser():
+    # the parser and its commands' parsers by name, built once per process:
+    # parse_args keeps no state between calls, and building takes about a
+    # millisecond, a share of a query's cost
+    parser = build_parser()
+    commands, = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    parser = _parser()
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # the top-level parser would hand the command every later
+            # argument; it is needed only to report those left over
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "func", None) is None:

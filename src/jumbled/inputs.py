@@ -86,9 +86,10 @@ def _int_tokens(text: str):
     return _digit_values(data, stops, count, 1 - 2 * negative.view(np.int8)), starts, data
 
 
-def _digit_values(data: np.ndarray, stops, count, sign=None) -> np.ndarray:
+def _digit_values(data: np.ndarray, stops, count, sign=None, narrow=False) -> np.ndarray:
     """int64 values of the digit runs of ``data`` that end before ``stops``,
-    ``count`` digits each (1.._MAX_DIGITS), times ``sign`` if given.
+    ``count`` digits each (1.._MAX_DIGITS), times ``sign`` if given; int32
+    values if ``narrow`` and no run has more than 9 digits.
 
     Horner over the tokens right-aligned to m digits, signed: step k reads
     the byte m - k before each stop (below 0 wraps), a digit unless the
@@ -106,7 +107,7 @@ def _digit_values(data: np.ndarray, stops, count, sign=None) -> np.ndarray:
             values *= 10
             values += digit
         else:
-            values = digit.astype(np.int64)
+            values = digit.astype(np.int32 if narrow and m <= 9 else np.int64)
     return values
 
 

@@ -31,11 +31,11 @@ SUMS_CSV_HEADER = "size,max_sum"
 _CSV_CHUNK_ROWS = 2048
 
 # bytes of whole lines per step of the reader's byte pass. At n=16384 (a
-# 246 KB file) the reader's tracemalloc peak was 633, 747, 912 and 1072 KiB
-# at 16, 32, 64 and 96 KiB, and 1765 KiB in one step, against 1126 KiB for
-# the np.loadtxt reader; it took 0.88, 0.78, 0.68, 0.72 and 0.82 of that
-# reader's time (2-core x86 VM, medians of 40 interleaved reads). At n=4096
-# (one step) it peaked at 486 KiB against 273 KiB, in 0.75 of the time.
+# 246 KB file) the reader's tracemalloc peak is 715, 855, 989 and 1124 KiB
+# at 32, 64, 96 and 128 KiB, and a query's 460, 599, 734 and 868 KiB. Of
+# 300 alternating queries against 64 KiB (2-core x86 VM), 32, 96 and 128
+# KiB won 1, 1 and 27: past 64 KiB a chunk's int64 offsets pass glibc's 128
+# KiB mmap threshold, so each chunk faults in fresh pages.
 _READ_CHUNK_BYTES = 1 << 16
 _HEADER_LINE = CSV_HEADER.encode() + b"\n"
 _ROW_ENDS = np.array([44, 44, 10], dtype=np.uint8)   # ",,\n"
@@ -111,13 +111,31 @@ def read_profile_csv(path) -> Profile:
     decodes it and read line by line.
 
     A fault raises ParseError naming its 1-based line."""
+    raw, data = _read_file(path)
+    rows = _read_rows(data)
+    return _read_lines(raw) if rows is None else Profile(*rows)
+
+
+def _occurs_in_csv(path, i: int, j: int) -> bool:
+    """occurs(read_profile_csv(path), i, j), with the same errors; a file
+    the byte pass takes is checked whole, but only row i is kept."""
+    raw, data = _read_file(path)
+    rows = _read_rows(data, i)
+    if rows is None:
+        return occurs(_read_lines(raw), i, j)
+    lo, hi = (a.tolist() for a in rows)
+    return bool(lo) and lo[0] <= j <= hi[0]
+
+
+def _read_file(path):
+    """The bytes of ``path`` as read, and with universal newlines as text mode reads them."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    # universal newlines, as text mode would read them
-    data = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
-    rows = _read_rows(data)
-    if rows is not None:
-        return Profile(*rows)
+    return raw, raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
+
+
+def _read_lines(raw: bytes) -> Profile:
+    """read_profile_csv's reading of a file that the byte pass refuses."""
     text = io.TextIOWrapper(io.BytesIO(raw)).read()
     head, _, body = text.partition("\n")
     if head != CSV_HEADER:
@@ -130,11 +148,13 @@ def read_profile_csv(path) -> Profile:
     return Profile(np.ascontiguousarray(rows[:, 1]), np.ascontiguousarray(rows[:, 2]))
 
 
-def _read_rows(data: bytes):
+def _read_rows(data: bytes, row=None):
     """(min_ones, max_ones) of ``data`` if it is a profile CSV as the writer
     writes it: the header, then rows "size,min,max\\n" of 1.._MAX_DIGITS
     ASCII digits each, sizes 1..n in order and 0 <= min <= max <= size;
-    None otherwise. Whole lines are parsed _READ_CHUNK_BYTES at a time."""
+    None otherwise. Given a ``row``, every row is still checked, but the
+    columns keep only that size's entry, or none outside 1..n. Whole lines
+    are parsed _READ_CHUNK_BYTES at a time."""
     if not data.startswith(_HEADER_LINE):
         return None
     head = len(_HEADER_LINE)
@@ -146,7 +166,9 @@ def _read_rows(data: bytes):
     n = int(n) if n.isdigit() and len(n) <= _MAX_DIGITS else 0
     if not 0 < n <= (len(data) - head) // 6:
         return None
-    lo, hi = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    # the rows kept, [first, end) of 0..n
+    first, end = (0, n) if row is None else (row - 1, row) if 0 < row <= n else (0, 0)
+    lo, hi = np.empty(end - first, dtype=np.int64), np.empty(end - first, dtype=np.int64)
     codes = np.frombuffer(data, dtype=np.uint8)
     done = 0
     while head < len(data):
@@ -167,11 +189,14 @@ def _read_rows(data: bytes):
         count -= 1   # a field's digits: the bytes between two ends
         if count.min() < 1 or count.max() > _MAX_DIGITS:
             return None
-        size, a, b = _digit_values(chunk, ends, count).reshape(rows, 3).T
+        size, a, b = _digit_values(chunk, ends, count, narrow=True).reshape(rows, 3).T
         if ((size != np.arange(done + 1, done + rows + 1)).any()
                 or (a > b).any() or (b > size).any()):
             return None
-        lo[done:done + rows], hi[done:done + rows] = a, b
+        s, e = max(first, done), min(end, done + rows)   # the chunk's rows kept
+        if s < e:
+            at = slice(s - done, e - done)
+            lo[s - first:e - first], hi[s - first:e - first] = a[at], b[at]
         del ends, count, size, a, b   # before the next chunk's
         done += rows
         head = stop

@@ -11,7 +11,10 @@ strings' profiles must also equal naive_profile's. The weighted inputs are
 built again with CRLF line ends and with tabs between fields, and must
 give the same index bytes, so that the parser's whitespace handling and
 its int32 offsets run on every numpy the script runs on. On every 0/1 index, ``jumbled query`` answers as
-``occurs`` does. Prints one line per input and exits 1 on a mismatch.
+``occurs`` does. At n = 32767 and 32768 it also answers so on a CRLF copy
+of the index, and on a copy with one row corrupted far from the queried
+size it exits 2 and names that row's line. Prints one line per input and
+exits 1 on a mismatch.
 """
 
 import random
@@ -99,6 +102,30 @@ def same_answers(p, index: Path, what: str, rng: random.Random) -> bool:
     return good
 
 
+def same_answers_on_copies(p, index: Path, what: str, rng: random.Random) -> bool:
+    """True if ``jumbled query`` answers as occurs does on ``p`` from a CRLF
+    copy of ``index``, and if on a copy whose row r, far from the queried
+    size, has max > size it exits 2 naming line r + 1; prints a mismatch."""
+    crlf, bad = index.with_suffix(".crlf.csv"), index.with_suffix(".bad.csv")
+    data = index.read_bytes()
+    crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+    i = rng.randint(1, 100)
+    good = same_answer(p, f"{what} query on a CRLF copy", i, int(p.min_ones[i - 1]),
+                       "--profile", str(crlf))
+    lines = data.split(b"\n")
+    r = p.n - rng.randint(0, 100)
+    lines[r] = b"%d,%d,%d" % (r, p.min_ones[r - 1], r + 1)
+    bad.write_bytes(b"\n".join(lines))
+    proc = subprocess.run([sys.executable, "-m", "jumbled.cli", "query", "--profile", str(bad),
+                           "-i", str(i), "-j", "0"], capture_output=True, text=True)
+    named = proc.returncode == 2 and proc.stderr.startswith(f"error: line {r + 1}: ")
+    if not named:
+        print(f"{what} query on row {r} corrupted: exit {proc.returncode}, {proc.stderr!r}")
+    print(f"{what}: a CRLF copy {'answers' if good else 'DOES NOT answer'} as occurs does; "
+          f"a corrupted row {'is' if named else 'is NOT'} named")
+    return good and named
+
+
 def main() -> int:
     ok = True
     rng = random.Random(5)
@@ -122,6 +149,7 @@ def main() -> int:
                 same = result == naive_profile(parse_binary_string_text(src.read_text()))
                 print(f"{what}: profile {'equals' if same else 'DIFFERS from'} naive_profile's")
                 ok &= same
+                ok &= same_answers_on_copies(result, index, what, rng)
             if kind.startswith("weighted"):
                 ok &= same_index_from_spacing(src, index, kind)
             else:

@@ -3,6 +3,7 @@ one query run as a subprocess that reads its profile from a pipe."""
 
 import errno
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,11 +13,11 @@ import pytest
 
 from jumbled import cli
 from jumbled.inputs import (
-    ParseError, gen_string, gen_tree, gen_weights, parse_binary_string_text, parse_tree_text,
-    parse_weights_text,
+    ParseError, _digit_values, gen_string, gen_tree, gen_weights, parse_binary_string_text,
+    parse_tree_text, parse_weights_text,
 )
-from jumbled.profiles import read_profile_csv
-from jumbled.strings import naive_profile
+from jumbled.profiles import read_profile_csv, write_profile_csv
+from jumbled.strings import naive_profile, rle_profile
 
 
 def run(*argv):
@@ -49,6 +50,26 @@ def test_parse_weights_reports_position():
     with pytest.raises(ParseError) as err:
         parse_weights_text("3 4x\n")
     assert "line 1, char 3" in str(err.value)
+
+
+# the digit loop on each side of int32's 9 digits and at the 18-digit
+# limit, signed: int32 values only if asked for and every run fits
+@pytest.mark.parametrize("narrow", [False, True], ids=["int64", "narrow"])
+@pytest.mark.parametrize("tokens", [
+    ["999999999", "-999999999", "123456789", "-1", "0", "7"],
+    ["9999999999", "-1000000000", "2147483648", "-2147483649", "5", "-0"],
+    ["999999999999999999", "-999999999999999999", "100000000000000000", "-42"],
+], ids=["9-digits", "10-digits", "18-digits"])
+def test_digit_values_against_int(tokens, narrow):
+    text = " ".join(tokens) + "\n"
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    runs = list(re.finditer(r"-?(\d+)", text))
+    stops = np.array([m.end() for m in runs], dtype=np.int32)
+    count = np.array([len(m[1]) for m in runs], dtype=np.int32)
+    sign = np.array([-1 if m[0][0] == "-" else 1 for m in runs], dtype=np.int8)
+    got = _digit_values(data, stops, count, sign, narrow=narrow)
+    assert got.tolist() == [int(t) for t in tokens]
+    assert got.dtype == (np.int32 if narrow and count.max() <= 9 else np.int64)
 
 
 def test_parse_tree():
@@ -286,6 +307,24 @@ def test_build_memory_peak(tmp_path, kind, text, bound_kib):
     finally:
         tracemalloc.stop()
     assert peak / 2 ** 10 < bound_kib
+
+
+# tracemalloc peak of a query on a 16384-row index: the file and one 64 KiB
+# chunk's temporaries of the byte pass, which keeps only the queried row,
+# 599 KiB (911 KiB while a query kept both columns and read int64 digit
+# values); the bound leaves the margin of the other peak tests
+def test_query_memory_peak(tmp_path):
+    index = tmp_path / "p.csv"
+    write_profile_csv(rle_profile(np.random.default_rng(3).integers(0, 2, 16384)), index)
+    argv = ("query", "--profile", str(index), "-i", "5000", "-j", "2500")
+    assert run(*argv) == 0   # first call: numpy's own lazy allocations
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 10 < 692
 
 
 @pytest.mark.parametrize("links", [{"a": "a"}, {"b": "b1", "b1": "b"}], ids=["self", "pair"])
@@ -554,6 +593,44 @@ def test_successive_calls_share_no_options(tmp_path, monkeypatch, capsys):
         "verify: 2 cases, 0 mismatches (string: naive vs recursive, n <= 8)\n")
     assert calls == {"blocked": [3], "rle": [None], "naive": [None, None]}
     assert len(builds) <= 1  # the parser is built at most once per process
+
+
+def _main_parsing_every_argument(argv):
+    """main's reference: the top-level parser parses all of argv, then the
+    command runs."""
+    parser = cli.build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    if getattr(args, "func", None) is None:
+        parser.print_help(sys.stderr)
+        return 2
+    return args.func(args)
+
+
+# a known command goes straight to its own parser: help, errors and exit
+# codes stay those of the top-level parse, which still reports extra arguments
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["query", "-h"],
+    ["query"],
+    ["query", "--profile", "{index}", "-i", "x", "-j", "0"],
+    ["query", "--profile", "{index}", "-i", "2", "-j", "1", "extra"],
+    ["query", "--profile", "{index}", "-i", "2", "-j", "1"],
+    ["frobnicate", "--profile", "{index}"],
+    ["build", "--block", "0", "--input", "{src}", "--out", "{index}"],
+], ids=["none", "help", "query-help", "query-no-options", "bad-int", "extra-argument",
+        "query", "unknown-command", "build-block-0"])
+def test_dispatch_matches_the_top_level_parse(tmp_path, capsys, argv):
+    src, index = tmp_path / "s.txt", tmp_path / "p.csv"
+    src.write_text("0110\n")
+    assert run("build", "--input", str(src), "--out", str(index)) == 0
+    argv = [a.format(src=src, index=index) for a in argv]
+    capsys.readouterr()
+    got = (cli.main(argv), *capsys.readouterr())
+    assert got == (_main_parsing_every_argument(argv), *capsys.readouterr())
 
 
 def test_no_subcommand_is_usage_error():

@@ -384,7 +384,7 @@ def test_csv_rows_longer_than_a_chunk_are_read_line_by_line(tmp_path, monkeypatc
 
 
 # The byte pass holds the file, the two int64 columns and one chunk's
-# temporaries: 912 KiB at n = 16384 with 64 KiB chunks, where the reader on
+# temporaries: 855 KiB at n = 16384 with 64 KiB chunks, where the reader on
 # np.loadtxt took 1124 KiB.
 def test_read_memory_peak(tmp_path):
     p = rle_profile(np.random.default_rng(3).integers(0, 2, 16384))

@@ -10,8 +10,10 @@ whole-array rule, the CSV writers against "%d" formatting, the tree sweep
 on adversarial shapes, and the vectorised parsers against their line-by-line
 readings."""
 
+import io
 import random
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +23,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from jumbled import inputs, strings
+from jumbled import cli, inputs, profiles, strings
 from jumbled.inputs import ParseError
 from jumbled.profiles import (
     _CSV_CHUNK_ROWS, CSV_HEADER, SUMS_CSV_HEADER, Profile, occurs, read_profile_csv,
@@ -304,6 +306,96 @@ def test_profile_csv_reader_matches_reading_by_lines(seed, edit, at, byte):
             text[at] = byte
         path.write_bytes(text)
         assert _read_outcome(read_profile_csv, path) == _read_outcome(profile_csv_by_lines, path)
+
+
+CSV_FAULTS = ["header", "non-digit", "19 digits", "sizes out of order", "min > max",
+              "max > size", "cut last row", "text after the last LF", "CRLF", "blank line"]
+
+
+def _broken_csv(text: bytes, fault: str, r: int, field: int, cut: int, padded: bool):
+    """A written profile CSV with one fault at row r, and the line that must
+    be named, or None if the fault may leave a valid file: CRLF line ends,
+    a 19-digit field of leading zeros (``padded``), or the last row cut
+    short. ``field`` picks the field, and ``cut`` the non-digit byte or
+    where the cut falls."""
+    lines = text.split(b"\n")   # header, rows 1..n, and "" after the last LF
+    n = len(lines) - 2
+    r = min(r, n - 1) if fault in ("sizes out of order", "blank line") else r
+    row = lines[r].split(b",")
+    line = r + 1
+    if fault == "header":
+        lines[0], line = b"size,min,max", 1
+    elif fault == "non-digit":
+        row[field] = b"x/:."[cut % 4:cut % 4 + 1] + row[field][1:]
+    elif fault == "19 digits":
+        value = int(row[field])
+        row[field], line = (b"%019d" % value, None) if padded else (b"%d" % (10 ** 18 + value), line)
+    elif fault == "sizes out of order":
+        lines[r + 1], row = lines[r], lines[r + 1].split(b",")
+    elif fault == "min > max":
+        row[1] = b"%d" % (int(row[2]) + 1)
+    elif fault == "max > size":
+        row[2] = b"%d" % (r + 1)
+    elif fault == "blank line":
+        lines.insert(r + 1, b"")
+        line = r + 2
+    lines[r] = b",".join(row)
+    text = b"\n".join(lines)
+    if fault == "cut last row":
+        text, line = text[:-1 - cut % len(lines[n])], None
+    elif fault == "text after the last LF":
+        text, line = text + b"end", n + 2
+    elif fault == "CRLF":
+        text, line = text.replace(b"\n", b"\r\n"), None
+    return text, line
+
+
+def _query_by_cli(path, i, j):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["query", "--profile", str(path), "-i", str(i), "-j", str(j)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _query_by_full_read(path, i, j):
+    """occurs(read_profile_csv(path), i, j) with cmd_query's handling of
+    errors, as (exit code, stdout, stderr)."""
+    try:
+        profile = read_profile_csv(path)
+    except (ParseError, OSError) as exc:
+        return 2, "", f"error: {exc}\n"
+    except UnicodeDecodeError as exc:
+        return 2, "", f"error: {path}: {exc}\n"
+    return 0, ("yes" if occurs(profile, i, j) else "no") + "\n", ""
+
+
+# the query keeps only row i of the byte pass, but checks every row: it
+# answers and fails as the whole read does, at the ends of 1..n and outside
+# them, with a fault anywhere, in small read chunks (so that the fault and
+# row i are chunks apart) or in the default ones
+@SETTINGS
+@given(st.integers(2, 300), st.integers(0, 2 ** 32 - 1), st.sampled_from(CSV_FAULTS),
+       st.integers(1, 300), st.integers(0, 2), st.integers(0, 2 ** 16), st.booleans(),
+       st.integers(1, 300), st.sampled_from([97, profiles._READ_CHUNK_BYTES]))
+def test_query_of_one_row_answers_as_the_whole_read(n, seed, fault, r, field, cut, padded,
+                                                     inner, chunk):
+    rng = np.random.default_rng(seed)
+    sizes = np.arange(1, n + 1)
+    mins = rng.integers(0, sizes + 1)
+    maxs = rng.integers(mins, sizes + 1)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(profiles, "_READ_CHUNK_BYTES", chunk):
+        path = Path(tmp) / "p.csv"
+        write_profile_csv(Profile(mins, maxs), path)
+        text, line = _broken_csv(path.read_bytes(), fault, min(r, n), field, cut, padded)
+        path.write_bytes(text)
+        for i in (-1, 0, 1, min(inner, n), n, n + 1):
+            k = min(max(i, 1), n) - 1
+            for j in (int(mins[k]) - 1, int(mins[k]), int(maxs[k]), int(maxs[k]) + 1):
+                got = _query_by_cli(path, i, j)
+                assert got == _query_by_full_read(path, i, j)
+                if line is not None:
+                    assert got[0] == 2 and got[2].startswith(f"error: line {line}: ")
 
 
 def _written(write, value):
