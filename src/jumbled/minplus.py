@@ -11,7 +11,7 @@ satisfy |x| <= FINITE_BOUND, and the sentinels INF (min side) and NEG_INF
 (max side) mark infeasible cells. Additions never overflow (2 * INF = 2^61 <
 2^63) and are re-saturated after every kernel: a sum lands beyond the snap
 threshold iff one of its operands was a sentinel, because finite + finite
-<= 2^53 < INF - FINITE_BOUND. The sweeps never snap: see span_dtype."""
+<= 2^53 < INF - FINITE_BOUND. The sweeps never snap: see Ring.sentinel_in."""
 
 from __future__ import annotations
 
@@ -78,6 +78,17 @@ class Ring:
     fold: np.ufunc
     snap: object
 
+    def __post_init__(self):   # _narrow, sentinel_in's table, keyed by scalar type and by dtype
+        halves = {t: int(np.iinfo(t).max) // 2 for t in (np.int16, np.int32, np.int64)}
+        object.__setattr__(self, "_narrow", {k: min(max(self.sentinel, -h), h)
+                                             for t, h in halves.items() for k in (t, np.dtype(t))})
+
+    def sentinel_in(self, dtype) -> int:
+        """The ring's sentinel clipped to half of a sweep's ``dtype``: in a dtype
+        that holds +-2 bound, it is bound or more from 0, stays in range after a
+        finite addend in [-bound, bound], and two of them add without overflow."""
+        return self._narrow[dtype]
+
     def reduce(self, a: np.ndarray, axis=None):
         return self.fold.reduce(a, axis=axis)
 
@@ -99,32 +110,23 @@ def narrow_dtype(lo: int, hi: int):
     return np.int64
 
 
-def span_dtype(bound: int, ring: Ring):
-    """The number model of every sweep: the narrowest signed dtype that
-    holds +-2 ``bound``, and the ring's sentinel in it, at most half its
-    range. The sentinel is then at least ``bound`` away from 0, a finite
-    addend in [-bound, bound] leaves it within the dtype, and two sentinels
-    add without overflow."""
-    dtype = narrow_dtype(-bound, bound)
-    half = int(np.iinfo(dtype).max) // 2   # in int64, the ring's own sentinel is within
-    return dtype, min(max(ring.sentinel, -half), half)
-
-
-def sum_dtype(rows: np.ndarray, ring: Ring):
-    """span_dtype for sums of labels along ``rows``. A sum lies in [lo, hi],
-    the sums of a row's negative and positive labels; a bound of hi - lo + 1
-    keeps the sentinel beyond every finite value after one finite addend."""
+def sum_dtype(rows: np.ndarray):
+    """The sweep dtype for sums of labels along ``rows``. A sum lies in [lo, hi],
+    the sums of a row's negative and positive labels; holding +-2 (hi - lo + 1)
+    keeps Ring.sentinel_in beyond every finite value after one finite addend."""
     lo = int(np.minimum(rows, 0).sum(axis=-1).min())
     hi = int(np.maximum(rows, 0).sum(axis=-1).max())
-    return span_dtype(hi - lo + 1, ring)
+    return narrow_dtype(-(hi - lo + 1), hi - lo + 1)
 
 
-def as_int64(x, what: str) -> np.ndarray:
-    """``x`` as an int64 array; ValueError if a value is not an integer or
-    lies outside int64. A dtype that int64 holds without loss (bool, and
-    every integer dtype but uint64) is only cast, with no pass over the
-    values."""
+def as_int64(x, what: str, ndim=None) -> np.ndarray:
+    """``x`` as an int64 array; ValueError if it has not ``ndim`` dimensions
+    (when given), or if a value is not an integer or lies outside int64. A
+    dtype that int64 holds without loss (bool, and every integer dtype but
+    uint64) is only cast, with no pass over the values."""
     a = np.asarray(x)
+    if ndim is not None and a.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-dimensional, got shape {a.shape}")
     if np.can_cast(a.dtype, np.int64):
         return a.astype(np.int64, copy=False)
     if a.dtype.kind == "u":
@@ -163,9 +165,7 @@ def sqrt_ceil(n: int) -> int:
 
 
 def _as_operand(x, ndim: int, what: str) -> np.ndarray:
-    a = as_int64(x, what)
-    if a.ndim != ndim:
-        raise ValueError(f"{what} must be {ndim}-dimensional, got shape {a.shape}")
+    a = as_int64(x, what, ndim)
     ok = (np.abs(a) <= FINITE_BOUND) | (a == INF) | (a == NEG_INF)
     if not ok.all():
         raise ValueError(f"{what} has entries outside the finite bound that are not sentinels")
@@ -240,11 +240,11 @@ def _conv_direct(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
     return ring.snap(out)
 
 
-def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np.ndarray) -> None:
+def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, out: np.ndarray) -> None:
     """out[..., i] = ext_k x[..., k] + y[..., i - k] along the last axis, for
-    every i below out's width, and no cell beyond the sentinel; cells of x
-    or y may hold it. Every sweep convolves here, in out's dtype (span_dtype),
-    strings._window_extremes included, as the correlation of a row with itself.
+    every i below out's width, and no cell beyond ring.sentinel_in(out.dtype),
+    which x and y may hold and every cell past the span holds. Every sweep
+    convolves here, strings._window_extremes included, as a row's self-correlation.
 
     A block of K entries of the shorter operand meets the longer one in
     tiles of K x C cells, each filled by one add from a Hankel view of the
@@ -261,6 +261,7 @@ def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np
     q, ly = x.shape[-1], y.shape[-1]
     width = out.shape[-1]
     n_rows = out.size // width
+    sentinel = ring.sentinel_in(out.dtype)
     k_s = max(1, min(_CONV_SHIFTS, q, _CONV_CELLS // (n_rows * min(ly, _CONV_SHIFTS))))
     padded = np.full(out.shape[:-1] + (ly + 2 * (k_s - 1),), sentinel, dtype=out.dtype)
     padded[..., k_s - 1:k_s - 1 + ly] = y
@@ -284,7 +285,7 @@ def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, sentinel: int, out: np
             kb = min(k_s, q - k0)
             block = x[..., k0:k0 + kb][..., ::-1, None]   # row m: x[k0 + kb - 1 - m]
             rows = hankel[..., k_s - kb:, :]              # row m: y[t - (kb - 1 - m)]
-            end = min(span, width - k0)
+            end = min(ly + kb - 1, width - k0)   # past the last real cell, out keeps the sentinel
             for t0 in range(0, end, step):
                 t1 = min(end, t0 + step)
                 tile = buf[..., :kb, :t1 - t0]
@@ -312,16 +313,15 @@ def _conv_blocked(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
     if u.size > v.size:
         u, v = v, u
     lu, lv = u.size, v.size
-    sentinel = ring.sentinel
     t = sqrt_ceil(lv)
 
     num_p = -(-lu // t)
     num_c = -(-lv // t) + 1
-    x = np.full(num_p * t, sentinel, dtype=np.int64)
+    x = np.full(num_p * t, ring.sentinel, dtype=np.int64)
     x[:lu] = u
     x = x.reshape(num_p, t)
 
-    out = np.full(lu + lv - 1, sentinel, dtype=np.int64)
+    out = np.full(lu + lv - 1, ring.sentinel, dtype=np.int64)
     base_j = np.arange(num_c)[None, :] * t - np.arange(t)[:, None]
     width = num_p + num_c - 1
     flat_idx = np.arange(num_p)[:, None] * (width + 1) + np.arange(num_c)[None, :]
@@ -330,9 +330,9 @@ def _conv_blocked(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
     for q in range(t):
         j = base_j + q
         valid = (j >= 0) & (j < lv)
-        z = np.where(valid, v[np.clip(j, 0, lv - 1)], sentinel)
+        z = np.where(valid, v[np.clip(j, 0, lv - 1)], ring.sentinel)
         m = ring.product(x, z)
-        stage.fill(sentinel)
+        stage.fill(ring.sentinel)
         stage.flat[flat_idx] = m
         diag = ring.reduce(stage, axis=0)
         pos = positions + q

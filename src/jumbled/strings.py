@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_bits, as_int64,
-                      narrow_dtype, positive_int, span_dtype, sqrt_ceil, sum_dtype)
+                      narrow_dtype, positive_int, sqrt_ceil, sum_dtype)
 from .profiles import Profile
 
 RECURSION_CUTOFF = 64
@@ -77,18 +77,19 @@ def _as_string(s) -> BinaryString:
 def _window_extremes(rows: np.ndarray, ring: Ring) -> np.ndarray:
     """The extreme sum for ``ring`` over the width-w windows of each row of
     prefix sums p in ``rows`` (2-d), w = 1..L, as one (rows, L) array in the
-    span_dtype of the rows' widest span.
+    narrow_dtype of +-span, for the rows' widest span.
 
     The (min,+) or (max,+) correlation of p with itself: for base the row's
     extreme on the ring's side, y = base - p and x, y reversed and negated,
     give x[k] + y[j] = p[L - k] - p[j], the window from j to L - k, so
-    output L - w holds width w. x lies on the sentinel's side of 0, so a
+    output L - w holds width w. x lies on Ring.sentinel_in's side of 0, so a
     padded cell neither beats a real window nor overflows."""
-    dtype, sentinel = span_dtype(int((rows.max(axis=1) - rows.min(axis=1)).max()), ring)
+    span = int((rows.max(axis=1) - rows.min(axis=1)).max())
+    dtype = narrow_dtype(-span, span)
     y = np.empty(rows.shape, dtype=dtype)
     np.subtract(ring.reduce(rows, axis=1)[:, None], rows, out=y)
     out = np.empty((rows.shape[0], rows.shape[1] - 1), dtype=dtype)
-    _conv_tiled(np.negative(y[:, ::-1]), y, ring, sentinel, out)
+    _conv_tiled(np.negative(y[:, ::-1]), y, ring, out)
     return out[:, ::-1]
 
 
@@ -453,12 +454,10 @@ class BlockPartition:
     b: int
     bounds: np.ndarray = field(init=False)  # block k spans [bounds[k], bounds[k+1])
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", positive_int(self.b, "block length"))
+    def __post_init__(self):   # b >= n is one block of n: clamped, so its bounds fit int64
         n = len(self.string)
-        m = -(-n // self.b)
-        object.__setattr__(self, "bounds",
-                           np.minimum(np.arange(m + 1, dtype=np.int64) * self.b, n))
+        object.__setattr__(self, "b", min(positive_int(self.b, "block length"), n))
+        object.__setattr__(self, "bounds", np.append(np.arange(0, n, self.b, dtype=np.int64), n))
 
     @property
     def m(self) -> int:
@@ -568,9 +567,9 @@ def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
     # below 1, a segment of length 1 would split into itself forever
     cutoff = positive_int(cutoff, "recursion cutoff")
     n = pref.size - 1
-    dtype, sentinel = sum_dtype(np.diff(pref), ring)
+    dtype = sum_dtype(np.diff(pref))
     pref = pref.astype(dtype)
-    out = np.full(n, sentinel, dtype=dtype)
+    out = np.full(n, ring.sentinel_in(dtype), dtype=dtype)
     leaves = {}   # base-case length -> start of each segment of that length
     # explicit stack; deep inputs must not hit the interpreter limit
     stack = [(0, n)]
@@ -586,7 +585,7 @@ def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
         u = pref[mid] - pref[mid - np.arange(mid - lo + 1)]
         v = pref[mid + np.arange(hi - mid + 1)] - pref[mid]
         crossing = np.empty(u.size + v.size - 1, dtype=dtype)
-        _conv_tiled(u, v, ring, sentinel, crossing)
+        _conv_tiled(u, v, ring, crossing)
         _fold_into(out, ring, crossing[1:])
     # the base cases of one length are the rows of one correlation
     for length, starts in leaves.items():
@@ -601,8 +600,8 @@ def recursive_profile(s: BinaryString, cutoff: int = RECURSION_CUTOFF) -> Profil
 
 
 def _weight_prefix(weights) -> np.ndarray:
-    weights = as_int64(weights, "weights")
-    if weights.ndim != 1 or weights.size < 1:
+    weights = as_int64(weights, "weights", 1)
+    if weights.size < 1:
         raise ValueError("need a non-empty weight sequence")
     # Python ints: np.abs wraps -2**63 to itself
     if max(-int(weights.min()), int(weights.max())) * weights.size > FINITE_BOUND:

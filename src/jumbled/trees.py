@@ -25,7 +25,7 @@ _combine. A 0/1 step that joins two arrays of more than _WIDE entries runs
 in the value domain (_combine_by_counts): each array becomes its inverse,
 the largest size for each count, and the inverses take the same
 convolution under MAX, about a quarter of the cells. Both sweeps run in
-minplus.sum_dtype's narrow dtype and sentinel, no snap.
+minplus.sum_dtype's narrow dtype and its Ring.sentinel_in, no snap.
 
 Global folds only take arrays of *real* (non-dummy) topmost nodes: a set
 whose topmost node is a dummy joins two sibling branches without their
@@ -52,10 +52,10 @@ class LabeledTree:
     __slots__ = ("parents", "labels", "root", "_children")
 
     def __init__(self, parents, labels):
-        parents = as_int64(parents, "parents")
-        labels = as_int64(labels, "labels")
+        parents = as_int64(parents, "parents", 1)
+        labels = as_int64(labels, "labels", 1)
         n = int(parents.size)
-        if n < 1 or parents.ndim != 1:
+        if n < 1:
             raise ValueError("need at least one node")
         if labels.shape != parents.shape:
             raise ValueError("labels and parents must have equal length")
@@ -269,9 +269,9 @@ def encode_delta(a_v) -> DeltaBits:
     return DeltaBits(np.concatenate([[0], np.diff(arr)]).astype(np.uint8))
 
 
-def _combine(ring: Ring, sentinel: int, x, y, lab, real: bool):
+def _combine(ring: Ring, x, y, lab, real: bool):
     """One DP step: join two child arrays below a node, along the last axis,
-    in x's dtype with ``sentinel`` for an infeasible cell, and no snap.
+    in x's dtype with Ring.sentinel_in for an infeasible cell, and no snap.
 
     A real node consumes one unit of size and contributes its label ``lab``
     (a scalar, or a column for stacked rows); a dummy node consumes nothing.
@@ -285,7 +285,7 @@ def _combine(ring: Ring, sentinel: int, x, y, lab, real: bool):
     out = np.empty(x.shape[:-1] + (x.shape[-1] + y.shape[-1] - 1 + int(real),), dtype=x.dtype)
     core = out[..., 1:] if real else out
     if y.shape[-1] > 1:
-        _conv_tiled(x, y, ring, sentinel, core)
+        _conv_tiled(x, y, ring, core)
         x = core
     if real:
         out[..., 0] = 0
@@ -308,7 +308,7 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     return g
 
 
-def _combine_by_counts(sentinel: int, gx, gy, lab, real: bool):
+def _combine_by_counts(gx, gy, lab, real: bool):
     """_combine under MIN in the value domain, for two stacks of rows that
     start at 0 and step by 0 or 1, given as their inverses (_inverse): the
     bounded monotone case of Chan and Lewenstein (STOC 2015). The batched
@@ -322,8 +322,8 @@ def _combine_by_counts(sentinel: int, gx, gy, lab, real: bool):
     between them, so the inverses convolve in about a quarter of the cells
     of the rows.
 
-    The MAX pass keeps the ring's sentinel, negated, which _conv_tiled pads
-    only its longer operand with. Say the shorter inverse is x's: the larger
+    The MAX pass takes MAX's sentinel, which _conv_tiled pads only its
+    longer operand with. Say the shorter inverse is x's: the larger
     of x's row sums, mx, is at most y's, my, and x's values are at most its
     size, ones_x + zeros_x. If my is y's ones, zeros_x <= mx <= ones_y, so
     that size is at most ones_x + ones_y <= hi, the tree's larger row sum;
@@ -332,7 +332,7 @@ def _combine_by_counts(sentinel: int, gx, gy, lab, real: bool):
     value of every output, and no sum leaves the dtype."""
     width = int(gx[0, -1]) + int(gy[0, -1]) + 1   # T's, Lx + Ly - 1
     g = np.empty((gx.shape[0], gx.shape[1] + gy.shape[1] - 1), dtype=gx.dtype)
-    _conv_tiled(gx, gy, MAX, -sentinel, g)
+    _conv_tiled(gx, gy, MAX, g)
     counts = np.count_nonzero(g < width - 1, axis=1).tolist()
     # out[0] = 0 and out[i] = lab + T[i - 1] for a real node: lab marks
     # out[1], and T's steps land one further on
@@ -400,7 +400,8 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
     """
     n_total, n_real = bt.n_total, bt.n_real
     r = rows.shape[0]
-    dtype, sentinel = sum_dtype(rows, ring)
+    dtype = sum_dtype(rows)
+    sentinel = ring.sentinel_in(dtype)
     labels = rows.astype(dtype)
     del rows   # the int64 rows are dropped once narrowed, if the caller made them
     best = np.full((r, n_real), sentinel, dtype=dtype)
@@ -456,8 +457,7 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
                                           reals, *widest):
         nodes = slice(lo, lo + n_lev)
         core = np.empty((r, n_lev, s + 1), dtype=dtype)
-        _conv_tiled(gather(sides[0], nodes, wx), gather(sides[1], nodes, wy),
-                    ring, sentinel, core)
+        _conv_tiled(gather(sides[0], nodes, wx), gather(sides[1], nodes, wy), ring, core)
         block = store[:, base:base + n_lev * (s + 1)].reshape(r, n_lev, s + 1)
         base += n_lev * (s + 1)
         block[:, n_rl:] = core[:, n_rl:]
@@ -490,7 +490,7 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
             # a suffix of the chain joined to a set anchored below it
             joined = np.empty((r, n_ch + below.shape[1] - 1), dtype=dtype)
             suffixes = prefix[:, n_ch:] - prefix[:, n_ch - 1::-1]
-            _conv_tiled(suffixes, below, ring, sentinel, joined)
+            _conv_tiled(suffixes, below, ring, joined)
             ring.fold(best[:, :joined.shape[1]], joined, out=best[:, :joined.shape[1]])
             a_v = np.concatenate([prefix, prefix[:, n_ch:] + below[:, 1:]], axis=1)
             if sink is not None:
@@ -501,10 +501,10 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
             if ring is MIN and min(size[lc], size[rc]) >= _WIDE:
                 # the children's rows are freed once inverted, before the
                 # convolution's buffers (a lower tracemalloc peak)
-                a_v = _combine_by_counts(sentinel, _inverse(array_of(lc)), _inverse(array_of(rc)),
+                a_v = _combine_by_counts(_inverse(array_of(lc)), _inverse(array_of(rc)),
                                          labels[:, v, None], real[v])
             else:
-                a_v = _combine(ring, sentinel, array_of(lc), array_of(rc), labels[:, v, None], real[v])
+                a_v = _combine(ring, array_of(lc), array_of(rc), labels[:, v, None], real[v])
             if real[v]:
                 _fold_into(best, ring, a_v[:, 1:])
                 if sink is not None:
@@ -642,7 +642,8 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
     clamped to the sentinel: a join with finite sums, at most hi, then stays
     at most sentinel + hi + 1 (a 0/1 label), inside the dtype."""
     n_rows, n_real = rows.shape[0], bt.n_real
-    dtype, sentinel = sum_dtype(rows, ring)
+    dtype = sum_dtype(rows)
+    sentinel = ring.sentinel_in(dtype)
     rows = rows.astype(dtype)
     best = np.full((n_rows, n_real), sentinel, dtype=dtype)
     trivial = np.zeros((n_rows, 1), dtype=dtype)
@@ -654,7 +655,7 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
         if x is not None:   # an attach node always has a child cut below it
             fs = [f_store.pop(micro_of[c]) for c in (left[x], right[x])
                   if c >= 0 and micro_of[c] != mid]
-            below = fs[0] if len(fs) == 1 else _combine(ring, sentinel, *fs, 0, False)
+            below = fs[0] if len(fs) == 1 else _combine(ring, *fs, 0, False)
         a0, a1 = {}, {}
         # children come before parents, so the path from x up to the top is
         # x and every node with a child in a1
@@ -662,14 +663,14 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
             kids = [c for c in (left[v], right[v]) if c >= 0 and micro_of[c] == mid]
             pair = [a0[c] for c in kids] + [trivial] * (2 - len(kids))
             lab, real = rows[:, v, None], v < n_real
-            a0[v] = av = _combine(ring, sentinel, *pair, lab, real)
+            a0[v] = av = _combine(ring, *pair, lab, real)
             if real:
                 _fold_into(best, ring, av[:, 1:])
             on = [i for i, c in enumerate(kids) if c in a1]
             if v == x:
                 f = av.copy()
             elif on:
-                f = _combine(ring, sentinel, a1[kids[on[0]]], pair[1 - on[0]], lab, real)
+                f = _combine(ring, a1[kids[on[0]]], pair[1 - on[0]], lab, real)
             else:
                 continue
             if real:   # a real node on the path is in every set through it
@@ -679,7 +680,7 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
         top = dec.tops[mid]
         ft = a0[top]
         if below is not None:
-            gt = _combine(ring, sentinel, a1[top], below, 0, False)
+            gt = _combine(ring, a1[top], below, 0, False)
             # sets anchored at a real node on the path that continue below the
             # cut; the path's arrays widen upward, so the last is the widest.
             # A top that is the only real node on the path gives gt's join
@@ -690,7 +691,7 @@ def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarr
                 ehat = a1[forced[-1]].copy()
                 for v in forced[:-1]:
                     _fold_into(ehat, ring, a1[v])
-                _fold_into(best, ring, _combine(ring, sentinel, ehat, below, 0, False)[:, 1:])
+                _fold_into(best, ring, _combine(ring, ehat, below, 0, False)[:, 1:])
             _fold_into(gt, ring, ft)
             ft = gt
         _check_steps(ft)

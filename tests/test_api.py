@@ -6,7 +6,8 @@ import pytest
 import jumbled
 from jumbled.minplus import min_plus_product, min_plus_product_tiled
 from jumbled.strings import (
-    blocked_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
+    blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile,
+    rle_weighted_max_sums, weighted_max_sums,
 )
 from jumbled.trees import LabeledTree, tree_profile
 
@@ -68,6 +69,28 @@ def test_reduction_parameters_refuse_non_positive_integers(parameter, bad):
 @pytest.mark.parametrize("parameter", sorted(PARAMETERS))
 def test_reduction_parameters_take_integers(parameter, good):
     PARAMETERS[parameter](good)
+
+
+# a block at least as long as the string is one block of it, which is
+# naive_profile's, however far past int64 it reaches
+@pytest.mark.parametrize("b", [7, 2 ** 63 - 1, 2 ** 63, 99999999999999999999])
+def test_blocked_profile_takes_any_block_past_the_string(b):
+    assert blocked_profile("0110101", b=b) == naive_profile("0110101")
+
+
+# a wrong number of dimensions is named as such, not as an empty input
+DIMENSIONS = {
+    "tree": lambda: LabeledTree([[-1]], [[1]]),
+    "naive-weights": lambda: naive_weighted_max_sums([[1, 2]]),
+    "rle-weights": lambda: rle_weighted_max_sums([[1, 2]]),
+    "recursive-weights": lambda: weighted_max_sums([[1, 2]]),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(DIMENSIONS))
+def test_boundaries_name_a_wrong_number_of_dimensions(boundary):
+    with pytest.raises(ValueError, match=r"must be 1-dimensional, got shape \(1, "):
+        DIMENSIONS[boundary]()
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint32, np.int64, bool])

@@ -177,6 +177,17 @@ def test_build_blocked_identical_csv(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_build_blocked_past_int64_is_naive(tmp_path):
+    # a block longer than any string, past int64 too, builds naive's bytes
+    src = tmp_path / "s.txt"
+    src.write_text("0110100111\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("build", "--input", str(src), "--algo", "naive", "--out", str(a)) == 0
+    assert run("build", "--input", str(src), "--algo", "blocked",
+               "--block", "99999999999999999999", "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 @pytest.mark.parametrize("kind, text, argv, flag, taker", [
     ("string", "0110\n", ["--block", "22"], "--block", "blocked"),
     ("string", "0110\n", ["--algo", "recursive", "--block", "2"], "--block", "blocked"),

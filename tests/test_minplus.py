@@ -251,16 +251,16 @@ def _sentinel_vector(rng, size, sentinel, lo=-FINITE_BOUND, hi=FINITE_BOUND):
     return x
 
 
-def _tiled(x, y, ring, sentinel):
+def _tiled(x, y, ring):
     out = np.empty(x.shape[:-1] + (x.shape[-1] + y.shape[-1] - 1,), dtype=x.dtype)
-    _conv_tiled(x, y, ring, sentinel, out)
+    _conv_tiled(x, y, ring, out)
     return out
 
 
 def _assert_tiled_matches_direct(rng, short, size, dtypes=(np.int64, np.int16, np.int32), rows=2):
     """The tiled kernel against the direct loop: in int64 with INF, snapped
-    as the public kernels are; and in the sweeps' narrow dtypes with the
-    sentinel of sum_dtype, half the range, and no snap, on values whose
+    as the public kernels are; and in the sweeps' narrow dtypes with
+    Ring.sentinel_in, half the range, and no snap, on values whose
     sums span the widest range that sum_dtype gives that dtype. There a
     cell with no finite split need not be the sentinel, only beyond every
     finite sum, and it is read as the sentinel. Operands of ``short`` and
@@ -268,11 +268,11 @@ def _assert_tiled_matches_direct(rng, short, size, dtypes=(np.int64, np.int16, n
     rows, each with the same row of the other, in both orders."""
     for ring, reference in ((MIN, min_plus_convolution), (MAX, max_plus_convolution)):
         for dtype in dtypes:
+            sentinel = ring.sentinel_in(dtype)
             if dtype is np.int64:
-                sentinel, lo, hi = ring.sentinel, -FINITE_BOUND, FINITE_BOUND
+                lo, hi = -FINITE_BOUND, FINITE_BOUND
             else:
-                half = int(np.iinfo(dtype).max) // 2
-                sentinel = half if ring is MIN else -half
+                half = abs(sentinel)
                 lo = -((half - 1) // 6)
                 hi = lo + (half - 1) // 2
 
@@ -293,7 +293,7 @@ def _assert_tiled_matches_direct(rng, short, size, dtypes=(np.int64, np.int16, n
             assert want[0] == ring.sentinel
             u, v = narrow(u), narrow(v)
             for a, b in ((u, v), (v, u)):
-                got = _tiled(a, b, ring, sentinel)
+                got = _tiled(a, b, ring)
                 assert got.dtype == dtype
                 assert np.array_equal(settled(got), want)
             us = np.stack([vector(short) for _ in range(rows)])
@@ -301,7 +301,7 @@ def _assert_tiled_matches_direct(rng, short, size, dtypes=(np.int64, np.int16, n
             wants = [reference(us[k], vs[k]) for k in range(rows)]
             us, vs = narrow(us), narrow(vs)
             for a, b in ((us, vs), (vs, us)):
-                got = _tiled(a, b, ring, sentinel)
+                got = _tiled(a, b, ring)
                 assert got.dtype == dtype and got.shape == (rows, short + size - 1)
                 for k in range(rows):
                     assert np.array_equal(settled(got[k]), wants[k])
@@ -362,8 +362,8 @@ def _assert_rows_match_direct(rng, ring, dtype, lead, q, size, width):
     orders, into out of ``width`` columns, against the direct loop row by
     row: cells past the span are the sentinel. Values and the settling of
     cells with no finite split are those of _assert_tiled_matches_direct."""
-    half = int(np.iinfo(dtype).max) // 2
-    sentinel = half if ring is MIN else -half
+    sentinel = ring.sentinel_in(dtype)
+    half = abs(sentinel)
     lo = -((half - 1) // 6)
     hi = lo + (half - 1) // 2
     n_rows = int(np.prod(lead, dtype=np.int64))
@@ -382,7 +382,7 @@ def _assert_rows_match_direct(rng, ring, dtype, lead, q, size, width):
     u, v = narrow(us, q), narrow(vs, size)
     for a, b in ((u, v), (v, u)):
         out = np.empty(lead + (width,), dtype=dtype)
-        _conv_tiled(a, b, ring, sentinel, out)
+        _conv_tiled(a, b, ring, out)
         beyond = out > 2 * hi if ring is MIN else out < 2 * lo
         assert np.array_equal(np.where(beyond, ring.sentinel, out.astype(np.int64)), want)
 
@@ -422,6 +422,7 @@ class _SecondTileFails:
     each tile ran under."""
 
     fold = np.minimum
+    sentinel_in = MIN.sentinel_in
 
     def __init__(self):
         self.bufsizes = []
@@ -442,11 +443,11 @@ def test_conv_tiled_restores_the_callers_bufsize():
     out = np.empty((1, 3999), dtype=np.int32)
     old = np.setbufsize(4096)
     try:
-        _conv_tiled(x, y, MIN, 1 << 30, out)
+        _conv_tiled(x, y, MIN, out)
         assert np.getbufsize() == 4096
         ring = _SecondTileFails()
         with pytest.raises(RuntimeError, match="second tile"):
-            _conv_tiled(x, y, ring, 1 << 30, out)
+            _conv_tiled(x, y, ring, out)
         assert ring.bufsizes == [_CONV_BUFSIZE] * 2
         assert np.getbufsize() == 4096
     finally:
@@ -475,7 +476,7 @@ def test_conv_tiled_memory_peak():
     y = rng.integers(-9, 10, (1, 3000)).astype(np.int32)
 
     def call():
-        _conv_tiled(x, y, MIN, 1 << 30, np.empty((1, 3999), dtype=np.int32))
+        _conv_tiled(x, y, MIN, np.empty((1, 3999), dtype=np.int32))
 
     call()   # first call: numpy's own lazy allocations
     tracemalloc.start()
@@ -509,3 +510,31 @@ def test_outputs_stay_in_domain():
         out = max_plus_convolution(_max_vec(u), _max_vec(v))
         ok = (out == NEG_INF) | (np.abs(out) <= FINITE_BOUND)
         assert ok.all()
+
+
+def test_sentinel_in_table():
+    # half of each sweep dtype's range, on the ring's side; in int64 the
+    # ring's own INF / NEG_INF, which lies within half the range
+    table = {np.int16: 16383, np.int32: 1073741823, np.int64: 1152921504606846976}
+    for dtype, value in table.items():
+        for key in (dtype, np.dtype(dtype)):
+            assert MIN.sentinel_in(key) == value
+            assert MAX.sentinel_in(key) == -value
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("ring", [MIN, MAX], ids=["min", "max"])
+@pytest.mark.parametrize("q", [3, 40], ids=["one-tile", "tile-loop"])
+def test_conv_tiled_fills_past_the_span_with_the_sentinel(q, ring, dtype):
+    # a caller that pads its own buffer relies on out's cells past the span
+    # holding exactly ring.sentinel_in(out.dtype)
+    rng = np.random.default_rng([q, dtype().itemsize])
+    x = rng.integers(-50, 51, (2, q)).astype(dtype)
+    y = rng.integers(-50, 51, (2, 70)).astype(dtype)
+    span = q + 70 - 1
+    out = np.zeros((2, span + 9), dtype=dtype)
+    _conv_tiled(x, y, ring, out)
+    reference = min_plus_convolution if ring is MIN else max_plus_convolution
+    for k in range(2):
+        assert out[k, :span].tolist() == reference(x[k], y[k]).tolist()
+    assert (out[:, span:] == ring.sentinel_in(out.dtype)).all()

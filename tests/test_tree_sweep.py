@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from jumbled import strings, trees
-from jumbled.minplus import FINITE_BOUND, MAX, MIN, _conv_tiled, min_plus_convolution, sum_dtype
+from jumbled.minplus import FINITE_BOUND, MIN, _conv_tiled, min_plus_convolution, sum_dtype
 from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.profiles import write_profile_csv
 from jumbled.strings import (
@@ -238,7 +238,6 @@ def _steps(rng, width, density):
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
 def test_value_domain_join(dtype):
     rng = np.random.default_rng(7)
-    sentinel = np.iinfo(dtype).max // 2
     widths = [1, 2, 3, 40, _WIDE, _WIDE + 1, 300]
     pairs = [(a, b) for a in widths for b in widths] + \
         [tuple(rng.integers(1, 400, 2)) for _ in range(20)]
@@ -250,15 +249,15 @@ def test_value_domain_join(dtype):
             y = np.stack([_steps(rng, ly, dy), _steps(rng, ly, rng.random())]).astype(dtype)
             gx, gy = _inverse(x), _inverse(y)
             assert gx.dtype == dtype and (np.diff(gx[:, :int(x[:, -1].min()) + 1]) > 0).all()
-            got = _combine_by_counts(sentinel, gx, gy, None, False)
+            got = _combine_by_counts(gx, gy, None, False)
             want = np.empty((2, lx + ly - 1), dtype=dtype)
-            _conv_tiled(x, y, MIN, sentinel, want)
+            _conv_tiled(x, y, MIN, want)
             assert got.dtype == dtype and np.array_equal(got, want), (lx, ly, dx, dy)
             for k in range(2):
                 assert got[k].tolist() == min_plus_convolution(x[k], y[k]).tolist()
             lab = np.array([[1], [0]], dtype=dtype)
-            assert np.array_equal(_combine_by_counts(sentinel, gx, gy, lab, True),
-                                  _combine(MIN, sentinel, x, y, lab, True))
+            assert np.array_equal(_combine_by_counts(gx, gy, lab, True),
+                                  _combine(MIN, x, y, lab, True))
 
 
 def _binary_profile_and_arrays(t):
@@ -271,9 +270,9 @@ def test_value_domain_starts_above_wide(monkeypatch):
     # and b + 1 entries: in the value domain only if both pass _WIDE
     calls = []
 
-    def recording(sentinel, gx, gy, lab, real, join=_combine_by_counts):
+    def recording(gx, gy, lab, real, join=_combine_by_counts):
         calls.append((int(gx[0, -1]) + 1, int(gy[0, -1]) + 1))
-        return join(sentinel, gx, gy, lab, real)
+        return join(gx, gy, lab, real)
 
     monkeypatch.setattr(trees, "_combine_by_counts", recording)
     rng = random.Random(19)
@@ -309,8 +308,9 @@ def test_value_domain_at_the_int16_switch(hi, monkeypatch):
     # a path of hi - 1 zeros: the first one's zeros row has the inverse
     # [0, hi, hi, ...], the shorter operand by a tie, which meets the
     # padding at output 0, where the true value is 0. There the padded
-    # cells hold hi - sentinel, just below 0 in int16. The profile does not
-    # show that join's output, so it is also checked on its own.
+    # cells hold hi + MAX.sentinel_in(int16), just below 0 in int16. The
+    # profile does not show that join's output, so it is also checked on
+    # its own.
     rng = random.Random(hi)
     bits = [1] * hi + [0] * hi
     rng.shuffle(bits)
@@ -318,7 +318,7 @@ def test_value_domain_at_the_int16_switch(hi, monkeypatch):
     skewed_bits = [1, 0] + [1] * (hi - 1) + [0] * (hi - 1)
     for parents, labels in ((random_parents(rng, 2 * hi), bits), (skewed, skewed_bits)):
         rows = np.array([labels, [1 - b for b in labels]])
-        dtype, sentinel = sum_dtype(rows, MIN)
+        dtype = sum_dtype(rows)
         assert dtype == (np.int16 if hi < 2 ** 14 - 1 else np.int32)
         bt = binarize(LabeledTree(parents, labels))
         got = simple_tree_profile(bt)
@@ -330,8 +330,8 @@ def test_value_domain_at_the_int16_switch(hi, monkeypatch):
     x = np.stack([np.maximum(size - 1, 0), np.minimum(size, 1)]).astype(dtype)
     y = np.stack([np.zeros(hi, dtype=int), size[:hi]]).astype(dtype)
     lab = np.array([[1], [0]], dtype=dtype)
-    assert np.array_equal(_combine_by_counts(sentinel, _inverse(x), _inverse(y), lab, True),
-                          _combine(MIN, sentinel, x, y, lab, True))
+    assert np.array_equal(_combine_by_counts(_inverse(x), _inverse(y), lab, True),
+                          _combine(MIN, x, y, lab, True))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def test_small_trees_against_enumeration():
 
 def test_dtype_switch_points():
     def dtype_of(lo, hi):
-        return sum_dtype(np.array([[lo, hi]]), MIN)[0]
+        return sum_dtype(np.array([[lo, hi]]))
     # the sweep keeps sums inside half of the dtype's range
     assert dtype_of(0, 2 ** 14 - 2) == np.int16
     assert dtype_of(0, 2 ** 14 - 1) == np.int32
@@ -366,8 +366,8 @@ def test_dtype_switch_points():
     assert dtype_of(-(2 ** 13), 2 ** 13 - 1) == np.int32
     assert dtype_of(0, 2 ** 30 - 2) == np.int32
     assert dtype_of(0, 2 ** 30 - 1) == np.int64
-    assert sum_dtype(np.array([[0, 5]]), MAX) == (np.int16, -(2 ** 14 - 1))
-    assert sum_dtype(np.array([[0, 2 ** 31]]), MIN) == (np.int64, MIN.sentinel)
+    assert sum_dtype(np.array([[0, 5]])) == np.int16
+    assert sum_dtype(np.array([[0, 2 ** 31]])) == np.int64
 
 
 @pytest.mark.parametrize("ones", [2 ** 14 - 2, 2 ** 14 - 1])
@@ -378,7 +378,7 @@ def test_zero_one_paths_at_the_int16_switch(ones):
     for at in (0, n // 3, n - 5):
         bits[at] = 0
     rows = np.array([bits, [1 - b for b in bits]])
-    assert sum_dtype(rows, MIN)[0] == (np.int16 if ones < 2 ** 14 - 1 else np.int32)
+    assert sum_dtype(rows) == (np.int16 if ones < 2 ** 14 - 1 else np.int32)
     t = LabeledTree(path_parents(n), bits)
     want = naive_profile(bits)
     assert simple_tree_profile(binarize(t)) == want

@@ -107,14 +107,14 @@ def test_binarized_profile_equals_enumeration():
 def test_combine_hand_example():
     a_u = np.array([0, 0, 1], dtype=np.int64)
     a_w = np.array([0, 1], dtype=np.int64)
-    out = _combine(MIN, MIN.sentinel, a_u, a_w, 1, True)
+    out = _combine(MIN, a_u, a_w, 1, True)
     # sizes 0..4; the size-4 set takes everything: 1 + 1 + 1
     assert out.tolist() == [0, 1, 1, 2, 3]
 
 
 def test_combine_single_child_shift():
     a_u = np.array([0, 1, 1], dtype=np.int64)
-    out = _combine(MIN, MIN.sentinel, a_u, np.array([0], dtype=np.int64), 0, True)
+    out = _combine(MIN, a_u, np.array([0], dtype=np.int64), 0, True)
     assert out.tolist() == [0, 0, 1, 1]    # A_v[i] = lab + A_u[i-1]
 
 
@@ -364,9 +364,9 @@ def test_micro_macro_never_convolves_with_the_empty_set(monkeypatch, shape, r):
     shorter = []
     conv = trees._conv_tiled
 
-    def counting(x, y, ring, sentinel, out):
+    def counting(x, y, ring, out):
         shorter.append(min(x.shape[-1], y.shape[-1]))
-        return conv(x, y, ring, sentinel, out)
+        return conv(x, y, ring, out)
 
     monkeypatch.setattr(trees, "_conv_tiled", counting)
     got = tree_profile(t, r=r)
@@ -389,9 +389,9 @@ def test_micro_macro_at_r1_makes_one_convolution_per_edge(monkeypatch, shape):
     calls = []
     conv = trees._conv_tiled
 
-    def counting(x, y, ring, sentinel, out):
+    def counting(x, y, ring, out):
         calls.append(1)
-        return conv(x, y, ring, sentinel, out)
+        return conv(x, y, ring, out)
 
     monkeypatch.setattr(trees, "_conv_tiled", counting)
     got = tree_profile(t, r=1)

@@ -3,11 +3,11 @@
 _window_extremes correlates each row of prefix sums with itself on
 minplus._conv_tiled, which takes _CONV_SHIFTS entries of a row per block and
 fills up to _CONV_CELLS cells per step, in int16, int32 or int64 by the
-rows' span (span_dtype holds twice it). The inputs of the tiled window sweep
-it replaced stay: 16-width tiles of up to 2**16 cells, and prefix sums kept
-by their span, not twice it. Every edge between two blocks, two steps or two
-dtypes gets an exact case here, checked against the loop oracles of
-_support, one numpy pass per width, or a closed form.
+rows' span (narrow_dtype(-span, span) holds twice it). The inputs of the
+tiled window sweep it replaced stay: 16-width tiles of up to 2**16 cells,
+and prefix sums kept by their span, not twice it. Every edge between two
+blocks, two steps or two dtypes gets an exact case here, checked against
+the loop oracles of _support, one numpy pass per width, or a closed form.
 """
 
 import random
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from jumbled.minplus import (
-    _CONV_CELLS, _CONV_SHIFTS, FINITE_BOUND, MAX, MIN, narrow_dtype, span_dtype,
+    _CONV_CELLS, _CONV_SHIFTS, FINITE_BOUND, narrow_dtype,
 )
 from jumbled.strings import (
     BinaryString, blocked_profile, naive_profile, naive_weighted_max_sums, recursive_profile,
@@ -73,8 +73,7 @@ def test_uniform_strings_across_the_int16_edge(n):
     # an all-1 string has span n: int16 holds its prefix sums up to n =
     # 32767, and its correlation, +-2n, up to n = 16383
     assert narrow_dtype(0, n) == (np.int16 if n <= 32767 else np.int32)
-    for ring in (MIN, MAX):
-        assert span_dtype(n, ring)[0] == (np.int16 if n <= 16383 else np.int32)
+    assert narrow_dtype(-n, n) == (np.int16 if n <= 16383 else np.int32)
     sizes = np.arange(1, n + 1)
     p = naive_profile(BinaryString(np.ones(n, dtype=np.uint8)))
     assert np.array_equal(p.min_ones, sizes) and np.array_equal(p.max_ones, sizes)
