@@ -56,7 +56,10 @@ KINDS = ("string", "tree", "weighted-string", "weighted-tree")
 # name -> callable(value, param); param is --block / --micro or None. Each
 # table lists first its kind's default, the backend measured fastest; naive
 # is the O(n^2) reference, and the others are the paper's reductions, kept as
-# references and verify oracles.
+# references and verify oracles. Two tree oracles are verify-only:
+# enumerate, and rerooted, the default build of the tree rerooted at a drawn
+# node (param), which binarizes it otherwise and orders the DP otherwise;
+# the profile does not depend on the root.
 STRING_BACKENDS = {
     "rle": lambda s, param=None: rle_profile(s),
     "naive": lambda s, param=None: naive_profile(s),
@@ -67,6 +70,7 @@ TREE_BACKENDS = {
     "simple-tree": lambda t, param=None: simple_tree_profile(binarize(t)),
     "micro-macro": lambda t, param=None: tree_profile(t, r=param),
     "enumerate": lambda t, param=None: enumerate_connected_oracle(t),
+    "rerooted": lambda t, param=None: simple_tree_profile(binarize(t.rerooted(param))),
 }
 WEIGHTED_STRING_BACKENDS = {
     "rle": lambda w, param=None: rle_weighted_max_sums(w),
@@ -76,6 +80,7 @@ WEIGHTED_STRING_BACKENDS = {
 WEIGHTED_TREE_BACKENDS = {
     "simple-tree": lambda t, param=None: weighted_tree_max_sums(t),
     "enumerate": lambda t, param=None: enumerate_max_sums(t),
+    "rerooted": lambda t, param=None: weighted_tree_max_sums(t.rerooted(param)),
 }
 _BACKEND_MAPS = {
     "string": STRING_BACKENDS,
@@ -86,13 +91,27 @@ _BACKEND_MAPS = {
 
 
 def _build_algos(kind: str) -> list:
-    """Backends `build` accepts, default first; `enumerate` is verify-only."""
-    return [name for name in _BACKEND_MAPS[kind] if name != "enumerate"]
+    """Backends `build` accepts, default first; `enumerate` and `rerooted`
+    are verify-only."""
+    return [name for name in _BACKEND_MAPS[kind] if name not in ("enumerate", "rerooted")]
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _size_error(flag: str, sizes):
+    """The refusal of the first size outside 1..2^20 (1048576), or None.
+    2^20 is the ceiling on every input size that `gen` writes, `verify`
+    draws and `bench` builds, checked before anything is drawn: `verify` and
+    `gen` hold an input as Python lists and strings, tens of bytes a label
+    (an unchecked --max-n of 10^11 passed 7 GB), and the O(n^2) references
+    would run for hours past it."""
+    for n in sizes:
+        if not 1 <= n <= 1 << 20:
+            return f"{flag} must lie in 1..{1 << 20}, got {n}"
+    return None
 
 
 def _parse_input(kind: str, text: str):
@@ -206,6 +225,8 @@ def _draw_param(name: str, n: int, rng: random.Random):
         return rng.randint(1, n)
     if name == "micro-macro":
         return rng.choice((1, 2, sqrt_ceil(n), n))
+    if name == "rerooted":
+        return rng.randrange(n)
     return None
 
 
@@ -229,8 +250,11 @@ def cmd_verify(args) -> int:
             return _fail(f"unknown backend {name!r} for kind {args.kind!r}")
         if name == "enumerate" and args.max_n > 18:
             return _fail("the enumerate oracle requires --max-n <= 18")
-    if args.max_n < 1 or args.seeds < 1:
-        return _fail("--max-n and --seeds must be >= 1")
+    if args.seeds < 1:
+        return _fail("--seeds must be >= 1")
+    message = _size_error("--max-n", [args.max_n])
+    if message:
+        return _fail(message)
     for case in range(args.seeds):
         value, rendering, n, rng = _verify_case(args.kind, case, args.max_n)
         p_algo = _draw_param(args.algo, n, rng)
@@ -259,8 +283,9 @@ def _gen_text(kind: str, n: int, seed: int, density: float) -> str:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        return _fail("--n must be >= 1")
+    message = _size_error("--n", [args.n])
+    if message:
+        return _fail(message)
     if not 0.0 <= args.density <= 1.0:
         return _fail("--density must lie in [0, 1]")
     try:
@@ -288,8 +313,9 @@ def cmd_bench(args) -> int:
     for algo in algos:
         if not any(algo in _build_algos(kind) for kind in kinds):
             return _fail(f"no requested kind builds algo {algo!r}")
-    if any(n < 1 for n in sizes):
-        return _fail("--sizes entries must be >= 1")
+    message = _size_error("--sizes", sizes)
+    if message:
+        return _fail(message)
     rows = []
     for kind in kinds:
         for algo in algos:
@@ -350,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="randomized equivalence check of two backends")
     p.add_argument("--algo", required=True)
     p.add_argument("--oracle", required=True)
-    p.add_argument("--max-n", type=int, default=200)
+    p.add_argument("--max-n", type=int, default=200, help="largest input size, at most 2^20")
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--kind", choices=KINDS, default="string")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a random input file")
     p.add_argument("--kind", choices=KINDS, default="string")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="input size, at most 2^20")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=0.5,
                    help="probability of a 1 label (ignored for weighted kinds)")
@@ -367,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time index construction, write a CSV table")
     p.add_argument("--kinds", nargs="+", default=["string"])
     p.add_argument("--algos", nargs="+", required=True)
-    p.add_argument("--sizes", nargs="+", required=True)
+    p.add_argument("--sizes", nargs="+", required=True, help="input sizes, each at most 2^20")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)

@@ -39,7 +39,10 @@ _CHUNK_ELEMS = 1 << 22
 # int16 rows took 3.7 ms in tiles of 32 shifts x 8 columns and 1.3 ms in
 # tiles of 8 x 32. Re-fitted with unbuffered adds (below): 64 shifts made
 # naive_profile 1.06x slower at n = 16384, and 2^17 cells raised the 0/1
-# tree-random build's tracemalloc peak from 755 to 887 KiB
+# tree-random build's tracemalloc peak from 755 to 887 KiB. A stack taller
+# than its span keeps all its shifts and runs rows-innermost (_conv_tiled):
+# those (256, 65) rows then took 0.26 against 1.09 ms, and (2048, 9) rows
+# 0.31 against 1.32 ms
 _CONV_SHIFTS = 32
 _CONV_CELLS = 1 << 16
 # numpy copies the operands of a tile add of more than 2 shift rows through
@@ -255,46 +258,66 @@ def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, out: np.ndarray) -> No
     and one reduce straight into out, then the sentinel past the span.
     A call of at least _CONV_CELLS cells runs its tiles under a numpy
     bufsize at which the adds are not buffered (see _CONV_BUFSIZE), and
-    restores the caller's bufsize on return and on a raise."""
+    restores the caller's bufsize on return and on a raise.
+
+    The shape picks the memory layout. A stack of more rows than its span
+    (the tree sweep's early small rounds: up to 4072 rows of 2-3 cells)
+    runs rows-innermost: the shorter operand, the padded longer one and the
+    output are laid out (entries, rows), the Hankel view and the tiles
+    (K, C, rows), so every add and reduce runs its inner loop along the
+    rows, and the output is copied into out at the end. Every other call
+    runs its inner loops along the entries, with fewer shifts a block for a
+    stack of many rows (see _CONV_SHIFTS)."""
     if x.shape[-1] > y.shape[-1]:
         x, y = y, x
     q, ly = x.shape[-1], y.shape[-1]
     width = out.shape[-1]
     n_rows = out.size // width
     sentinel = ring.sentinel_in(out.dtype)
-    k_s = max(1, min(_CONV_SHIFTS, q, _CONV_CELLS // (n_rows * min(ly, _CONV_SHIFTS))))
-    padded = np.full(out.shape[:-1] + (ly + 2 * (k_s - 1),), sentinel, dtype=out.dtype)
+    tall = n_rows > q + ly - 1
+    if tall:   # transposed views of (entries, rows) arrays
+        k_s = min(_CONV_SHIFTS, q)
+        x, y = np.ascontiguousarray(x.reshape(n_rows, q).T).T, y.reshape(n_rows, ly)
+        dest, out = out, np.empty((width, n_rows), dtype=out.dtype).T
+        mem = np.full((ly + 2 * (k_s - 1), n_rows), sentinel, dtype=out.dtype)
+        padded = mem.T
+    else:
+        k_s = max(1, min(_CONV_SHIFTS, q, _CONV_CELLS // (n_rows * min(ly, _CONV_SHIFTS))))
+        mem = padded = np.full(out.shape[:-1] + (ly + 2 * (k_s - 1),), sentinel, dtype=out.dtype)
     padded[..., k_s - 1:k_s - 1 + ly] = y
     span = ly + k_s - 1   # the output positions one block reaches
     # hankel[..., m, t] = padded[..., t + m]; the ndarray constructor makes
     # it in ~1.3 us, as_strided in ~6.9 us (2-core x86 VM)
-    hankel = np.ndarray(padded.shape[:-1] + (k_s, span), padded.dtype, padded.data.toreadonly(),
+    hankel = np.ndarray(padded.shape[:-1] + (k_s, span), padded.dtype, mem.data.toreadonly(),
                         0, padded.strides + padded.strides[-1:])
     step = max(1, min(_CONV_CELLS // (n_rows * k_s), span))
     scoped = k_s > 2 and out.size * q >= _CONV_CELLS
     if not scoped and q == k_s and step == span:   # out may be narrower or wider
         ring.fold.reduce(hankel[..., :width] + x[..., ::-1, None], axis=-2, out=out[..., :span])
         out[..., span:] = sentinel
-        return
-    buf = np.empty(out.shape[:-1] + (k_s, step), dtype=out.dtype)
-    out.fill(sentinel)
-    # not np.errstate: numpy 1.24's does not restore the bufsize
-    old = np.setbufsize(_CONV_BUFSIZE) if scoped else None
-    try:
-        for k0 in range(0, min(q, width), k_s):
-            kb = min(k_s, q - k0)
-            block = x[..., k0:k0 + kb][..., ::-1, None]   # row m: x[k0 + kb - 1 - m]
-            rows = hankel[..., k_s - kb:, :]              # row m: y[t - (kb - 1 - m)]
-            end = min(ly + kb - 1, width - k0)   # past the last real cell, out keeps the sentinel
-            for t0 in range(0, end, step):
-                t1 = min(end, t0 + step)
-                tile = buf[..., :kb, :t1 - t0]
-                np.add(rows[..., t0:t1], block, out=tile)
-                dst = out[..., k0 + t0:k0 + t1]
-                ring.fold(dst, ring.reduce(tile, axis=-2), out=dst)
-    finally:
-        if scoped:
-            np.setbufsize(old)
+    else:
+        buf = (np.empty((k_s, step, n_rows), dtype=out.dtype).transpose(2, 0, 1) if tall
+               else np.empty(out.shape[:-1] + (k_s, step), dtype=out.dtype))
+        out.fill(sentinel)
+        # not np.errstate: numpy 1.24's does not restore the bufsize
+        old = np.setbufsize(_CONV_BUFSIZE) if scoped else None
+        try:
+            for k0 in range(0, min(q, width), k_s):
+                kb = min(k_s, q - k0)
+                block = x[..., k0:k0 + kb][..., ::-1, None]   # row m: x[k0 + kb - 1 - m]
+                rows = hankel[..., k_s - kb:, :]              # row m: y[t - (kb - 1 - m)]
+                end = min(ly + kb - 1, width - k0)   # past the last real cell, out keeps the sentinel
+                for t0 in range(0, end, step):
+                    t1 = min(end, t0 + step)
+                    tile = buf[..., :kb, :t1 - t0]
+                    np.add(rows[..., t0:t1], block, out=tile)
+                    dst = out[..., k0 + t0:k0 + t1]
+                    ring.fold(dst, ring.reduce(tile, axis=-2), out=dst)
+        finally:
+            if scoped:
+                np.setbufsize(old)
+    if tall:
+        dest[...] = out.reshape(dest.shape)
 
 
 def min_plus_convolution(u, v) -> np.ndarray:

@@ -27,6 +27,8 @@ STEPS = [
      "--kind tree --algo simple-tree --oracle micro-macro --max-n 8000 --seeds 20"),
     ("Weighted tree sweep against enumeration",
      "--kind weighted-tree --algo simple-tree --oracle enumerate --max-n 14"),
+    ("Weighted tree sweep against its build of the tree rerooted at a drawn node",
+     "--kind weighted-tree --algo simple-tree --oracle rerooted --max-n 3000"),
     ("Run-boundary string sweep against the naive sweep",
      "--kind string --algo rle --oracle naive"),
     ("Run-boundary string sweep on strings long enough for several start chunks",

@@ -154,6 +154,42 @@ def test_gen_rejects_bad_args(tmp_path):
                "--out", str(out)) == 2
 
 
+class _Drawn(Exception):
+    """Raised by a stand-in generator: the command got past its size guard."""
+
+
+def _draws_fail(monkeypatch):
+    def drawn(*args, **kwargs):
+        raise _Drawn
+
+    for name in ("_verify_case", "_gen_text", "gen_string", "gen_tree", "gen_weights",
+                 "random_parents"):
+        monkeypatch.setattr(cli, name, drawn)
+
+
+def test_sizes_past_the_ceiling_are_refused_before_drawing(tmp_path, monkeypatch, capsys):
+    # 2^20 is the ceiling on every size gen, verify and bench take; a larger
+    # one exits 2 with the flag named, before any input is drawn
+    _draws_fail(monkeypatch)
+    out = tmp_path / "x"
+    for argv, flag in (
+            (["gen", "--kind", "tree", "--n", "1048577", "--out", str(out)], "--n"),
+            (["verify", "--algo", "rle", "--oracle", "naive", "--max-n", "99999999999"],
+             "--max-n"),
+            (["verify", "--kind", "weighted-tree", "--algo", "simple-tree", "--oracle",
+              "rerooted", "--max-n", "1048577"], "--max-n"),
+            (["bench", "--algos", "rle", "--sizes", "16,1048577", "--out", str(out)], "--sizes")):
+        assert run(*argv) == 2
+        assert f"error: {flag} must lie in 1..1048576, got " in capsys.readouterr().err
+    assert not out.exists()
+    # the ceiling itself passes the guard: the stand-ins are reached
+    for argv in (["gen", "--n", "1048576", "--out", str(out)],
+                 ["verify", "--algo", "rle", "--oracle", "naive", "--max-n", "1048576"],
+                 ["bench", "--algos", "rle", "--sizes", "1048576", "--out", str(out)]):
+        with pytest.raises(_Drawn):
+            run(*argv)
+
+
 # ---------------------------------------------------------------------------
 # build
 
@@ -469,6 +505,32 @@ def test_verify_weighted_tree_against_enumeration(tmp_path, capsys):
     src.write_text("2\n0 3\n1 -4\n")
     assert run("build", "--input", str(src), "--kind", "weighted-tree", "--algo", "enumerate",
                "--out", str(tmp_path / "o.csv")) == 2
+
+
+def test_verify_rerooted_oracle(tmp_path, monkeypatch, capsys):
+    # the default build of the tree rerooted at a drawn node, verify-only
+    for kind in ("tree", "weighted-tree"):
+        assert run("verify", "--algo", "simple-tree", "--oracle", "rerooted",
+                   "--max-n", "120", "--seeds", "12", "--kind", kind) == 0
+        assert f"0 mismatches ({kind}: simple-tree vs rerooted" in capsys.readouterr().out
+    src = tmp_path / "w.txt"
+    src.write_text("2\n0 3\n1 -4\n")
+    assert run("build", "--input", str(src), "--kind", "weighted-tree", "--algo", "rerooted",
+               "--out", str(tmp_path / "o.csv")) == 2
+    capsys.readouterr()
+    roots = []
+
+    def rerooted(t, param=None):
+        roots.append(param)
+        sums = cli.weighted_tree_max_sums(t.rerooted(param))
+        sums[-1] += 1   # the sum of the whole tree
+        return sums
+
+    monkeypatch.setitem(cli.WEIGHTED_TREE_BACKENDS, "rerooted", rerooted)
+    assert run("verify", "--algo", "simple-tree", "--oracle", "rerooted",
+               "--max-n", "40", "--seeds", "3", "--kind", "weighted-tree") == 1
+    assert "mismatch" in capsys.readouterr().out
+    assert len(roots) == 1 and roots[0] >= 0
 
 
 def test_verify_enumerate_size_cap():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from jumbled import trees
 from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.minplus import (
     _CONV_BUFSIZE, _CONV_CELLS, FINITE_BOUND, INF, MAX, MIN, NEG_INF, _conv_tiled,
@@ -319,11 +320,62 @@ def test_ring_conv_matches_direct_kernel(short, long):
 
 # a stack of many rows takes fewer shifts a block, so that a tile keeps
 # _CONV_SHIFTS columns: 64 rows of 65 entries keep 32 shifts, 65 rows take
-# 31, 256 rows 8, and 2049 rows of 33 entries one
-@pytest.mark.parametrize("rows, length", [(64, 65), (65, 65), (256, 65), (2049, 33)])
+# 31. A stack of more rows than its span keeps every shift and runs
+# rows-innermost: 256 rows of 65 entries (span 129) in tiles of 32 shifts,
+# 2049 rows of 33 in two blocks, and 400 rows of 1 to 33 entries, as the
+# tree sweep's early small rounds are, in one tile or (33) two. Each stack,
+# cut to its first 400 rows, also goes into out narrower than, as wide as
+# and wider than its span, in every sweep dtype.
+@pytest.mark.parametrize("rows, length", [(64, 65), (65, 65), (256, 65), (2049, 33),
+                                          (400, 1), (400, 2), (400, 31), (400, 32), (400, 33)])
 def test_stacked_rows_match_direct_kernel(rows, length):
-    _assert_tiled_matches_direct(np.random.default_rng([rows, length]), length, length,
-                                 (np.int16,), rows)
+    rng = np.random.default_rng([rows, length])
+    _assert_tiled_matches_direct(rng, length, length, (np.int16,), rows)
+    span = 2 * length - 1
+    for ring in (MIN, MAX):
+        for dtype in (np.int16, np.int32, np.int64):
+            for width in (max(1, span - 7), span, span + 1):
+                _assert_rows_match_direct(rng, ring, dtype, (min(rows, 400),), length, length,
+                                          width)
+
+
+class _LayoutRing:
+    """A ring that records, for every reduce the kernel makes, whether the
+    reduced stack lies with its rows innermost in memory."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.sentinel_in = ring.sentinel_in
+        self.fold = self   # the kernel calls ring.fold(...) and ring.fold.reduce(...)
+        self.rows_innermost = set()
+
+    def __call__(self, *args, **kwargs):
+        return self.ring.fold(*args, **kwargs)
+
+    def reduce(self, a, axis, out=None):
+        self.rows_innermost.add(a.shape[0] > 1 and a.strides[0] == a.itemsize)
+        return self.ring.fold.reduce(a, axis=axis, out=out)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["zero-one", "weighted"])
+def test_tree_random_small_rounds_run_rows_innermost(weighted, monkeypatch):
+    # the small step's early rounds are stacks of up to 2 x 2036 rows of a
+    # few cells: each call whose stack has more rows than its span reduces
+    # along the rows, and no other call does
+    layouts = []
+
+    def recording(x, y, ring, out):
+        layout = _LayoutRing(ring)
+        _conv_tiled(x, y, layout, out)
+        tall = out.size // out.shape[-1] > x.shape[-1] + y.shape[-1] - 1
+        layouts.append((tall, layout.rows_innermost))
+
+    monkeypatch.setattr(trees, "_conv_tiled", recording)
+    parents, labels = parse_tree_text(gen_tree(4096, 1, weighted=weighted), weighted=weighted)
+    tree = LabeledTree(parents, labels)
+    weighted_tree_max_sums(tree) if weighted else simple_tree_profile(binarize(tree))
+    assert sum(tall for tall, _ in layouts) >= 10
+    assert all(rows_innermost == {tall} for tall, rows_innermost in layouts)
 
 
 def _recording_setbufsize(monkeypatch):
@@ -363,9 +415,12 @@ def _assert_rows_match_direct(rng, ring, dtype, lead, q, size, width):
     row: cells past the span are the sentinel. Values and the settling of
     cells with no finite split are those of _assert_tiled_matches_direct."""
     sentinel = ring.sentinel_in(dtype)
-    half = abs(sentinel)
-    lo = -((half - 1) // 6)
-    hi = lo + (half - 1) // 2
+    if dtype is np.int64:
+        lo, hi = -FINITE_BOUND, FINITE_BOUND
+    else:
+        half = abs(sentinel)
+        lo = -((half - 1) // 6)
+        hi = lo + (half - 1) // 2
     n_rows = int(np.prod(lead, dtype=np.int64))
     us = [_sentinel_vector(rng, q, ring.sentinel, lo, hi) for _ in range(n_rows)]
     vs = [_sentinel_vector(rng, size, ring.sentinel, lo, hi) for _ in range(n_rows)]
@@ -524,17 +579,21 @@ def test_sentinel_in_table():
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
 @pytest.mark.parametrize("ring", [MIN, MAX], ids=["min", "max"])
-@pytest.mark.parametrize("q", [3, 40], ids=["one-tile", "tile-loop"])
-def test_conv_tiled_fills_past_the_span_with_the_sentinel(q, ring, dtype):
+@pytest.mark.parametrize("lead, q", [((2,), 3), ((2,), 40), ((2, 150), 1), ((2, 150), 2),
+                                     ((2, 150), 31), ((2, 150), 32), ((2, 150), 33)],
+                         ids=["one-tile", "tile-loop", "tall-1", "tall-2", "tall-31", "tall-32",
+                              "tall-33"])
+def test_conv_tiled_fills_past_the_span_with_the_sentinel(lead, q, ring, dtype):
     # a caller that pads its own buffer relies on out's cells past the span
-    # holding exactly ring.sentinel_in(out.dtype)
+    # holding exactly ring.sentinel_in(out.dtype); stacks of 300 rows run
+    # rows-innermost
     rng = np.random.default_rng([q, dtype().itemsize])
-    x = rng.integers(-50, 51, (2, q)).astype(dtype)
-    y = rng.integers(-50, 51, (2, 70)).astype(dtype)
+    x = rng.integers(-50, 51, lead + (q,)).astype(dtype)
+    y = rng.integers(-50, 51, lead + (70,)).astype(dtype)
     span = q + 70 - 1
-    out = np.zeros((2, span + 9), dtype=dtype)
+    out = np.zeros(lead + (span + 9,), dtype=dtype)
     _conv_tiled(x, y, ring, out)
     reference = min_plus_convolution if ring is MIN else max_plus_convolution
-    for k in range(2):
-        assert out[k, :span].tolist() == reference(x[k], y[k]).tolist()
-    assert (out[:, span:] == ring.sentinel_in(out.dtype)).all()
+    for k in np.ndindex(lead):
+        assert out[k][:span].tolist() == reference(x[k], y[k]).tolist()
+    assert (out[..., span:] == ring.sentinel_in(out.dtype)).all()

@@ -21,7 +21,9 @@ import numpy as np
 import pytest
 
 from jumbled import strings, trees
-from jumbled.minplus import FINITE_BOUND, MIN, _conv_tiled, min_plus_convolution, sum_dtype
+from jumbled.minplus import (
+    _CONV_SHIFTS, FINITE_BOUND, MAX, MIN, _conv_tiled, min_plus_convolution, sum_dtype,
+)
 from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.profiles import write_profile_csv
 from jumbled.strings import (
@@ -33,7 +35,7 @@ from jumbled.trees import (
     weighted_tree_max_sums,
 )
 from _support import (
-    anchored_arrays, caterpillar_parents, complete_binary_parents, path_parents,
+    anchored_arrays, broom_parents, caterpillar_parents, complete_binary_parents, path_parents,
     random_bits, random_parents, star_parents, subtree_max_sums, subtree_profile,
     tree_extremes,
 )
@@ -444,6 +446,101 @@ def test_sink_receives_every_real_node():
         want = sorted([lows[v] for v in lows] + [highs[v] for v in highs])
         assert all(a.dtype == np.int64 for a in got)
         assert sorted(a.tolist() for a in got) == want
+
+
+# ---------------------------------------------------------------------------
+# light joins in a path buffer
+
+def _spine_parents(rng, sides):
+    """A spine over a random subtree of 2 * SMALL nodes: the k-th spine node
+    from the bottom has the spine below it and, beside it, random subtrees
+    of sides[k] nodes, two of them (a dummy join) when sides[k] is a pair."""
+    parents = random_parents(rng, 2 * SMALL)
+    for side in sides:
+        parents = _stack([-1], parents, 0)
+        for size in side if isinstance(side, tuple) else (side,):
+            parents = _stack(parents, random_parents(rng, size), 0)
+    return parents
+
+
+def _sink_arrays(parents, labels, ring):
+    """Every array the sweep hands its sink, read after the sweep returns:
+    0/1 labels as the rows (ones, zeros) under MIN, weights as one row
+    under MAX."""
+    bt = binarize(LabeledTree(parents, labels))
+    rows = np.stack([bt.ones_w, bt.size_w - bt.ones_w]) if ring is MIN else bt.ones_w[None, :]
+    got = []
+    trees._tree_sweep(bt, rows, ring, sink=got.append)
+    return sorted(tuple(map(tuple, a.tolist())) for a in got)
+
+
+def _assert_sink_keeps_the_dp(parents, rng, weights=None):
+    """The sink's arrays against the plain DP, 0/1 and weighted."""
+    bits = random_bits(rng, len(parents))
+    ones = anchored_arrays(parents, bits, min)
+    zeros = anchored_arrays(parents, [1 - b for b in bits], min)
+    assert _sink_arrays(parents, bits, MIN) == sorted(
+        (tuple(ones[v]), tuple(zeros[v])) for v in ones)
+    weights = weights or [rng.randint(-9, 9) for _ in parents]
+    want = anchored_arrays(parents, weights, max)
+    assert _sink_arrays(parents, weights, MAX) == sorted((tuple(a),) for a in want.values())
+
+
+# a reused path buffer must not hand the sink views that later joins
+# overwrite; light joins climb a caterpillar's and a comb's spine, a
+# broom's dummy spine and the heavy paths of the others
+@pytest.mark.parametrize("n", [SMALL + 1, SMALL + 2, 3 * SMALL, 7 * SMALL])
+@pytest.mark.parametrize("shape", [path_parents, caterpillar_parents, broom_parents,
+                                   _comb_parents, complete_binary_parents, "random"])
+def test_path_buffer_keeps_every_sink_array(shape, n):
+    rng = random.Random(n)
+    parents = random_parents(rng, n) if shape == "random" else shape(n)
+    _assert_sink_keeps_the_dp(parents, rng)
+
+
+# light children of K - 1, K and K + 1 entries (K = _CONV_SHIFTS, one
+# block): the first two join in the path buffer, the last through _combine
+def test_light_joins_stop_past_one_block(monkeypatch):
+    widths = []
+
+    def recording(ring, x, y, lab, real, join=_combine):
+        widths.append(min(x.shape[-1], y.shape[-1]))
+        return join(ring, x, y, lab, real)
+
+    monkeypatch.setattr(trees, "_combine", recording)
+    rng = random.Random(31)
+    for side in (_CONV_SHIFTS - 2, _CONV_SHIFTS - 1, _CONV_SHIFTS):
+        parents = _spine_parents(rng, [side, 3, (side, 2), 1, side])
+        widths.clear()
+        _assert_sink_keeps_the_dp(parents, rng)
+        assert widths and min(widths) > _CONV_SHIFTS
+        assert (side + 1 in widths) == (side + 1 > _CONV_SHIFTS)
+
+
+# a light join of many cells reads and writes its buffer in tiles of
+# _CONV_CELLS cells, right to left; at 40 cells a tile is 1 to 20 columns
+def test_light_joins_tile_right_to_left(monkeypatch):
+    monkeypatch.setattr(trees, "_CONV_CELLS", 40)
+    rng = random.Random(37)
+    for parents in (caterpillar_parents(3 * SMALL), broom_parents(3 * SMALL),
+                    _spine_parents(rng, [1, _CONV_SHIFTS - 1, (2, 7), 13, _CONV_SHIFTS - 1])):
+        _assert_sink_keeps_the_dp(parents, rng)
+
+
+# label sums on both sides of the int16 switch (as in
+# test_weighted_spans_at_the_switches) through a spine of light joins
+@pytest.mark.parametrize("span", [2 ** 14 - 2, 2 ** 14 - 1])
+def test_path_buffer_at_the_int16_switch(span):
+    rng = random.Random(span)
+    parents = _spine_parents(rng, [5, (3, 1), 20, 2, 1])
+    weights = [rng.randint(-9, 9) for _ in parents]
+    weights[1] = weights[2] = 0
+    hi = span // 2
+    weights[1] = hi - sum(w for w in weights if w > 0)
+    weights[2] = hi - span - sum(w for w in weights if w < 0)
+    rows = np.array([weights])
+    assert sum_dtype(rows) == (np.int16 if span < 2 ** 14 - 1 else np.int32)
+    _assert_sink_keeps_the_dp(parents, rng, weights)
 
 
 # ---------------------------------------------------------------------------
