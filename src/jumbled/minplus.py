@@ -33,16 +33,16 @@ _SNAP_LO = NEG_INF + FINITE_BOUND
 _CHUNK_ELEMS = 1 << 22
 
 # the tiled kernel takes up to _CONV_SHIFTS entries of its shorter operand at
-# a time and fills a reused buffer of at most _CONV_CELLS cells per tile; a
-# stack of many rows takes fewer entries, so that a tile still spans
-# _CONV_SHIFTS columns (or the whole operand): _window_extremes on (256, 65)
-# int16 rows took 3.7 ms in tiles of 32 shifts x 8 columns and 1.3 ms in
-# tiles of 8 x 32. Re-fitted with unbuffered adds (below): 64 shifts made
-# naive_profile 1.06x slower at n = 16384, and 2^17 cells raised the 0/1
-# tree-random build's tracemalloc peak from 755 to 887 KiB. A stack taller
-# than its span keeps all its shifts and runs rows-innermost (_conv_tiled):
-# those (256, 65) rows then took 0.26 against 1.09 ms, and (2048, 9) rows
-# 0.31 against 1.32 ms
+# a time and fills a reused buffer of at most _CONV_CELLS cells per tile.
+# Re-fitted with unbuffered adds (below): 64 shifts made naive_profile 1.06x
+# slower at n = 16384, and 2^17 cells raised the 0/1 tree-random build's
+# tracemalloc peak from 755 to 887 KiB. A stack of more rows than its span,
+# or than a tile of _CONV_SHIFTS shifts by _CONV_SHIFTS columns holds, runs
+# rows-innermost (_conv_tiled) with all its shifts. Fewer shifts a block
+# with the entries kept innermost took, on int16 stacks (rows, entries of
+# each operand), 1.09 against 0.26 ms at (256, 65), 1.32 against 0.31 at
+# (2048, 9), 1.86 against 0.46 at (128, 65) and 69.7 against 14.6 at
+# (300, 300) (2-core x86 VM)
 _CONV_SHIFTS = 32
 _CONV_CELLS = 1 << 16
 # numpy copies the operands of a tile add of more than 2 shift rows through
@@ -261,28 +261,28 @@ def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, out: np.ndarray) -> No
     restores the caller's bufsize on return and on a raise.
 
     The shape picks the memory layout. A stack of more rows than its span
-    (the tree sweep's early small rounds: up to 4072 rows of 2-3 cells)
-    runs rows-innermost: the shorter operand, the padded longer one and the
-    output are laid out (entries, rows), the Hankel view and the tiles
-    (K, C, rows), so every add and reduce runs its inner loop along the
-    rows, and the output is copied into out at the end. Every other call
-    runs its inner loops along the entries, with fewer shifts a block for a
-    stack of many rows (see _CONV_SHIFTS)."""
+    (the tree sweep's early small rounds: up to 4072 rows of 2-3 cells), or
+    than _CONV_CELLS / K^2 = 64, which a tile of K shifts by K columns
+    would not hold, runs rows-innermost: the shorter operand, the
+    padded longer one and the output are laid out (entries, rows), the
+    Hankel view and the tiles (K, C, rows), so every add and reduce runs its
+    inner loop along the rows, and the output is copied into out at the
+    end. Every other call runs its inner loops along the entries. Either
+    way a block is min(K, q) entries (see _CONV_SHIFTS)."""
     if x.shape[-1] > y.shape[-1]:
         x, y = y, x
     q, ly = x.shape[-1], y.shape[-1]
     width = out.shape[-1]
     n_rows = out.size // width
     sentinel = ring.sentinel_in(out.dtype)
-    tall = n_rows > q + ly - 1
+    k_s = max(1, min(_CONV_SHIFTS, q))
+    tall = n_rows > min(q + ly - 1, _CONV_CELLS // _CONV_SHIFTS ** 2)
     if tall:   # transposed views of (entries, rows) arrays
-        k_s = min(_CONV_SHIFTS, q)
         x, y = np.ascontiguousarray(x.reshape(n_rows, q).T).T, y.reshape(n_rows, ly)
         dest, out = out, np.empty((width, n_rows), dtype=out.dtype).T
         mem = np.full((ly + 2 * (k_s - 1), n_rows), sentinel, dtype=out.dtype)
         padded = mem.T
     else:
-        k_s = max(1, min(_CONV_SHIFTS, q, _CONV_CELLS // (n_rows * min(ly, _CONV_SHIFTS))))
         mem = padded = np.full(out.shape[:-1] + (ly + 2 * (k_s - 1),), sentinel, dtype=out.dtype)
     padded[..., k_s - 1:k_s - 1 + ly] = y
     span = ly + k_s - 1   # the output positions one block reaches

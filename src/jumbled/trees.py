@@ -20,10 +20,7 @@ strings._rle_sweep per row plus one convolution with the array below it
 (the tree-to-string reduction in heavy-path form, as in Gagie, Hermelin,
 Landau and Weimann, ESA 2013). The other subtrees of at most SMALL real
 nodes are computed a size at a time, one padded convolution per size over
-windows of a compact store. A large node with a child of fewer than
-_CONV_SHIFTS real nodes is a light join: up a heavy path (Sleator and
-Tarjan, JCSS 1983) a run of them grows one array in place, in a buffer the
-sweep owns for the run. Every other large node takes one DP step,
+windows of a compact store, and every other large node takes one DP step,
 _combine. A 0/1 step that joins two arrays of more than _WIDE entries runs
 in the value domain (_combine_by_counts): each array becomes its inverse,
 the largest size for each count, and the inverses take the same
@@ -42,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minplus import (_CONV_CELLS, _CONV_SHIFTS, FINITE_BOUND, MAX, MIN, Ring, _conv_tiled,
-                      as_bits, as_int64, narrow_dtype, positive_int, sqrt_ceil, sum_dtype)
+from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_bits, as_int64,
+                      narrow_dtype, positive_int, sqrt_ceil, sum_dtype)
 from .profiles import Profile
 from .strings import _fold_into, _rle_sweep
 
@@ -396,24 +393,12 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
       windows of SMALL + 1 cells, masked past each child's size. The early
       rounds are stacks of more rows than cells, which _conv_tiled runs
       rows-innermost; the leaves' round is written as [0, label].
-    * light joins: a large node whose light child has at most K =
-      _CONV_SHIFTS entries (one block) extends its heavy child's array in
-      place. A run of such joins, each on the array of the one below, is a
-      stretch of a heavy path; it gets one buffer, sized for the run's top
-      and filled with the sentinel once, where the heavy child's array
-      starts K - 1 + (the run's real nodes) cells in. A join is one add of
-      the light child's reversed cells plus the node's label to a Hankel
-      view of the buffer, and one reduce back into it: output t reads cells
-      up to the one it writes, so tiles go right to left, and each tile's
-      add is complete before its reduce writes. A real node's array then
-      starts one cell further left, at its empty set.
     * other large nodes: one DP step (_combine) of their children's arrays.
       Under MIN (the 0/1 rows) a join of two arrays of more than _WIDE
       entries takes their inverses instead, and convolves them under MAX
       (_combine_by_counts): about a quarter of the cells.
 
-    ``sink``, when given, receives A_v of every real node as an (r, .) array;
-    a light join's array is a copy, since later joins overwrite the buffer.
+    ``sink``, when given, receives A_v of every real node as an (r, .) array.
     """
     n_total, n_real = bt.n_total, bt.n_real
     r = rows.shape[0]
@@ -496,12 +481,6 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
             return arrays.pop(v)
         return store[:, off[v]:off[v] + size[v] + 1]
 
-    # a run's joins are consecutive in this loop: no large node lies below
-    # a light child. Its buffer is sized once, from a walk up to the top
-    K = _CONV_SHIFTS
-    parent = bt.parent
-    held = -1   # the node whose array the path buffer holds
-    block = np.empty((r, K, 1), dtype=dtype)   # a light child's reversed cells plus a label
     # numpy indices, not int lists: a list holds an int object per large
     # node, 14 KiB at the tree-random build's peak
     for first, i in zip(firsts[large_end], ends[large_end]):
@@ -524,62 +503,19 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
             if sink is not None:
                 for t in range(n_ch):
                     sink(a_v[:, t:] - prefix[:, t:t + 1])
-            arrays[v] = a_v
-            continue
-        lc, rc = int(left[v]), int(right[v])
-        sl, sr = int(size[lc]), int(size[rc])
-        is_real = v < n_real
-        if ring is MIN and min(sl, sr) >= _WIDE:
-            # the children's rows are freed once inverted, before the
-            # convolution's buffers (a lower tracemalloc peak)
-            a_v = _combine_by_counts(_inverse(array_of(lc)), _inverse(array_of(rc)),
-                                     labels[:, v, None], is_real)
-        elif min(sl, sr) < K:
-            if sl < sr:
-                lc, rc = rc, lc   # lc the heavy child, rc the light one
-            y = array_of(lc)
-            if held != lc:   # a run starts: its top is the last node up whose join is light
-                top, n_up = v, 0
-                while True:
-                    n_up += top < n_real
-                    up = int(parent[top])
-                    if up < 0 or right[up] < 0 or min(size[left[up]], size[right[up]]) >= K:
-                        break
-                    top = up
-                # the top's array starts at K - 1, one cell left of its heavy
-                # child's for each real node of the run
-                path = np.full((r, K + int(size[top])), sentinel, dtype=dtype)
-                at, width = K - 1 + n_up, y.shape[1]
-                path[:, at:at + width] = y
-                # hankel[:, m, t] = path[:, t + m]
-                hankel = np.ndarray((r, K, path.shape[1] - K + 1), dtype, path.data.toreadonly(),
-                                    0, path.strides + path.strides[-1:])
-            del y
-            x = array_of(rc)
-            q = x.shape[1]
-            span = width + q - 1
-            np.add(x[:, ::-1, None], labels[:, v, None, None], out=block[:, :q])
-            # output t reads path cells up to at + t and is written to at + t,
-            # so tiles run right to left, each add complete before its reduce
-            step = max(1, _CONV_CELLS // (r * q))
-            for t1 in range(span, 0, -step):
-                t0 = max(0, t1 - step)
-                ring.fold.reduce(hankel[:, K - q:, at - K + 1 + t0:at - K + 1 + t1] + block[:, :q],
-                                 axis=1, out=path[:, at + t0:at + t1])
-            if is_real:   # and its empty set
-                at -= 1
-                path[:, at] = 0
-            width = span + is_real
-            a_v = path[:, at:at + width]
-            held = v
-            if v == top:   # a_v alone keeps the buffer, until the parent's join
-                path = hankel = None
         else:
-            a_v = _combine(ring, array_of(lc), array_of(rc), labels[:, v, None], is_real)
-        if is_real:
-            _fold_into(best, ring, a_v[:, 1:])
-            if sink is not None:
-                sink(a_v.copy() if held == v else a_v)   # the path buffer is reused
+            lc, rc = int(left[v]), int(right[v])
+            if ring is MIN and min(size[lc], size[rc]) >= _WIDE:
+                # the children's rows are freed once inverted, before the
+                # convolution's buffers (a lower tracemalloc peak)
+                a_v = _combine_by_counts(_inverse(array_of(lc)), _inverse(array_of(rc)),
+                                         labels[:, v, None], real[v])
+            else:
+                a_v = _combine(ring, array_of(lc), array_of(rc), labels[:, v, None], real[v])
+            if real[v]:
+                _fold_into(best, ring, a_v[:, 1:])
+                if sink is not None:
+                    sink(a_v)
         arrays[v] = a_v
     return best
 

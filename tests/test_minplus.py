@@ -9,7 +9,7 @@ import pytest
 from jumbled import trees
 from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.minplus import (
-    _CONV_BUFSIZE, _CONV_CELLS, FINITE_BOUND, INF, MAX, MIN, NEG_INF, _conv_tiled,
+    _CONV_BUFSIZE, _CONV_CELLS, _CONV_SHIFTS, FINITE_BOUND, INF, MAX, MIN, NEG_INF, _conv_tiled,
     max_plus_convolution, max_plus_convolution_blocked, max_plus_product,
     min_plus_convolution, min_plus_convolution_blocked,
     min_plus_product, min_plus_product_tiled,
@@ -318,27 +318,6 @@ def test_ring_conv_matches_direct_kernel(short, long):
     _assert_tiled_matches_direct(np.random.default_rng([short, size]), short, size)
 
 
-# a stack of many rows takes fewer shifts a block, so that a tile keeps
-# _CONV_SHIFTS columns: 64 rows of 65 entries keep 32 shifts, 65 rows take
-# 31. A stack of more rows than its span keeps every shift and runs
-# rows-innermost: 256 rows of 65 entries (span 129) in tiles of 32 shifts,
-# 2049 rows of 33 in two blocks, and 400 rows of 1 to 33 entries, as the
-# tree sweep's early small rounds are, in one tile or (33) two. Each stack,
-# cut to its first 400 rows, also goes into out narrower than, as wide as
-# and wider than its span, in every sweep dtype.
-@pytest.mark.parametrize("rows, length", [(64, 65), (65, 65), (256, 65), (2049, 33),
-                                          (400, 1), (400, 2), (400, 31), (400, 32), (400, 33)])
-def test_stacked_rows_match_direct_kernel(rows, length):
-    rng = np.random.default_rng([rows, length])
-    _assert_tiled_matches_direct(rng, length, length, (np.int16,), rows)
-    span = 2 * length - 1
-    for ring in (MIN, MAX):
-        for dtype in (np.int16, np.int32, np.int64):
-            for width in (max(1, span - 7), span, span + 1):
-                _assert_rows_match_direct(rng, ring, dtype, (min(rows, 400),), length, length,
-                                          width)
-
-
 class _LayoutRing:
     """A ring that records, for every reduce the kernel makes, whether the
     reduced stack lies with its rows innermost in memory."""
@@ -357,17 +336,55 @@ class _LayoutRing:
         return self.ring.fold.reduce(a, axis=axis, out=out)
 
 
+def _runs_rows_innermost(rows, q, ly):
+    """The kernel's layout rule: a stack of more rows than its span, or of
+    more than a tile of _CONV_SHIFTS shifts by _CONV_SHIFTS columns (or by
+    the longer operand, if shorter) holds in _CONV_CELLS, lies rows-innermost.
+    Put this way the rule reads from the tile; the kernel's own form is
+    rows > min(span, _CONV_CELLS / _CONV_SHIFTS^2), the same for every shape."""
+    return rows > q + ly - 1 or rows * min(ly, _CONV_SHIFTS) * _CONV_SHIFTS > _CONV_CELLS
+
+
+# Stacks on both sides of the layout rule. 64 rows of 65 entries fill a tile
+# of 32 x 32 cells exactly and keep the entries innermost; 65 rows go
+# rows-innermost, as do 256 rows of 65, 300 rows of 300 and 600 of 600
+# (which once took 6 and 3 shifts a block instead), 2049 rows of 33 in two
+# blocks and 400 rows of 1 to 33 entries, as the tree sweep's early small
+# rounds are, in one tile or (33) two. 39 rows of 20 entries (span 39) keep
+# the entries innermost and 40 rows do not. Each stack, cut to its first
+# 400 rows (65 for operands longer than 65, still rows-innermost), also goes
+# into out narrower than, as wide as and wider than its span, in every
+# sweep dtype.
+@pytest.mark.parametrize("rows, length", [(64, 65), (65, 65), (256, 65), (300, 300), (600, 600),
+                                          (2049, 33), (39, 20), (40, 20), (400, 1), (400, 2),
+                                          (400, 31), (400, 32), (400, 33)])
+def test_stacked_rows_match_direct_kernel(rows, length):
+    layout = _LayoutRing(MIN)
+    x = np.zeros((rows, length), dtype=np.int16)
+    _conv_tiled(x, x, layout, np.empty((rows, 2 * length - 1), dtype=np.int16))
+    assert layout.rows_innermost == {_runs_rows_innermost(rows, length, length)}
+    rng = np.random.default_rng([rows, length])
+    _assert_tiled_matches_direct(rng, length, length, (np.int16,), rows)
+    span = 2 * length - 1
+    cut = min(rows, 400 if length <= 65 else 65)
+    for ring in (MIN, MAX):
+        for dtype in (np.int16, np.int32, np.int64):
+            for width in (max(1, span - 7), span, span + 1):
+                _assert_rows_match_direct(rng, ring, dtype, (cut,), length, length, width)
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["zero-one", "weighted"])
 def test_tree_random_small_rounds_run_rows_innermost(weighted, monkeypatch):
     # the small step's early rounds are stacks of up to 2 x 2036 rows of a
-    # few cells: each call whose stack has more rows than its span reduces
-    # along the rows, and no other call does
+    # few cells: each call that the layout rule calls tall reduces along the
+    # rows, and no other call does
     layouts = []
 
     def recording(x, y, ring, out):
         layout = _LayoutRing(ring)
         _conv_tiled(x, y, layout, out)
-        tall = out.size // out.shape[-1] > x.shape[-1] + y.shape[-1] - 1
+        q, ly = sorted((x.shape[-1], y.shape[-1]))
+        tall = _runs_rows_innermost(out.size // out.shape[-1], q, ly)
         layouts.append((tall, layout.rows_innermost))
 
     monkeypatch.setattr(trees, "_conv_tiled", recording)

@@ -449,7 +449,7 @@ def test_sink_receives_every_real_node():
 
 
 # ---------------------------------------------------------------------------
-# light joins in a path buffer
+# the sink's arrays, read after the build returns
 
 def _spine_parents(rng, sides):
     """A spine over a random subtree of 2 * SMALL nodes: the k-th spine node
@@ -486,51 +486,31 @@ def _assert_sink_keeps_the_dp(parents, rng, weights=None):
     assert _sink_arrays(parents, weights, MAX) == sorted((tuple(a),) for a in want.values())
 
 
-# a reused path buffer must not hand the sink views that later joins
-# overwrite; light joins climb a caterpillar's and a comb's spine, a
-# broom's dummy spine and the heavy paths of the others
+# a sweep that reused a buffer could hand the sink views that later joins
+# overwrite; every array must still be the DP's once the build is done, on
+# a caterpillar's and a comb's spine, a broom's dummy spine and the heavy
+# paths of the others
 @pytest.mark.parametrize("n", [SMALL + 1, SMALL + 2, 3 * SMALL, 7 * SMALL])
 @pytest.mark.parametrize("shape", [path_parents, caterpillar_parents, broom_parents,
                                    _comb_parents, complete_binary_parents, "random"])
-def test_path_buffer_keeps_every_sink_array(shape, n):
+def test_sink_arrays_outlive_the_build(shape, n):
     rng = random.Random(n)
     parents = random_parents(rng, n) if shape == "random" else shape(n)
     _assert_sink_keeps_the_dp(parents, rng)
 
 
-# light children of K - 1, K and K + 1 entries (K = _CONV_SHIFTS, one
-# block): the first two join in the path buffer, the last through _combine
-def test_light_joins_stop_past_one_block(monkeypatch):
-    widths = []
-
-    def recording(ring, x, y, lab, real, join=_combine):
-        widths.append(min(x.shape[-1], y.shape[-1]))
-        return join(ring, x, y, lab, real)
-
-    monkeypatch.setattr(trees, "_combine", recording)
-    rng = random.Random(31)
-    for side in (_CONV_SHIFTS - 2, _CONV_SHIFTS - 1, _CONV_SHIFTS):
-        parents = _spine_parents(rng, [side, 3, (side, 2), 1, side])
-        widths.clear()
-        _assert_sink_keeps_the_dp(parents, rng)
-        assert widths and min(widths) > _CONV_SHIFTS
-        assert (side + 1 in widths) == (side + 1 > _CONV_SHIFTS)
-
-
-# a light join of many cells reads and writes its buffer in tiles of
-# _CONV_CELLS cells, right to left; at 40 cells a tile is 1 to 20 columns
-def test_light_joins_tile_right_to_left(monkeypatch):
-    monkeypatch.setattr(trees, "_CONV_CELLS", 40)
-    rng = random.Random(37)
-    for parents in (caterpillar_parents(3 * SMALL), broom_parents(3 * SMALL),
-                    _spine_parents(rng, [1, _CONV_SHIFTS - 1, (2, 7), 13, _CONV_SHIFTS - 1])):
-        _assert_sink_keeps_the_dp(parents, rng)
+# a spine whose side subtrees give arrays of K - 1, K and K + 1 entries
+# (K = _CONV_SHIFTS, one kernel block), alone and beside a second subtree
+@pytest.mark.parametrize("side", [_CONV_SHIFTS - 2, _CONV_SHIFTS - 1, _CONV_SHIFTS])
+def test_sink_arrays_beside_children_of_one_block(side):
+    rng = random.Random(side)
+    _assert_sink_keeps_the_dp(_spine_parents(rng, [side, 3, (side, 2), 1, side]), rng)
 
 
 # label sums on both sides of the int16 switch (as in
-# test_weighted_spans_at_the_switches) through a spine of light joins
+# test_weighted_spans_at_the_switches) up a spine of small side subtrees
 @pytest.mark.parametrize("span", [2 ** 14 - 2, 2 ** 14 - 1])
-def test_path_buffer_at_the_int16_switch(span):
+def test_sink_arrays_at_the_int16_switch(span):
     rng = random.Random(span)
     parents = _spine_parents(rng, [5, (3, 1), 20, 2, 1])
     weights = [rng.randint(-9, 9) for _ in parents]
