@@ -191,14 +191,18 @@ def _verify_case(kind: str, case: int, max_n: int):
     if kind == "weighted-string":
         # every other case draws from two values, where rle's run sweep
         # takes its two-valued rule; every fifth from 0..18, whose mean the
-        # bound sweep centres away
+        # bound sweep centres away; every seventh repeats a short drawn
+        # period, which no bound prunes, so that its block pass gives up
         low = 0 if case % 5 == 4 else -9
         values = rng.sample(range(low, low + 19), 2) if case % 2 else range(low, low + 19)
 
         def draw():
             return rng.choice(values)
-        w = np.array(_in_runs(n, rng, draw) if in_runs else [draw() for _ in range(n)],
-                     dtype=np.int64)
+        if case % 7 == 6:
+            w = np.resize(np.array([draw() for _ in range(rng.randint(2, 8))], dtype=np.int64), n)
+        else:
+            w = np.array(_in_runs(n, rng, draw) if in_runs else [draw() for _ in range(n)],
+                         dtype=np.int64)
         return w, " ".join(map(str, w)), n, rng
     if case % 3 == 2 and n > SMALL + 1:
         # every third tree case: a path of more than SMALL nodes with a

@@ -61,9 +61,9 @@ class Profile:
 
     @cached_property
     def _views(self):
-        """memoryviews of (min_ones, max_ones): indexing one gives a Python
-        int. Made on first use, so no build allocates them."""
-        return memoryview(self.min_ones), memoryview(self.max_ones)
+        """memoryviews of (min_ones, max_ones), whose items are Python ints,
+        and n. Made on first use, so no build allocates them."""
+        return memoryview(self.min_ones), memoryview(self.max_ones), self.n
 
     def __getstate__(self):
         # a memoryview cannot be pickled; a copy makes its own on first use
@@ -82,15 +82,15 @@ class Profile:
 def occurs(p: Profile, i: int, j: int) -> bool:
     """True iff some window/subgraph of size i has exactly j ones.
 
-    Out-of-domain arguments answer False; a size that is not an integer
+    Out-of-domain arguments answer False, a count that is not an integer
+    too (checked only inside the interval); a size that is not an integer
     raises TypeError, inside 1..n or not. Two reads through the profile's
     buffer views, which give Python ints where the arrays would box numpy
-    scalars; the conditional gives a bool for numpy arguments too, without
-    a call to bool().
+    scalars; the conditional gives a bool for numpy arguments too.
     """
-    lo, hi = p._views
-    if 0 < i <= len(lo):
-        return True if lo[i - 1] <= j <= hi[i - 1] else False
+    lo, hi, n = p._views
+    if 0 < i <= n:
+        return True if lo[i - 1] <= j <= hi[i - 1] and j % 1 == 0 else False
     operator.index(i)   # the views refuse a non-integral size in range
     return False
 
@@ -124,7 +124,7 @@ def _occurs_in_csv(path, i: int, j: int) -> bool:
     if rows is None:
         return occurs(_read_lines(raw), i, j)
     lo, hi = (a.tolist() for a in rows)
-    return bool(lo) and lo[0] <= j <= hi[0]
+    return True if lo and lo[0] <= j <= hi[0] and j % 1 == 0 else False
 
 
 def _read_file(path):

@@ -26,11 +26,12 @@ gap rows; the half centre pays on those and on weights of half-integer mean
 _gap_sweep takes two-valued labels from the gaps between the positions of
 one value, a row half as long for i.i.d. bits, swept again by _rle_sweep.
 _rle_sweep, behind rle_profile, rle_weighted_max_sums and the chains of the
-tree sweep, picks its kernel per ring before any runs: the run sweep when it
-costs no more than the bound sweep is expected to; else the gap sweep for
-two-valued labels, and for others the bound sweep, which hands over to the
-run sweep where too few blocks drop out. The default thus never runs
-_window_extremes, the kernel of the naive oracle it is tested against.
+tree sweep, picks its kernel per ring by two count rules: the run sweep when
+its candidates number at most n / 12 + 128; else the gap sweep for
+two-valued labels, and for others the bound sweep, whose block pass gives up
+to the run sweep on rows of n >= 4593 where it keeps over a quarter of the
+blocks it bounds. The default thus never runs _window_extremes, the kernel
+of the naive oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -189,28 +190,18 @@ _BOUND_BLOCK = 16
 _BOUND_CELLS = 1 << 15
 _BOUND_READ = 512
 
-# _rle_sweep prices both kernels for one ring in cell passes: one
-# subtraction or one reduction of one int16 cell, 0.04-0.07 ns on a
-# 2-core x86 VM (fits to minima of 7-9 interleaved rounds, two runs). The
-# same fits put
-#
-# * a cell of the run sweep at 0.13-0.20 ns, and a slice at 1.7-2.7 us;
-# * a block of the bound sweep's pass at 2.4-2.8 ns and a cell of a kept
-#   block at 1.0-1.2 ns (n >= 4096), and a call at 0.25-0.3 ms (n = 256,
-#   where it reads few blocks); so i.i.d. 0/1 rows take it from n = 1000 on.
-#
-# Before the pass, _rle_sweep expects _BOUND_TILE_BLOCKS kept blocks per
-# tile, as i.i.d. labels keep: weights 8-13 from n = 1024 to 65536, bits of
-# density 1/2 10-13. Bits whose mean lies far from a half keep more (about
-# 3x at density 1/4); labels that no bound prunes (1, -1, 0 repeated) make
-# the pass give up to the run sweep once its running count of kept blocks
-# prices the reads over the run sweep's price.
-_RUN_CELL_COST = 3
-_RUN_STEP_COST = 50000
-_BOUND_CALL_COST = 6000000
-_BOUND_PASS_COST = 60
-_BOUND_CELL_COST = 25
-_BOUND_TILE_BLOCKS = 12
+# _rle_sweep takes the run sweep on a row of n labels when its candidates,
+# starts plus ends, number at most n / _RUN_SHARE + _RUN_FLOOR. The block
+# pass gives up on a row of at least _GIVE_UP_GROUPS groups of K starts once,
+# from a sixteenth of the pass on, it has kept over 1 / _GIVE_UP_SHARE of the
+# blocks it bounded: unprunable labels keep 49-100% from n = 2048 on, every
+# other row measured (bits of 11 densities, bits and weights in runs of mean
+# 2-64, the table's) at most 14%. The floor is where giving up begins to beat
+# the reads on unprunable rows (kernel table below).
+_RUN_SHARE = 12
+_RUN_FLOOR = 128
+_GIVE_UP_SHARE = 4
+_GIVE_UP_GROUPS = 288
 
 
 def _centre(pref: np.ndarray):
@@ -223,10 +214,12 @@ def _centre(pref: np.ndarray):
     return d, m * d // 2
 
 
-def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run: int) -> np.ndarray:
+def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring):
     """_window_extremes for ``ring`` over the single row ``pref``, the
     prefix sums of ``labels``, in the narrow dtype of their range, from only
-    the windows that can reach their width's extreme.
+    the windows that can reach their width's extreme; or None if the block
+    pass gives up, on a row of at least _GIVE_UP_GROUPS groups where it
+    keeps more than 1 / _GIVE_UP_SHARE of its blocks (see _kept_blocks).
 
     The sweep runs on q, the prefix sums of d labels - c, and returns
     (c w + the extreme of q) / d: a shift moves every window of width w by
@@ -248,10 +241,6 @@ def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run: int) -> 
     gK+tK+K] - q[gK] over the groups g that have every width of tile t, a
     value the window from gK reaches at each width of the tile. So every
     block skipped falls short of a real window at each of its widths.
-
-    The block pass stops early once what is left of it, and the reads of
-    the blocks it keeps, cost more than ``run``, the run sweep's price; the
-    run sweep on ``pref`` runs instead.
     """
     n, k = labels.size, _BOUND_BLOCK
     d, c = _centre(pref)
@@ -271,10 +260,9 @@ def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run: int) -> 
     starts = np.full(groups * k, above, dtype=dtype)
     starts[:n] = q[:n]
     del q
-    kept = _kept_blocks(ends, starts, run)
+    kept = _kept_blocks(ends, starts)
     if kept is None:
-        del ends, starts
-        return _run_sweep(pref, ring, *_candidates(labels, ring, False))
+        return None
     best = _read_blocks(ends, starts, kept).ravel()[:n]
     del ends, starts, kept   # before the int64 sums
     out = np.arange(1, n + 1, dtype=np.int64)
@@ -284,11 +272,11 @@ def _bound_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring, run: int) -> 
     return out.astype(narrow_dtype(int(pref.min()), int(pref.max())))
 
 
-def _kept_blocks(ends: np.ndarray, starts: np.ndarray, budget: int):
-    """The kept blocks as t G + g, grouped by t, or None as soon as what is
-    left of the block pass, and the reads of the blocks it keeps, cost more
-    than ``budget``. Past a sixteenth of the pass, the rest of it is taken
-    to keep blocks at the rate so far; before, to keep none."""
+def _kept_blocks(ends: np.ndarray, starts: np.ndarray):
+    """The kept blocks as t G + g, grouped by t, or None as soon as the pass
+    gives up: on a row of at least _GIVE_UP_GROUPS groups, once from a
+    sixteenth of the pass on it has kept over 1 / _GIVE_UP_SHARE of the
+    blocks it bounded, the share it would keep of all at that rate."""
     k = _BOUND_BLOCK
     groups = starts.size // k
     chunks = ends[1:groups * k + 1].reshape(groups, k)   # chunk j: the ends jK+1 .. jK+K
@@ -317,8 +305,7 @@ def _kept_blocks(ends: np.ndarray, starts: np.ndarray, budget: int):
         flat = np.flatnonzero(top_h[t0:t1, :width] - least[:width] >= lower[:, None])
         done += (t1 - t0) * width
         n_kept += flat.size
-        reads = n_kept * total // done if 16 * done >= total else n_kept
-        if _BOUND_PASS_COST * (total - done) + _BOUND_CELL_COST * k * k * reads > budget:
+        if groups >= _GIVE_UP_GROUPS and 16 * done >= total and _GIVE_UP_SHARE * n_kept > done:
             return None
         flat += flat // width * t0 + t0 * groups   # row r, column g -> (t0 + r) G + g
         kept.append(flat.astype(key))
@@ -364,55 +351,62 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
 # The kernels _rle_sweep picks between, sweep only, beside naive's time and
 # rle's own time and pick: the run sweep, the gap sweep, the bound sweep's
 # reads, or a block pass that gives up to the run sweep (2-core x86 VM, ms,
-# one process, best of 9 interleaved rounds at n = 16384 and of 3 at 65536;
-# 0/1 rows both rings, weights one; the bound sweep at a budget it never
-# gives up at; gap only for two values). naive, the correlation of
-# _window_extremes, was timed in a later process, best of 5 and of 3 calls:
+# one process, best of 11 interleaved rounds at n = 16384 and of 3 at 65536;
+# 0/1 rows both rings, weights one; the bound sweep with a pass that never
+# gives up; gap only for two values). naive, the correlation of
+# _window_extremes, was timed in a later process, best of 3 calls and of 1:
 #
-#                              n = 16384                        n = 65536
+#                                 n = 16384                        n = 65536
 #   input (rho/n)              run bound   gap naive   rle    run  bound   gap  naive   rle
-#   i.i.d. 0/1 (0.50)         25.8  10.5   5.1  73.3   5.4  286.1   64.7  32.3 2335.4  32.3 gap
-#   0/1 density 1/4 (0.38)    19.2  16.9   6.0  68.7   6.7  214.0  164.4  47.9 2336.4  47.3 gap
-#   0/1 density 0.15 (0.25)   12.7  13.0   6.8  69.2   6.9  146.1  105.8  45.1 1062.4  41.9 gap
-#   0/1 density 1/20 (0.09)    5.4   9.4   6.3  68.3   5.1   52.1   84.7  94.4 1076.4  44.7 run
-#   0/1 period 8 (0.25)       13.2 239.5   1.1  69.8   1.2  206.1 5122.3   3.4 2614.8   3.5 gap
-#   0/1 runs of 64 (0.02)      1.3 168.3   1.6 101.9   1.5   13.3 2409.7   7.9 2682.0  15.0 run
-#   Fibonacci word (0.76)     38.9 261.9   1.4  78.2   1.6  391.9 6985.6   4.1 2480.4   4.8 gap
-#   i.i.d. {-5, 6} (0.50)     13.9   6.1   3.3  38.4   3.8  142.3   33.0  13.7 1332.4  17.2 gap
-#   {-5, 6} in runs (0.22)     6.3   5.6   2.7  38.9   3.7   64.0   49.1  20.2 1389.9  20.1 gap
-#   weights in runs (0.24)    16.7   4.9     -  35.2   4.7  143.5   38.1     -  581.1  39.7 reads
-#   i.i.d. weights (0.95)     64.3   5.8     -  38.8   5.7  591.7   44.8     -  620.9  43.8 reads
-#   1, -1, 0 repeated (1.00)  59.3 150.1     -  50.9  62.1  594.1 2630.1     -  683.4 620.9 gives up
-#   zigzag 9..-9..9 (1.00)    53.4 127.8     -  38.1  54.0  558.3 2452.4     -  651.3 487.2 gives up
+#   i.i.d. 0/1 (0.51)         19.3   8.2   4.2  60.9   4.3  316.3   47.9  19.7 1428.0  19.9 gap
+#   0/1 density 1/4 (0.37)    15.7  14.9   5.3  56.1   5.3  126.8  110.6  31.4 1369.0  30.8 gap
+#   0/1 density 0.15 (0.25)   10.5   9.6   4.9  60.6   5.0   96.9   62.6  26.7  980.9  27.7 gap
+#   0/1 density 1/20 (0.09)    3.8   8.4   4.3  58.5   3.8   33.7   58.3  28.5 1016.3  35.9 run
+#   0/1 period 8 (0.25)       11.3 206.3   1.0  95.6   1.0  171.8 3217.6   4.0 1566.4   2.5 gap
+#   0/1 runs of 64 (0.02)      0.7  99.8   0.9  91.7   0.7    9.3 1537.0   6.3 1442.0   9.5 run
+#   Fibonacci word (0.76)     29.5 174.2   1.1  62.0   1.1  261.0 4284.3   2.4 1864.4   2.4 gap
+#   i.i.d. {-5, 6} (0.49)      9.9   4.3   2.3  43.8   2.4   96.2   26.6  10.8  906.2  10.6 gap
+#   {-5, 6} in runs (0.22)     7.1   5.6   2.7  48.6   3.2   66.5   31.2  12.2 1232.1  13.7 gap
+#   weights in runs (0.21)     8.4   3.2     -  47.4   3.3   75.3   20.0     -  739.0  19.9 reads
+#   weights, runs of 10 (0.09) 3.5   3.0     -  47.5   3.1   34.8   19.0     -  742.5  19.2 reads
+#   i.i.d. weights (0.95)     37.1   3.9     -  48.6   4.0  349.2   22.5     -  754.3  22.5 reads
+#   1, -1, 0 repeated (1.00)  38.9  89.1     -  45.2  38.5  345.0 1442.4     -  658.6 364.1 gives up
+#   zigzag 9..-9..9 (1.00)    36.8  88.2     -  48.2  37.2  423.4 1771.1     -  834.6 446.1 gives up
 #
-# {-5, 6} in runs takes runs of 1-8 at random; the weights in runs draw from
-# -9..9. The gap rows of i.i.d. bits take the bound sweep's reads; those of
-# period 8 and of the Fibonacci word are two-valued, 4 and 5 gap sweeps deep.
+# Unprunable labels around the floor of 288 groups (n >= 4593), best of 21
+# interleaved rounds:
+#
+#   labels        n    run  reads  gives up  naive   rle
+#   1, -1, 0    4096    7.5    7.6       7.9    4.1   7.4 reads
+#   1, -1, 0    5120    9.5   11.2       9.9    6.0  10.1 gives up
+#   1, -1, 0    6000   11.4   14.9      11.6    7.9  12.0 gives up
+#   1, -1, 0    8192   16.8   28.5      18.0   12.7  17.6 gives up
+#   zigzag      4096    7.7    7.3       8.2    4.2   7.5 reads
+#   zigzag      5120    9.6   10.4      10.0    6.3  10.0 gives up
+#   zigzag      6000   11.3   14.6      11.7    8.1  11.7 gives up
+#   zigzag      8192   16.5   26.7      17.6   13.8  17.6 gives up
+#
+# {-5, 6} in runs alternates its values in runs of 1-8 at random; weights in
+# runs take runs of 1-8, or of 1-19 (mean 10), each of one weight in -9..9.
+# The gap rows of i.i.d. bits take the bound sweep's reads; those of period
+# 8 and of the Fibonacci word are two-valued, 4 and 5 gap sweeps deep.
 
 
 def _rle_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
     """_window_extremes for ``ring`` over the single row ``pref``, the
-    prefix sums of ``labels``, in the narrow dtype of their range, by two
-    prices taken before any sweep runs: the run sweep's from its exact cells
-    and slices, the bound sweep's from its call, its block pass and
-    _BOUND_TILE_BLOCKS kept blocks per tile. The run sweep runs when it
-    costs no more. Else two-valued labels take the gap sweep, whose gap row
-    is priced the same way in its own call, and other labels the bound
-    sweep, with the run sweep's price as its budget."""
-    n, k = labels.size, _BOUND_BLOCK
+    prefix sums of ``labels``, in the narrow dtype of their range: by the
+    run sweep on at most n / _RUN_SHARE + _RUN_FLOOR candidates; else by
+    the gap sweep for two-valued labels, whose gap row picks the same way,
+    and for others by the bound sweep, or the run sweep if it gives up."""
     two_valued = _two_valued(labels)
     starts, ends = _candidates(labels, ring, two_valued)
-    run = (_RUN_CELL_COST * (n * (starts.size + 1) - int(starts.sum()) + int(ends.sum()))
-           + _RUN_STEP_COST * (starts.size + ends.size + 1))
-    groups = -(-n // k)
-    bound = (_BOUND_CALL_COST + _BOUND_PASS_COST * groups * (groups + 1) // 2
-             + _BOUND_CELL_COST * k * k * _BOUND_TILE_BLOCKS * groups)
-    if run <= bound:
+    if _RUN_SHARE * (starts.size + ends.size - _RUN_FLOOR) <= labels.size:
         return _run_sweep(pref, ring, starts, ends)
     del starts, ends   # up to n int64 positions, freed before the other sweeps' buffers
     if two_valued:
         return _gap_sweep(pref, labels, ring)
-    return _bound_sweep(pref, labels, ring, run)
+    best = _bound_sweep(pref, labels, ring)
+    return _run_sweep(pref, ring, *_candidates(labels, ring, False)) if best is None else best
 
 
 def _gap_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:

@@ -311,3 +311,16 @@ def random_parents(rng: random.Random, n: int):
 
 def random_bits(rng: random.Random, n: int, density=0.5):
     return [1 if rng.random() < density else 0 for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# strings' kernel choice, forced through the count constants it reads
+# (pass to monkeypatch.setattr or mock.patch.multiple on jumbled.strings)
+
+# _rle_sweep never takes the run sweep up front: every row has a candidate
+NO_RUN_SWEEP = dict(_RUN_SHARE=1 << 62, _RUN_FLOOR=0)
+# the bound sweep's block pass never gives up
+NEVER_GIVES_UP = dict(_GIVE_UP_GROUPS=1 << 62)
+# the block pass gives up at its first check past a sixteenth of the pass,
+# on every row of more than one group
+GIVES_UP = dict(_GIVE_UP_GROUPS=0, _GIVE_UP_SHARE=1 << 62)

@@ -41,6 +41,8 @@ STEPS = [
      "--kind weighted-string --algo rle --oracle naive --max-n 5000 --seeds 40"),
     ("Gap sweep on two-valued weights long enough for their gap rows' own block reads",
      "--kind weighted-string --algo rle --oracle naive --max-n 20000 --seeds 12"),
+    ("Bound sweep's give-up on periodic weights, and its reads on weights in runs, past its floor",
+     "--kind weighted-string --algo rle --oracle naive --max-n 40000 --seeds 14"),
     ("Blocked string reduction against the naive sweep",
      "--kind string --algo blocked --oracle naive"),
     ("Blocked string reduction on strings with more and larger blocks",

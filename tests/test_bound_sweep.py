@@ -4,15 +4,17 @@ _bound_sweep centres the prefix sums on the nearest half of the mean label
 (0/1 labels of density near 1/2 walk by +-1 at twice the scale), then skips
 every block of K starts x K widths whose bound falls short of a real window
 at each of its widths. Every case here is checked against _window_extremes
-under both rings three ways: through the pruned reads, at a budget no block
-pass reaches; through the run sweep it gives up to, at a budget of nothing;
-and as rle calls it, where short, few-run or unprunable inputs take the run
-sweep. The "pruned" cases price kept blocks at nothing (_BOUND_CELL_COST at
-0), so that rle sends more of them to the bound sweep.
+under both rings three ways: through the pruned reads of a block pass that
+never gives up; through the run sweep that rle runs when the pass gives up,
+after a pass made to give up returns None; and as rle calls it, where
+short, few-run or unprunable inputs take the run sweep. The "pruned" cases
+rule out the run sweep up front and the give-up in the pass, so that rle
+sends every row of more than two values to the bound sweep's reads.
 """
 
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,30 +25,35 @@ from jumbled.strings import (
     BinaryString, naive_profile, naive_weighted_max_sums, rle_profile, rle_weighted_max_sums,
 )
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile, weighted_tree_max_sums
-from _support import random_parents
+from _support import GIVES_UP, NEVER_GIVES_UP, NO_RUN_SWEEP, random_parents
 
 K = strings._BOUND_BLOCK
-NO_LIMIT = 1 << 62   # a budget above any block pass and its reads
 
 
 @pytest.fixture(params=["pruned", "as called"])
 def path(request, monkeypatch):
     if request.param == "pruned":
-        monkeypatch.setattr(strings, "_BOUND_CELL_COST", 0)
+        for name, value in {**NO_RUN_SWEEP, **NEVER_GIVES_UP}.items():
+            monkeypatch.setattr(strings, name, value)
     return request.param
 
 
 def _assert_window_sweep(pref, labels, wants=None):
+    labels = np.asarray(labels)
     for ring in (MAX, MIN):
         if wants is None:
             want = strings._window_extremes(pref[None, :], ring)
         else:
             want = wants[ring]
-        # the pruned reads; a run sweep priced at nothing, so that the pass
-        # gives up at its first check and the run sweep answers; and rle's pick
-        labels = np.asarray(labels)
-        for how, got in (("reads", strings._bound_sweep(pref, labels, ring, NO_LIMIT)),
-                         ("gives up", strings._bound_sweep(pref, labels, ring, 0)),
+        # the pruned reads; a pass that gives up at its first check, on
+        # every row of more than one group, and the run sweep rle then runs
+        # on the general rule's candidates; and rle's pick
+        with mock.patch.multiple(strings, **NEVER_GIVES_UP):
+            reads = strings._bound_sweep(pref, labels, ring)
+        with mock.patch.multiple(strings, **GIVES_UP):
+            assert (strings._bound_sweep(pref, labels, ring) is None) == (labels.size > K), ring
+        gave_up = strings._run_sweep(pref, ring, *strings._candidates(labels, ring, False))
+        for how, got in (("reads", reads), ("gives up", gave_up),
                          ("rle", strings._rle_sweep(pref, labels, ring))):
             assert got.dtype == narrow_dtype(int(pref.min()), int(pref.max())), (ring, how)
             assert np.array_equal(got, want[0]), (ring, how)
@@ -225,17 +232,30 @@ def reads(monkeypatch):
     return called
 
 
-def test_periodic_weights_fall_back_and_iid_weights_do_not(reads, monkeypatch):
-    # rle prices the bound sweep below the run sweep for both; on 1, -1, 0
-    # repeated no bound prunes, so the block pass gives up to the run sweep
-    passes = []
+@pytest.fixture
+def passes(monkeypatch):
+    """How each block pass ended: "kept" blocks, or "gave up"."""
+    ended = []
 
     def recording(*args, step=strings._kept_blocks):
         kept = step(*args)
-        passes.append("gave up" if kept is None else "kept")
+        ended.append("gave up" if kept is None else "kept")
         return kept
 
     monkeypatch.setattr(strings, "_kept_blocks", recording)
+    return ended
+
+
+def _weights_in_runs(n, mean):
+    # runs of 1 .. 2 mean - 1 labels, each of one weight from -9..9
+    rng = np.random.default_rng(n)
+    lengths = rng.integers(1, 2 * mean, n)
+    return np.repeat(rng.integers(-9, 10, n), lengths)[:n]
+
+
+def test_periodic_weights_fall_back_and_iid_weights_do_not(reads, passes):
+    # rle sends both to the bound sweep; on 1, -1, 0 repeated no bound
+    # prunes, so the block pass gives up and the run sweep runs
     n = 8192
     for weights, want in ((np.resize([1, -1, 0], n), ("gave up", "_run_sweep")),
                           (np.random.default_rng(n).integers(-9, 10, n), ("kept", "_read_blocks"))):
@@ -244,6 +264,53 @@ def test_periodic_weights_fall_back_and_iid_weights_do_not(reads, monkeypatch):
         got = rle_weighted_max_sums(weights)
         assert (passes, reads) == ([want[0]], [want[1]])
         assert np.array_equal(got, naive_weighted_max_sums(weights))
+
+
+@pytest.mark.parametrize("family", ["periodic 1, -1, 0", "zigzag"])
+def test_unprunable_labels_give_up_from_the_floor_on(reads, passes, family):
+    # no bound prunes these: the block pass reads every block on rows of
+    # fewer than 288 groups of K starts, and gives up from 288 groups on
+    for n, want in ((4096, ("kept", "_read_blocks")), (287 * K, ("kept", "_read_blocks")),
+                    (287 * K + 1, ("gave up", "_run_sweep")), (6000, ("gave up", "_run_sweep")),
+                    (16384, ("gave up", "_run_sweep"))):
+        weights = np.resize([1, -1, 0], n) if family.startswith("periodic") else _zigzag(n)
+        passes.clear()
+        reads.clear()
+        got = rle_weighted_max_sums(weights)
+        assert (passes, reads) == ([want[0]], [want[1]]), n
+        assert np.array_equal(got, naive_weighted_max_sums(weights)), n
+
+
+PRUNABLE_ROWS = {
+    "i.i.d. weights": lambda rng, n: rng.integers(-9, 10, n),
+    "bits of density 1/4": lambda rng, n: (rng.random(n) < 0.25).astype(np.uint8),
+    "bits of density 0.15": lambda rng, n: (rng.random(n) < 0.15).astype(np.uint8),
+}
+
+
+@pytest.mark.parametrize("family", PRUNABLE_ROWS)
+@pytest.mark.parametrize("n", [1 << 14, 1 << 16])
+def test_rows_that_prune_never_give_up(passes, family, n):
+    # i.i.d. weights, and the gap rows of sparse bits, keep few blocks: a
+    # limit on the kept blocks of each tile gave up on the gap rows of bits
+    # of density 1/4 at n = 16384; checked against naive at 2^14 alone
+    labels = PRUNABLE_ROWS[family](np.random.default_rng(n), n)
+    if family.startswith("bits"):
+        got = rle_profile(labels)
+        assert n > 1 << 14 or got == naive_profile(labels)
+    else:
+        got = rle_weighted_max_sums(labels)
+        assert n > 1 << 14 or np.array_equal(got, naive_weighted_max_sums(labels))
+    assert passes and set(passes) == {"kept"}
+
+
+def test_weights_in_runs_of_ten_read_blocks(reads):
+    # runs of mean 10: more candidates than the run sweep takes, and few
+    # enough kept blocks that the block pass does not give up
+    weights = _weights_in_runs(16384, 10)
+    got = rle_weighted_max_sums(weights)
+    assert reads == ["_read_blocks"]
+    assert np.array_equal(got, naive_weighted_max_sums(weights))
 
 
 def test_string_random_bits_read_blocks_and_few_runs_take_the_run_sweep(reads):
@@ -331,13 +398,15 @@ def test_rle_weighted_memory_peak():
     # the int64 prefix sums and, until they are narrowed, the int64 centred
     # ones; their two narrow copies (ends and starts), one step of the block
     # pass over up to _BOUND_CELLS blocks, the kept blocks, and the buffers
-    # of one step of reads, _BOUND_READ blocks wide
-    weights = np.random.default_rng(16384).integers(-9, 10, 16384)
-    rle_weighted_max_sums(weights)   # first call: numpy's own lazy allocations
-    tracemalloc.start()
-    try:
-        rle_weighted_max_sums(weights)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / 2 ** 20 <= 0.60
+    # of one step of reads, _BOUND_READ blocks wide; i.i.d. weights, and
+    # weights in runs of mean 10, which keep more blocks
+    for weights in (np.random.default_rng(16384).integers(-9, 10, 16384),
+                    _weights_in_runs(16384, 10)):
+        rle_weighted_max_sums(weights)   # first call: numpy's own lazy allocations
+        tracemalloc.start()
+        try:
+            rle_weighted_max_sums(weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2 ** 20 <= 0.60

@@ -5,8 +5,9 @@ holds t of one value, 1 plus the MIN of _rle_sweep over the gaps between
 that value's positions. It is called directly here on every bit string up to
 n = 10 and on two-valued weights, and through rle at the sizes where its
 dtypes step: positions past 32767, more than 16383 ones, and weights whose
-hi w overflows int16 though every window sum fits. "Priced out" cases price
-the bound sweep at nothing, so that rle leaves the run sweep on every row.
+hi w overflows int16 though every window sum fits. "Priced out" cases rule
+out the run sweep up front and the bound sweep's give-up, so that rle leaves
+the run sweep on every row.
 """
 
 import itertools
@@ -22,9 +23,9 @@ from jumbled.strings import (
     BinaryString, naive_profile, naive_weighted_max_sums, rle_profile, rle_weighted_max_sums,
 )
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile
-from _support import window_max_sums, window_profile
+from _support import NEVER_GIVES_UP, NO_RUN_SWEEP, window_max_sums, window_profile
 
-PRICED_OUT = dict(_BOUND_CALL_COST=0, _BOUND_PASS_COST=0, _BOUND_CELL_COST=0)
+PRICED_OUT = {**NO_RUN_SWEEP, **NEVER_GIVES_UP}
 
 
 @pytest.fixture(params=["priced out", "as called"])

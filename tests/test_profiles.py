@@ -83,6 +83,22 @@ def test_occurs_takes_integers_of_any_type(kind):
     assert occurs(p, 2, np.bool_(True)) is True
 
 
+@pytest.mark.parametrize("j", [1.5, np.float64(1.5), float("nan")], ids=["1.5", "float64", "nan"])
+def test_occurs_answers_false_for_a_count_that_is_not_an_integer(j, tmp_path):
+    # n = 4; size 2 holds 0 to 2 ones, so 1.5 lies inside its interval, and
+    # size 4 holds 2, so 1.5 lies outside; nan compares inside no interval
+    p = naive_profile("0110")
+    write_profile_csv(p, tmp_path / "p.csv")
+    for i in (2, 4, 1, 0, 5):
+        assert occurs(p, i, j) is False, i
+        assert p.occurs(i, j) is False, i
+        assert profiles._occurs_in_csv(tmp_path / "p.csv", i, j) is False, i
+    # an integral float answers as its integer
+    assert occurs(p, 2, 1.0) is True
+    assert p.occurs(4, np.float64(2.0)) is True
+    assert occurs(p, 4, 1.0) is False
+
+
 @pytest.mark.parametrize("i", [1.5, 2.0, np.float64(3.0), 0.5, "2",
                                4.5, -0.5, np.float64(5.0)])
 def test_occurs_refuses_a_size_that_is_not_an_integer(i):

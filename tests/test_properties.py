@@ -39,9 +39,9 @@ from jumbled.minplus import narrow_dtype
 from jumbled.trees import SMALL, LabeledTree, binarize, simple_tree_profile, tree_profile, \
     weighted_tree_max_sums
 from _support import (
-    binary_post_order, broom_parents, caterpillar_parents, complete_binary_parents,
-    csv_rows_one_at_a_time, path_parents, profile_csv_by_lines, random_parents,
-    real_descendant_counts, star_parents, tree_extremes, window_profile,
+    NEVER_GIVES_UP, NO_RUN_SWEEP, binary_post_order, broom_parents, caterpillar_parents,
+    complete_binary_parents, csv_rows_one_at_a_time, path_parents, profile_csv_by_lines,
+    random_parents, real_descendant_counts, star_parents, tree_extremes, window_profile,
 )
 
 MAX_N = 160
@@ -155,11 +155,12 @@ drifted = st.tuples(st.integers(-30, 30), st.integers(0, 30)).flatmap(
 @given(st.one_of(drifted, adversarial, st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1,
                                                   max_size=MAX_N)))
 def test_bound_sweep_matches_naive(weights):
-    # the block pass never gives up below a budget no pass reaches, so the
-    # pruned reads run on every input, however short
+    # a block pass that never gives up runs the pruned reads on every
+    # input, however short
     pref = _weight_prefix(weights)
-    got = _bound_sweep(pref, np.array(weights), MAX, 1 << 62)
-    lows = _bound_sweep(pref, np.array(weights), MIN, 1 << 62)
+    with mock.patch.multiple(strings, **NEVER_GIVES_UP):
+        got = _bound_sweep(pref, np.array(weights), MAX)
+        lows = _bound_sweep(pref, np.array(weights), MIN)
     assert got.tolist() == naive_weighted_max_sums(weights).tolist()
     assert (-lows).tolist() == naive_weighted_max_sums([-w for w in weights]).tolist()
 
@@ -186,14 +187,14 @@ sturmian = st.one_of(
     st.builds(lambda n, a, c: [int((k + 1) * a + c) - int(k * a + c) for k in range(n)],
               sizes, st.floats(0.01, 0.99), st.floats(0, 1)))
 
-PRICED_OUT = dict(_BOUND_CALL_COST=0, _BOUND_PASS_COST=0, _BOUND_CELL_COST=0)
+PRICED_OUT = {**NO_RUN_SWEEP, **NEVER_GIVES_UP}
 
 
 @SETTINGS
 @given(st.one_of(adversarial, biased, sturmian))
 def test_rle_profile_through_the_bound_sweep(bits):
-    # at no price for the bound sweep rle leaves the run sweep on every
-    # input, however short: the bits take the gap sweep, their gap rows of
+    # with the run sweep ruled out up front rle leaves it on every input,
+    # however short: the bits take the gap sweep, their gap rows of
     # more than two values the bound sweep, whose block pass never gives up
     with mock.patch.multiple(strings, **PRICED_OUT):
         got = rle_profile(bits)

@@ -160,9 +160,9 @@ def _with_runs(n, runs, values=(0, 1)):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Names of the sweeps the builders call, in order; the run sweep a
-    bound sweep falls back to, and the sweeps of a gap sweep's gap row, are
-    its own steps, not recorded."""
+    """Names of the sweeps the builders call, in order, with the run sweep
+    that runs when a bound sweep gives up; the sweeps of a gap sweep's gap
+    row are its own steps, not recorded."""
     called, depth = [], [0]
     for name in ("_run_sweep", "_bound_sweep", "_gap_sweep", "_window_extremes"):
         def recording(*args, name=name, sweep=getattr(strings, name)):
@@ -178,22 +178,25 @@ def sweeps(monkeypatch):
 
 
 def _chosen(labels, rings):
-    # per ring, the run sweep while its price, _RUN_CELL_COST per cell and
-    # _RUN_STEP_COST per slice, is no more than the bound sweep's: its call,
-    # its block pass over G (G + 1) / 2 blocks and _BOUND_TILE_BLOCKS kept
-    # blocks per tile; else the gap sweep for two-valued labels, the bound
-    # sweep for others
-    n, k = len(labels), strings._BOUND_BLOCK
-    groups = -(-n // k)
-    bound = (strings._BOUND_CALL_COST + strings._BOUND_PASS_COST * groups * (groups + 1) // 2
-             + strings._BOUND_CELL_COST * k * k * strings._BOUND_TILE_BLOCKS * groups)
-    chosen = []
-    for starts, ends in _candidates(labels, rings):
-        run = (strings._RUN_CELL_COST * (n * (starts.size + 1) - int(starts.sum()) + int(ends.sum()))
-               + strings._RUN_STEP_COST * (starts.size + ends.size + 1))
-        chosen.append("_run_sweep" if run <= bound
-                      else "_gap_sweep" if strings._two_valued(labels) else "_bound_sweep")
-    return chosen
+    # per ring, the run sweep while its candidates, starts plus ends, number
+    # at most n / 12 + 128; else the gap sweep for two-valued labels, the
+    # bound sweep for others
+    n = len(labels)
+    return ["_run_sweep" if 12 * (starts.size + ends.size) <= n + 1536
+            else "_gap_sweep" if strings._two_valued(labels) else "_bound_sweep"
+            for starts, ends in _candidates(labels, rings)]
+
+
+def _at_threshold(n, candidates, family):
+    """n labels with ``candidates`` candidates on every ring: two values in
+    that many low runs and high runs, low first, or weights in that many
+    runs cycling through 0, 2, 1, whose every step is an up-step or a
+    down-step."""
+    runs = candidates * (1 if family == "weights" else 2)
+    lengths = np.full(runs, n // runs)
+    lengths[:n - lengths.sum()] += 1
+    values = (0, 1) if family == "0/1" else (-3, 4) if family == "two-valued weights" else (0, 2, 1)
+    return np.repeat(np.resize(values, lengths.size), lengths).tolist()
 
 
 FAMILIES = {
@@ -205,24 +208,39 @@ FAMILIES = {
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_rle_picks_its_sweep_by_cell_count(sweeps, family):
+    def build(labels):
+        if family == "0/1":
+            return rle_profile(labels), (MIN, MAX)
+        return rle_weighted_max_sums(labels).tolist(), (MAX,)
+
+    def check(labels, what):
+        sweeps.clear()
+        got, rings = build(labels)
+        picked = list(sweeps)
+        assert picked == _chosen(np.array(labels), rings), what
+        if family == "0/1":
+            assert got == naive_profile(labels), what
+        else:
+            assert got == naive_weighted_max_sums(labels).tolist(), what
+        return picked
+
     chosen = set()
     for n in FAMILIES[family]:
         for runs in sorted({1, 2, n // 4, n // 2, 2 * n // 3, n - 4, n - 1, n} - {0}):
-            sweeps.clear()
-            if family == "0/1":
-                labels = _with_runs(n, runs)
-                got, rings = rle_profile(labels), (MIN, MAX)
-            else:
-                values = (-3, 4) if family == "two-valued weights" else (0, 5, -2, 3, 1)
-                labels = _with_runs(n, runs, values)
-                got, rings = rle_weighted_max_sums(labels).tolist(), (MAX,)
-            assert sweeps == _chosen(np.array(labels), rings), (n, runs)
-            chosen.add(sweeps[0])
-            if family == "0/1":
-                assert got == naive_profile(labels), (n, runs)
-            else:
-                assert got == naive_weighted_max_sums(labels).tolist(), (n, runs)
+            values = (0, 1) if family == "0/1" else \
+                (-3, 4) if family == "two-valued weights" else (0, 5, -2, 3, 1)
+            chosen.add(check(_with_runs(n, runs, values), (n, runs))[0])
     assert chosen == {"_run_sweep", "_bound_sweep" if family == "weights" else "_gap_sweep"}
+    # the threshold n / 12 + 128, and one candidate past it, at sizes below
+    # the floor from which the bound sweep may give up to the run sweep
+    other = "_bound_sweep" if family == "weights" else "_gap_sweep"
+    for n in (1000, 2500, 4500):
+        top = (n + 1536) // 12
+        for candidates, want in ((top, "_run_sweep"), (top + 1, other)):
+            labels = _at_threshold(n, candidates, family)
+            got = [ends.size + starts.size for starts, ends in _candidates(labels, (MIN, MAX))]
+            assert got == [candidates] * 2, (n, got)
+            assert set(check(labels, (n, candidates))) == {want}, (n, candidates)
 
 
 def test_iid_labels_at_several_chunks_of_starts(sweeps):
