@@ -168,7 +168,7 @@ def cmd_query(args) -> int:
 
 def _in_runs(n: int, rng: random.Random, draw) -> list:
     """n values in runs of random length, one value drawn per run."""
-    mean = rng.choice((6, 20, 80))
+    mean = rng.choice((6, 10, 20, 64, 80))
     values = []
     while len(values) < n:
         values += [draw()] * rng.randint(1, 2 * mean - 1)

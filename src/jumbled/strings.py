@@ -3,7 +3,8 @@
 Four interchangeable backends compute the same profile:
 
 * rle_profile        the default: only windows that start or end where the
-                     label steps toward the ring's side, O(n rho) for rho runs
+                     label steps toward the ring's side, O(n rho) for rho runs,
+                     or O(n + rho^2) from the pairs of runs of one value
 * naive_profile      sliding-window extrema per length, the O(n^2) reference
 * blocked_profile    block decomposition with cross-block min/max tables
 * recursive_profile  midpoint halving; boundary windows via convolutions
@@ -25,13 +26,16 @@ gap rows; the half centre pays on those and on weights of half-integer mean
 (see _bound_sweep).
 _gap_sweep takes two-valued labels from the gaps between the positions of
 one value, a row half as long for i.i.d. bits, swept again by _rle_sweep.
-_rle_sweep, behind rle_profile, rle_weighted_max_sums and the chains of the
-tree sweep, picks its kernel per ring by two count rules: the run sweep when
-its candidates number at most n / 12 + 128; else the gap sweep for
-two-valued labels, and for others the bound sweep, whose block pass gives up
-to the run sweep on rows of n >= 4593 where it keeps over a quarter of the
-blocks it bounds. The default thus never runs _window_extremes, the kernel
-of the naive oracle it is tested against.
+_pair_sweep takes them from the least other cells between each pair of runs
+of one value. _rle_sweep, behind rle_profile, rle_weighted_max_sums and the
+chains of the tree sweep, picks its kernel per ring by count rules: the pair
+sweep for two-valued labels with at least 64 runs of the ring's value and
+at most 40 n pairs of them; else the run sweep when its candidates number
+at most n / 12 + 128; else the gap sweep for two-valued labels, and for
+others the bound sweep, whose block pass gives up to the run sweep on rows
+of n >= 4593 where it keeps over a quarter of the blocks it bounds. The
+default thus never runs _window_extremes, the kernel of the naive oracle it
+is tested against.
 """
 
 from __future__ import annotations
@@ -190,14 +194,22 @@ _BOUND_BLOCK = 16
 _BOUND_CELLS = 1 << 15
 _BOUND_READ = 512
 
-# _rle_sweep takes the run sweep on a row of n labels when its candidates,
-# starts plus ends, number at most n / _RUN_SHARE + _RUN_FLOOR. The block
-# pass gives up on a row of at least _GIVE_UP_GROUPS groups of K starts once,
-# from a sixteenth of the pass on, it has kept over 1 / _GIVE_UP_SHARE of the
-# blocks it bounded: unprunable labels keep 49-100% from n = 2048 on, every
-# other row measured (bits of 11 densities, bits and weights in runs of mean
-# 2-64, the table's) at most 14%. The floor is where giving up begins to beat
-# the reads on unprunable rows (kernel table below).
+# _rle_sweep takes the pair sweep on two-valued labels of n cells with rho_v
+# runs of the ring's value when _PAIR_FLOOR <= rho_v and the rho_v (rho_v +
+# 1) / 2 pairs number at most _PAIR_SHARE n: below the floor its O(n) passes
+# cost more than the run sweep's rho_v slices (n = 1024..2^18), and past the
+# share the run sweep or the gap sweep wins (kernel tables below). It walks
+# the pairs about _PAIR_BLOCK at a time. Else _rle_sweep takes the run sweep
+# when its candidates, starts plus ends, number at most n / _RUN_SHARE +
+# _RUN_FLOOR. The block pass gives up on a row of at least _GIVE_UP_GROUPS
+# groups of K starts once, from a sixteenth of the pass on, it has kept over
+# 1 / _GIVE_UP_SHARE of the blocks it bounded: unprunable labels keep 49-100%
+# from n = 2048 on, every other row measured (bits of 11 densities, bits and
+# weights in runs of mean 2-64, the table's) at most 14%. The floor is where
+# giving up begins to beat the reads on unprunable rows (kernel table below).
+_PAIR_FLOOR = 64
+_PAIR_SHARE = 40
+_PAIR_BLOCK = 1 << 15
 _RUN_SHARE = 12
 _RUN_FLOOR = 128
 _GIVE_UP_SHARE = 4
@@ -349,29 +361,60 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
 
 
 # The kernels _rle_sweep picks between, sweep only, beside naive's time and
-# rle's own time and pick: the run sweep, the gap sweep, the bound sweep's
-# reads, or a block pass that gives up to the run sweep (2-core x86 VM, ms,
-# one process, best of 11 interleaved rounds at n = 16384 and of 3 at 65536;
-# 0/1 rows both rings, weights one; the bound sweep with a pass that never
-# gives up; gap only for two values). naive, the correlation of
-# _window_extremes, was timed in a later process, best of 3 calls and of 1:
+# rle's own time and pick (2-core x86 VM, ms, one process, best of 11
+# interleaved rounds at n = 16384 and of 3 at 65536; naive, the correlation
+# of _window_extremes, best of 3 calls and of 1). Two-valued rows, 0/1 on
+# both rings: the pairs of runs of the ring's value over n, the run sweep
+# under the two-valued rule and under the general rule, the gap sweep and the
+# pair sweep:
 #
-#                                 n = 16384                        n = 65536
-#   input (rho/n)              run bound   gap naive   rle    run  bound   gap  naive   rle
-#   i.i.d. 0/1 (0.51)         19.3   8.2   4.2  60.9   4.3  316.3   47.9  19.7 1428.0  19.9 gap
-#   0/1 density 1/4 (0.37)    15.7  14.9   5.3  56.1   5.3  126.8  110.6  31.4 1369.0  30.8 gap
-#   0/1 density 0.15 (0.25)   10.5   9.6   4.9  60.6   5.0   96.9   62.6  26.7  980.9  27.7 gap
-#   0/1 density 1/20 (0.09)    3.8   8.4   4.3  58.5   3.8   33.7   58.3  28.5 1016.3  35.9 run
-#   0/1 period 8 (0.25)       11.3 206.3   1.0  95.6   1.0  171.8 3217.6   4.0 1566.4   2.5 gap
-#   0/1 runs of 64 (0.02)      0.7  99.8   0.9  91.7   0.7    9.3 1537.0   6.3 1442.0   9.5 run
-#   Fibonacci word (0.76)     29.5 174.2   1.1  62.0   1.1  261.0 4284.3   2.4 1864.4   2.4 gap
-#   i.i.d. {-5, 6} (0.49)      9.9   4.3   2.3  43.8   2.4   96.2   26.6  10.8  906.2  10.6 gap
-#   {-5, 6} in runs (0.22)     7.1   5.6   2.7  48.6   3.2   66.5   31.2  12.2 1232.1  13.7 gap
-#   weights in runs (0.21)     8.4   3.2     -  47.4   3.3   75.3   20.0     -  739.0  19.9 reads
-#   weights, runs of 10 (0.09) 3.5   3.0     -  47.5   3.1   34.8   19.0     -  742.5  19.2 reads
-#   i.i.d. weights (0.95)     37.1   3.9     -  48.6   4.0  349.2   22.5     -  754.3  22.5 reads
-#   1, -1, 0 repeated (1.00)  38.9  89.1     -  45.2  38.5  345.0 1442.4     -  658.6 364.1 gives up
-#   zigzag 9..-9..9 (1.00)    36.8  88.2     -  48.2  37.2  423.4 1771.1     -  834.6 446.1 gives up
+#   n = 16384                 pairs/n     run  general     gap    pair   naive     rle
+#   i.i.d. 0/1                  526.7    19.7     38.7     3.9    42.9    49.2     3.8 gap
+#   0/1 density 1/4             291.5    13.6     26.2     4.4    23.3    46.3     4.2 gap
+#   0/1 density 0.15            134.9     8.8     19.0     4.5    11.4    50.0     4.5 gap
+#   0/1 density 1/20             18.7     3.5      6.8     4.0     2.0    50.0     2.2 pair
+#   0/1 period 8               1152.2    28.7     58.0    28.1    93.6    51.1    31.1 gap
+#   0/1 runs of 8                31.7     4.6      9.4     4.2     3.2    52.4     3.3 pair
+#   0/1 runs of 32                2.0     1.3      2.4     2.4     0.7    52.8     0.7 pair
+#   0/1 runs of 64                0.6     0.7      1.3     1.3     0.5    50.3     0.5 pair
+#   0/1 runs of 128               0.1     0.4      0.7     0.9     0.5    46.5     0.4 run
+#   Fibonacci word             1195.3    28.6     55.5     0.9    94.7    51.3     0.9 gap
+#   i.i.d. {-5, 6}              491.3     9.5     18.4     2.1    20.5    30.9     2.1 gap
+#   {-5, 6} in runs             129.4     5.0      9.8     2.3     6.0    23.4     2.3 gap
+#
+#   n = 65536                 pairs/n     run  general     gap    pair   naive     rle
+#   i.i.d. 0/1                 2032.7   274.8    543.6    19.3   685.1    1208    19.1 gap
+#   0/1 density 1/4            1148.2   121.1    239.1    29.6   390.0   767.1    29.8 gap
+#   0/1 density 0.15            542.4    83.5    160.0    23.2   194.8   906.9    23.3 gap
+#   0/1 density 1/20             71.1    30.7     61.5    25.1    31.3   898.4    30.1 run
+#   0/1 period 8               4608.2   525.2     1024   360.1    1771    1244   353.6 gap
+#   0/1 runs of 8               127.9    76.1    144.8    20.9    61.0    1157    72.4 run
+#   0/1 runs of 32                8.1    11.3     22.4    23.2     5.3    1160     5.5 pair
+#   0/1 runs of 64                1.9     5.2     10.3    11.8     2.6    1276     2.7 pair
+#   0/1 runs of 128               0.5     2.9      5.7     6.6     1.9    1289     2.0 pair
+#   Fibonacci word             4780.8   277.8    542.4     2.5    1673    1218     2.3 gap
+#   i.i.d. {-5, 6}             2075.2   163.1    318.8     9.6   399.6   665.0     9.6 gap
+#   {-5, 6} in runs             508.4    40.6     80.8    10.0    90.2   586.7    10.1 gap
+#
+# Bits in runs of mean m take runs of 1 .. 2m - 1 cells, alternating 0 and 1;
+# {-5, 6} in runs alternates its values in runs of 1-7. Runs of 128 at 16384
+# have 63 runs of each value, one short of the pair sweep's floor. The
+# two-valued rule of the run sweep halves its general rule's time on the
+# rows it takes (runs of 128 at 16384; density 1/20 and runs of 8 at 65536).
+# Period 8 repeats 11010010. The gap rows of i.i.d. bits and of period 8 take
+# the bound sweep; those of the Fibonacci word are two-valued, and nest
+# several gap sweeps deep.
+#
+# Labels of more values, taken before the pair sweep, which none of them
+# reaches (bound: a block pass that never gives up):
+#
+#                                 n = 16384                  n = 65536
+#   input (rho/n)              run bound naive   rle    run  bound  naive   rle
+#   weights in runs (0.21)     8.4   3.2  47.4   3.3   75.3   20.0  739.0  19.9 reads
+#   weights, runs of 10 (0.09) 3.5   3.0  47.5   3.1   34.8   19.0  742.5  19.2 reads
+#   i.i.d. weights (0.95)     37.1   3.9  48.6   4.0  349.2   22.5  754.3  22.5 reads
+#   1, -1, 0 repeated (1.00)  38.9  89.1  45.2  38.5  345.0 1442.4  658.6 364.1 gives up
+#   zigzag 9..-9..9 (1.00)    36.8  88.2  48.2  37.2  423.4 1771.1  834.6 446.1 gives up
 #
 # Unprunable labels around the floor of 288 groups (n >= 4593), best of 21
 # interleaved rounds:
@@ -386,20 +429,23 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
 #   zigzag      6000   11.3   14.6      11.7    8.1  11.7 gives up
 #   zigzag      8192   16.5   26.7      17.6   13.8  17.6 gives up
 #
-# {-5, 6} in runs alternates its values in runs of 1-8 at random; weights in
-# runs take runs of 1-8, or of 1-19 (mean 10), each of one weight in -9..9.
-# The gap rows of i.i.d. bits take the bound sweep's reads; those of period
-# 8 and of the Fibonacci word are two-valued, 4 and 5 gap sweeps deep.
+# Weights in runs take runs of 1-8, or of 1-19 (mean 10), each of one weight
+# in -9..9.
 
 
 def _rle_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
     """_window_extremes for ``ring`` over the single row ``pref``, the
     prefix sums of ``labels``, in the narrow dtype of their range: by the
-    run sweep on at most n / _RUN_SHARE + _RUN_FLOOR candidates; else by
-    the gap sweep for two-valued labels, whose gap row picks the same way,
-    and for others by the bound sweep, or the run sweep if it gives up."""
+    pair sweep for two-valued labels with _PAIR_FLOOR to about sqrt(2
+    _PAIR_SHARE n) runs of the ring's value; else by the run sweep on at
+    most n / _RUN_SHARE + _RUN_FLOOR candidates; else by the gap sweep for
+    two-valued labels, whose gap row picks the same way, and for others by
+    the bound sweep, or the run sweep if it gives up."""
     two_valued = _two_valued(labels)
     starts, ends = _candidates(labels, ring, two_valued)
+    if two_valued and _PAIR_FLOOR <= starts.size and \
+            starts.size * (starts.size + 1) <= 2 * _PAIR_SHARE * labels.size:
+        return _pair_sweep(pref, labels, ring)   # the two-valued rule's starts open the runs of v
     if _RUN_SHARE * (starts.size + ends.size - _RUN_FLOOR) <= labels.size:
         return _run_sweep(pref, ring, starts, ends)
     del starts, ends   # up to n int64 positions, freed before the other sweeps' buffers
@@ -407,6 +453,56 @@ def _rle_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
         return _gap_sweep(pref, labels, ring)
     best = _bound_sweep(pref, labels, ring)
     return _run_sweep(pref, ring, *_candidates(labels, ring, False)) if best is None else best
+
+
+def _pair_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
+    """_window_extremes for ``ring`` over the single row ``pref``, the
+    prefix sums of two-valued ``labels``, in the narrow dtype of their
+    range, from the pairs of runs of one value v: hi for MAX, lo for MIN
+    (Badkobeh, Fici, Kroon and Lipták, IPL 2013).
+
+    For runs a <= b of v, [s_a, e_b) spans e_b - s_a cells, Z_ab of them of
+    the other value. A width-w window whose first and last v-cells lie in
+    runs a and b holds all Z_ab, so at most min(span, w) - Z_ab cells of v,
+    and the span, cut or padded to w, holds at least that many. So the most
+    v-cells of width w is F(w) = the running max over u <= w of u - C(u),
+    for C(u) the least Z of the spans >= u (F never falls as w grows): one
+    scatter-min over the rho_v (rho_v + 1) / 2 pairs, walked in blocks of
+    run rows, and two running extremes, O(n + rho_v^2).
+    """
+    n = labels.size
+    value, other = (labels.max(), labels.min()) if ring is MAX else (labels.min(), labels.max())
+    dtype = narrow_dtype(0, n + 1)
+    at = labels == value
+    edges = np.empty(n + 1, dtype=bool)
+    edges[0], edges[n] = at[0], at[-1]
+    np.not_equal(at[1:], at[:-1], out=edges[1:n])
+    bounds = np.flatnonzero(edges).astype(dtype)
+    del at, edges
+    s, e = bounds[::2], bounds[1::2]
+    g = s.copy()   # g[a]: the other cells before run a, so Z_ab = g[b] - g[a]
+    g[1:] -= e[:-1]
+    np.cumsum(g, out=g)
+    # the least Z of each span, n + 1 for none; b < a gives a span < 0,
+    # which lands past n, where no span does
+    least = np.full(2 * n + 2, n + 1, dtype=dtype)
+    # at most a quarter of the rows a block, so that its cells of b < a,
+    # half a square, stay an eighth of the pairs
+    rows = max(1, min(s.size // 4, _PAIR_BLOCK // s.size))
+    for a in range(0, s.size, rows):
+        np.minimum.at(least, np.subtract(e[a:], s[a:a + rows, None]).ravel(),
+                      np.subtract(g[a:], g[a:a + rows, None]).ravel())
+    f = np.arange(n, 0, -1, dtype=dtype)
+    f -= np.minimum.accumulate(least[n:0:-1])   # w - C(w), w = n..1
+    f = np.maximum.accumulate(f[::-1])
+    # other w + (v - other) F(w), in a dtype that holds both terms
+    other, step = int(other), int(value) - int(other)
+    bound = n * (abs(other) + abs(step))
+    out = f.astype(narrow_dtype(-bound, bound))
+    out *= step
+    if other:
+        out += np.arange(1, n + 1, dtype=out.dtype) * other
+    return out.astype(narrow_dtype(int(pref.min()), int(pref.max())), copy=False)
 
 
 def _gap_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
@@ -434,8 +530,9 @@ def _gap_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
 
 
 def rle_profile(s: BinaryString) -> Profile:
-    """naive_profile's result, in O(n rho) for a string of rho runs when
-    that costs less, else from the gaps between its 0s and between its 1s."""
+    """naive_profile's result, in O(n + rho^2) or O(n rho) for a string of
+    rho runs when that costs less, else from the gaps between its 0s and
+    between its 1s."""
     s = _as_string(s)
     return Profile(_rle_sweep(s.prefix_ones, s.bits, MIN), _rle_sweep(s.prefix_ones, s.bits, MAX))
 

@@ -317,6 +317,10 @@ def random_bits(rng: random.Random, n: int, density=0.5):
 # strings' kernel choice, forced through the count constants it reads
 # (pass to monkeypatch.setattr or mock.patch.multiple on jumbled.strings)
 
+# _rle_sweep never takes the pair sweep: no row has that many runs
+NO_PAIR_SWEEP = dict(_PAIR_FLOOR=1 << 62)
+# _rle_sweep takes the pair sweep on every row of two values, whatever its runs
+PAIR_SWEEP = dict(_PAIR_FLOOR=0, _PAIR_SHARE=1 << 62)
 # _rle_sweep never takes the run sweep up front: every row has a candidate
 NO_RUN_SWEEP = dict(_RUN_SHARE=1 << 62, _RUN_FLOOR=0)
 # the bound sweep's block pass never gives up

@@ -35,6 +35,8 @@ STEPS = [
      "--kind string --algo rle --oracle naive --max-n 5000 --seeds 40"),
     ("Gap sweep on 0/1 strings long enough for the bound sweep's reads on their gap rows",
      "--kind string --algo rle --oracle naive --max-n 20000 --seeds 12"),
+    ("Pair sweep on 0/1 strings in long runs, on both sides of its count rule",
+     "--kind string --algo rle --oracle naive --max-n 40000 --seeds 12"),
     ("Run-boundary weighted sweep against the naive sweep",
      "--kind weighted-string --algo rle --oracle naive"),
     ("Bound-pruned weighted sweep on strings long enough for many tiles and bound chunks",

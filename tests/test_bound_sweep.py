@@ -219,12 +219,12 @@ def test_iid_bits_at_the_int16_edge(path, big_bits):
 
 @pytest.fixture
 def reads(monkeypatch):
-    """How each rle sweep ended, in the bound sweep's pruned reads or in the
-    run sweep, whether rle took it or the bound sweep gave up to it; and any
-    call of the gap sweep, before the sweep of its gap row, or of the window
-    sweep."""
+    """How each rle sweep ended, in the bound sweep's pruned reads, in the
+    pair sweep or in the run sweep, whether rle took it or the bound sweep
+    gave up to it; and any call of the gap sweep, before the sweep of its gap
+    row, or of the window sweep."""
     called = []
-    for name in ("_read_blocks", "_window_extremes", "_run_sweep", "_gap_sweep"):
+    for name in ("_read_blocks", "_window_extremes", "_run_sweep", "_gap_sweep", "_pair_sweep"):
         def recording(*args, name=name, step=getattr(strings, name)):
             called.append(name)
             return step(*args)
@@ -313,11 +313,12 @@ def test_weights_in_runs_of_ten_read_blocks(reads):
     assert np.array_equal(got, naive_weighted_max_sums(weights))
 
 
-def test_string_random_bits_read_blocks_and_few_runs_take_the_run_sweep(reads):
+def test_string_random_bits_read_blocks_and_few_runs_take_the_pair_sweep(reads):
     # the kernels of the benchmark's builds, on inputs of their shapes: bits
     # of density 1/2 (n = 16384) take the gap sweep on both rings, whose gap
     # rows read blocks, and i.i.d. weights read blocks on one; 256 runs of
-    # bits or of weights take the run sweep, as do bits of density 0.05; a
+    # bits take the pair sweep, as do bits of density 0.05, and 256 runs of
+    # weights the run sweep; a
     # 4096-node 0/1 path takes the gap sweep on both rows of its chain and a
     # weighted one reads blocks on its one row, while the chains
     # of a random tree are short enough for the run sweep alone. A path's
@@ -331,8 +332,8 @@ def test_string_random_bits_read_blocks_and_few_runs_take_the_run_sweep(reads):
         return build(*args), list(reads)
 
     for bits, want in ((rng.integers(0, 2, n), ["_gap_sweep", "_read_blocks"] * 2),
-                       (runs % 2, ["_run_sweep"] * 2),
-                       (rng.random(n) < 0.05, ["_run_sweep"] * 2)):
+                       (runs % 2, ["_pair_sweep"] * 2),
+                       (rng.random(n) < 0.05, ["_pair_sweep"] * 2)):
         bits = bits.astype(np.uint8)
         assert kernels(rle_profile, bits) == (naive_profile(bits), want)
     for weights, want in ((rng.integers(-9, 10, n), ["_read_blocks"]),

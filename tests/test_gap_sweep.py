@@ -5,9 +5,9 @@ holds t of one value, 1 plus the MIN of _rle_sweep over the gaps between
 that value's positions. It is called directly here on every bit string up to
 n = 10 and on two-valued weights, and through rle at the sizes where its
 dtypes step: positions past 32767, more than 16383 ones, and weights whose
-hi w overflows int16 though every window sum fits. "Priced out" cases rule
-out the run sweep up front and the bound sweep's give-up, so that rle leaves
-the run sweep on every row.
+hi w overflows int16 though every window sum fits. "Past runs" cases rule
+out the pair sweep, the run sweep up front and the bound sweep's give-up,
+so that rle leaves both sweeps of runs on every row.
 """
 
 import itertools
@@ -23,17 +23,19 @@ from jumbled.strings import (
     BinaryString, naive_profile, naive_weighted_max_sums, rle_profile, rle_weighted_max_sums,
 )
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile
-from _support import NEVER_GIVES_UP, NO_RUN_SWEEP, window_max_sums, window_profile
+from _support import (
+    NEVER_GIVES_UP, NO_PAIR_SWEEP, NO_RUN_SWEEP, window_max_sums, window_profile,
+)
 
-PRICED_OUT = {**NO_RUN_SWEEP, **NEVER_GIVES_UP}
+PAST_RUNS = {**NO_PAIR_SWEEP, **NO_RUN_SWEEP, **NEVER_GIVES_UP}
 
 
-@pytest.fixture(params=["priced out", "as called"])
-def prices(request):
+@pytest.fixture(params=["past runs", "as called"])
+def kernels(request):
     if request.param == "as called":
         yield
     else:
-        with mock.patch.multiple(strings, **PRICED_OUT):
+        with mock.patch.multiple(strings, **PAST_RUNS):
             yield
 
 
@@ -82,18 +84,18 @@ def test_sums_stay_in_the_dtype_of_the_prefix_sums():
         assert np.array_equal(got, want[0])
 
 
-def test_weights_of_two_values_past_int16(prices):
+def test_weights_of_two_values_past_int16(kernels):
     weights = np.where(np.random.default_rng(6000).integers(0, 2, 6000) == 1, 6, -5)
     assert np.array_equal(rle_weighted_max_sums(weights), naive_weighted_max_sums(weights))
 
 
-def test_positions_past_int16(prices):
+def test_positions_past_int16(kernels):
     bits = np.random.default_rng(40000).integers(0, 2, 40000).astype(np.uint8)
     assert narrow_dtype(0, bits.size) == np.int32
     assert rle_profile(bits) == naive_profile(bits)
 
 
-def test_more_than_16383_ones(prices):
+def test_more_than_16383_ones(kernels):
     # about 18000 ones, as a string and as a 0/1 path, whose sets are the
     # windows of its labels
     bits = (np.random.default_rng(20000).random(20000) < 0.9).astype(np.uint8)

@@ -39,9 +39,10 @@ from jumbled.minplus import narrow_dtype
 from jumbled.trees import SMALL, LabeledTree, binarize, simple_tree_profile, tree_profile, \
     weighted_tree_max_sums
 from _support import (
-    NEVER_GIVES_UP, NO_RUN_SWEEP, binary_post_order, broom_parents, caterpillar_parents,
-    complete_binary_parents, csv_rows_one_at_a_time, path_parents, profile_csv_by_lines,
-    random_parents, real_descendant_counts, star_parents, tree_extremes, window_profile,
+    NEVER_GIVES_UP, NO_PAIR_SWEEP, NO_RUN_SWEEP, PAIR_SWEEP, binary_post_order, broom_parents,
+    caterpillar_parents, complete_binary_parents, csv_rows_one_at_a_time, path_parents,
+    profile_csv_by_lines, random_parents, real_descendant_counts, star_parents, tree_extremes,
+    window_profile,
 )
 
 MAX_N = 160
@@ -187,18 +188,32 @@ sturmian = st.one_of(
     st.builds(lambda n, a, c: [int((k + 1) * a + c) - int(k * a + c) for k in range(n)],
               sizes, st.floats(0.01, 0.99), st.floats(0, 1)))
 
-PRICED_OUT = {**NO_RUN_SWEEP, **NEVER_GIVES_UP}
+PAST_RUNS = {**NO_PAIR_SWEEP, **NO_RUN_SWEEP, **NEVER_GIVES_UP}
 
 
 @SETTINGS
 @given(st.one_of(adversarial, biased, sturmian))
 def test_rle_profile_through_the_bound_sweep(bits):
-    # with the run sweep ruled out up front rle leaves it on every input,
-    # however short: the bits take the gap sweep, their gap rows of
-    # more than two values the bound sweep, whose block pass never gives up
-    with mock.patch.multiple(strings, **PRICED_OUT):
+    # with the pair sweep and the run sweep ruled out up front rle leaves
+    # both on every input, however short: the bits take the gap sweep,
+    # their gap rows of more than two values the bound sweep, whose block
+    # pass never gives up
+    with mock.patch.multiple(strings, **PAST_RUNS):
         got = rle_profile(bits)
     assert got == naive_profile(bits)
+
+
+@SETTINGS
+@given(st.one_of(adversarial, biased, sturmian),
+       st.one_of(st.just(0), st.integers(-10 ** 6, -1)), st.integers(1, 10 ** 6))
+def test_rle_two_values_through_the_pair_sweep(bits, lo, step):
+    # every two-valued row takes the pair sweep, however short or many its
+    # runs: the bits, and weights lo and lo + step laid out as the bits
+    weights = [lo + step * bit for bit in bits]
+    with mock.patch.multiple(strings, **PAIR_SWEEP):
+        got = rle_profile(bits), rle_weighted_max_sums(weights)
+    assert got[0] == naive_profile(bits)
+    assert got[1].tolist() == naive_weighted_max_sums(weights).tolist()
 
 
 @SETTINGS
@@ -207,7 +222,7 @@ def test_rle_profile_through_the_bound_sweep(bits):
 def test_rle_weighted_two_values_through_the_gap_sweep(bits, lo, step):
     # weights lo and lo + step laid out as the bits, lo = 0 or negative
     weights = [lo + step * bit for bit in bits]
-    with mock.patch.multiple(strings, **PRICED_OUT):
+    with mock.patch.multiple(strings, **PAST_RUNS):
         got = rle_weighted_max_sums(weights)
     assert got.tolist() == naive_weighted_max_sums(weights).tolist()
 

@@ -11,6 +11,7 @@ on short inputs.
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from jumbled.minplus import MAX, MIN
 from jumbled.strings import (
     BinaryString, naive_profile, naive_weighted_max_sums, rle_profile, rle_weighted_max_sums,
 )
-from _support import window_max_sums, window_profile
+from _support import NO_PAIR_SWEEP, window_max_sums, window_profile
 
 
 def _candidates(labels, rings, two_valued=None):
@@ -164,7 +165,7 @@ def sweeps(monkeypatch):
     that runs when a bound sweep gives up; the sweeps of a gap sweep's gap
     row are its own steps, not recorded."""
     called, depth = [], [0]
-    for name in ("_run_sweep", "_bound_sweep", "_gap_sweep", "_window_extremes"):
+    for name in ("_pair_sweep", "_run_sweep", "_bound_sweep", "_gap_sweep", "_window_extremes"):
         def recording(*args, name=name, sweep=getattr(strings, name)):
             if not depth[0]:
                 called.append(name)
@@ -177,14 +178,21 @@ def sweeps(monkeypatch):
     return called
 
 
-def _chosen(labels, rings):
-    # per ring, the run sweep while its candidates, starts plus ends, number
-    # at most n / 12 + 128; else the gap sweep for two-valued labels, the
-    # bound sweep for others
-    n = len(labels)
-    return ["_run_sweep" if 12 * (starts.size + ends.size) <= n + 1536
-            else "_gap_sweep" if strings._two_valued(labels) else "_bound_sweep"
-            for starts, ends in _candidates(labels, rings)]
+def _chosen(labels, rings, pairs=True):
+    # per ring, for two-valued labels with at least 64 runs of the ring's
+    # value (the starts of their rule) and at most 40 n pairs of them, the
+    # pair sweep, unless ``pairs`` is False; else the run sweep while its
+    # candidates, starts plus ends, number at most n / 12 + 128; else the
+    # gap sweep for two-valued labels, the bound sweep for others
+    n, two_valued = len(labels), strings._two_valued(labels)
+
+    def pick(starts, ends):
+        if pairs and two_valued and 64 <= starts.size and starts.size * (starts.size + 1) <= 80 * n:
+            return "_pair_sweep"
+        if 12 * (starts.size + ends.size) <= n + 1536:
+            return "_run_sweep"
+        return "_gap_sweep" if two_valued else "_bound_sweep"
+    return [pick(*candidates) for candidates in _candidates(labels, rings)]
 
 
 def _at_threshold(n, candidates, family):
@@ -213,11 +221,11 @@ def test_rle_picks_its_sweep_by_cell_count(sweeps, family):
             return rle_profile(labels), (MIN, MAX)
         return rle_weighted_max_sums(labels).tolist(), (MAX,)
 
-    def check(labels, what):
+    def check(labels, what, pairs=True):
         sweeps.clear()
         got, rings = build(labels)
         picked = list(sweeps)
-        assert picked == _chosen(np.array(labels), rings), what
+        assert picked == _chosen(np.array(labels), rings, pairs), what
         if family == "0/1":
             assert got == naive_profile(labels), what
         else:
@@ -230,17 +238,29 @@ def test_rle_picks_its_sweep_by_cell_count(sweeps, family):
             values = (0, 1) if family == "0/1" else \
                 (-3, 4) if family == "two-valued weights" else (0, 5, -2, 3, 1)
             chosen.add(check(_with_runs(n, runs, values), (n, runs))[0])
-    assert chosen == {"_run_sweep", "_bound_sweep" if family == "weights" else "_gap_sweep"}
-    # the threshold n / 12 + 128, and one candidate past it, at sizes below
-    # the floor from which the bound sweep may give up to the run sweep
     other = "_bound_sweep" if family == "weights" else "_gap_sweep"
+    assert chosen == {"_run_sweep", other} | ({"_pair_sweep"} if family != "weights" else set())
+    # the threshold n / 12 + 128, and one candidate past it, at sizes below
+    # the floor from which the bound sweep may give up to the run sweep; two
+    # values with the pair sweep turned off, which would take these rows
     for n in (1000, 2500, 4500):
         top = (n + 1536) // 12
         for candidates, want in ((top, "_run_sweep"), (top + 1, other)):
             labels = _at_threshold(n, candidates, family)
             got = [ends.size + starts.size for starts, ends in _candidates(labels, (MIN, MAX))]
             assert got == [candidates] * 2, (n, got)
-            assert set(check(labels, (n, candidates))) == {want}, (n, candidates)
+            with mock.patch.multiple(strings, **NO_PAIR_SWEEP):
+                assert set(check(labels, (n, candidates), pairs=False)) == {want}, (n, candidates)
+    if family == "weights":
+        return
+    # the pair sweep's floor of 64 runs of the ring's value, and one run
+    # short of it; its share of 40 n pairs, met exactly and one pair past
+    for n, runs, want in ((1000, 64, "_pair_sweep"), (1000, 63, "_run_sweep"),
+                          (322, 160, "_pair_sweep"), (326, 161, "_gap_sweep"),
+                          (723, 240, "_pair_sweep"), (729, 241, "_gap_sweep")):
+        labels = _at_threshold(n, runs, family)
+        assert [starts.size for starts, _ in _candidates(labels, (MIN, MAX))] == [runs] * 2
+        assert set(check(labels, (n, runs))) == {want}, (n, runs)
 
 
 def test_iid_labels_at_several_chunks_of_starts(sweeps):
@@ -288,14 +308,14 @@ def test_two_runs_across_the_int16_edge(n):
 
 
 def test_rle_profile_memory_peak():
-    # the run sweep of each ring holds four narrow rows of n (the prefix sums
-    # and their reverse, one row of differences and its extremes) beside the
-    # other ring's extremes, the ring's starts and one chunk of them as
-    # Python ints, freed but for the extremes before the two int64 profile
-    # arrays are made; the bound is naive_profile's (see
-    # test_naive_profile_memory_peak). 256 runs take the run sweep; i.i.d.
-    # bits with about n / 2 runs the bound sweep, whose buffers are freed
-    # but for each ring's extremes before the profile arrays are made
+    # the pair sweep of each ring holds a few narrow rows of n (the least Z
+    # of each span, two rows long, the running extremes and its output) and
+    # one block of pairs beside the other ring's extremes, freed but for the
+    # extremes before the two int64 profile arrays are made; the bound is
+    # naive_profile's (see test_naive_profile_memory_peak). 256 runs take
+    # the pair sweep; i.i.d. bits with about n / 2 runs the gap sweep, whose
+    # gap rows take the bound sweep, and whose buffers are freed but for
+    # each ring's extremes before the profile arrays are made
     for bits in (np.repeat(np.arange(256) % 2, 64).astype(np.uint8),
                  np.random.default_rng(16384).integers(0, 2, 16384).astype(np.uint8)):
         s = BinaryString(bits)

@@ -35,8 +35,8 @@ from jumbled.trees import (
     weighted_tree_max_sums,
 )
 from _support import (
-    anchored_arrays, broom_parents, caterpillar_parents, complete_binary_parents, path_parents,
-    random_bits, random_parents, star_parents, subtree_max_sums, subtree_profile,
+    NO_PAIR_SWEEP, anchored_arrays, broom_parents, caterpillar_parents, complete_binary_parents,
+    path_parents, random_bits, random_parents, star_parents, subtree_max_sums, subtree_profile,
     tree_extremes,
 )
 
@@ -198,7 +198,8 @@ def test_chains_between_binary_nodes():
 
 def test_a_01_chain_starts_once_at_every_run(monkeypatch):
     # under MIN the ones row of a chain starts at its 0-runs and the zeros
-    # row at its 1-runs, so the two rows together take each run start once
+    # row at its 1-runs, so the two rows together take each run start once;
+    # the pair sweep, which would take both rows, is turned off
     calls = []
 
     def recording(pref, ring, starts, ends, sweep=strings._run_sweep):
@@ -206,6 +207,8 @@ def test_a_01_chain_starts_once_at_every_run(monkeypatch):
         return sweep(pref, ring, starts, ends)
 
     monkeypatch.setattr(strings, "_run_sweep", recording)
+    for name, value in NO_PAIR_SWEEP.items():
+        monkeypatch.setattr(strings, name, value)
     n = 700
     bits = random_bits(random.Random(17), n)
     assert simple_tree_profile(binarize(LabeledTree(path_parents(n), bits))) == \
