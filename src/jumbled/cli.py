@@ -1,55 +1,30 @@
 """Command-line front end: build profile indexes, answer queries, verify
-backends against each other, generate inputs, and benchmark."""
+backends against each other, generate inputs, and benchmark. `build` and
+`query` run here; `verify`, `gen` and `bench` run in tools.py, and the
+reference backends in reference.py, each imported on first use."""
 
 from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
-import time
-import tracemalloc
 from pathlib import Path
 
-import numpy as np
+from .inputs import ParseError, parse_binary_string_text, parse_tree_text, parse_weights_text
+from .minplus import lazy_names
+from .profiles import Profile, _occurs_in_csv, write_profile_csv, write_sums_csv
+from .strings import (BinaryString, naive_profile, naive_weighted_max_sums, rle_profile,
+                      rle_weighted_max_sums)
+from .trees import LabeledTree, binarize, simple_tree_profile, weighted_tree_max_sums
 
-from .inputs import (
-    ParseError,
-    gen_string,
-    gen_tree,
-    gen_weights,
-    parse_binary_string_text,
-    parse_tree_text,
-    parse_weights_text,
-    random_parents,
-)
-from .minplus import sqrt_ceil
-from .profiles import (
-    Profile,
-    _occurs_in_csv,
-    write_profile_csv,
-    write_sums_csv,
-)
-from .strings import (
-    BinaryString,
-    blocked_profile,
-    naive_profile,
-    naive_weighted_max_sums,
-    recursive_profile,
-    rle_profile,
-    rle_weighted_max_sums,
-    weighted_max_sums,
-)
-from .trees import (
-    SMALL,
-    LabeledTree,
-    binarize,
-    enumerate_connected_oracle,
-    enumerate_max_sums,
-    simple_tree_profile,
-    tree_profile,
-    weighted_tree_max_sums,
-)
+__getattr__ = lazy_names(__name__, {
+    ".reference": "blocked_profile recursive_profile weighted_max_sums tree_profile "
+                  "enumerate_connected_oracle enumerate_max_sums",
+    ".tools": "_size_error _in_runs _verify_case _draw_param _first_difference cmd_verify "
+              "_gen_text cmd_gen _split_multi cmd_bench"})
+# this module, under `python -m` too: the tables and the parser's commands
+# read the names above through it, so that each is imported on its first call
+_cli = sys.modules[__name__]
 
 KINDS = ("string", "tree", "weighted-string", "weighted-tree")
 
@@ -63,23 +38,23 @@ KINDS = ("string", "tree", "weighted-string", "weighted-tree")
 STRING_BACKENDS = {
     "rle": lambda s, param=None: rle_profile(s),
     "naive": lambda s, param=None: naive_profile(s),
-    "blocked": lambda s, param=None: blocked_profile(s, b=param),
-    "recursive": lambda s, param=None: recursive_profile(s),
+    "blocked": lambda s, param=None: _cli.blocked_profile(s, b=param),
+    "recursive": lambda s, param=None: _cli.recursive_profile(s),
 }
 TREE_BACKENDS = {
     "simple-tree": lambda t, param=None: simple_tree_profile(binarize(t)),
-    "micro-macro": lambda t, param=None: tree_profile(t, r=param),
-    "enumerate": lambda t, param=None: enumerate_connected_oracle(t),
+    "micro-macro": lambda t, param=None: _cli.tree_profile(t, r=param),
+    "enumerate": lambda t, param=None: _cli.enumerate_connected_oracle(t),
     "rerooted": lambda t, param=None: simple_tree_profile(binarize(t.rerooted(param))),
 }
 WEIGHTED_STRING_BACKENDS = {
     "rle": lambda w, param=None: rle_weighted_max_sums(w),
     "naive": lambda w, param=None: naive_weighted_max_sums(w),
-    "recursive": lambda w, param=None: weighted_max_sums(w),
+    "recursive": lambda w, param=None: _cli.weighted_max_sums(w),
 }
 WEIGHTED_TREE_BACKENDS = {
     "simple-tree": lambda t, param=None: weighted_tree_max_sums(t),
-    "enumerate": lambda t, param=None: enumerate_max_sums(t),
+    "enumerate": lambda t, param=None: _cli.enumerate_max_sums(t),
     "rerooted": lambda t, param=None: weighted_tree_max_sums(t.rerooted(param)),
 }
 _BACKEND_MAPS = {
@@ -99,19 +74,6 @@ def _build_algos(kind: str) -> list:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _size_error(flag: str, sizes):
-    """The refusal of the first size outside 1..2^20 (1048576), or None.
-    2^20 is the ceiling on every input size that `gen` writes, `verify`
-    draws and `bench` builds, checked before anything is drawn: `verify` and
-    `gen` hold an input as Python lists and strings, tens of bytes a label
-    (an unchecked --max-n of 10^11 passed 7 GB), and the O(n^2) references
-    would run for hours past it."""
-    for n in sizes:
-        if not 1 <= n <= 1 << 20:
-            return f"{flag} must lie in 1..{1 << 20}, got {n}"
-    return None
 
 
 def _parse_input(kind: str, text: str):
@@ -166,194 +128,6 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _in_runs(n: int, rng: random.Random, draw) -> list:
-    """n values in runs of random length, one value drawn per run."""
-    mean = rng.choice((6, 10, 20, 64, 80))
-    values = []
-    while len(values) < n:
-        values += [draw()] * rng.randint(1, 2 * mean - 1)
-    return values[:n]
-
-
-def _verify_case(kind: str, case: int, max_n: int):
-    rng = random.Random(1_000_003 * case + 17)
-    n = rng.randint(1, max_n)
-    density = rng.choice((0.05, 0.25, 0.5, 0.75, 0.95))
-    # every third string case comes in long runs, where rle takes its run
-    # sweep; the others draw each value on its own
-    in_runs = case % 3 == 2
-    if kind == "string":
-        def draw():
-            return 1 if rng.random() < density else 0
-        bits = np.array(_in_runs(n, rng, draw) if in_runs else [draw() for _ in range(n)],
-                        dtype=np.uint8)
-        return BinaryString(bits), "".join(map(str, bits)), n, rng
-    if kind == "weighted-string":
-        # every other case draws from two values, where rle's run sweep
-        # takes its two-valued rule; every fifth from 0..18, whose mean the
-        # bound sweep centres away; every seventh repeats a short drawn
-        # period, which no bound prunes, so that its block pass gives up
-        low = 0 if case % 5 == 4 else -9
-        values = rng.sample(range(low, low + 19), 2) if case % 2 else range(low, low + 19)
-
-        def draw():
-            return rng.choice(values)
-        if case % 7 == 6:
-            w = np.resize(np.array([draw() for _ in range(rng.randint(2, 8))], dtype=np.int64), n)
-        else:
-            w = np.array(_in_runs(n, rng, draw) if in_runs else [draw() for _ in range(n)],
-                         dtype=np.int64)
-        return w, " ".join(map(str, w)), n, rng
-    if case % 3 == 2 and n > SMALL + 1:
-        # every third tree case: a path of more than SMALL nodes with a
-        # random tree hung below it, which the batched sweep takes as a chain
-        top = rng.randint(SMALL + 1, n - 1)
-        parents = [-1] + list(range(top - 1)) + [rng.randrange(top - 1, v) for v in range(top, n)]
-    elif case % 3 == 1:
-        # leaves hung on random nodes of a path (a caterpillar), or on its last node (a broom)
-        top = rng.randint(1, n)
-        low = 0 if case % 2 else top - 1
-        parents = [-1] + list(range(top - 1)) + [rng.randrange(low, top) for _ in range(top, n)]
-    else:
-        parents = random_parents(n, rng)
-    if kind == "tree":
-        labels = [1 if rng.random() < density else 0 for _ in range(n)]
-    else:
-        labels = [rng.randint(-9, 9) for _ in range(n)]
-    tree = LabeledTree(parents, labels)
-    return tree, f"parents={parents} labels={labels}", n, rng
-
-
-def _draw_param(name: str, n: int, rng: random.Random):
-    if name == "blocked":
-        return rng.randint(1, n)
-    if name == "micro-macro":
-        return rng.choice((1, 2, sqrt_ceil(n), n))
-    if name == "rerooted":
-        return rng.randrange(n)
-    return None
-
-
-def _first_difference(want, got):
-    if isinstance(want, Profile):
-        bad = np.flatnonzero((want.min_ones != got.min_ones)
-                             | (want.max_ones != got.max_ones))
-        i = int(bad[0])
-        return (i + 1,
-                f"min={int(want.min_ones[i])} max={int(want.max_ones[i])}",
-                f"min={int(got.min_ones[i])} max={int(got.max_ones[i])}")
-    bad = np.flatnonzero(np.asarray(want) != np.asarray(got))
-    i = int(bad[0])
-    return i + 1, str(int(want[i])), str(int(got[i]))
-
-
-def cmd_verify(args) -> int:
-    backends = _BACKEND_MAPS[args.kind]
-    for name in (args.algo, args.oracle):
-        if name not in backends:
-            return _fail(f"unknown backend {name!r} for kind {args.kind!r}")
-        if name == "enumerate" and args.max_n > 18:
-            return _fail("the enumerate oracle requires --max-n <= 18")
-    if args.seeds < 1:
-        return _fail("--seeds must be >= 1")
-    message = _size_error("--max-n", [args.max_n])
-    if message:
-        return _fail(message)
-    for case in range(args.seeds):
-        value, rendering, n, rng = _verify_case(args.kind, case, args.max_n)
-        p_algo = _draw_param(args.algo, n, rng)
-        p_oracle = _draw_param(args.oracle, n, rng)
-        got = backends[args.algo](value, p_algo)
-        want = backends[args.oracle](value, p_oracle)
-        same = want == got if isinstance(want, Profile) else np.array_equal(want, got)
-        if not same:
-            size, expected, actual = _first_difference(want, got)
-            print(f"mismatch: kind={args.kind} algo={args.algo} oracle={args.oracle} "
-                  f"case={case} n={n} param={p_algo}")
-            print(f"input: {rendering}")
-            print(f"size {size}: expected {expected}, got {actual}")
-            return 1
-    print(f"verify: {args.seeds} cases, 0 mismatches "
-          f"({args.kind}: {args.algo} vs {args.oracle}, n <= {args.max_n})")
-    return 0
-
-
-def _gen_text(kind: str, n: int, seed: int, density: float) -> str:
-    if kind == "string":
-        return gen_string(n, seed, density)
-    if kind == "weighted-string":
-        return gen_weights(n, seed)
-    return gen_tree(n, seed, density, weighted=kind == "weighted-tree")
-
-
-def cmd_gen(args) -> int:
-    message = _size_error("--n", [args.n])
-    if message:
-        return _fail(message)
-    if not 0.0 <= args.density <= 1.0:
-        return _fail("--density must lie in [0, 1]")
-    try:
-        Path(args.out).write_text(_gen_text(args.kind, args.n, args.seed, args.density))
-    except OSError as exc:
-        return _fail(str(exc))
-    return 0
-
-
-def _split_multi(tokens):
-    # accept both space-separated and comma-separated lists
-    return [part for tok in tokens for part in tok.split(",") if part]
-
-
-def cmd_bench(args) -> int:
-    kinds = _split_multi(args.kinds)
-    algos = _split_multi(args.algos)
-    try:
-        sizes = [int(tok) for tok in _split_multi(args.sizes)]
-    except ValueError as exc:
-        return _fail(f"--sizes expects integers: {exc}")
-    for kind in kinds:
-        if kind not in KINDS:
-            return _fail(f"unknown kind {kind!r}")
-    for algo in algos:
-        if not any(algo in _build_algos(kind) for kind in kinds):
-            return _fail(f"no requested kind builds algo {algo!r}")
-    message = _size_error("--sizes", sizes)
-    if message:
-        return _fail(message)
-    rows = []
-    for kind in kinds:
-        for algo in algos:
-            if algo not in _build_algos(kind):
-                continue
-            for n in sizes:
-                value = _parse_input(kind, _gen_text(kind, n, args.seed, 0.5))
-                param = sqrt_ceil(n) if algo in ("blocked", "micro-macro") else None
-                fn = _BACKEND_MAPS[kind][algo]
-                t0 = time.perf_counter()
-                fn(value, param)
-                elapsed = time.perf_counter() - t0
-                # tracemalloc slows a build several times over, so the peak
-                # comes from a second, untimed pass
-                tracemalloc.start()
-                try:
-                    fn(value, param)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                rows.append((kind, algo, n, "" if param is None else param,
-                             f"{elapsed:.6f}", peak))
-    if not rows:
-        return _fail("no compatible kind/algo combinations requested")
-    try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("kind,algo,n,param,seconds,peak_bytes\n")
-            for row in rows:
-                fh.write(",".join(str(f) for f in row) + "\n")
-    except OSError as exc:
-        return _fail(str(exc))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumbled",
@@ -383,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=200, help="largest input size, at most 2^20")
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--kind", choices=KINDS, default="string")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=lambda args: _cli.cmd_verify(args, _cli))
 
     p = sub.add_parser("gen", help="generate a random input file")
     p.add_argument("--kind", choices=KINDS, default="string")
@@ -392,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.5,
                    help="probability of a 1 label (ignored for weighted kinds)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=lambda args: _cli.cmd_gen(args, _cli))
 
     p = sub.add_parser("bench", help="time index construction, write a CSV table")
     p.add_argument("--kinds", nargs="+", default=["string"])
@@ -400,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", nargs="+", required=True, help="input sizes, each at most 2^20")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=lambda args: _cli.cmd_bench(args, _cli))
 
     return parser
 

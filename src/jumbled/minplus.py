@@ -3,6 +3,8 @@ convolutions. Every sweep convolves through one kernel, _conv_tiled; the
 direct loop behind min_plus_convolution is the reference it is tested
 against, and the blocked convolution, which evaluates a convolution through
 small matrix products as the paper does, is kept as the reference reduction.
+Those two and the public products are defined in reference.py, which is
+imported when one of them is first read from here (lazy_names).
 
 Cost model
 ----------
@@ -15,6 +17,7 @@ threshold iff one of its operands was a sentinel, because finite + finite
 
 from __future__ import annotations
 
+import importlib
 import math
 import numbers
 import operator
@@ -28,9 +31,6 @@ NEG_INF = -(1 << 60)
 
 _SNAP_HI = INF - FINITE_BOUND
 _SNAP_LO = NEG_INF + FINITE_BOUND
-
-# element budget for broadcast temporaries (~32 MiB of int64)
-_CHUNK_ELEMS = 1 << 22
 
 # the tiled kernel takes up to _CONV_SHIFTS entries of its shorter operand at
 # a time and fills a reused buffer of at most _CONV_CELLS cells per tile.
@@ -74,8 +74,7 @@ def snap_max(a: np.ndarray) -> np.ndarray:
 class Ring:
     """One side of the tropical semiring: the int64 sentinel that marks an
     infeasible cell, the pointwise fold (np.minimum / np.maximum), and the
-    snap that re-saturates int64 sums. The blocked reduction calls its
-    product on operands already checked at the public boundary."""
+    snap that re-saturates int64 sums."""
 
     sentinel: int
     fold: np.ufunc
@@ -94,9 +93,6 @@ class Ring:
 
     def reduce(self, a: np.ndarray, axis=None):
         return self.fold.reduce(a, axis=axis)
-
-    def product(self, a, b) -> np.ndarray:
-        return _product(a, b, self)
 
 
 MIN = Ring(INF, np.minimum, snap_min)
@@ -167,80 +163,23 @@ def sqrt_ceil(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n > 1 else 1
 
 
-def _as_operand(x, ndim: int, what: str) -> np.ndarray:
-    a = as_int64(x, what, ndim)
-    ok = (np.abs(a) <= FINITE_BOUND) | (a == INF) | (a == NEG_INF)
-    if not ok.all():
-        raise ValueError(f"{what} has entries outside the finite bound that are not sentinels")
-    return a
+def lazy_names(module: str, homes: dict):
+    """A __getattr__ (PEP 562) for ``module``: ``homes`` maps a module of the
+    package to names, space-separated, that it defines, so that it is imported
+    on the first read of one of them through ``module``."""
+    home = {name: mod for mod, names in homes.items() for name in names.split()}
+
+    def __getattr__(name):
+        if name not in home:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(home[name], __package__), name)
+    return __getattr__
 
 
-def _as_matrices(a, b):
-    a = _as_operand(a, 2, "left matrix")
-    b = _as_operand(b, 2, "right matrix")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a, b
-
-
-def _product(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
-    p, q = a.shape
-    r = b.shape[1]
-    out = np.full((p, r), ring.sentinel, dtype=np.int64)
-    if q == 0 or p == 0 or r == 0:
-        return out
-    step = max(1, _CHUNK_ELEMS // max(1, q * r))
-    for lo in range(0, p, step):
-        hi = min(p, lo + step)
-        sums = a[lo:hi, :, None] + b[None, :, :]
-        out[lo:hi] = ring.reduce(sums, axis=1)
-    return ring.snap(out)
-
-
-def min_plus_product(a, b) -> np.ndarray:
-    """C[i,j] = min_k A[i,k] + B[k,j], saturating at INF."""
-    return _product(*_as_matrices(a, b), MIN)
-
-
-def max_plus_product(a, b) -> np.ndarray:
-    return _product(*_as_matrices(a, b), MAX)
-
-
-def min_plus_product_tiled(a, b, tile: int = 64) -> np.ndarray:
-    """Cache-tiled variant; bitwise identical to min_plus_product."""
-    a, b = _as_matrices(a, b)
-    tile = positive_int(tile, "tile")
-    p, q = a.shape
-    r = b.shape[1]
-    out = np.full((p, r), INF, dtype=np.int64)
-    for k0 in range(0, q, tile):
-        k1 = min(q, k0 + tile)
-        for i0 in range(0, p, tile):
-            i1 = min(p, i0 + tile)
-            ablk = a[i0:i1, k0:k1]
-            for j0 in range(0, r, tile):
-                j1 = min(r, j0 + tile)
-                sums = ablk[:, :, None] + b[None, k0:k1, j0:j1]
-                np.minimum(out[i0:i1, j0:j1], sums.min(axis=1), out=out[i0:i1, j0:j1])
-    return snap_min(out)
-
-
-def _as_vectors(u, v):
-    u = _as_operand(u, 1, "left vector")
-    v = _as_operand(v, 1, "right vector")
-    if u.size == 0 or v.size == 0:
-        raise ValueError("convolution operands must be non-empty")
-    return u, v
-
-
-def _conv_direct(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
-    if u.size > v.size:
-        u, v = v, u
-    out = np.full(u.size + v.size - 1, ring.sentinel, dtype=np.int64)
-    for k in range(u.size):
-        dst = out[k:k + v.size]
-        ring.fold(dst, u[k] + v, out=dst)
-    return ring.snap(out)
+__getattr__ = lazy_names(__name__, {".reference": (
+    "_CHUNK_ELEMS _as_operand _as_matrices _product min_plus_product max_plus_product "
+    "min_plus_product_tiled _as_vectors _conv_direct min_plus_convolution max_plus_convolution "
+    "_conv_blocked min_plus_convolution_blocked max_plus_convolution_blocked")})
 
 
 def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, out: np.ndarray) -> None:
@@ -318,56 +257,3 @@ def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, out: np.ndarray) -> No
                 np.setbufsize(old)
     if tall:
         dest[...] = out.reshape(dest.shape)
-
-
-def min_plus_convolution(u, v) -> np.ndarray:
-    """w[i] = min over k of u[k] + v[i-k] (0-based, len |u|+|v|-1)."""
-    return _conv_direct(*_as_vectors(u, v), MIN)
-
-
-def max_plus_convolution(u, v) -> np.ndarray:
-    return _conv_direct(*_as_vectors(u, v), MAX)
-
-
-def _conv_blocked(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
-    # Segment both vectors into t = ceil(sqrt(|v|)) pieces; each residue class
-    # q of the output is one (P x t) by (t x C) product, whose anti-diagonals
-    # are the output cells i = (p + c) * t + q.
-    if u.size > v.size:
-        u, v = v, u
-    lu, lv = u.size, v.size
-    t = sqrt_ceil(lv)
-
-    num_p = -(-lu // t)
-    num_c = -(-lv // t) + 1
-    x = np.full(num_p * t, ring.sentinel, dtype=np.int64)
-    x[:lu] = u
-    x = x.reshape(num_p, t)
-
-    out = np.full(lu + lv - 1, ring.sentinel, dtype=np.int64)
-    base_j = np.arange(num_c)[None, :] * t - np.arange(t)[:, None]
-    width = num_p + num_c - 1
-    flat_idx = np.arange(num_p)[:, None] * (width + 1) + np.arange(num_c)[None, :]
-    positions = np.arange(width) * t
-    stage = np.empty((num_p, width), dtype=np.int64)
-    for q in range(t):
-        j = base_j + q
-        valid = (j >= 0) & (j < lv)
-        z = np.where(valid, v[np.clip(j, 0, lv - 1)], ring.sentinel)
-        m = ring.product(x, z)
-        stage.fill(ring.sentinel)
-        stage.flat[flat_idx] = m
-        diag = ring.reduce(stage, axis=0)
-        pos = positions + q
-        keep = pos < out.size
-        out[pos[keep]] = diag[keep]
-    return out
-
-
-def min_plus_convolution_blocked(u, v) -> np.ndarray:
-    """Same output as min_plus_convolution, evaluated through min_plus_product."""
-    return _conv_blocked(*_as_vectors(u, v), MIN)
-
-
-def max_plus_convolution_blocked(u, v) -> np.ndarray:
-    return _conv_blocked(*_as_vectors(u, v), MAX)

@@ -1,6 +1,8 @@
 """Profiles of binary strings.
 
-Four interchangeable backends compute the same profile:
+Four interchangeable backends compute the same profile. The last two, the
+paper's reductions, and weighted_max_sums are defined in reference.py,
+which is imported when one of them is first read from this module:
 
 * rle_profile        the default: only windows that start or end where the
                      label steps toward the ring's side, O(n rho) for rho runs,
@@ -40,15 +42,16 @@ is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_bits, as_int64,
-                      narrow_dtype, positive_int, sqrt_ceil, sum_dtype)
+from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_bits, as_int64, lazy_names,
+                      narrow_dtype)
 from .profiles import Profile
 
-RECURSION_CUTOFF = 64
+__getattr__ = lazy_names(__name__, {".reference": (
+    "RECURSION_CUTOFF BlockPartition make_block_partition _edge_tables _cross_table "
+    "CrossBlockTables build_cross_tables _blocked_sweep blocked_profile _halving_sweep "
+    "recursive_profile weighted_max_sums")})
 
 
 class BinaryString:
@@ -537,159 +540,6 @@ def rle_profile(s: BinaryString) -> Profile:
     return Profile(_rle_sweep(s.prefix_ones, s.bits, MIN), _rle_sweep(s.prefix_ones, s.bits, MAX))
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Consecutive blocks T_0..T_{m-1} of length b (the last may be short)."""
-
-    string: BinaryString
-    b: int
-    bounds: np.ndarray = field(init=False)  # block k spans [bounds[k], bounds[k+1])
-
-    def __post_init__(self):   # b >= n is one block of n: clamped, so its bounds fit int64
-        n = len(self.string)
-        object.__setattr__(self, "b", min(positive_int(self.b, "block length"), n))
-        object.__setattr__(self, "bounds", np.append(np.arange(0, n, self.b, dtype=np.int64), n))
-
-    @property
-    def m(self) -> int:
-        return int(self.bounds.size - 1)
-
-
-def make_block_partition(s, b: int) -> BlockPartition:
-    return BlockPartition(_as_string(s), b)
-
-
-def _edge_tables(p: BlockPartition, ring: Ring):
-    """The edge tables of one ring over the prefix 1-counts P, for the
-    blocks [s_i, e_i): left[i, k] = -P[e_i - (b - k)] (a suffix of b - k)
-    and right[t, j] = P[s_j + t] (a prefix of t), in int64. A prefix longer
-    than its block is the int64 sentinel. A suffix of the short last block
-    may reach into the block before, which only adds real windows of the
-    same sizes."""
-    pref, n = p.string.prefix_ones.astype(np.int64), len(p.string)
-    steps = np.arange(p.b + 1)
-    left = -pref[np.clip(p.bounds[1:, None] - p.b + steps, 0, n)]
-    right = pref[np.clip(p.bounds[:-1] + steps[:, None], 0, n)]
-    right[steps[:, None] > p.bounds[1:] - p.bounds[:-1]] = ring.sentinel
-    return left, right
-
-
-def _cross_table(left: np.ndarray, right: np.ndarray, length: int, ring: Ring) -> np.ndarray:
-    """C_l[i, j] = ext over s + t = l of P[s_j + t] - P[e_i - s], one ring
-    product of the edge tables' columns and rows for suffix s, prefix t.
-
-    Cell [i, j] is the extreme over windows of length l + s_j - e_i: across
-    the blocks between when i < j, inside block i when i = j. Cells with no
-    split are sentinels; those with i > j, or i = j and l <= |block i|, hold
-    no window."""
-    b = right.shape[0] - 1
-    lo, hi = max(0, length - b), min(length, b) + 1
-    return ring.product(left[:, b - length + lo:b - length + hi], right[lo:hi])
-
-
-@dataclass(frozen=True)
-class CrossBlockTables:
-    """C_l[i,j]: extreme 1-count of a suffix of block i, the interior blocks,
-    and a prefix of block j, with suffix+prefix length l; finite only i < j."""
-
-    partition: BlockPartition
-    min_tables: dict
-    max_tables: dict
-
-    def min_table(self, length: int) -> np.ndarray:
-        return self.min_tables[length]
-
-    def max_table(self, length: int) -> np.ndarray:
-        return self.max_tables[length]
-
-
-def build_cross_tables(p: BlockPartition) -> CrossBlockTables:
-    below = np.tril_indices(p.m)
-
-    def tables(ring):
-        left, right = _edge_tables(p, ring)
-        out = {}
-        for length in range(1, 2 * p.b + 1):
-            out[length] = table = _cross_table(left, right, length, ring)
-            table[below] = ring.sentinel   # windows inside a block, or none
-        return out
-
-    return CrossBlockTables(p, tables(MIN), tables(MAX))
-
-
-def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
-    """Every window's extreme from the upper triangles of C_1..C_2b: a window
-    whose first and last characters lie in blocks i <= j is a split of a
-    suffix of block i and a prefix of block j, so cell [i, j] of C_l holds it
-    at size l + s_j - e_i. Cells of one offset s_j - e_i fold together."""
-    n, b, m = len(p.string), p.b, p.m
-    out = np.full(n, ring.sentinel, dtype=np.int64)
-    left, right = _edge_tables(p, ring)
-    i, j = np.triu_indices(m)
-    offsets = p.bounds[j] - p.bounds[i + 1]
-    order = np.argsort(offsets, kind="stable")
-    gaps, starts = np.unique(offsets[order], return_index=True)
-    cells = (i * m + j)[order]
-    del i, j, offsets, order   # m^2 / 2 entries each, freed before the products
-    # block 0's own windows take lengths up to 2b, even when n < 2b
-    for length in range(1, 2 * b + 1):
-        best = ring.fold.reduceat(_cross_table(left, right, length, ring).ravel()[cells], starts)
-        sizes = length + gaps
-        keep = (sizes >= 1) & (sizes <= n)
-        idx = sizes[keep] - 1
-        out[idx] = ring.fold(out[idx], best[keep])
-    return out
-
-
-def blocked_profile(s: BinaryString, b=None) -> Profile:
-    s = _as_string(s)
-    if b is None:
-        b = sqrt_ceil(len(s))
-    p = make_block_partition(s, b)
-    if p.m == 1:
-        return naive_profile(s)
-    return Profile(_blocked_sweep(p, MIN), _blocked_sweep(p, MAX))
-
-
-def _halving_sweep(pref: np.ndarray, ring: Ring, cutoff: int) -> np.ndarray:
-    """Extreme window sums for every width: split at the midpoint, fold the
-    windows that cross it with one convolution, recurse on the halves. The
-    crossing sums are finite; only the convolution pads with the sentinel."""
-    # below 1, a segment of length 1 would split into itself forever
-    cutoff = positive_int(cutoff, "recursion cutoff")
-    n = pref.size - 1
-    dtype = sum_dtype(np.diff(pref))
-    pref = pref.astype(dtype)
-    out = np.full(n, ring.sentinel_in(dtype), dtype=dtype)
-    leaves = {}   # base-case length -> start of each segment of that length
-    # explicit stack; deep inputs must not hit the interpreter limit
-    stack = [(0, n)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo <= cutoff:
-            leaves.setdefault(hi - lo, []).append(lo)
-            continue
-        mid = (lo + hi) // 2
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-        # windows crossing mid: a characters to the left, c to the right
-        u = pref[mid] - pref[mid - np.arange(mid - lo + 1)]
-        v = pref[mid + np.arange(hi - mid + 1)] - pref[mid]
-        crossing = np.empty(u.size + v.size - 1, dtype=dtype)
-        _conv_tiled(u, v, ring, crossing)
-        _fold_into(out, ring, crossing[1:])
-    # the base cases of one length are the rows of one correlation
-    for length, starts in leaves.items():
-        rows = pref[np.add.outer(starts, np.arange(length + 1))]
-        _fold_into(out, ring, ring.reduce(_window_extremes(rows, ring), axis=0))
-    return out
-
-
-def recursive_profile(s: BinaryString, cutoff: int = RECURSION_CUTOFF) -> Profile:
-    pref = _as_string(s).prefix_ones
-    return Profile(_halving_sweep(pref, MIN, cutoff), _halving_sweep(pref, MAX, cutoff))
-
-
 def _weight_prefix(weights) -> np.ndarray:
     weights = as_int64(weights, "weights", 1)
     if weights.size < 1:
@@ -711,8 +561,3 @@ def rle_weighted_max_sums(weights) -> np.ndarray:
     width's maximum."""
     weights = as_int64(weights, "weights")
     return _rle_sweep(_weight_prefix(weights), weights, MAX).astype(np.int64)
-
-
-def weighted_max_sums(weights, cutoff: int = RECURSION_CUTOFF) -> np.ndarray:
-    """Maximum total weight over length-i windows, i = 1..n."""
-    return _halving_sweep(_weight_prefix(weights), MAX, cutoff).astype(np.int64)

@@ -8,7 +8,10 @@ arrays into a global profile:
 * simple_tree_profile   the default: one batched sweep, O(n^2) cells total
 * tree_profile          micro-macro decomposition; inside each micro tree
                         the per-node DP step _combine, across micro trees
-                        joins through the boundary nodes by the same step
+                        joins through the boundary nodes by the same step.
+                        It is defined in reference.py with the enumeration
+                        oracles and encode_delta, each imported when first
+                        read from this module
 
 Both sweeps (_tree_sweep, _macro_sweep) run one ring over a matrix of label
 rows. For 0/1 labels the rows are (ones, zeros) under MIN: the most 1s in a
@@ -35,14 +38,18 @@ shared original parent, which is disconnected in the original tree.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
-from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_bits, as_int64,
-                      narrow_dtype, positive_int, sqrt_ceil, sum_dtype)
+from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, lazy_names,
+                      narrow_dtype, sum_dtype)
 from .profiles import Profile
 from .strings import _fold_into, _rle_sweep
+
+__getattr__ = lazy_names(__name__, {".reference": (
+    "CorruptedProfileError DeltaBits _check_steps encode_delta MICRO_COUNT_CONSTANT "
+    "MicroMacroDecomposition _Comp micro_macro _macro_sweep tree_profile feasible_size_sets "
+    "enumerate_connected_oracle enumerate_max_sums")})
 
 
 class LabeledTree:
@@ -221,52 +228,6 @@ def binarize(t: LabeledTree) -> BinarizedTree:
     ones_w[:n] = t.labels
     del kids, par, deg, extra, first_dummy, rank, d, step, holder, on_right, dummies, owner, above
     return BinarizedTree(parent, left, right, ones_w, t.root, n)
-
-
-class CorruptedProfileError(ValueError):
-    """An A_v array violated the {0,1}-step invariant."""
-
-
-class DeltaBits:
-    """A_v stored as its step bits (uint8) beside their running count, so
-    an entry is one read."""
-
-    __slots__ = ("bits", "_counts")
-
-    def __init__(self, bits):
-        bits = as_bits(bits).copy()   # never a view of the caller's array
-        if bits.ndim != 1:
-            raise ValueError("bits must be a one-dimensional sequence")
-        bits.flags.writeable = False
-        self.bits = bits
-        # A[i] is the number of 1-steps in positions 0..i
-        self._counts = np.cumsum(bits, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
-
-    def value_at(self, i: int) -> int:
-        if not 0 <= i < self.bits.size:
-            raise IndexError(f"index {i} out of range [0, {self.bits.size})")
-        return int(self._counts[i])
-
-    def decode(self) -> np.ndarray:
-        return self._counts.copy()
-
-
-def _check_steps(a: np.ndarray) -> None:
-    """Every row of ``a`` must start at 0 and step by 0 or 1."""
-    if a.shape[-1] < 1 or (a[..., 0] != 0).any():
-        raise CorruptedProfileError("profile array must start at 0")
-    steps = a[..., 1:] - a[..., :-1]
-    if steps.size and (steps.min() < 0 or steps.max() > 1):
-        raise CorruptedProfileError("profile array has steps outside {0,1}")
-
-
-def encode_delta(a_v) -> DeltaBits:
-    arr = np.asarray(a_v, dtype=np.int64)
-    _check_steps(arr)
-    return DeltaBits(np.concatenate([[0], np.diff(arr)]).astype(np.uint8))
 
 
 def _combine(ring: Ring, x, y, lab, real: bool):
@@ -520,11 +481,12 @@ def _tree_sweep(bt: BinarizedTree, rows: np.ndarray, ring: Ring, sink=None) -> n
     return best
 
 
-def _binary_profile(bt: BinarizedTree, sink=None, dec=None) -> Profile:
+def _binary_profile(bt: BinarizedTree, sink=None, sweep=None) -> Profile:
     """The 0/1 front end of both tree backends: one MIN pass over the rows
-    (ones, zeros) of the batched sweep, or of the micro-macro sweep over
-    ``dec``. ``sink`` receives a min-ones and a max-ones array for every
-    real node (batched) or every micro tree's f array (micro-macro)."""
+    (ones, zeros), by the batched sweep or by reference.tree_profile's
+    micro-macro sweep, called as _tree_sweep is. ``sink`` receives a
+    min-ones and a max-ones array for every real node (batched) or every
+    micro tree's f array (micro-macro)."""
     _check_binary_labels(bt.ones_w)
     row_sink = None
     if sink is not None:
@@ -533,186 +495,12 @@ def _binary_profile(bt: BinarizedTree, sink=None, dec=None) -> Profile:
             sink(np.arange(a_v.shape[1], dtype=np.int64) - a_v[1])
     # the rows are made in the call, so that the batched sweep frees them
     # once it has narrowed them
-    if dec is None:
-        best = _tree_sweep(bt, np.stack([bt.ones_w, bt.size_w - bt.ones_w]), MIN, row_sink)
-    else:
-        best = _macro_sweep(bt, dec, np.stack([bt.ones_w, bt.size_w - bt.ones_w]), MIN, row_sink)
+    best = (sweep or _tree_sweep)(bt, np.stack([bt.ones_w, bt.size_w - bt.ones_w]), MIN, row_sink)
     return Profile(best[0], np.arange(1, bt.n_real + 1, dtype=np.int64) - best[1])
 
 
 def simple_tree_profile(bt: BinarizedTree, sink=None) -> Profile:
     return _binary_profile(bt, sink)
-
-
-MICRO_COUNT_CONSTANT = 8
-
-
-@dataclass(frozen=True)
-class MicroMacroDecomposition:
-    """Disjoint connected micro trees of <= r nodes each. All edges leaving
-    a micro tree go through its top node (to the parent) or through a single
-    attach node (to the tops of child micro trees), so each micro tree has
-    at most two boundary nodes. Micro ids are in bottom-up order: children
-    precede parents, as do the nodes listed in each micro tree; micro tree
-    count <= max(1, 8 n / r)."""
-
-    r: int
-    micro_of: np.ndarray
-    micros: list
-    tops: list
-    attaches: list
-    boundaries: list
-
-
-class _Comp:
-    __slots__ = ("root", "nodes", "attach")
-
-    def __init__(self, root, nodes, attach):
-        self.root = root
-        self.nodes = nodes
-        self.attach = attach
-
-
-def micro_macro(bt: BinarizedTree, r: int) -> MicroMacroDecomposition:
-    r = positive_int(r, "micro size bound")
-    emitted = []
-    pending = {}
-    left, right = _machine_ints(bt.left), _machine_ints(bt.right)
-    for v in _machine_ints(bt.post_order):
-        kids = [pending.pop(c) for c in (left[v], right[v]) if c >= 0]
-        if not kids:
-            comp = _Comp(v, [v], None)
-        elif len(kids) == 1:
-            c = kids[0]
-            if 1 + len(c.nodes) <= r:
-                c.nodes.append(v)
-                comp = _Comp(v, c.nodes, c.attach)
-            else:
-                emitted.append(c)
-                comp = _Comp(v, [v], v)
-        else:
-            c1, c2 = kids
-            if (1 + len(c1.nodes) + len(c2.nodes) <= r
-                    and (c1.attach is None or c2.attach is None)):
-                big, small = (c1, c2) if len(c1.nodes) >= len(c2.nodes) else (c2, c1)
-                big.nodes.extend(small.nodes)
-                big.nodes.append(v)
-                comp = _Comp(v, big.nodes,
-                             c1.attach if c1.attach is not None else c2.attach)
-            else:
-                # emitting a child makes v the attach node, so whatever merges
-                # must itself be attach-free
-                fits = [c for c in kids if 1 + len(c.nodes) <= r and c.attach is None]
-                if fits:
-                    keep = min(fits, key=lambda c: len(c.nodes))
-                    emitted.append(c1 if keep is c2 else c2)
-                    keep.nodes.append(v)
-                    comp = _Comp(v, keep.nodes, v)
-                else:
-                    emitted.append(c1)
-                    emitted.append(c2)
-                    comp = _Comp(v, [v], v)
-        pending[v] = comp
-    emitted.append(pending.pop(bt.root))
-
-    micro_of = np.full(bt.n_total, -1, dtype=np.int64)
-    micros, tops, attaches = [], [], []
-    for mid, comp in enumerate(emitted):
-        micro_of[comp.nodes] = mid
-        micros.append(comp.nodes)
-        tops.append(comp.root)
-        attaches.append(comp.attach)
-    # a boundary node is an end of an edge between two micro trees
-    child = np.flatnonzero(bt.parent >= 0)
-    cut = child[micro_of[child] != micro_of[bt.parent[child]]]
-    ends = np.unique(np.concatenate([cut, bt.parent[cut]]))
-    counts = np.bincount(micro_of[ends], minlength=len(emitted))
-    if counts.max(initial=0) > 2:
-        mid = int(np.argmax(counts > 2))
-        raise RuntimeError(f"micro tree {mid} has {int(counts[mid])} boundary nodes")
-    # ends is sorted, so a stable sort by micro tree keeps each tree's sorted
-    by_micro = ends[np.argsort(micro_of[ends], kind="stable")].tolist()
-    cuts = np.cumsum(counts).tolist()
-    boundaries = [tuple(by_micro[lo:hi]) for lo, hi in zip([0] + cuts, cuts)]
-    return MicroMacroDecomposition(r, micro_of, micros, tops, attaches, boundaries)
-
-
-def _macro_sweep(bt: BinarizedTree, dec: MicroMacroDecomposition, rows: np.ndarray,
-                 ring: Ring, sink=None) -> np.ndarray:
-    """best as _tree_sweep gives it for 0/1 ``rows`` under MIN, micro tree by
-    micro tree. In a micro tree, a0[v] holds the sets anchored at v that stay
-    inside it, and a1[v] those that contain the path from v down to the
-    attach node x, so they can go on below the cut; the f array, which
-    ``sink`` receives, holds every set anchored at the top. Joins are
-    _combine steps in sum_dtype's dtype. An a1 cell of sentinel plus path
-    labels would overflow where a convolution's padding meets it, so a1 is
-    clamped to the sentinel: a join with finite sums, at most hi, then stays
-    at most sentinel + hi + 1 (a 0/1 label), inside the dtype."""
-    n_rows, n_real = rows.shape[0], bt.n_real
-    dtype = sum_dtype(rows)
-    sentinel = ring.sentinel_in(dtype)
-    rows = rows.astype(dtype)
-    best = np.full((n_rows, n_real), sentinel, dtype=dtype)
-    trivial = np.zeros((n_rows, 1), dtype=dtype)
-    left, right = _machine_ints(bt.left), _machine_ints(bt.right)
-    micro_of = _machine_ints(dec.micro_of)
-    f_store = {}
-    for mid, nodes in enumerate(dec.micros):
-        x, below = dec.attaches[mid], None
-        if x is not None:   # an attach node always has a child cut below it
-            fs = [f_store.pop(micro_of[c]) for c in (left[x], right[x])
-                  if c >= 0 and micro_of[c] != mid]
-            below = fs[0] if len(fs) == 1 else _combine(ring, *fs, 0, False)
-        a0, a1 = {}, {}
-        # children come before parents, so the path from x up to the top is
-        # x and every node with a child in a1
-        for v in nodes:
-            kids = [c for c in (left[v], right[v]) if c >= 0 and micro_of[c] == mid]
-            pair = [a0[c] for c in kids] + [trivial] * (2 - len(kids))
-            lab, real = rows[:, v, None], v < n_real
-            a0[v] = av = _combine(ring, *pair, lab, real)
-            if real:
-                _fold_into(best, ring, av[:, 1:])
-            on = [i for i, c in enumerate(kids) if c in a1]
-            if v == x:
-                f = av.copy()
-            elif on:
-                f = _combine(ring, a1[kids[on[0]]], pair[1 - on[0]], lab, real)
-            else:
-                continue
-            if real:   # a real node on the path is in every set through it
-                f[:, 0] = sentinel
-            a1[v] = ring.fold(f, sentinel, out=f)
-
-        top = dec.tops[mid]
-        ft = a0[top]
-        if below is not None:
-            gt = _combine(ring, a1[top], below, 0, False)
-            # sets anchored at a real node on the path that continue below the
-            # cut; the path's arrays widen upward, so the last is the widest.
-            # A top that is the only real node on the path gives gt's join
-            forced = [v for v in a1 if v < n_real]
-            if forced == [top]:
-                _fold_into(best, ring, gt[:, 1:])
-            elif forced:
-                ehat = a1[forced[-1]].copy()
-                for v in forced[:-1]:
-                    _fold_into(ehat, ring, a1[v])
-                _fold_into(best, ring, _combine(ring, ehat, below, 0, False)[:, 1:])
-            _fold_into(gt, ring, ft)
-            ft = gt
-        _check_steps(ft)
-        if sink is not None:
-            sink(ft)
-        f_store[mid] = ft
-    return best
-
-
-def tree_profile(t: LabeledTree, r=None, sink=None) -> Profile:
-    bt = binarize(t)
-    if r is None:
-        r = sqrt_ceil(bt.n_real)
-    return _binary_profile(bt, sink, micro_macro(bt, r))
 
 
 def weighted_tree_max_sums(t: LabeledTree) -> np.ndarray:
@@ -721,48 +509,3 @@ def weighted_tree_max_sums(t: LabeledTree) -> np.ndarray:
         raise ValueError("weight magnitudes too large for exact arithmetic")
     bt = binarize(t)
     return _tree_sweep(bt, bt.ones_w[None, :], MAX)[0].astype(np.int64)
-
-
-def feasible_size_sets(t: LabeledTree, max_n: int = 18) -> dict:
-    """Exact {label sums} per subgraph size by rooted enumeration; labels
-    may be signed. A set of s nodes with label sum x has the code s*k + x,
-    with k one more than the span of possible sums, so codes add like sets
-    join and decode after an offset by the least possible sum.
-
-    Exponential in spirit but bounded: per node at most (n+1) * k distinct
-    (size, sum) pairs survive deduplication."""
-    if t.n > max_n:
-        raise ValueError(f"enumeration refused for n={t.n} > {max_n}")
-    lo = int(np.minimum(t.labels, 0).sum())
-    k = int(np.maximum(t.labels, 0).sum()) - lo + 1
-    if (t.n + 1) * k > FINITE_BOUND:
-        raise ValueError("label sums too large for exact enumeration")
-    zero = np.zeros(1, dtype=np.int64)
-    codes = [None] * t.n
-    collected = []
-    for v in t.post_order():
-        cur = np.array([k + int(t.labels[v])], dtype=np.int64)
-        for c in t.children[v]:
-            ext = np.concatenate([zero, codes[c]])
-            cur = np.unique(cur[:, None] + ext[None, :])
-            codes[c] = None
-        codes[v] = cur
-        collected.append(cur)
-    allcodes = np.unique(np.concatenate(collected)) - lo
-    sizes = allcodes // k
-    sums = allcodes % k + lo
-    return {int(s): np.unique(sums[sizes == s]) for s in range(1, t.n + 1)}
-
-
-def enumerate_connected_oracle(t: LabeledTree, max_n: int = 18) -> Profile:
-    _check_binary_labels(t.labels)
-    sets = feasible_size_sets(t, max_n)
-    mins = np.array([sets[s].min() for s in range(1, t.n + 1)], dtype=np.int64)
-    maxs = np.array([sets[s].max() for s in range(1, t.n + 1)], dtype=np.int64)
-    return Profile(mins, maxs)
-
-
-def enumerate_max_sums(t: LabeledTree, max_n: int = 18) -> np.ndarray:
-    """The weighted oracle: result[i-1] = the largest sum in size i's set."""
-    sets = feasible_size_sets(t, max_n)
-    return np.array([sets[s].max() for s in range(1, t.n + 1)], dtype=np.int64)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jumbled import cli
+from jumbled import cli, tools
 from jumbled.inputs import (
     ParseError, _digit_values, gen_string, gen_tree, gen_weights, parse_binary_string_text,
     parse_tree_text, parse_weights_text,
@@ -164,7 +164,7 @@ def _draws_fail(monkeypatch):
 
     for name in ("_verify_case", "_gen_text", "gen_string", "gen_tree", "gen_weights",
                  "random_parents"):
-        monkeypatch.setattr(cli, name, drawn)
+        monkeypatch.setattr(tools, name, drawn)
 
 
 def test_sizes_past_the_ceiling_are_refused_before_drawing(tmp_path, monkeypatch, capsys):

@@ -392,6 +392,23 @@ def test_written_profiles_take_the_byte_pass(tmp_path, monkeypatch, n, chunk):
         assert arr.dtype == np.int64 and arr.flags.c_contiguous
 
 
+# row 40's line end comes before its second comma, so its last field opens the
+# next line; every field, size and bound still reads in order, so only the
+# order of the separators refuses it in the byte pass
+@pytest.mark.parametrize("chunk", [profiles._READ_CHUNK_BYTES, 97], ids=["default", "97"])
+def test_csv_separators_out_of_order_are_refused(tmp_path, monkeypatch, chunk):
+    rows = [f"{i},0,{i}\n" for i in range(1, 61)]
+    rows[39] = "40,0\n40,"
+    path = tmp_path / "p.csv"
+    path.write_text(CSV_HEADER + "\n" + "".join(rows))
+    monkeypatch.setattr(profiles, "_READ_CHUNK_BYTES", chunk)
+    for read in (read_profile_csv, lambda p: profiles._occurs_in_csv(p, 1, 0),
+                 lambda p: profiles._occurs_in_csv(p, 40, 0)):
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert str(err.value) == "line 41: expected 3 comma-separated fields, got '40,0'"
+
+
 def test_csv_rows_longer_than_a_chunk_are_read_line_by_line(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_text(CSV_HEADER + "\n1,0,1\n2,0000000000001,2\n")
