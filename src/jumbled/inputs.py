@@ -88,16 +88,23 @@ def _int_tokens(text: str):
 
 def _digit_values(data: np.ndarray, stops, count, sign=None, narrow=False) -> np.ndarray:
     """int64 values of the digit runs of ``data`` that end before ``stops``,
-    ``count`` digits each (1.._MAX_DIGITS), times ``sign`` if given; int32
-    values if ``narrow`` and no run has more than 9 digits.
+    ``count`` digits each (1.._MAX_DIGITS), times ``sign`` if given. If
+    ``narrow``, the values take the narrowest of int16 (runs of at most 4
+    digits), int32 (at most 9) and int64.
 
     Horner over the tokens right-aligned to m digits, signed: step k reads
     the byte m - k before each stop (below 0 wraps), a digit unless the
-    token is shorter. The values come after the first gather, the peak."""
+    token is shorter. Each step gathers int8 digits through ``stops``
+    itself, moved back m bytes once and forward one byte a step, so that it
+    holds its offsets again on return. The CSV reader's stops are intp, so
+    its gathers make no index array; the parsers' int32 offsets, which
+    keep their peak down, are widened by each take."""
     m = int(count.max(initial=1))
     shortest = int(count.min(initial=m))
+    stops -= m
     for k in range(m):
-        digit = data.take(np.subtract(stops, m - k, dtype=np.intp)).view(np.int8)
+        digit = data.take(stops).view(np.int8)
+        stops += 1
         digit -= 48
         if k < m - shortest:
             digit *= count >= m - k
@@ -107,7 +114,8 @@ def _digit_values(data: np.ndarray, stops, count, sign=None, narrow=False) -> np
             values *= 10
             values += digit
         else:
-            values = digit.astype(np.int32 if narrow and m <= 9 else np.int64)
+            values = digit.astype(np.int64 if not narrow or m > 9 else
+                                  np.int32 if m > 4 else np.int16)
     return values
 
 

@@ -31,11 +31,11 @@ SUMS_CSV_HEADER = "size,max_sum"
 _CSV_CHUNK_ROWS = 2048
 
 # bytes of whole lines per step of the reader's byte pass. At n=16384 (a
-# 246 KB file) the reader's tracemalloc peak is 715, 855, 989 and 1124 KiB
-# at 32, 64, 96 and 128 KiB, and a query's 460, 599, 734 and 868 KiB. Of
+# 246 KB file) the reader's tracemalloc peak is 649, 771, 901 and 1017 KiB
+# at 32, 64, 96 and 128 KiB, and a query's 394, 516, 646 and 762 KiB. Of
 # 300 alternating queries against 64 KiB (2-core x86 VM), 32, 96 and 128
-# KiB won 1, 1 and 27: past 64 KiB a chunk's int64 offsets pass glibc's 128
-# KiB mmap threshold, so each chunk faults in fresh pages.
+# KiB won 1, 100 and 81: past 64 KiB a chunk's int64 offsets pass glibc's
+# 128 KiB mmap threshold, so each chunk faults in fresh pages.
 _READ_CHUNK_BYTES = 1 << 16
 _HEADER_LINE = CSV_HEADER.encode() + b"\n"
 # the separators of the most rows a chunk holds, at least 6 bytes a row
@@ -181,13 +181,16 @@ def _read_rows(data: bytes, row=None):
         chunk = codes[head:stop]
         # the bytes below '0' end the fields, ',', ',' and LF on each row;
         # the others must be digits
-        ends = np.flatnonzero(chunk < 48).astype(np.int32)
+        ends = np.flatnonzero(chunk < 48)
         rows = ends.size // 3
         if (ends.size % 3 or rows > n - done or chunk.max() > 57
                 or chunk.take(ends).tobytes() != _SEPARATORS[:ends.size]):
             return None
-        count = np.diff(ends, prepend=np.int32(-1))
-        count -= 1   # a field's digits: the bytes between two ends
+        # a field's digits: the bytes between two ends
+        count = np.empty(ends.size, dtype=np.int32)
+        count[0] = ends[0] + 1
+        np.subtract(ends[1:], ends[:-1], out=count[1:])
+        count -= 1
         if count.min() < 1 or count.max() > _MAX_DIGITS:
             return None
         size, a, b = _digit_values(chunk, ends, count, narrow=True).reshape(rows, 3).T

@@ -30,14 +30,15 @@ _gap_sweep takes two-valued labels from the gaps between the positions of
 one value, a row half as long for i.i.d. bits, swept again by _rle_sweep.
 _pair_sweep takes them from the least other cells between each pair of runs
 of one value. _rle_sweep, behind rle_profile, rle_weighted_max_sums and the
-chains of the tree sweep, picks its kernel per ring by count rules: the pair
-sweep for two-valued labels with at least 64 runs of the ring's value and
-at most 40 n pairs of them; else the run sweep when its candidates number
-at most n / 12 + 128; else the gap sweep for two-valued labels, and for
-others the bound sweep, whose block pass gives up to the run sweep on rows
-of n >= 4593 where it keeps over a quarter of the blocks it bounds. The
-default thus never runs _window_extremes, the kernel of the naive oracle it
-is tested against.
+chains of the tree sweep, picks its kernel per ring by count rules.
+Two-valued labels with at least 64 runs of the ring's value take the pair
+sweep while those runs make at most 40 n pairs, and the gap sweep past
+that; with fewer runs they take the run sweep. Labels of more values take
+the run sweep when its candidates number at most n / 12 + 128, else the
+bound sweep, whose block pass gives up to the run sweep on rows of n >=
+4593 where it keeps over a quarter of the blocks it bounds. The default
+thus never runs _window_extremes, the kernel of the naive oracle it is
+tested against.
 """
 
 from __future__ import annotations
@@ -201,10 +202,10 @@ _BOUND_READ = 512
 # runs of the ring's value when _PAIR_FLOOR <= rho_v and the rho_v (rho_v +
 # 1) / 2 pairs number at most _PAIR_SHARE n: below the floor its O(n) passes
 # cost more than the run sweep's rho_v slices (n = 1024..2^18), and past the
-# share the run sweep or the gap sweep wins (kernel tables below). It walks
-# the pairs about _PAIR_BLOCK at a time. Else _rle_sweep takes the run sweep
-# when its candidates, starts plus ends, number at most n / _RUN_SHARE +
-# _RUN_FLOOR. The block pass gives up on a row of at least _GIVE_UP_GROUPS
+# share the gap sweep wins (kernel tables below). It walks the pairs about
+# _PAIR_BLOCK at a time. Labels of more values take the run sweep when its
+# candidates, starts plus ends, number at most n / _RUN_SHARE + _RUN_FLOOR.
+# The block pass gives up on a row of at least _GIVE_UP_GROUPS
 # groups of K starts once, from a sixteenth of the pass on, it has kept over
 # 1 / _GIVE_UP_SHARE of the blocks it bounded: unprunable labels keep 49-100%
 # from n = 2048 on, every other row measured (bits of 11 densities, bits and
@@ -389,9 +390,9 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
 #   i.i.d. 0/1                 2032.7   274.8    543.6    19.3   685.1    1208    19.1 gap
 #   0/1 density 1/4            1148.2   121.1    239.1    29.6   390.0   767.1    29.8 gap
 #   0/1 density 0.15            542.4    83.5    160.0    23.2   194.8   906.9    23.3 gap
-#   0/1 density 1/20             71.1    30.7     61.5    25.1    31.3   898.4    30.1 run
+#   0/1 density 1/20             70.3    31.3     62.9    26.3    33.8   968.8    26.9 gap
 #   0/1 period 8               4608.2   525.2     1024   360.1    1771    1244   353.6 gap
-#   0/1 runs of 8               127.9    76.1    144.8    20.9    61.0    1157    72.4 run
+#   0/1 runs of 8               125.0    49.1     97.4    21.0    56.3    1362    22.7 gap
 #   0/1 runs of 32                8.1    11.3     22.4    23.2     5.3    1160     5.5 pair
 #   0/1 runs of 64                1.9     5.2     10.3    11.8     2.6    1276     2.7 pair
 #   0/1 runs of 128               0.5     2.9      5.7     6.6     1.9    1289     2.0 pair
@@ -403,7 +404,10 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
 # {-5, 6} in runs alternates its values in runs of 1-7. Runs of 128 at 16384
 # have 63 runs of each value, one short of the pair sweep's floor. The
 # two-valued rule of the run sweep halves its general rule's time on the
-# rows it takes (runs of 128 at 16384; density 1/20 and runs of 8 at 65536).
+# rows it takes (runs of 128 at 16384). Density 1/20 and runs of 8 at 65536
+# are re-taken (best of 5 rounds, naive of 1) since rows past the pair
+# sweep's share take the gap sweep: they took the run sweep, 30.1 and 72.4
+# ms, while the run sweep's count rule picked for two-valued rows too.
 # Period 8 repeats 11010010. The gap rows of i.i.d. bits and of period 8 take
 # the bound sweep; those of the Fibonacci word are two-valued, and nest
 # several gap sweeps deep.
@@ -438,22 +442,22 @@ def _read_blocks(ends: np.ndarray, starts: np.ndarray, kept) -> np.ndarray:
 
 def _rle_sweep(pref: np.ndarray, labels: np.ndarray, ring: Ring) -> np.ndarray:
     """_window_extremes for ``ring`` over the single row ``pref``, the
-    prefix sums of ``labels``, in the narrow dtype of their range: by the
-    pair sweep for two-valued labels with _PAIR_FLOOR to about sqrt(2
-    _PAIR_SHARE n) runs of the ring's value; else by the run sweep on at
-    most n / _RUN_SHARE + _RUN_FLOOR candidates; else by the gap sweep for
-    two-valued labels, whose gap row picks the same way, and for others by
-    the bound sweep, or the run sweep if it gives up."""
+    prefix sums of ``labels``, in the narrow dtype of their range. Two-valued
+    labels with at least _PAIR_FLOOR runs of the ring's value take the pair
+    sweep up to about sqrt(2 _PAIR_SHARE n) runs and the gap sweep past it,
+    whose gap row picks the same way; fewer runs take the run sweep. Labels
+    of more values take the run sweep on at most n / _RUN_SHARE + _RUN_FLOOR
+    candidates, else the bound sweep, or the run sweep if it gives up."""
     two_valued = _two_valued(labels)
     starts, ends = _candidates(labels, ring, two_valued)
-    if two_valued and _PAIR_FLOOR <= starts.size and \
-            starts.size * (starts.size + 1) <= 2 * _PAIR_SHARE * labels.size:
-        return _pair_sweep(pref, labels, ring)   # the two-valued rule's starts open the runs of v
-    if _RUN_SHARE * (starts.size + ends.size - _RUN_FLOOR) <= labels.size:
-        return _run_sweep(pref, ring, starts, ends)
-    del starts, ends   # up to n int64 positions, freed before the other sweeps' buffers
-    if two_valued:
+    if two_valued and _PAIR_FLOOR <= starts.size:   # the two-valued rule's starts open the runs of v
+        if starts.size * (starts.size + 1) <= 2 * _PAIR_SHARE * labels.size:
+            return _pair_sweep(pref, labels, ring)
+        del starts, ends   # up to n int64 positions, freed before the other sweeps' buffers
         return _gap_sweep(pref, labels, ring)
+    if two_valued or _RUN_SHARE * (starts.size + ends.size - _RUN_FLOOR) <= labels.size:
+        return _run_sweep(pref, ring, starts, ends)
+    del starts, ends
     best = _bound_sweep(pref, labels, ring)
     return _run_sweep(pref, ring, *_candidates(labels, ring, False)) if best is None else best
 

@@ -317,14 +317,22 @@ def random_bits(rng: random.Random, n: int, density=0.5):
 # strings' kernel choice, forced through the count constants it reads
 # (pass to monkeypatch.setattr or mock.patch.multiple on jumbled.strings)
 
-# _rle_sweep never takes the pair sweep: no row has that many runs
+# _rle_sweep takes the run sweep on every row of two values: none has the
+# pair sweep's floor of runs, so neither the pair sweep nor the gap sweep runs
 NO_PAIR_SWEEP = dict(_PAIR_FLOOR=1 << 62)
 # _rle_sweep takes the pair sweep on every row of two values, whatever its runs
 PAIR_SWEEP = dict(_PAIR_FLOOR=0, _PAIR_SHARE=1 << 62)
-# _rle_sweep never takes the run sweep up front: every row has a candidate
+# _rle_sweep takes the gap sweep on every row of two values: each has the
+# floor of runs, and no pairs fit a share below 0
+GAP_SWEEP = dict(_PAIR_FLOOR=0, _PAIR_SHARE=-1)
+# _rle_sweep never takes the run sweep up front on labels of more values:
+# every row has a candidate
 NO_RUN_SWEEP = dict(_RUN_SHARE=1 << 62, _RUN_FLOOR=0)
 # the bound sweep's block pass never gives up
 NEVER_GIVES_UP = dict(_GIVE_UP_GROUPS=1 << 62)
+# rle leaves both sweeps of runs on every row: rows of two values take the
+# gap sweep, others the bound sweep, whose block pass never gives up
+PAST_RUNS = {**GAP_SWEEP, **NO_RUN_SWEEP, **NEVER_GIVES_UP}
 # the block pass gives up at its first check past a sixteenth of the pass,
 # on every row of more than one group
 GIVES_UP = dict(_GIVE_UP_GROUPS=0, _GIVE_UP_SHARE=1 << 62)

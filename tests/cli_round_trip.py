@@ -13,8 +13,10 @@ give the same index bytes, so that the parser's whitespace handling and
 its int32 offsets run on every numpy the script runs on. On every 0/1 index, ``jumbled query`` answers as
 ``occurs`` does. At n = 32767 and 32768 it also answers so on a CRLF copy
 of the index, and on a copy with one row corrupted far from the queried
-size it exits 2 and names that row's line. Prints one line per input and
-exits 1 on a mismatch.
+size it exits 2 and names that row's line. At n = 200000 it also answers
+so at the sizes where a field gains a digit (9/10 up to 99999/100000),
+and on a copy with one row past 9999 cut to a 4-digit size it exits 2 and
+names that line. Prints one line per input and exits 1 on a mismatch.
 """
 
 import random
@@ -126,6 +128,33 @@ def same_answers_on_copies(p, index: Path, what: str, rng: random.Random) -> boo
     return good and named
 
 
+def same_answers_at_digit_edges(p, index: Path, what: str, rng: random.Random) -> bool:
+    """True if ``jumbled query`` on ``index`` answers as occurs does at the
+    sizes where a field gains a digit (9 and 10, 99 and 100, ... up to n),
+    at both ends of their intervals, and if on a copy whose row r past 9999
+    has its size cut to its last 4 digits it exits 2 naming line r + 1;
+    prints a mismatch."""
+    good = True
+    for digits in range(1, len(str(p.n))):
+        for i in (10 ** digits - 1, 10 ** digits):
+            for j in (int(p.min_ones[i - 1]), int(p.max_ones[i - 1]) + 1):
+                good &= same_answer(p, f"{what} query at a digit edge", i, j,
+                                    "--profile", str(index))
+    bad = index.with_suffix(".cut.csv")
+    lines = index.read_bytes().split(b"\n")
+    r = rng.randint(10000, p.n)
+    lines[r] = b"%s,%d,%d" % (str(r)[-4:].encode(), p.min_ones[r - 1], p.max_ones[r - 1])
+    bad.write_bytes(b"\n".join(lines))
+    proc = subprocess.run([sys.executable, "-m", "jumbled.cli", "query", "--profile", str(bad),
+                           "-i", "1", "-j", "0"], capture_output=True, text=True)
+    named = proc.returncode == 2 and proc.stderr.startswith(f"error: line {r + 1}: ")
+    if not named:
+        print(f"{what} query on row {r} cut to 4 digits: exit {proc.returncode}, {proc.stderr!r}")
+    print(f"{what}: queries at the digit edges {'answer' if good else 'DO NOT answer'} as "
+          f"occurs does; a size cut to 4 digits {'is' if named else 'is NOT'} named")
+    return good and named
+
+
 def main() -> int:
     ok = True
     rng = random.Random(5)
@@ -154,6 +183,8 @@ def main() -> int:
                 ok &= same_index_from_spacing(src, index, kind)
             else:
                 ok &= same_answers(result, index, what, rng)
+            if kind == "string" and n >= 100000:
+                ok &= same_answers_at_digit_edges(result, index, what, rng)
     print("round trip ok" if ok else "round trip FAILED")
     return 0 if ok else 1
 

@@ -52,14 +52,17 @@ def test_parse_weights_reports_position():
     assert "line 1, char 3" in str(err.value)
 
 
-# the digit loop on each side of int32's 9 digits and at the 18-digit
-# limit, signed: int32 values only if asked for and every run fits
+# the digit loop on each side of int16's 4 digits and int32's 9 and at the
+# 18-digit limit, signed: narrow values only if asked for, int16 if every
+# run has at most 4 digits, else int32 if at most 9
 @pytest.mark.parametrize("narrow", [False, True], ids=["int64", "narrow"])
 @pytest.mark.parametrize("tokens", [
+    ["9999", "-9999", "1000", "-1", "0", "7"],
+    ["99999", "-32769", "32768", "-65536", "5", "-0"],
     ["999999999", "-999999999", "123456789", "-1", "0", "7"],
     ["9999999999", "-1000000000", "2147483648", "-2147483649", "5", "-0"],
     ["999999999999999999", "-999999999999999999", "100000000000000000", "-42"],
-], ids=["9-digits", "10-digits", "18-digits"])
+], ids=["4-digits", "5-digits", "9-digits", "10-digits", "18-digits"])
 def test_digit_values_against_int(tokens, narrow):
     text = " ".join(tokens) + "\n"
     data = np.frombuffer(text.encode(), dtype=np.uint8)
@@ -69,7 +72,9 @@ def test_digit_values_against_int(tokens, narrow):
     sign = np.array([-1 if m[0][0] == "-" else 1 for m in runs], dtype=np.int8)
     got = _digit_values(data, stops, count, sign, narrow=narrow)
     assert got.tolist() == [int(t) for t in tokens]
-    assert got.dtype == (np.int32 if narrow and count.max() <= 9 else np.int64)
+    width = count.max()
+    assert got.dtype == (np.int64 if not narrow or width > 9 else np.int32 if width > 4 else np.int16)
+    assert stops.tolist() == [m.end() for m in runs]   # moved back and forth in place
 
 
 def test_parse_tree():
@@ -97,8 +102,9 @@ def test_parse_tree_rejects_bad_label():
 
 
 # The one-pass parse keeps int32 token offsets and no line number per byte
-# or token: 339 KiB for the tree and 457 KiB for the weights (a prototype's
-# line map from a cumsum over the bytes set 879 KiB on the tree; the pass it
+# or token: 282 KiB for the tree and 424 KiB for the weights (339 and 457
+# KiB while each digit gather made its own intp index; a prototype's line
+# map from a cumsum over the bytes set 879 KiB on the tree; the pass it
 # replaced took 508 and 992 KiB).
 @pytest.mark.parametrize("parse, text, bound_kib", [
     (parse_tree_text, gen_tree(4096, 3), 400),
@@ -358,8 +364,9 @@ def test_build_memory_peak(tmp_path, kind, text, bound_kib):
 
 # tracemalloc peak of a query on a 16384-row index: the file and one 64 KiB
 # chunk's temporaries of the byte pass, which keeps only the queried row,
-# 599 KiB (911 KiB while a query kept both columns and read int64 digit
-# values); the bound leaves the margin of the other peak tests
+# 516 KiB (599 KiB while each digit gather made its own intp index, 911 KiB
+# while a query kept both columns and read int64 digit values); the bound
+# leaves the margin of the other peak tests
 def test_query_memory_peak(tmp_path):
     index = tmp_path / "p.csv"
     write_profile_csv(rle_profile(np.random.default_rng(3).integers(0, 2, 16384)), index)

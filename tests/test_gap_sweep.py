@@ -5,9 +5,10 @@ holds t of one value, 1 plus the MIN of _rle_sweep over the gaps between
 that value's positions. It is called directly here on every bit string up to
 n = 10 and on two-valued weights, and through rle at the sizes where its
 dtypes step: positions past 32767, more than 16383 ones, and weights whose
-hi w overflows int16 though every window sum fits. "Past runs" cases rule
-out the pair sweep, the run sweep up front and the bound sweep's give-up,
-so that rle leaves both sweeps of runs on every row.
+hi w overflows int16 though every window sum fits. "Past runs" cases send
+every two-valued row to the gap sweep and every other row to the bound
+sweep, which never gives up, so that rle leaves both sweeps of runs on
+every row.
 """
 
 import itertools
@@ -23,11 +24,7 @@ from jumbled.strings import (
     BinaryString, naive_profile, naive_weighted_max_sums, rle_profile, rle_weighted_max_sums,
 )
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile
-from _support import (
-    NEVER_GIVES_UP, NO_PAIR_SWEEP, NO_RUN_SWEEP, window_max_sums, window_profile,
-)
-
-PAST_RUNS = {**NO_PAIR_SWEEP, **NO_RUN_SWEEP, **NEVER_GIVES_UP}
+from _support import PAST_RUNS, window_max_sums, window_profile
 
 
 @pytest.fixture(params=["past runs", "as called"])

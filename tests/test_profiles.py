@@ -373,9 +373,11 @@ def _no_line_reading(body):
 
 
 # every profile the writer writes takes the byte pass, at sizes around the
-# writer's 2048-row chunks and with the reader's chunks ending on many rows
+# writer's 2048-row chunks and the 4 to 5 digits of the sizes, where the
+# reader's digit values widen from int16 to int32, and with the reader's
+# chunks ending on many rows
 @pytest.mark.parametrize("chunk", [profiles._READ_CHUNK_BYTES, 97], ids=["default", "97"])
-@pytest.mark.parametrize("n", [1, 2, 9, 10, 99, 100, 2047, 2048, 2049, 16384])
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 99, 100, 2047, 2048, 2049, 9999, 10000, 10001, 16384])
 def test_written_profiles_take_the_byte_pass(tmp_path, monkeypatch, n, chunk):
     rng = np.random.default_rng(n)
     sizes = np.arange(1, n + 1)
@@ -409,6 +411,51 @@ def test_csv_separators_out_of_order_are_refused(tmp_path, monkeypatch, chunk):
         assert str(err.value) == "line 41: expected 3 comma-separated fields, got '40,0'"
 
 
+# a size cut to its last 4 digits, below and past int16's 32767: every field
+# of its line then has at most 4 digits, and at the default chunk the row
+# shares its digit pass with rows of 5
+@pytest.mark.parametrize("chunk", [profiles._READ_CHUNK_BYTES, 97], ids=["default", "97"])
+@pytest.mark.parametrize("row", [12345, 43210])
+def test_a_size_cut_to_four_digits_is_refused(tmp_path, monkeypatch, row, chunk):
+    path = tmp_path / "p.csv"
+    write_profile_csv(_p(np.zeros(row + 10, dtype=np.int64), np.ones(row + 10, dtype=np.int64)),
+                      path)
+    text = path.read_bytes()
+    cut = str(row)[-4:]
+    path.write_bytes(text.replace(b"\n%d,0,1\n" % row, b"\n%s,0,1\n" % cut.encode()))
+    monkeypatch.setattr(profiles, "_READ_CHUNK_BYTES", chunk)
+    for read in (read_profile_csv, lambda p: profiles._occurs_in_csv(p, 1, 0)):
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert str(err.value) == f"line {row + 1}: expected size {row}, got {int(cut)}"
+
+
+def test_forged_sizes_past_65535_do_not_wrap(tmp_path, monkeypatch):
+    # the rows of one step of the byte pass, from row f on, carry their row
+    # numbers less 65536 as sizes, as int16 would wrap them. A row "k,0,0"
+    # of 5 digits takes 10 bytes, so a 970-byte step that starts past row
+    # 9999 holds 97 whole rows, and f, the first step start from row 65536 +
+    # 2345 on, opens 107 forged rows of 9 bytes that fill its step alone:
+    # their fields of at most 4 digits read as int16, and only the int64
+    # row numbers they are compared against refuse them (compared in int16,
+    # the file would be taken whole)
+    n, step = 65536 + 2700, 970
+    text = CSV_HEADER.encode() + b"\n" + b"".join(b"%d,0,0\n" % k for k in range(1, n + 1))
+    head, f = len(CSV_HEADER) + 1, 1   # where a step starts: its byte and row
+    while f < 65536 + 2345:
+        stop = text.rfind(b"\n", head, head + step) + 1
+        f += text.count(b"\n", head, stop)
+        head = stop
+    forged = b"".join(b"%d,0,0\n" % (k - 65536) for k in range(f, f + step // 9))
+    path = tmp_path / "p.csv"
+    path.write_bytes(text[:head] + forged + text[head + 10 * (step // 9):])
+    monkeypatch.setattr(profiles, "_READ_CHUNK_BYTES", step)
+    for read in (read_profile_csv, lambda p: profiles._occurs_in_csv(p, 1, 0)):
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert str(err.value) == f"line {f + 1}: expected size {f}, got {f - 65536}"
+
+
 def test_csv_rows_longer_than_a_chunk_are_read_line_by_line(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_text(CSV_HEADER + "\n1,0,1\n2,0000000000001,2\n")
@@ -417,8 +464,9 @@ def test_csv_rows_longer_than_a_chunk_are_read_line_by_line(tmp_path, monkeypatc
 
 
 # The byte pass holds the file, the two int64 columns and one chunk's
-# temporaries: 855 KiB at n = 16384 with 64 KiB chunks, where the reader on
-# np.loadtxt took 1124 KiB.
+# temporaries: 771 KiB at n = 16384 with 64 KiB chunks (855 KiB while each
+# digit gather made its own intp index), where the reader on np.loadtxt
+# took 1124 KiB.
 def test_read_memory_peak(tmp_path):
     p = rle_profile(np.random.default_rng(3).integers(0, 2, 16384))
     path = tmp_path / "p.csv"

@@ -39,7 +39,7 @@ from jumbled.minplus import narrow_dtype
 from jumbled.trees import SMALL, LabeledTree, binarize, simple_tree_profile, tree_profile, \
     weighted_tree_max_sums
 from _support import (
-    NEVER_GIVES_UP, NO_PAIR_SWEEP, NO_RUN_SWEEP, PAIR_SWEEP, binary_post_order, broom_parents,
+    NEVER_GIVES_UP, PAIR_SWEEP, PAST_RUNS, binary_post_order, broom_parents,
     caterpillar_parents, complete_binary_parents, csv_rows_one_at_a_time, path_parents,
     profile_csv_by_lines, random_parents, real_descendant_counts, star_parents, tree_extremes,
     window_profile,
@@ -187,9 +187,6 @@ sturmian = st.one_of(
     sizes.map(_fibonacci),
     st.builds(lambda n, a, c: [int((k + 1) * a + c) - int(k * a + c) for k in range(n)],
               sizes, st.floats(0.01, 0.99), st.floats(0, 1)))
-
-PAST_RUNS = {**NO_PAIR_SWEEP, **NO_RUN_SWEEP, **NEVER_GIVES_UP}
-
 
 @SETTINGS
 @given(st.one_of(adversarial, biased, sturmian))
@@ -373,16 +370,59 @@ def _query_by_cli(path, i, j):
     return code, out.getvalue(), err.getvalue()
 
 
-def _query_by_full_read(path, i, j):
-    """occurs(read_profile_csv(path), i, j) with cmd_query's handling of
-    errors, as (exit code, stdout, stderr)."""
+def _whole_read(path):
+    """read_profile_csv(path), or with cmd_query's handling of its error,
+    (exit code, stdout, stderr)."""
     try:
-        profile = read_profile_csv(path)
+        return read_profile_csv(path)
     except (ParseError, OSError) as exc:
         return 2, "", f"error: {exc}\n"
     except UnicodeDecodeError as exc:
         return 2, "", f"error: {path}: {exc}\n"
-    return 0, ("yes" if occurs(profile, i, j) else "no") + "\n", ""
+
+
+def _query_by_full_read(whole, i, j):
+    """occurs(whole, i, j) as cmd_query prints it, for ``whole`` from _whole_read."""
+    if not isinstance(whole, Profile):
+        return whole
+    return 0, ("yes" if occurs(whole, i, j) else "no") + "\n", ""
+
+
+def _one_row_as_the_whole_read(n, seed, fault, r, field, cut, padded, chunk, sizes):
+    """Writes a random profile of n rows, breaks it by _broken_csv, and
+    checks that the CLI's query answers as the whole read does at each size
+    of ``sizes`` (then clamped to 1..n for the counts asked), at both ends of
+    its interval and one past each, reading ``chunk`` bytes a step, or with
+    chunk "seam" the rows up to 9999 in the first step."""
+    rng = np.random.default_rng(seed)
+    mins = rng.integers(0, np.arange(1, n + 1) + 1)
+    maxs = rng.integers(mins, np.arange(1, n + 1) + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_profile_csv(Profile(mins, maxs), path)
+        text, line = _broken_csv(path.read_bytes(), fault, min(r, n), field, cut, padded)
+        path.write_bytes(text)
+        if chunk == "seam":
+            chunk = _chunk_ending_at_line(text, 10000)
+        with mock.patch.object(profiles, "_READ_CHUNK_BYTES", chunk):
+            whole = _whole_read(path)
+            for i in sizes:
+                k = min(max(i, 1), n) - 1
+                for j in (int(mins[k]) - 1, int(mins[k]), int(maxs[k]), int(maxs[k]) + 1):
+                    got = _query_by_cli(path, i, j)
+                    assert got == _query_by_full_read(whole, i, j)
+                    if line is not None:
+                        assert got[0] == 2 and got[2].startswith(f"error: line {line}: ")
+
+
+def _chunk_ending_at_line(text: bytes, line: int) -> int:
+    """The read chunk whose first step ends with file line ``line`` of
+    ``text``, after the header, as the reader sees the text."""
+    data = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    at = -1
+    for _ in range(line):
+        at = data.index(b"\n", at + 1)
+    return at - data.index(b"\n")
 
 
 # the query keeps only row i of the byte pass, but checks every row: it
@@ -395,23 +435,26 @@ def _query_by_full_read(path, i, j):
        st.integers(1, 300), st.sampled_from([97, profiles._READ_CHUNK_BYTES]))
 def test_query_of_one_row_answers_as_the_whole_read(n, seed, fault, r, field, cut, padded,
                                                      inner, chunk):
-    rng = np.random.default_rng(seed)
-    sizes = np.arange(1, n + 1)
-    mins = rng.integers(0, sizes + 1)
-    maxs = rng.integers(mins, sizes + 1)
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(profiles, "_READ_CHUNK_BYTES", chunk):
-        path = Path(tmp) / "p.csv"
-        write_profile_csv(Profile(mins, maxs), path)
-        text, line = _broken_csv(path.read_bytes(), fault, min(r, n), field, cut, padded)
-        path.write_bytes(text)
-        for i in (-1, 0, 1, min(inner, n), n, n + 1):
-            k = min(max(i, 1), n) - 1
-            for j in (int(mins[k]) - 1, int(mins[k]), int(maxs[k]), int(maxs[k]) + 1):
-                got = _query_by_cli(path, i, j)
-                assert got == _query_by_full_read(path, i, j)
-                if line is not None:
-                    assert got[0] == 2 and got[2].startswith(f"error: line {line}: ")
+    _one_row_as_the_whole_read(n, seed, fault, r, field, cut, padded, chunk,
+                               (-1, 0, 1, min(inner, n), n, n + 1))
+
+
+# the same past 9999 rows, where the byte pass's digit values widen from
+# int16 to int32: sizes that cross 9999 -> 10000 inside a chunk of 97 bytes
+# or of the default, or at the seam between a first chunk of rows 1..9999
+# and the next, with a fault and a query near the crossing or anywhere.
+# Fewer queries than above: a read of 10000 rows in 97-byte chunks takes
+# ~60 ms (2-core x86 VM).
+@settings(SETTINGS, max_examples=24)
+@given(st.integers(10000, 10040), st.integers(0, 2 ** 32 - 1), st.sampled_from(CSV_FAULTS),
+       st.one_of(st.integers(9997, 10002), st.integers(1, 10040)), st.integers(0, 2),
+       st.integers(0, 2 ** 16), st.booleans(),
+       st.one_of(st.integers(9998, 10001), st.integers(1, 10040)),
+       st.sampled_from([97, profiles._READ_CHUNK_BYTES, "seam"]))
+def test_query_of_one_row_past_four_digits_answers_as_the_whole_read(
+        n, seed, fault, r, field, cut, padded, inner, chunk):
+    _one_row_as_the_whole_read(n, seed, fault, r, field, cut, padded, chunk,
+                               (min(inner, n), n + 1))
 
 
 def _written(write, value):

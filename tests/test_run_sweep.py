@@ -11,7 +11,6 @@ on short inputs.
 import itertools
 import random
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from jumbled.minplus import MAX, MIN
 from jumbled.strings import (
     BinaryString, naive_profile, naive_weighted_max_sums, rle_profile, rle_weighted_max_sums,
 )
-from _support import NO_PAIR_SWEEP, window_max_sums, window_profile
+from _support import window_max_sums, window_profile
 
 
 def _candidates(labels, rings, two_valued=None):
@@ -178,20 +177,21 @@ def sweeps(monkeypatch):
     return called
 
 
-def _chosen(labels, rings, pairs=True):
+def _chosen(labels, rings):
     # per ring, for two-valued labels with at least 64 runs of the ring's
-    # value (the starts of their rule) and at most 40 n pairs of them, the
-    # pair sweep, unless ``pairs`` is False; else the run sweep while its
-    # candidates, starts plus ends, number at most n / 12 + 128; else the
-    # gap sweep for two-valued labels, the bound sweep for others
+    # value (the starts of their rule), the pair sweep while they make at
+    # most 40 n pairs and the gap sweep past that, and the run sweep on
+    # fewer runs; for labels of more values, the run sweep while its
+    # candidates, starts plus ends, number at most n / 12 + 128, else the
+    # bound sweep
     n, two_valued = len(labels), strings._two_valued(labels)
 
     def pick(starts, ends):
-        if pairs and two_valued and 64 <= starts.size and starts.size * (starts.size + 1) <= 80 * n:
-            return "_pair_sweep"
-        if 12 * (starts.size + ends.size) <= n + 1536:
-            return "_run_sweep"
-        return "_gap_sweep" if two_valued else "_bound_sweep"
+        if two_valued:
+            if starts.size < 64:
+                return "_run_sweep"
+            return "_pair_sweep" if starts.size * (starts.size + 1) <= 80 * n else "_gap_sweep"
+        return "_run_sweep" if 12 * (starts.size + ends.size) <= n + 1536 else "_bound_sweep"
     return [pick(*candidates) for candidates in _candidates(labels, rings)]
 
 
@@ -221,11 +221,11 @@ def test_rle_picks_its_sweep_by_cell_count(sweeps, family):
             return rle_profile(labels), (MIN, MAX)
         return rle_weighted_max_sums(labels).tolist(), (MAX,)
 
-    def check(labels, what, pairs=True):
+    def check(labels, what):
         sweeps.clear()
         got, rings = build(labels)
         picked = list(sweeps)
-        assert picked == _chosen(np.array(labels), rings, pairs), what
+        assert picked == _chosen(np.array(labels), rings), what
         if family == "0/1":
             assert got == naive_profile(labels), what
         else:
@@ -240,24 +240,28 @@ def test_rle_picks_its_sweep_by_cell_count(sweeps, family):
             chosen.add(check(_with_runs(n, runs, values), (n, runs))[0])
     other = "_bound_sweep" if family == "weights" else "_gap_sweep"
     assert chosen == {"_run_sweep", other} | ({"_pair_sweep"} if family != "weights" else set())
-    # the threshold n / 12 + 128, and one candidate past it, at sizes below
-    # the floor from which the bound sweep may give up to the run sweep; two
-    # values with the pair sweep turned off, which would take these rows
-    for n in (1000, 2500, 4500):
-        top = (n + 1536) // 12
-        for candidates, want in ((top, "_run_sweep"), (top + 1, other)):
-            labels = _at_threshold(n, candidates, family)
-            got = [ends.size + starts.size for starts, ends in _candidates(labels, (MIN, MAX))]
-            assert got == [candidates] * 2, (n, got)
-            with mock.patch.multiple(strings, **NO_PAIR_SWEEP):
-                assert set(check(labels, (n, candidates), pairs=False)) == {want}, (n, candidates)
     if family == "weights":
+        # the threshold n / 12 + 128, and one candidate past it, at sizes
+        # below the floor from which the bound sweep may give up to the run
+        # sweep
+        for n in (1000, 2500, 4500):
+            top = (n + 1536) // 12
+            for candidates, want in ((top, "_run_sweep"), (top + 1, other)):
+                labels = _at_threshold(n, candidates, family)
+                got = [ends.size + starts.size for starts, ends in _candidates(labels, (MIN, MAX))]
+                assert got == [candidates] * 2, (n, got)
+                assert set(check(labels, (n, candidates))) == {want}, (n, candidates)
         return
     # the pair sweep's floor of 64 runs of the ring's value, and one run
-    # short of it; its share of 40 n pairs, met exactly and one pair past
+    # short of it; its share of 40 n pairs, met exactly and one pair past,
+    # with more runs than n / 12 + 128 (n = 326, 729) and with fewer (n =
+    # 10000, up to 961 runs): that count decides for labels of more values
+    # only
     for n, runs, want in ((1000, 64, "_pair_sweep"), (1000, 63, "_run_sweep"),
                           (322, 160, "_pair_sweep"), (326, 161, "_gap_sweep"),
-                          (723, 240, "_pair_sweep"), (729, 241, "_gap_sweep")):
+                          (723, 240, "_pair_sweep"), (729, 241, "_gap_sweep"),
+                          (10000, 893, "_pair_sweep"), (10000, 894, "_gap_sweep"),
+                          (10000, 961, "_gap_sweep")):
         labels = _at_threshold(n, runs, family)
         assert [starts.size for starts, _ in _candidates(labels, (MIN, MAX))] == [runs] * 2
         assert set(check(labels, (n, runs))) == {want}, (n, runs)
