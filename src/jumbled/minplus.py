@@ -8,12 +8,13 @@ imported when one of them is first read from here (lazy_names).
 
 Cost model
 ----------
-The public kernels and the blocked reduction run on int64: finite costs
-satisfy |x| <= FINITE_BOUND, and the sentinels INF (min side) and NEG_INF
-(max side) mark infeasible cells. Additions never overflow (2 * INF = 2^61 <
-2^63) and are re-saturated after every kernel: a sum lands beyond the snap
-threshold iff one of its operands was a sentinel, because finite + finite
-<= 2^53 < INF - FINITE_BOUND. The sweeps never snap: see Ring.sentinel_in."""
+The public kernels run on int64: finite costs satisfy |x| <= FINITE_BOUND,
+and the sentinels INF (min side) and NEG_INF (max side) mark infeasible
+cells. Additions never overflow (2 * INF = 2^61 < 2^63) and are re-saturated
+where a public kernel returns: a sum lands beyond the snap threshold iff one
+of its operands was a sentinel, because finite + finite <= 2^53 < INF -
+FINITE_BOUND. The sweeps, the blocked reduction included, run in a narrow
+dtype and never snap: see Ring.sentinel_in."""
 
 from __future__ import annotations
 
@@ -177,9 +178,8 @@ def lazy_names(module: str, homes: dict):
 
 
 __getattr__ = lazy_names(__name__, {".reference": (
-    "_CHUNK_ELEMS _as_operand _as_matrices _product min_plus_product max_plus_product "
-    "min_plus_product_tiled _as_vectors _conv_direct min_plus_convolution max_plus_convolution "
-    "_conv_blocked min_plus_convolution_blocked max_plus_convolution_blocked")})
+    "_CHUNK_ELEMS _as_operand _as_matrices _product min_plus_product min_plus_product_tiled "
+    "_as_vectors _conv_direct min_plus_convolution _conv_blocked min_plus_convolution_blocked")})
 
 
 def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, out: np.ndarray) -> None:

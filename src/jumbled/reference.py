@@ -1,10 +1,12 @@
 """The reference backends, which no default build or query runs: the
-paper's reductions (blocked_profile, a string by (min,+) and (max,+)
-products; recursive_profile and weighted_max_sums, by midpoint halving;
-tree_profile, a tree by micro-macro decomposition), the enumeration
-oracles, and minplus's validated products and convolutions. The package,
-strings, trees, minplus and cli read each of these names from here when it
-is first asked for (minplus.lazy_names), so every old import path works."""
+paper's reductions (blocked_profile, a string by ring products in the
+sweeps' number model, minplus.Ring.sentinel_in with no snap;
+recursive_profile and weighted_max_sums, by midpoint halving; tree_profile,
+a tree by micro-macro decomposition), the enumeration oracles, and
+minplus's validated int64 products and convolutions, which snap to INF /
+NEG_INF where they return. The package, strings, trees, minplus and cli
+read each of these names from here when it is first asked for
+(minplus.lazy_names), so every old import path works."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .minplus import (FINITE_BOUND, INF, MAX, MIN, NEG_INF, Ring, _conv_tiled, as_bits,
-                      as_int64, positive_int, snap_min, sqrt_ceil, sum_dtype)
+                      as_int64, narrow_dtype, positive_int, snap_min, sqrt_ceil, sum_dtype)
 from .profiles import Profile
 from .strings import (BinaryString, _as_string, _fold_into, _weight_prefix, _window_extremes,
                       naive_profile)
@@ -21,7 +23,7 @@ from .trees import (BinarizedTree, LabeledTree, _binary_profile, _check_binary_l
                     _machine_ints, binarize)
 
 
-# element budget for broadcast temporaries (~32 MiB of int64)
+# element budget for broadcast temporaries (32 MiB at int64)
 _CHUNK_ELEMS = 1 << 22
 
 
@@ -42,9 +44,11 @@ def _as_matrices(a, b):
 
 
 def _product(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
+    """The ring product of a and b in a's dtype, unsnapped: as in the sweeps,
+    a cell with no finite split lies beyond every finite sum."""
     p, q = a.shape
     r = b.shape[1]
-    out = np.full((p, r), ring.sentinel, dtype=np.int64)
+    out = np.full((p, r), ring.sentinel_in(a.dtype), dtype=a.dtype)
     if q == 0 or p == 0 or r == 0:
         return out
     step = max(1, _CHUNK_ELEMS // max(1, q * r))
@@ -52,16 +56,12 @@ def _product(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
         hi = min(p, lo + step)
         sums = a[lo:hi, :, None] + b[None, :, :]
         out[lo:hi] = ring.reduce(sums, axis=1)
-    return ring.snap(out)
+    return out
 
 
 def min_plus_product(a, b) -> np.ndarray:
     """C[i,j] = min_k A[i,k] + B[k,j], saturating at INF."""
-    return _product(*_as_matrices(a, b), MIN)
-
-
-def max_plus_product(a, b) -> np.ndarray:
-    return _product(*_as_matrices(a, b), MAX)
+    return snap_min(_product(*_as_matrices(a, b), MIN))
 
 
 def min_plus_product_tiled(a, b, tile: int = 64) -> np.ndarray:
@@ -106,14 +106,10 @@ def min_plus_convolution(u, v) -> np.ndarray:
     return _conv_direct(*_as_vectors(u, v), MIN)
 
 
-def max_plus_convolution(u, v) -> np.ndarray:
-    return _conv_direct(*_as_vectors(u, v), MAX)
-
-
 def _conv_blocked(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
     # Segment both vectors into t = ceil(sqrt(|v|)) pieces; each residue class
     # q of the output is one (P x t) by (t x C) product, whose anti-diagonals
-    # are the output cells i = (p + c) * t + q.
+    # are the output cells i = (p + c) * t + q. Unsnapped, as _product is.
     if u.size > v.size:
         u, v = v, u
     lu, lv = u.size, v.size
@@ -146,12 +142,8 @@ def _conv_blocked(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
 
 
 def min_plus_convolution_blocked(u, v) -> np.ndarray:
-    """Same output as min_plus_convolution, evaluated through min_plus_product."""
-    return _conv_blocked(*_as_vectors(u, v), MIN)
-
-
-def max_plus_convolution_blocked(u, v) -> np.ndarray:
-    return _conv_blocked(*_as_vectors(u, v), MAX)
+    """Same output as min_plus_convolution, evaluated through min-plus products."""
+    return snap_min(_conv_blocked(*_as_vectors(u, v), MIN))
 
 
 RECURSION_CUTOFF = 64
@@ -179,18 +171,18 @@ def make_block_partition(s, b: int) -> BlockPartition:
     return BlockPartition(_as_string(s), b)
 
 
-def _edge_tables(p: BlockPartition, ring: Ring):
+def _edge_tables(p: BlockPartition, ring: Ring, dtype):
     """The edge tables of one ring over the prefix 1-counts P, for the
     blocks [s_i, e_i): left[i, k] = -P[e_i - (b - k)] (a suffix of b - k)
-    and right[t, j] = P[s_j + t] (a prefix of t), in int64. A prefix longer
-    than its block is the int64 sentinel. A suffix of the short last block
-    may reach into the block before, which only adds real windows of the
-    same sizes."""
-    pref, n = p.string.prefix_ones.astype(np.int64), len(p.string)
+    and right[t, j] = P[s_j + t] (a prefix of t), in ``dtype``. A prefix
+    longer than its block is ring.sentinel_in(dtype). A suffix of the short
+    last block may reach into the block before, which only adds real
+    windows of the same sizes."""
+    pref, n = p.string.prefix_ones.astype(dtype, copy=False), len(p.string)
     steps = np.arange(p.b + 1)
     left = -pref[np.clip(p.bounds[1:, None] - p.b + steps, 0, n)]
     right = pref[np.clip(p.bounds[:-1] + steps[:, None], 0, n)]
-    right[steps[:, None] > p.bounds[1:] - p.bounds[:-1]] = ring.sentinel
+    right[steps[:, None] > p.bounds[1:] - p.bounds[:-1]] = ring.sentinel_in(dtype)
     return left, right
 
 
@@ -227,10 +219,10 @@ def build_cross_tables(p: BlockPartition) -> CrossBlockTables:
     below = np.tril_indices(p.m)
 
     def tables(ring):
-        left, right = _edge_tables(p, ring)
+        left, right = _edge_tables(p, ring, np.int64)
         out = {}
         for length in range(1, 2 * p.b + 1):
-            out[length] = table = _cross_table(left, right, length, ring)
+            out[length] = table = ring.snap(_cross_table(left, right, length, ring))
             table[below] = ring.sentinel   # windows inside a block, or none
         return out
 
@@ -241,10 +233,14 @@ def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
     """Every window's extreme from the upper triangles of C_1..C_2b: a window
     whose first and last characters lie in blocks i <= j is a split of a
     suffix of block i and a prefix of block j, so cell [i, j] of C_l holds it
-    at size l + s_j - e_i. Cells of one offset s_j - e_i fold together."""
+    at size l + s_j - e_i. Cells of one offset s_j - e_i fold together.
+
+    Runs in the sweeps' number model: cells span [-n, n], and a sentinel
+    plus a left entry must stay beyond n, so the dtype holds +-2 (2n + 2)."""
     n, b, m = len(p.string), p.b, p.m
-    out = np.full(n, ring.sentinel, dtype=np.int64)
-    left, right = _edge_tables(p, ring)
+    dtype = narrow_dtype(-2 * n - 2, 2 * n + 2)
+    out = np.full(n, ring.sentinel_in(dtype), dtype=dtype)
+    left, right = _edge_tables(p, ring, dtype)
     i, j = np.triu_indices(m)
     offsets = p.bounds[j] - p.bounds[i + 1]
     order = np.argsort(offsets, kind="stable")

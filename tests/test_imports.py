@@ -24,10 +24,9 @@ MOVED = {
         "MicroMacroDecomposition _Comp micro_macro _macro_sweep tree_profile feasible_size_sets "
         "enumerate_connected_oracle enumerate_max_sums")},
     "jumbled.minplus": {"jumbled.reference": (
-        "_CHUNK_ELEMS _as_operand _as_matrices _product min_plus_product max_plus_product "
-        "min_plus_product_tiled _as_vectors _conv_direct min_plus_convolution "
-        "max_plus_convolution _conv_blocked min_plus_convolution_blocked "
-        "max_plus_convolution_blocked")},
+        "_CHUNK_ELEMS _as_operand _as_matrices _product min_plus_product min_plus_product_tiled "
+        "_as_vectors _conv_direct min_plus_convolution _conv_blocked "
+        "min_plus_convolution_blocked")},
     "jumbled.cli": {
         "jumbled.reference": ("blocked_profile recursive_profile weighted_max_sums tree_profile "
                               "enumerate_connected_oracle enumerate_max_sums"),

@@ -9,11 +9,9 @@ import pytest
 from jumbled import trees
 from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.minplus import (
-    _CONV_BUFSIZE, _CONV_CELLS, _CONV_SHIFTS, FINITE_BOUND, INF, MAX, MIN, NEG_INF, _conv_tiled,
-    max_plus_convolution, max_plus_convolution_blocked, max_plus_product,
-    min_plus_convolution, min_plus_convolution_blocked,
-    min_plus_product, min_plus_product_tiled,
-    snap_max, snap_min,
+    _CONV_BUFSIZE, _CONV_CELLS, _CONV_SHIFTS, FINITE_BOUND, INF, MAX, MIN, NEG_INF, _conv_blocked,
+    _conv_direct, _conv_tiled, _product, min_plus_convolution, min_plus_convolution_blocked,
+    min_plus_product, min_plus_product_tiled, snap_max, snap_min,
 )
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile, weighted_tree_max_sums
 from _support import conv_oracle, product_oracle
@@ -60,7 +58,7 @@ def test_min_product_scalar():
 def test_max_product_hand_example():
     a = _max_matrix([[0, 1], [2, 3]])
     b = _max_matrix([[0, 1], [1, 0]])
-    assert max_plus_product(a, b).tolist() == [[2, 1], [4, 3]]
+    assert _product(a, b, MAX).tolist() == [[2, 1], [4, 3]]
 
 
 def test_max_product_identity():
@@ -69,11 +67,11 @@ def test_max_product_identity():
                  dtype=np.int64)
     ident = np.full((4, 4), NEG_INF, dtype=np.int64)
     np.fill_diagonal(ident, 0)
-    assert np.array_equal(max_plus_product(a, ident), a)
+    assert np.array_equal(_product(a, ident, MAX), a)
 
 
 def test_max_product_scalar():
-    assert max_plus_product(_max_matrix([[5]]), _max_matrix([[7]])).tolist() == [[12]]
+    assert _product(_max_matrix([[5]]), _max_matrix([[7]]), MAX).tolist() == [[12]]
 
 
 def test_product_matches_oracle_with_sentinels():
@@ -87,7 +85,7 @@ def test_product_matches_oracle_with_sentinels():
         got = min_plus_product(_min_matrix(a), _min_matrix(b))
         want = product_oracle(a, b)
         assert got.tolist() == [[_to_sentinel(x) for x in row] for row in want]
-        got = max_plus_product(_max_matrix(a), _max_matrix(b))
+        got = snap_max(_product(_max_matrix(a), _max_matrix(b), MAX))
         want = product_oracle(a, b, maximize=True)
         assert got.tolist() == [[_to_sentinel(x, neg=True) for x in row]
                                 for row in want]
@@ -171,14 +169,14 @@ def test_min_convolution_neutral_left():
 
 
 def test_max_convolution_hand_examples():
-    assert max_plus_convolution(_max_vec([0, 2]), _max_vec([0, 1])).tolist() == [0, 2, 3]
-    assert max_plus_convolution(
-        _max_vec([1, 0, 2]), _max_vec([0, 3, 1])).tolist() == [1, 4, 3, 5, 3]
+    assert _conv_direct(_max_vec([0, 2]), _max_vec([0, 1]), MAX).tolist() == [0, 2, 3]
+    assert _conv_direct(
+        _max_vec([1, 0, 2]), _max_vec([0, 3, 1]), MAX).tolist() == [1, 4, 3, 5, 3]
 
 
 def test_max_convolution_neutral_left():
     v = _max_vec([4, None, 0, 7])
-    assert np.array_equal(max_plus_convolution(_max_vec([0]), v), v)
+    assert np.array_equal(_conv_direct(_max_vec([0]), v, MAX), v)
 
 
 def test_convolution_rejects_empty():
@@ -195,7 +193,7 @@ def test_convolution_matches_oracle():
              for _ in range(rng.randint(1, 12))]
         got = min_plus_convolution(_min_vec(u), _min_vec(v)).tolist()
         assert got == [_to_sentinel(x) for x in conv_oracle(u, v)]
-        got = max_plus_convolution(_max_vec(u), _max_vec(v)).tolist()
+        got = _conv_direct(_max_vec(u), _max_vec(v), MAX).tolist()
         assert got == [_to_sentinel(x, neg=True)
                        for x in conv_oracle(u, v, maximize=True)]
 
@@ -215,8 +213,7 @@ def test_blocked_convolution_long_random():
     v = rng.integers(0, 1001, size=1000).astype(np.int64)
     assert np.array_equal(min_plus_convolution_blocked(u, v),
                           min_plus_convolution(u, v))
-    assert np.array_equal(max_plus_convolution_blocked(u, v),
-                          max_plus_convolution(u, v))
+    assert np.array_equal(_conv_blocked(u, v, MAX), _conv_direct(u, v, MAX))
 
 
 def test_blocked_convolution_skips_infinities():
@@ -237,8 +234,8 @@ def test_blocked_convolution_fuzz():
              for _ in range(nv)]
         assert np.array_equal(min_plus_convolution_blocked(_min_vec(u), _min_vec(v)),
                               min_plus_convolution(_min_vec(u), _min_vec(v)))
-        assert np.array_equal(max_plus_convolution_blocked(_max_vec(u), _max_vec(v)),
-                              max_plus_convolution(_max_vec(u), _max_vec(v)))
+        assert np.array_equal(snap_max(_conv_blocked(_max_vec(u), _max_vec(v), MAX)),
+                              _conv_direct(_max_vec(u), _max_vec(v), MAX))
 
 
 def _sentinel_vector(rng, size, sentinel, lo=-FINITE_BOUND, hi=FINITE_BOUND):
@@ -267,7 +264,7 @@ def _assert_tiled_matches_direct(rng, short, size, dtypes=(np.int64, np.int16, n
     finite sum, and it is read as the sentinel. Operands of ``short`` and
     ``size`` entries are convolved as 1-d rows, then as ``rows`` stacked
     rows, each with the same row of the other, in both orders."""
-    for ring, reference in ((MIN, min_plus_convolution), (MAX, max_plus_convolution)):
+    for ring in (MIN, MAX):
         for dtype in dtypes:
             sentinel = ring.sentinel_in(dtype)
             if dtype is np.int64:
@@ -290,7 +287,7 @@ def _assert_tiled_matches_direct(rng, short, size, dtypes=(np.int64, np.int16, n
                 return np.where(beyond, ring.sentinel, got.astype(np.int64))
 
             u, v = vector(short), vector(size)
-            want = reference(u, v)
+            want = _conv_direct(u, v, ring)
             assert want[0] == ring.sentinel
             u, v = narrow(u), narrow(v)
             for a, b in ((u, v), (v, u)):
@@ -299,7 +296,7 @@ def _assert_tiled_matches_direct(rng, short, size, dtypes=(np.int64, np.int16, n
                 assert np.array_equal(settled(got), want)
             us = np.stack([vector(short) for _ in range(rows)])
             vs = np.stack([vector(size) for _ in range(rows)])
-            wants = [reference(us[k], vs[k]) for k in range(rows)]
+            wants = [_conv_direct(us[k], vs[k], ring) for k in range(rows)]
             us, vs = narrow(us), narrow(vs)
             for a, b in ((us, vs), (vs, us)):
                 got = _tiled(a, b, ring)
@@ -441,10 +438,9 @@ def _assert_rows_match_direct(rng, ring, dtype, lead, q, size, width):
     n_rows = int(np.prod(lead, dtype=np.int64))
     us = [_sentinel_vector(rng, q, ring.sentinel, lo, hi) for _ in range(n_rows)]
     vs = [_sentinel_vector(rng, size, ring.sentinel, lo, hi) for _ in range(n_rows)]
-    reference = min_plus_convolution if ring is MIN else max_plus_convolution
     want = np.full((n_rows, max(width, q + size - 1)), ring.sentinel, dtype=np.int64)
     for k in range(n_rows):
-        want[k, :q + size - 1] = reference(us[k], vs[k])
+        want[k, :q + size - 1] = _conv_direct(us[k], vs[k], ring)
     want = want[:, :width].reshape(lead + (width,))
 
     def narrow(rows, length):
@@ -579,7 +575,7 @@ def test_outputs_stay_in_domain():
         out = min_plus_convolution(_min_vec(u), _min_vec(v))
         ok = (out == INF) | (np.abs(out) <= FINITE_BOUND)
         assert ok.all()
-        out = max_plus_convolution(_max_vec(u), _max_vec(v))
+        out = _conv_direct(_max_vec(u), _max_vec(v), MAX)
         ok = (out == NEG_INF) | (np.abs(out) <= FINITE_BOUND)
         assert ok.all()
 
@@ -610,7 +606,7 @@ def test_conv_tiled_fills_past_the_span_with_the_sentinel(lead, q, ring, dtype):
     span = q + 70 - 1
     out = np.zeros(lead + (span + 9,), dtype=dtype)
     _conv_tiled(x, y, ring, out)
-    reference = min_plus_convolution if ring is MIN else max_plus_convolution
     for k in np.ndindex(lead):
-        assert out[k][:span].tolist() == reference(x[k], y[k]).tolist()
+        want = _conv_direct(x[k].astype(np.int64), y[k].astype(np.int64), ring)
+        assert out[k][:span].tolist() == want.tolist()
     assert (out[..., span:] == ring.sentinel_in(out.dtype)).all()

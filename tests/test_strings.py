@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from jumbled import reference
 from jumbled.minplus import INF, MAX, MIN, NEG_INF
 from jumbled.strings import (
     BinaryString, _edge_tables, blocked_profile, build_cross_tables, make_block_partition,
@@ -74,18 +75,38 @@ def test_backends_equal_naive_at_the_int16_switch(switch_case, backend):
     assert backend(s) == want
 
 
+# The blocked sweep runs in int16 up to n = 8190 and int32 from 8191. Its
+# cells span [-n, n], and a sentinel plus a left entry must stay beyond n,
+# so its dtype holds +-2 (2n + 2); with half that bound, all 1s at
+# n = 16382 gave a wrong profile
+@pytest.mark.parametrize("n, fill", [(n, fill) for n in (8190, 8191) for fill in _SWITCH_FILLS]
+                         + [(16382, "ones")], ids=str)
+def test_blocked_equals_naive_at_its_int16_switch(n, fill):
+    s = BinaryString(_SWITCH_FILLS[fill](n))
+    assert blocked_profile(s) == naive_profile(s)
+
+
 @pytest.mark.parametrize("ring", [MIN, MAX], ids=["min", "max"])
-def test_edge_tables_take_an_int64_copy_of_a_narrow_prefix(ring):
-    # the tables hold the int64 sentinel, which no narrow dtype holds
-    s = BinaryString(_SWITCH_FILLS["iid"](32767))
-    wide = BinaryString(s.bits)
-    wide.prefix_ones = s.prefix_ones.astype(np.int64)
-    assert s.prefix_ones.dtype == np.int16
-    got = _edge_tables(make_block_partition(s, 182), ring)
-    want = _edge_tables(make_block_partition(wide, 182), ring)
-    for table, expected in zip(got, want):
-        assert table.dtype == np.int64 and np.array_equal(table, expected)
-    assert (got[1] == ring.sentinel).any()
+def test_edge_tables_take_the_sweep_dtype(ring, monkeypatch):
+    # the sweep's tables are the int64 tables in its dtype, but for the cells
+    # of a prefix longer than its block, which hold that dtype's sentinel;
+    # b = 91 leaves a last block of 90 (n = 8189) and of 1 (n = 8191)
+    seen = []
+
+    def recording(p, side, dtype):
+        seen.append((p, _edge_tables(p, side, dtype)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(reference, "_edge_tables", recording)
+    for n, dtype in ((8189, np.int16), (8191, np.int32)):
+        reference._blocked_sweep(make_block_partition(_SWITCH_FILLS["iid"](n), 91), ring)
+        p, (left, right) = seen.pop()
+        want_left, want_right = _edge_tables(p, ring, np.int64)
+        no_prefix = want_right == ring.sentinel
+        assert left.dtype == right.dtype == dtype and no_prefix.any()
+        assert np.array_equal(left, want_left)
+        assert (right[no_prefix] == ring.sentinel_in(dtype)).all()
+        assert np.array_equal(right[~no_prefix], want_right[~no_prefix])
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +272,8 @@ def test_cross_tables_edge_shapes(n, b, fill):
 
 def test_blocked_profile_memory_peak():
     # the edge tables and one length's product at a time: at the default
-    # b = 64, m = 64 blocks, one (m, b + 1, m) int64 sum is 2 MiB
+    # b = 64, m = 64 blocks, one (m, b + 1, m) sum in the sweep's int16 is
+    # 0.5 MiB, and the peak 0.59 MiB
     s = BinaryString(np.random.default_rng(4096).integers(0, 2, 4096, dtype=np.uint8))
     blocked_profile(s)   # first call: numpy's own lazy allocations
     tracemalloc.start()
@@ -260,7 +282,7 @@ def test_blocked_profile_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 2 ** 20 <= 2.75
+    assert peak / 2 ** 20 <= 1.0
 
 
 # ---------------------------------------------------------------------------
