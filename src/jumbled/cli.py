@@ -114,6 +114,8 @@ def cmd_build(args) -> int:
             write_sums_csv(result, args.out)
     except (ParseError, ValueError, OSError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:
+        return _fail(f"backend {algo!r} ran out of memory" + (f": {exc}" if str(exc) else ""))
     return 0
 
 

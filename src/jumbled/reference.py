@@ -23,8 +23,9 @@ from .trees import (BinarizedTree, LabeledTree, _binary_profile, _check_binary_l
                     _machine_ints, binarize)
 
 
-# element budget for broadcast temporaries (32 MiB at int64)
-_CHUNK_ELEMS = 1 << 22
+# element budget for broadcast temporaries (512 KiB at int64), in cache: 2^22
+# took blocked_profile 1.1-1.2x as long at n = 16384-32768 (2-core x86 VM)
+_CHUNK_ELEMS = 1 << 16
 
 
 def _as_operand(x, ndim: int, what: str) -> np.ndarray:
@@ -68,18 +69,14 @@ def min_plus_product_tiled(a, b, tile: int = 64) -> np.ndarray:
     """Cache-tiled variant; bitwise identical to min_plus_product."""
     a, b = _as_matrices(a, b)
     tile = positive_int(tile, "tile")
-    p, q = a.shape
-    r = b.shape[1]
+    (p, q), r = a.shape, b.shape[1]
     out = np.full((p, r), INF, dtype=np.int64)
     for k0 in range(0, q, tile):
-        k1 = min(q, k0 + tile)
         for i0 in range(0, p, tile):
-            i1 = min(p, i0 + tile)
-            ablk = a[i0:i1, k0:k1]
             for j0 in range(0, r, tile):
-                j1 = min(r, j0 + tile)
-                sums = ablk[:, :, None] + b[None, k0:k1, j0:j1]
-                np.minimum(out[i0:i1, j0:j1], sums.min(axis=1), out=out[i0:i1, j0:j1])
+                dst = out[i0:i0 + tile, j0:j0 + tile]
+                sums = a[i0:i0 + tile, k0:k0 + tile, None] + b[None, k0:k0 + tile, j0:j0 + tile]
+                np.minimum(dst, sums.min(axis=1), out=dst)
     return snap_min(out)
 
 
@@ -92,8 +89,7 @@ def _as_vectors(u, v):
 
 
 def _conv_direct(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
-    if u.size > v.size:
-        u, v = v, u
+    u, v = sorted((u, v), key=np.size)
     out = np.full(u.size + v.size - 1, ring.sentinel, dtype=np.int64)
     for k in range(u.size):
         dst = out[k:k + v.size]
@@ -106,38 +102,32 @@ def min_plus_convolution(u, v) -> np.ndarray:
     return _conv_direct(*_as_vectors(u, v), MIN)
 
 
+def _diagonals(a: np.ndarray) -> np.ndarray:
+    """The view [i, d] = a[i, i + d] of a C-contiguous (h, w) array, d <= w - h,
+    so column d is diagonal d as far as the last row reaches; it writes through."""
+    h, w = a.shape
+    return np.ndarray((h, w - h + 1), a.dtype, a.data, 0, (a.strides[0] + a.itemsize, a.itemsize))
+
+
 def _conv_blocked(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
-    # Segment both vectors into t = ceil(sqrt(|v|)) pieces; each residue class
-    # q of the output is one (P x t) by (t x C) product, whose anti-diagonals
-    # are the output cells i = (p + c) * t + q. Unsnapped, as _product is.
-    if u.size > v.size:
-        u, v = v, u
-    lu, lv = u.size, v.size
-    t = sqrt_ceil(lv)
-
-    num_p = -(-lu // t)
-    num_c = -(-lv // t) + 1
-    x = np.full(num_p * t, ring.sentinel, dtype=np.int64)
-    x[:lu] = u
-    x = x.reshape(num_p, t)
-
-    out = np.full(lu + lv - 1, ring.sentinel, dtype=np.int64)
-    base_j = np.arange(num_c)[None, :] * t - np.arange(t)[:, None]
-    width = num_p + num_c - 1
-    flat_idx = np.arange(num_p)[:, None] * (width + 1) + np.arange(num_c)[None, :]
-    positions = np.arange(width) * t
-    stage = np.empty((num_p, width), dtype=np.int64)
+    """The paper's reduction of a convolution to products, unsnapped, as
+    _product is. With t = ceil(sqrt(|v|)) and x[p, r] = u[p t + r], residue
+    q < t is the product of x and z[r, c] = v[c t - r + q], a copy of a
+    Toeplitz view of the padded v. Its cell [p, c] is a split of output cell
+    (p + c) t + q, so down the stage's columns its diagonals reduce to out[q::t]."""
+    u, v = sorted((u, v), key=np.size)
+    t = sqrt_ceil(v.size)
+    num_p, num_c = -(-u.size // t), -(-v.size // t) + 1
+    x = np.pad(u, (0, num_p * t - u.size), constant_values=ring.sentinel).reshape(num_p, t)
+    padded = np.pad(v, (t - 1, num_c * t - v.size), constant_values=ring.sentinel)
+    out = np.empty(u.size + v.size - 1, dtype=np.int64)
+    stage = np.full((num_p, num_p + num_c - 1), ring.sentinel, dtype=np.int64)
     for q in range(t):
-        j = base_j + q
-        valid = (j >= 0) & (j < lv)
-        z = np.where(valid, v[np.clip(j, 0, lv - 1)], ring.sentinel)
-        m = _product(x, z, ring)
-        stage.fill(ring.sentinel)
-        stage.flat[flat_idx] = m
-        diag = ring.reduce(stage, axis=0)
-        pos = positions + q
-        keep = pos < out.size
-        out[pos[keep]] = diag[keep]
+        # z[r, c] = padded[q + c t + t - 1 - r]
+        z = np.ascontiguousarray(padded[q:q + num_c * t].reshape(num_c, t).T[::-1])
+        _diagonals(stage)[...] = _product(x, z, ring)
+        dst = out[q::t]
+        ring.fold.reduce(stage[:, :dst.size], axis=0, out=dst)
     return out
 
 
@@ -233,7 +223,10 @@ def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
     """Every window's extreme from the upper triangles of C_1..C_2b: a window
     whose first and last characters lie in blocks i <= j is a split of a
     suffix of block i and a prefix of block j, so cell [i, j] of C_l holds it
-    at size l + s_j - e_i. Cells of one offset s_j - e_i fold together.
+    at size l + s_j - e_i. Above the last row that is l + (d - 1) b on
+    diagonal d = j - i, so C_l, copied into a buffer that pads its rows with
+    sentinels, folds through _diagonals into every b-th size; the last
+    block's own cell (size l + s_{m-1} - n) folds alone.
 
     Runs in the sweeps' number model: cells span [-n, n], and a sentinel
     plus a left entry must stay beyond n, so the dtype holds +-2 (2n + 2)."""
@@ -241,19 +234,16 @@ def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
     dtype = narrow_dtype(-2 * n - 2, 2 * n + 2)
     out = np.full(n, ring.sentinel_in(dtype), dtype=dtype)
     left, right = _edge_tables(p, ring, dtype)
-    i, j = np.triu_indices(m)
-    offsets = p.bounds[j] - p.bounds[i + 1]
-    order = np.argsort(offsets, kind="stable")
-    gaps, starts = np.unique(offsets[order], return_index=True)
-    cells = (i * m + j)[order]
-    del i, j, offsets, order   # m^2 / 2 entries each, freed before the products
+    table = np.full((m, 2 * m - 1), ring.sentinel_in(dtype), dtype=dtype)
+    tail = int(p.bounds[-2]) - n   # s_{m-1} - n
     # block 0's own windows take lengths up to 2b, even when n < 2b
     for length in range(1, 2 * b + 1):
-        best = ring.fold.reduceat(_cross_table(left, right, length, ring).ravel()[cells], starts)
-        sizes = length + gaps
-        keep = (sizes >= 1) & (sizes <= n)
-        idx = sizes[keep] - 1
-        out[idx] = ring.fold(out[idx], best[keep])
+        table[:, :m] = _cross_table(left, right, length, ring)
+        d0 = 1 - (length - 1) // b   # diagonal 0 holds size length - b: none if length <= b
+        dst = out[(length - 1) % b::b][:m - d0]
+        ring.fold(dst, ring.reduce(_diagonals(table)[:-1, d0:d0 + dst.size], axis=0), out=dst)
+        if 1 <= length + tail <= n:
+            out[length + tail - 1] = ring.fold(out[length + tail - 1], table[-1, m - 1])
     return out
 
 

@@ -51,8 +51,15 @@ def _verify_case(kind: str, case: int, max_n: int):
     if kind == "string":
         def draw():
             return 1 if rng.random() < density else 0
-        bits = np.array(_in_runs(n, rng, draw) if in_runs else [draw() for _ in range(n)],
-                        dtype=np.uint8)
+        # every seventh case repeats a short drawn period, so its rows are
+        # balanced, and every other one of those has one bit flipped
+        if case % 7 == 6:
+            bits = np.resize([draw() for _ in range(rng.randint(2, 8))], n).astype(np.uint8)
+            if case % 14 == 13:
+                bits[rng.randrange(n)] ^= 1
+        else:
+            bits = np.array(_in_runs(n, rng, draw) if in_runs else [draw() for _ in range(n)],
+                            dtype=np.uint8)
         return BinaryString(bits), "".join(map(str, bits)), n, rng
     if kind == "weighted-string":
         # every other case draws from two values, where rle takes the pair,

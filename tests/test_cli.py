@@ -453,6 +453,23 @@ def test_query_missing_profile(tmp_path):
                "-i", "1", "-j", "0") == 2
 
 
+@pytest.mark.parametrize("detail", ["Unable to allocate 8.00 GiB", ""], ids=["numpy", "bare"])
+def test_build_out_of_memory_fails_cleanly(tmp_path, monkeypatch, capsys, detail):
+    def exhausted(s, param=None):
+        raise MemoryError(detail)
+
+    monkeypatch.setitem(cli.STRING_BACKENDS, "blocked", exhausted)
+    src, out = tmp_path / "s.txt", tmp_path / "p.csv"
+    src.write_text("0110\n")
+    out.write_bytes(b"an index built before\n")
+    assert run("build", "--input", str(src), "--algo", "blocked", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    want = "error: backend 'blocked' ran out of memory" + (f": {detail}" if detail else "")
+    assert err.splitlines() == [want]
+    assert "Traceback" not in err
+    assert out.read_bytes() == b"an index built before\n"
+
+
 def test_build_non_utf8_input_fails(tmp_path, capsys):
     src = tmp_path / "s.txt"
     src.write_bytes(b"01\xff0\n")

@@ -249,6 +249,22 @@ def _sentinel_vector(rng, size, sentinel, lo=-FINITE_BOUND, hi=FINITE_BOUND):
     return x
 
 
+# operands of t^2 - 1, t^2 and t^2 + 1 entries: t rows of t entries, less
+# one, exactly, or one more, where the padded operand and the stage of
+# _conv_blocked reach their ends
+@pytest.mark.parametrize("t", [1, 2, 3, 64])
+def test_blocked_convolution_at_square_lengths(t):
+    rng = np.random.default_rng(t)
+    sizes = [size for size in (t * t - 1, t * t, t * t + 1) if size >= 1]
+    for ring in (MIN, MAX):
+        for lu in sizes:
+            for lv in sizes:
+                u = _sentinel_vector(rng, lu, ring.sentinel)
+                v = _sentinel_vector(rng, lv, ring.sentinel)
+                want = _conv_direct(u, v, ring)
+                assert np.array_equal(ring.snap(_conv_blocked(u, v, ring)), want)
+
+
 def _tiled(x, y, ring):
     out = np.empty(x.shape[:-1] + (x.shape[-1] + y.shape[-1] - 1,), dtype=x.dtype)
     _conv_tiled(x, y, ring, out)

@@ -248,6 +248,11 @@ def test_blocked_matches_naive():
         bits = random_bits(rng, n, rng.random())
         b = rng.randint(1, n)
         assert blocked_profile(bits, b=b) == naive_profile(bits), (bits, b)
+    # every block length: full last blocks, last blocks of 1, and m = 2
+    for n in (13, 40):
+        bits = random_bits(rng, n, rng.random())
+        for b in range(1, n + 1):
+            assert blocked_profile(bits, b=b) == naive_profile(bits), (bits, b)
 
 
 # (n, b) at the edges of the block layout: one character per block, a last
@@ -270,19 +275,28 @@ def test_cross_tables_edge_shapes(n, b, fill):
     _check_cross_tables(_EDGE_FILLS[fill](n), b)
 
 
-def test_blocked_profile_memory_peak():
-    # the edge tables and one length's product at a time: at the default
-    # b = 64, m = 64 blocks, one (m, b + 1, m) sum in the sweep's int16 is
-    # 0.5 MiB, and the peak 0.59 MiB
-    s = BinaryString(np.random.default_rng(4096).integers(0, 2, 4096, dtype=np.uint8))
-    blocked_profile(s)   # first call: numpy's own lazy allocations
+def _blocked_peak_mib(n, b=None):
+    s = BinaryString(np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8))
+    blocked_profile(s, b)   # first call: numpy's own lazy allocations
     tracemalloc.start()
     try:
-        blocked_profile(s)
-        peak = tracemalloc.get_traced_memory()[1]
+        blocked_profile(s, b)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak / 2 ** 20 <= 1.0
+
+
+def test_blocked_profile_memory_peak():
+    # the edge tables, one length's product and the padded copy it is read
+    # through: at the default b = 64, m = 64 blocks in the sweep's int16,
+    # the peak is 0.35 MiB
+    assert _blocked_peak_mib(4096) <= 1.0
+
+
+def test_blocked_profile_memory_peak_at_block_1():
+    # m = n blocks: the padded copy is m x (2m - 1) cells, and the peak three
+    # m x m int16 tables, 6.3 MiB at n = 1024 (33 MiB with an index over the cells)
+    assert _blocked_peak_mib(1024, 1) <= 16.0
 
 
 # ---------------------------------------------------------------------------
