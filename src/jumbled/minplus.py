@@ -1,10 +1,11 @@
-"""Tropical-semiring kernels: min-plus / max-plus matrix products and
-convolutions. Every sweep convolves through one kernel, _conv_tiled; the
-direct loop behind min_plus_convolution is the reference it is tested
-against, and the blocked convolution, which evaluates a convolution through
-small matrix products as the paper does, is kept as the reference reduction.
-Those two and the public products are defined in reference.py, which is
-imported when one of them is first read from here (lazy_names).
+"""Tropical-semiring kernels: the min and max rings, the sweeps' narrow
+dtypes, and the one convolution kernel every sweep runs through,
+_conv_tiled. The direct loop behind min_plus_convolution is the reference
+it is tested against, and the blocked convolution, which evaluates a
+convolution through small matrix products as the paper does, is kept as
+the reference reduction. Those two and the public (min,+) products are
+defined in reference.py, which is imported when one of them is first read
+from here (lazy_names).
 
 Cost model
 ----------

@@ -44,25 +44,22 @@ def _as_matrices(a, b):
     return a, b
 
 
-def _product(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
-    """The ring product of a and b in a's dtype, unsnapped: as in the sweeps,
-    a cell with no finite split lies beyond every finite sum."""
-    p, q = a.shape
-    r = b.shape[1]
-    out = np.full((p, r), ring.sentinel_in(a.dtype), dtype=a.dtype)
-    if q == 0 or p == 0 or r == 0:
-        return out
-    step = max(1, _CHUNK_ELEMS // max(1, q * r))
-    for lo in range(0, p, step):
-        hi = min(p, lo + step)
-        sums = a[lo:hi, :, None] + b[None, :, :]
-        out[lo:hi] = ring.reduce(sums, axis=1)
+def _product(a: np.ndarray, b: np.ndarray, ring: Ring, out: np.ndarray) -> np.ndarray:
+    """The ring product of a and b, unsnapped, reduced into ``out`` chunk by
+    chunk: as in the sweeps, a cell with no finite split lies beyond every
+    finite sum, and none beyond ring.sentinel_in(out.dtype), which every cell
+    of a product over no splits holds."""
+    step = max(1, _CHUNK_ELEMS // max(1, a.shape[1] * b.shape[1]))
+    for lo in range(0, a.shape[0], step):
+        ring.fold.reduce(a[lo:lo + step, :, None] + b, axis=1, out=out[lo:lo + step],
+                         initial=ring.sentinel_in(out.dtype))
     return out
 
 
 def min_plus_product(a, b) -> np.ndarray:
     """C[i,j] = min_k A[i,k] + B[k,j], saturating at INF."""
-    return snap_min(_product(*_as_matrices(a, b), MIN))
+    a, b = _as_matrices(a, b)
+    return snap_min(_product(a, b, MIN, np.empty((a.shape[0], b.shape[1]), dtype=np.int64)))
 
 
 def min_plus_product_tiled(a, b, tile: int = 64) -> np.ndarray:
@@ -125,7 +122,7 @@ def _conv_blocked(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:
     for q in range(t):
         # z[r, c] = padded[q + c t + t - 1 - r]
         z = np.ascontiguousarray(padded[q:q + num_c * t].reshape(num_c, t).T[::-1])
-        _diagonals(stage)[...] = _product(x, z, ring)
+        _product(x, z, ring, _diagonals(stage))
         dst = out[q::t]
         ring.fold.reduce(stage[:, :dst.size], axis=0, out=dst)
     return out
@@ -162,31 +159,29 @@ def make_block_partition(s, b: int) -> BlockPartition:
 
 
 def _edge_tables(p: BlockPartition, ring: Ring, dtype):
-    """The edge tables of one ring over the prefix 1-counts P, for the
-    blocks [s_i, e_i): left[i, k] = -P[e_i - (b - k)] (a suffix of b - k)
-    and right[t, j] = P[s_j + t] (a prefix of t), in ``dtype``. A prefix
-    longer than its block is ring.sentinel_in(dtype). A suffix of the short
-    last block may reach into the block before, which only adds real
-    windows of the same sizes."""
-    pref, n = p.string.prefix_ones.astype(dtype, copy=False), len(p.string)
-    steps = np.arange(p.b + 1)
-    left = -pref[np.clip(p.bounds[1:, None] - p.b + steps, 0, n)]
-    right = pref[np.clip(p.bounds[:-1] + steps[:, None], 0, n)]
-    right[steps[:, None] > p.bounds[1:] - p.bounds[:-1]] = ring.sentinel_in(dtype)
-    return left, right
+    """The edge tables of one ring over the prefix 1-counts P, in ``dtype``,
+    with every block b cells wide, [s_i, s_i + b): left[i, k] = -P[s_i + k]
+    (a suffix of b - k) and right[t, j] = P[s_j + t] (a prefix of t). Every
+    entry past n, in either table, is ring.sentinel_in(dtype)."""
+    pref = p.string.prefix_ones.astype(dtype, copy=False)
+    past = np.full(p.b, ring.sentinel_in(dtype), dtype=dtype)
+    at = p.bounds[:-1, None] + np.arange(p.b + 1)   # s_i + k
+    return np.append(-pref, past)[at], np.append(pref, past)[np.ascontiguousarray(at.T)]
 
 
-def _cross_table(left: np.ndarray, right: np.ndarray, length: int, ring: Ring) -> np.ndarray:
-    """C_l[i, j] = ext over s + t = l of P[s_j + t] - P[e_i - s], one ring
-    product of the edge tables' columns and rows for suffix s, prefix t.
+def _cross_table(left: np.ndarray, right: np.ndarray, length: int, ring: Ring,
+                 out: np.ndarray) -> np.ndarray:
+    """C_l[i, j] = ext over s + t = l of P[s_j + t] - P[s_i + b - s], one
+    ring product of the edge tables' columns and rows for suffix s, prefix
+    t, written into ``out``.
 
-    Cell [i, j] is the extreme over windows of length l + s_j - e_i: across
-    the blocks between when i < j, inside block i when i = j. Cells with no
-    split are sentinels; those with i > j, or i = j and l <= |block i|, hold
-    no window."""
+    Cell [i, j] is the extreme over windows of length l + (j - i - 1) b:
+    across the blocks between when i < j, inside block i when i = j. Cells
+    with no split are sentinels; those with i > j, or i = j and l <= b,
+    hold no window."""
     b = right.shape[0] - 1
     lo, hi = max(0, length - b), min(length, b) + 1
-    return _product(left[:, b - length + lo:b - length + hi], right[lo:hi], ring)
+    return _product(left[:, b - length + lo:b - length + hi], right[lo:hi], ring, out)
 
 
 @dataclass(frozen=True)
@@ -212,7 +207,8 @@ def build_cross_tables(p: BlockPartition) -> CrossBlockTables:
         left, right = _edge_tables(p, ring, np.int64)
         out = {}
         for length in range(1, 2 * p.b + 1):
-            out[length] = table = ring.snap(_cross_table(left, right, length, ring))
+            table = np.empty((p.m, p.m), dtype=np.int64)
+            out[length] = ring.snap(_cross_table(left, right, length, ring, table))
             table[below] = ring.sentinel   # windows inside a block, or none
         return out
 
@@ -223,27 +219,25 @@ def _blocked_sweep(p: BlockPartition, ring: Ring) -> np.ndarray:
     """Every window's extreme from the upper triangles of C_1..C_2b: a window
     whose first and last characters lie in blocks i <= j is a split of a
     suffix of block i and a prefix of block j, so cell [i, j] of C_l holds it
-    at size l + s_j - e_i. Above the last row that is l + (d - 1) b on
-    diagonal d = j - i, so C_l, copied into a buffer that pads its rows with
-    sentinels, folds through _diagonals into every b-th size; the last
-    block's own cell (size l + s_{m-1} - n) folds alone.
+    at size l + s_j - s_i - b = l + (d - 1) b on diagonal d = j - i, in every
+    row, the last block's included, as every block is b cells wide. So C_l,
+    written into the left m columns of a buffer that pads its rows with
+    sentinels, folds through _diagonals into every b-th size.
 
     Runs in the sweeps' number model: cells span [-n, n], and a sentinel
-    plus a left entry must stay beyond n, so the dtype holds +-2 (2n + 2)."""
+    plus an entry of the other table must stay beyond n, so the dtype holds
+    +-2 (2n + 2); two sentinels, past n in both, add without overflow."""
     n, b, m = len(p.string), p.b, p.m
     dtype = narrow_dtype(-2 * n - 2, 2 * n + 2)
     out = np.full(n, ring.sentinel_in(dtype), dtype=dtype)
     left, right = _edge_tables(p, ring, dtype)
     table = np.full((m, 2 * m - 1), ring.sentinel_in(dtype), dtype=dtype)
-    tail = int(p.bounds[-2]) - n   # s_{m-1} - n
     # block 0's own windows take lengths up to 2b, even when n < 2b
     for length in range(1, 2 * b + 1):
-        table[:, :m] = _cross_table(left, right, length, ring)
+        _cross_table(left, right, length, ring, table[:, :m])
         d0 = 1 - (length - 1) // b   # diagonal 0 holds size length - b: none if length <= b
         dst = out[(length - 1) % b::b][:m - d0]
-        ring.fold(dst, ring.reduce(_diagonals(table)[:-1, d0:d0 + dst.size], axis=0), out=dst)
-        if 1 <= length + tail <= n:
-            out[length + tail - 1] = ring.fold(out[length + tail - 1], table[-1, m - 1])
+        ring.fold(dst, ring.reduce(_diagonals(table)[:, d0:d0 + dst.size], axis=0), out=dst)
     return out
 
 

@@ -58,7 +58,7 @@ def test_min_product_scalar():
 def test_max_product_hand_example():
     a = _max_matrix([[0, 1], [2, 3]])
     b = _max_matrix([[0, 1], [1, 0]])
-    assert _product(a, b, MAX).tolist() == [[2, 1], [4, 3]]
+    assert _product(a, b, MAX, np.empty((2, 2), dtype=np.int64)).tolist() == [[2, 1], [4, 3]]
 
 
 def test_max_product_identity():
@@ -67,11 +67,12 @@ def test_max_product_identity():
                  dtype=np.int64)
     ident = np.full((4, 4), NEG_INF, dtype=np.int64)
     np.fill_diagonal(ident, 0)
-    assert np.array_equal(_product(a, ident, MAX), a)
+    assert np.array_equal(_product(a, ident, MAX, np.empty((6, 4), dtype=np.int64)), a)
 
 
 def test_max_product_scalar():
-    assert _product(_max_matrix([[5]]), _max_matrix([[7]]), MAX).tolist() == [[12]]
+    out = np.empty((1, 1), dtype=np.int64)
+    assert _product(_max_matrix([[5]]), _max_matrix([[7]]), MAX, out).tolist() == [[12]]
 
 
 def test_product_matches_oracle_with_sentinels():
@@ -85,7 +86,8 @@ def test_product_matches_oracle_with_sentinels():
         got = min_plus_product(_min_matrix(a), _min_matrix(b))
         want = product_oracle(a, b)
         assert got.tolist() == [[_to_sentinel(x) for x in row] for row in want]
-        got = snap_max(_product(_max_matrix(a), _max_matrix(b), MAX))
+        out = np.empty((n, m), dtype=np.int64)
+        got = snap_max(_product(_max_matrix(a), _max_matrix(b), MAX, out))
         want = product_oracle(a, b, maximize=True)
         assert got.tolist() == [[_to_sentinel(x, neg=True) for x in row]
                                 for row in want]
@@ -113,11 +115,16 @@ def test_tiled_equals_naive_on_hand_examples():
         ([[5]], [[7]]),
         ([[0, None], [3, 1]], [[2, 0], [None, 4]]),
     ]
-    for a, b in pairs:
-        am, bm = _min_matrix(a), _min_matrix(b)
+    # empty operands: every cell, if any, is a min over no splits
+    empty = [(np.zeros((p, q), dtype=np.int64), np.zeros((q, r), dtype=np.int64))
+             for p, q, r in ((2, 0, 3), (0, 4, 3), (2, 4, 0), (0, 0, 0))]
+    for am, bm in [(_min_matrix(a), _min_matrix(b)) for a, b in pairs] + empty:
         for tile in (1, 2, 8):
             assert np.array_equal(min_plus_product_tiled(am, bm, tile=tile),
                                   min_plus_product(am, bm))
+    for am, bm in empty:
+        got = min_plus_product(am, bm)
+        assert got.shape == (am.shape[0], bm.shape[1]) and (got == INF).all()
 
 
 def test_tiled_single_tile_degenerate():

@@ -89,8 +89,8 @@ def test_blocked_equals_naive_at_its_int16_switch(n, fill):
 @pytest.mark.parametrize("ring", [MIN, MAX], ids=["min", "max"])
 def test_edge_tables_take_the_sweep_dtype(ring, monkeypatch):
     # the sweep's tables are the int64 tables in its dtype, but for the cells
-    # of a prefix longer than its block, which hold that dtype's sentinel;
-    # b = 91 leaves a last block of 90 (n = 8189) and of 1 (n = 8191)
+    # past n in either table, which hold that dtype's sentinel; b = 91 leaves
+    # a last block of 90 (n = 8189) and of 1 (n = 8191)
     seen = []
 
     def recording(p, side, dtype):
@@ -101,12 +101,12 @@ def test_edge_tables_take_the_sweep_dtype(ring, monkeypatch):
     for n, dtype in ((8189, np.int16), (8191, np.int32)):
         reference._blocked_sweep(make_block_partition(_SWITCH_FILLS["iid"](n), 91), ring)
         p, (left, right) = seen.pop()
-        want_left, want_right = _edge_tables(p, ring, np.int64)
-        no_prefix = want_right == ring.sentinel
-        assert left.dtype == right.dtype == dtype and no_prefix.any()
-        assert np.array_equal(left, want_left)
-        assert (right[no_prefix] == ring.sentinel_in(dtype)).all()
-        assert np.array_equal(right[~no_prefix], want_right[~no_prefix])
+        at = p.bounds[:-1, None] + np.arange(p.b + 1)   # s_i + k
+        wants = _edge_tables(p, ring, np.int64)
+        for got, want, past in zip((left, right), wants, (at > n, at.T > n)):
+            assert got.dtype == dtype and past.any() and (want[past] == ring.sentinel).all()
+            assert (got[past] == ring.sentinel_in(dtype)).all()
+            assert np.array_equal(got[~past], want[~past])
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +287,17 @@ def _blocked_peak_mib(n, b=None):
 
 
 def test_blocked_profile_memory_peak():
-    # the edge tables, one length's product and the padded copy it is read
-    # through: at the default b = 64, m = 64 blocks in the sweep's int16,
-    # the peak is 0.35 MiB
+    # the edge tables and the padded buffer each length's product is written
+    # into: at the default b = 64, m = 64 blocks in the sweep's int16, the
+    # peak is 0.21 MiB
     assert _blocked_peak_mib(4096) <= 1.0
 
 
 def test_blocked_profile_memory_peak_at_block_1():
-    # m = n blocks: the padded copy is m x (2m - 1) cells, and the peak three
-    # m x m int16 tables, 6.3 MiB at n = 1024 (33 MiB with an index over the cells)
-    assert _blocked_peak_mib(1024, 1) <= 16.0
+    # m = n blocks: each product is written into the left m columns of an
+    # m x (2m - 1) buffer, so the peak is two m x m int16 tables, 4.2 MiB at
+    # n = 1024 (6.3 MiB with a copy of each product)
+    assert _blocked_peak_mib(1024, 1) <= 5.0
 
 
 # ---------------------------------------------------------------------------
