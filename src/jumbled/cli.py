@@ -20,8 +20,7 @@ from .trees import LabeledTree, binarize, simple_tree_profile, weighted_tree_max
 __getattr__ = lazy_names(__name__, {
     ".reference": "blocked_profile recursive_profile weighted_max_sums tree_profile "
                   "enumerate_connected_oracle enumerate_max_sums",
-    ".tools": "_size_error _in_runs _verify_case _draw_param _first_difference cmd_verify "
-              "_gen_text cmd_gen _split_multi cmd_bench"})
+    ".tools": "cmd_verify cmd_gen cmd_bench"})
 # this module, under `python -m` too: the tables and the parser's commands
 # read the names above through it, so that each is imported on its first call
 _cli = sys.modules[__name__]

@@ -1,11 +1,11 @@
 """Tropical-semiring kernels: the min and max rings, the sweeps' narrow
 dtypes, and the one convolution kernel every sweep runs through,
 _conv_tiled. The direct loop behind min_plus_convolution is the reference
-it is tested against, and the blocked convolution, which evaluates a
+it is tested against, and min_plus_convolution_blocked, which evaluates a
 convolution through small matrix products as the paper does, is kept as
-the reference reduction. Those two and the public (min,+) products are
-defined in reference.py, which is imported when one of them is first read
-from here (lazy_names).
+the reference reduction. Those two and the public (min,+) products,
+min_plus_product and min_plus_product_tiled, are defined in reference.py,
+which is imported when one of them is first read from here (lazy_names).
 
 Cost model
 ----------
@@ -33,6 +33,13 @@ NEG_INF = -(1 << 60)
 
 _SNAP_HI = INF - FINITE_BOUND
 _SNAP_LO = NEG_INF + FINITE_BOUND
+
+
+def _check_weights(weights: np.ndarray) -> None:
+    """ValueError unless every sum of ``weights`` lies within FINITE_BOUND
+    (in Python ints: np.abs wraps -2**63 to itself)."""
+    if max(-int(weights.min()), int(weights.max())) * weights.size > FINITE_BOUND:
+        raise ValueError("weight magnitudes too large for exact arithmetic")
 
 # the tiled kernel takes up to _CONV_SHIFTS entries of its shorter operand at
 # a time and fills a reused buffer of at most _CONV_CELLS cells per tile.
@@ -179,8 +186,7 @@ def lazy_names(module: str, homes: dict):
 
 
 __getattr__ = lazy_names(__name__, {".reference": (
-    "_CHUNK_ELEMS _as_operand _as_matrices _product min_plus_product min_plus_product_tiled "
-    "_as_vectors _conv_direct min_plus_convolution _conv_blocked min_plus_convolution_blocked")})
+    "min_plus_product min_plus_product_tiled min_plus_convolution min_plus_convolution_blocked")})
 
 
 def _conv_tiled(x: np.ndarray, y: np.ndarray, ring: Ring, out: np.ndarray) -> None:

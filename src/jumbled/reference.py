@@ -5,8 +5,8 @@ recursive_profile and weighted_max_sums, by midpoint halving; tree_profile,
 a tree by micro-macro decomposition), the enumeration oracles, and
 minplus's validated int64 products and convolutions, which snap to INF /
 NEG_INF where they return. The package, strings, trees, minplus and cli
-read each of these names from here when it is first asked for
-(minplus.lazy_names), so every old import path works."""
+forward from here only the names their callers read through them (see
+their lazy_names tables); every other name is imported from here."""
 
 from __future__ import annotations
 
@@ -339,9 +339,6 @@ def encode_delta(a_v) -> DeltaBits:
     arr = np.asarray(a_v, dtype=np.int64)
     _check_steps(arr)
     return DeltaBits(np.concatenate([[0], np.diff(arr)]).astype(np.uint8))
-
-
-MICRO_COUNT_CONSTANT = 8
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Profiles of binary strings.
 
 Four interchangeable backends compute the same profile. The last two, the
-paper's reductions, and weighted_max_sums are defined in reference.py,
-which is imported when one of them is first read from this module:
+paper's reductions, are defined in reference.py with weighted_max_sums,
+make_block_partition and build_cross_tables, imported on first read from here:
 
 * rle_profile        the default: only windows that start or end where the
                      label steps toward the ring's side, O(n rho) for rho runs,
@@ -45,14 +45,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_bits, as_int64, lazy_names,
-                      narrow_dtype)
+from .minplus import (MAX, MIN, Ring, _check_weights, _conv_tiled, as_bits, as_int64,
+                      lazy_names, narrow_dtype)
 from .profiles import Profile
 
 __getattr__ = lazy_names(__name__, {".reference": (
-    "RECURSION_CUTOFF BlockPartition make_block_partition _edge_tables _cross_table "
-    "CrossBlockTables build_cross_tables _blocked_sweep blocked_profile _halving_sweep "
-    "recursive_profile weighted_max_sums")})
+    "make_block_partition build_cross_tables blocked_profile recursive_profile weighted_max_sums")})
 
 
 class BinaryString:
@@ -548,9 +546,7 @@ def _weight_prefix(weights) -> np.ndarray:
     weights = as_int64(weights, "weights", 1)
     if weights.size < 1:
         raise ValueError("need a non-empty weight sequence")
-    # Python ints: np.abs wraps -2**63 to itself
-    if max(-int(weights.min()), int(weights.max())) * weights.size > FINITE_BOUND:
-        raise ValueError("weight magnitudes too large for exact arithmetic")
+    _check_weights(weights)
     return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(weights, dtype=np.int64)])
 
 

@@ -32,9 +32,9 @@ def _size_error(flag: str, sizes):
     return None
 
 
-def _in_runs(n: int, rng: random.Random, draw) -> list:
-    """n values in runs of random length, one value drawn per run."""
-    mean = rng.choice((6, 10, 20, 64, 80))
+def _in_runs(n: int, rng: random.Random, draw, mean=None) -> list:
+    """n values in runs of random length, of ``mean`` or a drawn mean, one value a run."""
+    mean = mean or rng.choice((6, 10, 20, 64, 80))
     values = []
     while len(values) < n:
         values += [draw()] * rng.randint(1, 2 * mean - 1)
@@ -65,7 +65,9 @@ def _verify_case(kind: str, case: int, max_n: int):
         # every other case draws from two values, where rle takes the pair,
         # run or gap sweep by its count rules; every fifth from 0..18, whose
         # mean the bound sweep centres away; every seventh repeats a short
-        # drawn period, which no bound prunes, so that its block pass gives up
+        # drawn period, which no bound prunes, so that its block pass gives up.
+        # Case 8 takes runs of mean 10: at --max-n 40000 (n = 24213) they pass
+        # the run sweep's n / 12 + 128 candidates, and rle takes the bound sweep
         low = 0 if case % 5 == 4 else -9
         values = rng.sample(range(low, low + 19), 2) if case % 2 else range(low, low + 19)
 
@@ -74,8 +76,8 @@ def _verify_case(kind: str, case: int, max_n: int):
         if case % 7 == 6:
             w = np.resize(np.array([draw() for _ in range(rng.randint(2, 8))], dtype=np.int64), n)
         else:
-            w = np.array(_in_runs(n, rng, draw) if in_runs else [draw() for _ in range(n)],
-                         dtype=np.int64)
+            w = np.array(_in_runs(n, rng, draw, 10 if case == 8 else None) if in_runs
+                         else [draw() for _ in range(n)], dtype=np.int64)
         return w, " ".join(map(str, w)), n, rng
     if case % 3 == 2 and n > SMALL + 1:
         # every third tree case: a path of more than SMALL nodes with a

@@ -9,9 +9,9 @@ arrays into a global profile:
 * tree_profile          micro-macro decomposition; inside each micro tree
                         the per-node DP step _combine, across micro trees
                         joins through the boundary nodes by the same step.
-                        It is defined in reference.py with the enumeration
-                        oracles and encode_delta, each imported when first
-                        read from this module
+                        It is defined in reference.py with encode_delta,
+                        feasible_size_sets and enumerate_connected_oracle,
+                        each imported when first read from this module
 
 Both sweeps (_tree_sweep, _macro_sweep) run one ring over a matrix of label
 rows. For 0/1 labels the rows are (ones, zeros) under MIN: the most 1s in a
@@ -41,15 +41,13 @@ from array import array
 
 import numpy as np
 
-from .minplus import (FINITE_BOUND, MAX, MIN, Ring, _conv_tiled, as_int64, lazy_names,
+from .minplus import (MAX, MIN, Ring, _check_weights, _conv_tiled, as_int64, lazy_names,
                       narrow_dtype, sum_dtype)
 from .profiles import Profile
 from .strings import _fold_into, _rle_sweep
 
 __getattr__ = lazy_names(__name__, {".reference": (
-    "CorruptedProfileError DeltaBits _check_steps encode_delta MICRO_COUNT_CONSTANT "
-    "MicroMacroDecomposition _Comp micro_macro _macro_sweep tree_profile feasible_size_sets "
-    "enumerate_connected_oracle enumerate_max_sums")})
+    "encode_delta tree_profile feasible_size_sets enumerate_connected_oracle")})
 
 
 class LabeledTree:
@@ -505,7 +503,6 @@ def simple_tree_profile(bt: BinarizedTree, sink=None) -> Profile:
 
 def weighted_tree_max_sums(t: LabeledTree) -> np.ndarray:
     """result[i-1] = maximum weight sum over connected subgraphs of size i."""
-    if max(-int(t.labels.min()), int(t.labels.max())) * t.n > FINITE_BOUND:
-        raise ValueError("weight magnitudes too large for exact arithmetic")
+    _check_weights(t.labels)
     bt = binarize(t)
     return _tree_sweep(bt, bt.ones_w[None, :], MAX)[0].astype(np.int64)

@@ -126,6 +126,11 @@ def test_weights_at_the_finite_bound(path):
     _assert_weights(rng.choice([-edge, edge], n))
     _assert_weights(np.full(n, edge))
     _assert_weights(rng.integers(-1, 2, n) * edge)
+    # one past the edge, on either side, cannot sum exactly
+    for weights in ([edge + 1] + [0] * (n - 1), [5] * (n - 1) + [-edge - 1]):
+        for build in (naive_weighted_max_sums, rle_weighted_max_sums):
+            with pytest.raises(ValueError, match="exact arithmetic"):
+                build(weights)
 
 
 @pytest.mark.parametrize("n", [1, K, 3 * K + 1, 700, 3001])

@@ -9,10 +9,11 @@ import pytest
 from jumbled import trees
 from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.minplus import (
-    _CONV_BUFSIZE, _CONV_CELLS, _CONV_SHIFTS, FINITE_BOUND, INF, MAX, MIN, NEG_INF, _conv_blocked,
-    _conv_direct, _conv_tiled, _product, min_plus_convolution, min_plus_convolution_blocked,
-    min_plus_product, min_plus_product_tiled, snap_max, snap_min,
+    _CONV_BUFSIZE, _CONV_CELLS, _CONV_SHIFTS, FINITE_BOUND, INF, MAX, MIN, NEG_INF, _conv_tiled,
+    min_plus_convolution, min_plus_convolution_blocked, min_plus_product, min_plus_product_tiled,
+    snap_max, snap_min,
 )
+from jumbled.reference import _conv_blocked, _conv_direct, _product
 from jumbled.trees import LabeledTree, binarize, simple_tree_profile, weighted_tree_max_sums
 from _support import conv_oracle, product_oracle
 

@@ -14,9 +14,10 @@ import pytest
 
 from jumbled import reference
 from jumbled.minplus import INF, MAX, MIN, NEG_INF
+from jumbled.reference import _edge_tables
 from jumbled.strings import (
-    BinaryString, _edge_tables, blocked_profile, build_cross_tables, make_block_partition,
-    naive_profile, naive_weighted_max_sums, recursive_profile, rle_profile, weighted_max_sums,
+    BinaryString, blocked_profile, build_cross_tables, make_block_partition, naive_profile,
+    naive_weighted_max_sums, recursive_profile, rle_profile, weighted_max_sums,
 )
 from _support import random_bits, window_max_sums, window_profile
 

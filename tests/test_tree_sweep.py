@@ -26,13 +26,13 @@ from jumbled.minplus import (
 )
 from jumbled.inputs import gen_tree, parse_tree_text
 from jumbled.profiles import write_profile_csv
+from jumbled.reference import enumerate_max_sums
 from jumbled.strings import (
     naive_profile, naive_weighted_max_sums, recursive_profile, weighted_max_sums,
 )
 from jumbled.trees import (
     _WIDE, SMALL, LabeledTree, _combine, _combine_by_counts, _inverse, binarize,
-    enumerate_connected_oracle, enumerate_max_sums, simple_tree_profile, tree_profile,
-    weighted_tree_max_sums,
+    enumerate_connected_oracle, simple_tree_profile, tree_profile, weighted_tree_max_sums,
 )
 from _support import (
     NO_PAIR_SWEEP, anchored_arrays, broom_parents, caterpillar_parents, complete_binary_parents,
@@ -428,8 +428,9 @@ def test_weighted_at_the_finite_bound_guard():
         for parents in (path_parents(n), star_parents(n), random_parents(random.Random(1), n)):
             got = weighted_tree_max_sums(LabeledTree(parents, weights)).tolist()
             assert got == tree_extremes(parents, weights, max)
-    with pytest.raises(ValueError):
-        weighted_tree_max_sums(LabeledTree(path_parents(n), [edge + 1] + [0] * (n - 1)))
+    for weights in ([edge + 1] + [0] * (n - 1), [5] * (n - 1) + [-edge - 1]):
+        with pytest.raises(ValueError, match="exact arithmetic"):
+            weighted_tree_max_sums(LabeledTree(path_parents(n), weights))
 
 
 # ---------------------------------------------------------------------------

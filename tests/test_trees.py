@@ -6,17 +6,19 @@ import pytest
 
 from jumbled import trees
 from jumbled.minplus import MIN
+from jumbled.reference import CorruptedProfileError, DeltaBits, _macro_sweep, micro_macro
 from jumbled.trees import (
-    CorruptedProfileError, DeltaBits, LabeledTree, MICRO_COUNT_CONSTANT,
-    _combine, _macro_sweep, binarize, encode_delta, enumerate_connected_oracle,
-    feasible_size_sets, micro_macro, simple_tree_profile, tree_profile,
-    weighted_tree_max_sums,
+    LabeledTree, _combine, binarize, encode_delta, enumerate_connected_oracle,
+    feasible_size_sets, simple_tree_profile, tree_profile, weighted_tree_max_sums,
 )
 from _support import (
     broom_parents, caterpillar_parents, complete_binary_parents, path_parents,
     random_parents, rerooted_parents, star_parents, subtree_max_sums, subtree_profile,
     tree_adj,
 )
+
+# micro_macro makes at most max(1, MICRO_COUNT_CONSTANT * n // r) micro trees
+MICRO_COUNT_CONSTANT = 8
 
 
 def test_labeled_tree_validation():
